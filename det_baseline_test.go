@@ -16,10 +16,18 @@ import (
 // path shows up here as a flaky diff.
 
 // TestExperimentDeterminism runs a single-broker and a 3-broker DBN
-// experiment twice with the same seed and requires identical results.
+// experiment twice with the same seed and requires identical results —
+// identical to each other and to testdata/det_golden.txt, recorded at
+// commit c887fa3, so a refactor that perturbs the simulated event order
+// fails here instead of needing a manual DET_OUT diff. A change that
+// means to move the figures regenerates the golden file and says so.
 func TestExperimentDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation runs take a few seconds")
+	}
+	golden, err := os.ReadFile("testdata/det_golden.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
 	scale := experiment.Scale{PublishCount: 3, SpawnFactor: 3.0 / 180.0, Label: "det"}
 	run := func(dbn bool) string {
@@ -27,14 +35,19 @@ func TestExperimentDeterminism(t *testing.T) {
 			Label: "det", Connections: 600, Transport: simbroker.TCP(),
 			Scale: scale, Seed: 7, DBN: dbn,
 		})
-		return fmt.Sprintf("n=%d mean=%v p99=%v loss=%+v idle=%v",
-			r.RTT.Count(), r.RTT.Mean(), r.RTT.Percentile(99), r.Loss, r.CPUIdlePct)
+		return fmt.Sprintf("dbn=%v n=%d mean=%v p99=%v loss=%+v idle=%v\n",
+			dbn, r.RTT.Count(), r.RTT.Mean(), r.RTT.Percentile(99), r.Loss, r.CPUIdlePct)
 	}
+	var got string
 	for _, dbn := range []bool{false, true} {
 		a, b := run(dbn), run(dbn)
 		if a != b {
-			t.Errorf("dbn=%v: same seed, different results:\n  %s\n  %s", dbn, a, b)
+			t.Errorf("dbn=%v: same seed, different results:\n  %s  %s", dbn, a, b)
 		}
+		got += a
+	}
+	if got != string(golden) {
+		t.Errorf("results differ from testdata/det_golden.txt:\ngot:\n%swant:\n%s", got, golden)
 	}
 }
 

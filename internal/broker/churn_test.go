@@ -3,7 +3,6 @@ package broker
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,45 +10,36 @@ import (
 	"gridmon/internal/wire"
 )
 
-// TestSnapshotChurnEquivalence is the randomized churn equivalence
-// storm for the lock-free read path: concurrent subscribe/unsubscribe/
-// durable-recreate churn while publishers hammer the same topics, run
-// once per read-path mode. Delivery *during* the storm is inherently
-// racy (a publish concurrent with a subscribe may legitimately land on
-// either side of it, in both modes), so the storm phase asserts safety
-// only — no races under -race, balanced heap at teardown, no lost
-// allocations from publishes racing drops. Then the storm quiesces, a
-// deterministic subscriber set attaches, and a known message batch is
-// published from one goroutine: the phase-2 delivered multisets must be
-// identical between snapshot and locked modes, proving the churned-up
-// snapshot state converged to exactly the locked index state.
+// TestSnapshotChurnEquivalence is the randomized churn storm for the
+// lock-free read path: concurrent subscribe/unsubscribe/durable-recreate
+// churn while publishers hammer the same topics, run once per read-path
+// mode. Delivery *during* the storm is inherently racy (a publish
+// concurrent with a subscribe may legitimately land on either side of
+// it), so the storm phase asserts safety only — no races under -race,
+// balanced heap at teardown, no lost allocations from publishes racing
+// drops. Then the storm quiesces, a deterministic subscriber set
+// attaches, and a known message batch is published from one goroutine:
+// the phase-2 deliveries must be exactly what a fresh oracle predicts,
+// proving the churned-up snapshot state converged to the state of a
+// broker that never saw the storm.
 func TestSnapshotChurnEquivalence(t *testing.T) {
-	snap := runChurnStorm(t, func(cfg *Config) {})
-	lock := runChurnStorm(t, func(cfg *Config) { cfg.LockedReadPath = true })
-	if !reflect.DeepEqual(snap, lock) {
-		t.Fatalf("post-churn probe deliveries diverge:\nsnapshot: %v\nlocked:   %v", snap, lock)
-	}
+	runChurnStorm(t, func(cfg *Config) {})
+	runChurnStorm(t, func(cfg *Config) { cfg.LockedReadPath = true })
 }
 
 // TestMatchIndexChurnEquivalence runs the same churn storm with the
 // matching index on (the default) and off (LinearMatch): the storm
 // phase races concurrent index rebuilds against indexed publishes under
-// -race, and the quiesced probe deliveries must be identical — the
-// index state converged by churn must route exactly like the linear
-// scan.
+// -race, and the quiesced probe deliveries must match the oracle.
 func TestMatchIndexChurnEquivalence(t *testing.T) {
-	indexed := runChurnStorm(t, func(cfg *Config) {})
-	linear := runChurnStorm(t, func(cfg *Config) { cfg.LinearMatch = true })
-	if !reflect.DeepEqual(indexed, linear) {
-		t.Fatalf("post-churn probe deliveries diverge:\nindexed: %v\nlinear:  %v", indexed, linear)
-	}
+	runChurnStorm(t, func(cfg *Config) {})
+	runChurnStorm(t, func(cfg *Config) { cfg.LinearMatch = true })
 }
 
 // runChurnStorm is the shared churn driver: concurrent subscribe/
 // unsubscribe/durable-recreate churn under publish load, then a
-// deterministic quiesced probe whose ordered deliveries are returned
-// for cross-mode comparison.
-func runChurnStorm(t *testing.T, mutate func(*Config)) map[ConnID][]string {
+// deterministic quiesced probe checked against the oracle.
+func runChurnStorm(t *testing.T, mutate func(*Config)) {
 	t.Helper()
 	const (
 		churners  = 6
@@ -63,154 +53,155 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) map[ConnID][]string {
 		topics[i] = message.Topic(fmt.Sprintf("t%d", i))
 	}
 
-	run := func() map[ConnID][]string {
-		env := newRaceEnv()
-		cfg := DefaultConfig("churn")
-		cfg.Shards = 8
-		mutate(&cfg)
-		locked := cfg.LockedReadPath
-		b := New(env, cfg)
+	env := newRaceEnv()
+	cfg := DefaultConfig("churn")
+	cfg.Shards = 8
+	mutate(&cfg)
+	locked := cfg.LockedReadPath
+	b := New(env, cfg)
 
-		// --- Phase 1: churn storm under concurrent publishing.
-		var wg sync.WaitGroup
-		for g := 0; g < churners; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(1000 + g)))
-				c := ConnID(100 + g)
-				if err := b.OnConnOpen(c); err != nil {
-					t.Error(err)
-					return
-				}
-				nextSub := int64(0)
-				var live []int64
-				for op := 0; op < stormOps; op++ {
-					switch r := rng.Intn(10); {
-					case r < 4: // subscribe (sometimes durable: recreate storms)
-						nextSub++
-						f := wire.Subscribe{
-							SubID:    nextSub,
-							Dest:     topics[rng.Intn(len(topics))],
-							Selector: []string{"", "id < 50", "id >= 50"}[rng.Intn(3)],
-						}
-						if rng.Intn(3) == 0 {
-							f.Durable = true
-							f.DurableName = fmt.Sprintf("dur-%d", g)
-						}
-						b.OnFrame(c, f)
-						live = append(live, nextSub)
-					case r < 7: // unsubscribe
-						if len(live) == 0 {
-							continue
-						}
-						i := rng.Intn(len(live))
-						b.OnFrame(c, wire.Unsubscribe{SubID: live[i]})
-						live = append(live[:i], live[i+1:]...)
-					default: // ack deliveries so far
-						env.drainAcks(b, c)
+	// --- Phase 1: churn storm under concurrent publishing.
+	var wg sync.WaitGroup
+	for g := 0; g < churners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + g)))
+			c := ConnID(100 + g)
+			if err := b.OnConnOpen(c); err != nil {
+				t.Error(err)
+				return
+			}
+			nextSub := int64(0)
+			var live []int64
+			for op := 0; op < stormOps; op++ {
+				switch r := rng.Intn(10); {
+				case r < 4: // subscribe (sometimes durable: recreate storms)
+					nextSub++
+					f := wire.Subscribe{
+						SubID:    nextSub,
+						Dest:     topics[rng.Intn(len(topics))],
+						Selector: []string{"", "id < 50", "id >= 50"}[rng.Intn(3)],
 					}
+					if rng.Intn(3) == 0 {
+						f.Durable = true
+						f.DurableName = fmt.Sprintf("dur-%d", g)
+					}
+					b.OnFrame(c, f)
+					live = append(live, nextSub)
+				case r < 7: // unsubscribe
+					if len(live) == 0 {
+						continue
+					}
+					i := rng.Intn(len(live))
+					b.OnFrame(c, wire.Unsubscribe{SubID: live[i]})
+					live = append(live[:i], live[i+1:]...)
+				default: // ack deliveries so far
+					env.drainAcks(b, c)
 				}
-				env.drainAcks(b, c)
-				b.OnConnClose(c)
-			}(g)
-		}
-		for g := 0; g < pubs; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(2000 + g)))
-				c := ConnID(200 + g)
-				if err := b.OnConnOpen(c); err != nil {
-					t.Error(err)
-					return
-				}
-				for i := 0; i < stormMsgs; i++ {
-					m := message.NewText("x")
-					m.ID = fmt.Sprintf("p1-%d-%d", g, i)
-					m.Dest = topics[rng.Intn(len(topics))]
-					m.SetProperty("id", message.Int(int32(rng.Intn(100))))
-					b.OnFrame(c, wire.Publish{Seq: int64(i), Msg: m})
-				}
-				b.OnConnClose(c)
-			}(g)
-		}
-		wg.Wait()
+			}
+			env.drainAcks(b, c)
+			b.OnConnClose(c)
+		}(g)
+	}
+	for g := 0; g < pubs; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(2000 + g)))
+			c := ConnID(200 + g)
+			if err := b.OnConnOpen(c); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < stormMsgs; i++ {
+				m := message.NewText("x")
+				m.ID = fmt.Sprintf("p1-%d-%d", g, i)
+				m.Dest = topics[rng.Intn(len(topics))]
+				m.SetProperty("id", message.Int(int32(rng.Intn(100))))
+				b.OnFrame(c, wire.Publish{Seq: int64(i), Msg: m})
+			}
+			b.OnConnClose(c)
+		}(g)
+	}
+	wg.Wait()
 
-		// Destroy the churners' durables so leftover backlogs can't leak
-		// into phase 2 (their content is storm-order dependent).
-		sweep := ConnID(900)
-		if err := b.OnConnOpen(sweep); err != nil {
-			t.Fatal(err)
-		}
-		for g := 0; g < churners; g++ {
-			id := int64(g + 1)
-			b.OnFrame(sweep, wire.Subscribe{
-				SubID: id, Dest: message.Topic("sweep"), Selector: "FALSE",
-				Durable: true, DurableName: fmt.Sprintf("dur-%d", g),
-			})
-			b.OnFrame(sweep, wire.Unsubscribe{SubID: id})
-		}
-		env.drainAcks(b, sweep)
-		b.OnConnClose(sweep)
+	// Destroy the churners' durables so leftover backlogs can't leak
+	// into phase 2 (their content is storm-order dependent).
+	sweep := ConnID(900)
+	if err := b.OnConnOpen(sweep); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < churners; g++ {
+		id := int64(g + 1)
+		b.OnFrame(sweep, wire.Subscribe{
+			SubID: id, Dest: message.Topic("sweep"), Selector: "FALSE",
+			Durable: true, DurableName: fmt.Sprintf("dur-%d", g),
+		})
+		b.OnFrame(sweep, wire.Unsubscribe{SubID: id})
+	}
+	env.drainAcks(b, sweep)
+	b.OnConnClose(sweep)
 
-		// --- Phase 2: deterministic probe over the quiesced broker.
-		probes := []struct {
-			conn ConnID
-			dest message.Destination
-			sel  string
-		}{
-			{301, topics[0], ""},
-			{302, topics[0], "id < 50"},
-			{303, topics[1], "id >= 50"},
-			{304, topics[2], ""},
-			{305, topics[3], "id < 25"},
-		}
-		for i, p := range probes {
+	// --- Phase 2: deterministic probe over the quiesced broker. Every
+	// storm connection is closed and every durable destroyed, so a
+	// fresh oracle fed only the probe ops predicts the deliveries.
+	orc := newOracle()
+	orc.rejected = b.Stats().SelectorRejected // the storm's rejections predate the oracle
+	both := func(fn func(b target)) { fn(b); fn(orc) }
+	probes := []struct {
+		conn ConnID
+		dest message.Destination
+		sel  string
+	}{
+		{301, topics[0], ""},
+		{302, topics[0], "id < 50"},
+		{303, topics[1], "id >= 50"},
+		{304, topics[2], ""},
+		{305, topics[3], "id < 25"},
+	}
+	var probeConns []ConnID
+	for i, p := range probes {
+		probeConns = append(probeConns, p.conn)
+		both(func(b target) {
 			if err := b.OnConnOpen(p.conn); err != nil {
 				t.Fatal(err)
 			}
 			b.OnFrame(p.conn, wire.Subscribe{SubID: int64(i + 1), Dest: p.dest, Selector: p.sel})
-		}
-		pubConn := ConnID(400)
-		if err := b.OnConnOpen(pubConn); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < probeMsgs; i++ {
-			m := message.NewText("probe")
-			m.ID = fmt.Sprintf("p2-%d", i)
-			m.Dest = topics[rng.Intn(4)]
-			m.SetProperty("id", message.Int(int32(rng.Intn(100))))
-			b.OnFrame(pubConn, wire.Publish{Seq: int64(i), Msg: m})
-		}
-
-		// Collect each probe's ordered phase-2 message IDs, then tear
-		// everything down; the shared heap must balance to zero or a
-		// snapshot-path delivery leaked past a drop.
-		got := make(map[ConnID][]string)
-		for _, p := range probes {
-			r := env.rec(p.conn)
-			r.mu.Lock()
-			got[p.conn] = append([]string(nil), r.ids...)
-			r.mu.Unlock()
-			env.drainAcks(b, p.conn)
-			b.OnConnClose(p.conn)
-		}
-		b.OnConnClose(pubConn)
-		if used := env.heap.Used(); used != 0 {
-			t.Fatalf("locked=%v: heap not balanced after teardown: %d bytes live", locked, used)
-		}
-		if n := b.PendingCount(); n != 0 {
-			t.Fatalf("locked=%v: pending after teardown: %d", locked, n)
-		}
-		if !locked {
-			if rl := b.Stats().ReadLockAcquisitions; rl != 0 {
-				t.Fatalf("snapshot mode took %d read-path shard locks", rl)
-			}
-		}
-		return got
+		})
+	}
+	pubConn := ConnID(400)
+	if err := b.OnConnOpen(pubConn); err != nil {
+		t.Fatal(err)
+	}
+	_ = orc.OnConnOpen(pubConn)
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < probeMsgs; i++ {
+		m := message.NewText("probe")
+		m.ID = fmt.Sprintf("p2-%d", i)
+		m.Dest = topics[rng.Intn(4)]
+		m.SetProperty("id", message.Int(int32(rng.Intn(100))))
+		both(func(b target) { b.OnFrame(pubConn, wire.Publish{Seq: int64(i), Msg: m}) })
 	}
 
-	return run()
+	// Check each probe's ordered phase-2 deliveries, then tear
+	// everything down; the shared heap must balance to zero or a
+	// snapshot-path delivery leaked past a drop.
+	orc.check(t, fmt.Sprintf("locked=%v probe", locked), b, probeConns, env.observed)
+	for _, p := range probes {
+		env.drainAcks(b, p.conn)
+		b.OnConnClose(p.conn)
+	}
+	b.OnConnClose(pubConn)
+	if used := env.heap.Used(); used != 0 {
+		t.Fatalf("locked=%v: heap not balanced after teardown: %d bytes live", locked, used)
+	}
+	if n := b.PendingCount(); n != 0 {
+		t.Fatalf("locked=%v: pending after teardown: %d", locked, n)
+	}
+	if !locked {
+		if rl := b.Stats().ReadLockAcquisitions; rl != 0 {
+			t.Fatalf("snapshot mode took %d read-path shard locks", rl)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,15 +16,19 @@ import (
 // mode-independent counter are identical whether a fan-out runs as the
 // serial per-frame loop or as per-connection runs across the worker
 // pool. The storm drives randomized subscribe/publish/ack/unsubscribe/
-// connection-churn traffic through one broker per mode — same seed,
-// same ops — and compares transcripts, stats, pending and heap.
+// connection-churn traffic through one broker per mode and through the
+// oracle — same seed, same ops — requiring every mode to deliver what
+// the oracle predicts, and the modes to agree on stats, pending and
+// heap.
 
 // fanoutStormSelectors gives the storm a mix of fast-set and selector
 // subscriptions, so plans mix fast members with group members.
 var fanoutStormSelectors = []string{"", "", "id < 500", "id >= 300", "region = 'eu'"}
 
 // runFanoutStorm drives the deterministic storm against one broker and
-// returns its env. Conns 1..nConns are subscribers; conn 100 publishes.
+// the oracle, checks the broker against the oracle's prediction, and
+// returns the broker and its env for cross-mode comparison. Conns
+// 1..nConns are subscribers; conn 100 publishes.
 func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *raceEnv) {
 	t.Helper()
 	env := newRaceEnv()
@@ -31,20 +36,25 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 	cfg.Shards = 4
 	mut(&cfg)
 	b := New(env, cfg)
+	orc := newOracle()
+	both := func(fn func(b target)) { fn(b); fn(orc) }
 
 	const nConns = 6
 	rng := rand.New(rand.NewSource(seed))
 	topics := []string{"t0", "t1", "t2"}
 	open := make(map[ConnID]bool)
+	mustOpenBoth := func(c ConnID) {
+		both(func(b target) {
+			if err := b.OnConnOpen(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	for c := ConnID(1); c <= nConns; c++ {
-		if err := b.OnConnOpen(c); err != nil {
-			t.Fatal(err)
-		}
+		mustOpenBoth(c)
 		open[c] = true
 	}
-	if err := b.OnConnOpen(100); err != nil {
-		t.Fatal(err)
-	}
+	mustOpenBoth(100)
 	type subRef struct {
 		conn ConnID
 		id   int64
@@ -60,11 +70,12 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 				continue
 			}
 			nextSub++
-			b.OnFrame(c, wire.Subscribe{
+			f := wire.Subscribe{
 				SubID:    nextSub,
 				Dest:     message.Topic(topics[rng.Intn(len(topics))]),
 				Selector: fanoutStormSelectors[rng.Intn(len(fanoutStormSelectors))],
-			})
+			}
+			both(func(b target) { b.OnFrame(c, f) })
 			subs = append(subs, subRef{conn: c, id: nextSub})
 		case k < 8: // publish + ack feedback
 			m := message.NewText("payload")
@@ -76,7 +87,7 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 			} else {
 				m.SetProperty("region", message.String("us"))
 			}
-			b.OnFrame(100, wire.Publish{Seq: int64(op), Msg: m})
+			both(func(b target) { b.OnFrame(100, wire.Publish{Seq: int64(op), Msg: m}) })
 			if rng.Intn(3) == 0 {
 				for c := ConnID(1); c <= nConns; c++ {
 					if open[c] {
@@ -92,13 +103,13 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 			s := subs[i]
 			subs = append(subs[:i], subs[i+1:]...)
 			if open[s.conn] {
-				b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id})
+				both(func(b target) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
 			}
 		default: // bounce a connection (subs drop, deliveries stop)
 			c := ConnID(rng.Intn(nConns) + 1)
 			if open[c] {
 				env.drainAcks(b, c)
-				b.OnConnClose(c)
+				both(func(b target) { b.OnConnClose(c) })
 				// Acks recorded but not yet fed back die with the conn.
 				r := env.rec(c)
 				r.mu.Lock()
@@ -113,19 +124,20 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 				}
 				subs = kept
 			} else {
-				if err := b.OnConnOpen(c); err != nil {
-					t.Fatal(err)
-				}
+				mustOpenBoth(c)
 				open[c] = true
 			}
 		}
 	}
 	// Quiesce: feed every outstanding ack back.
+	var conns []ConnID
 	for c := ConnID(1); c <= nConns; c++ {
+		conns = append(conns, c)
 		if open[c] {
 			env.drainAcks(b, c)
 		}
 	}
+	orc.check(t, fmt.Sprintf("seed %d", seed), b, conns, env.observed)
 	return b, env
 }
 
@@ -136,14 +148,8 @@ func runFanoutEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 		bA, envA := runFanoutStorm(t, seed, mutA)
 		bB, envB := runFanoutStorm(t, seed, mutB)
 		for c := ConnID(1); c <= 6; c++ {
-			rA, rB := envA.rec(c), envB.rec(c)
-			if len(rA.ids) != len(rB.ids) {
-				t.Fatalf("seed %d conn %d: %d vs %d deliveries", seed, c, len(rA.ids), len(rB.ids))
-			}
-			for i := range rA.ids {
-				if rA.ids[i] != rB.ids[i] {
-					t.Fatalf("seed %d conn %d delivery %d: %q vs %q", seed, c, i, rA.ids[i], rB.ids[i])
-				}
+			if gA, gB := envA.observed(c), envB.observed(c); !slices.Equal(gA, gB) {
+				t.Fatalf("seed %d conn %d: deliveries differ\nA: %v\nB: %v", seed, c, gA, gB)
 			}
 		}
 		if sA, sB := clearLockMeters(bA.Stats()), clearLockMeters(bB.Stats()); sA != sB {

@@ -3,7 +3,6 @@ package broker
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,11 +74,12 @@ func TestShardOfPartitionsNames(t *testing.T) {
 // TestShardedSerialEquivalenceRandomized drives identical randomized
 // operation sequences — connection churn, topic/queue/durable
 // subscribes, unsubscribes, publishes, partial acks — through a serial
-// (SerialCore) broker and an 8-shard broker from one goroutine, then
-// requires bit-identical frame transcripts, stats, pending counts and
-// heap usage. This is the "sharded == serial" proof the concurrency
-// architecture rests on: shards change only which operations may
-// overlap, never what any operation does.
+// (SerialCore) broker, an 8-shard broker and the oracle from one
+// goroutine, then requires both brokers to have delivered what the
+// oracle predicts and to agree bit for bit on frame transcripts, stats,
+// pending counts and heap usage. This is the "sharded == serial" proof
+// the concurrency architecture rests on: shards change only which
+// operations may overlap, never what any operation does.
 func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 	selectors := []string{
 		"", "TRUE", "1 = 1",
@@ -107,7 +107,8 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 		cfgP.Shards = 8
 		bP := New(envP, cfgP)
 
-		both := func(fn func(b *Broker)) { fn(bS); fn(bP) }
+		orc := newOracle()
+		both := func(fn func(b target)) { fn(bS); fn(bP); fn(orc) }
 		rng := rand.New(rand.NewSource(seed))
 
 		var open []ConnID
@@ -115,7 +116,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 		openConn := func() {
 			nextConn++
 			id := nextConn
-			both(func(b *Broker) {
+			both(func(b target) {
 				if err := b.OnConnOpen(id); err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +149,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 					}
 				}
 				live = kept
-				both(func(b *Broker) { b.OnConnClose(id) })
+				both(func(b target) { b.OnConnClose(id) })
 			case r < 6: // subscribe a topic
 				if len(open) < 2 {
 					continue
@@ -160,7 +161,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 					Dest:     topics[rng.Intn(len(topics))],
 					Selector: selectors[rng.Intn(len(selectors))],
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				both(func(b target) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
 			case r < 8: // subscribe a queue
 				if len(open) < 2 {
@@ -173,7 +174,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 					Dest:     queues[rng.Intn(len(queues))],
 					Selector: selectors[rng.Intn(5)], // valid only
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				both(func(b target) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
 			case r < 9: // durable attach (sometimes immediately destroyed)
 				if len(open) < 2 {
@@ -188,9 +189,9 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 					Durable:     true,
 					DurableName: fmt.Sprintf("dur-%d", rng.Intn(3)),
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				both(func(b target) { b.OnFrame(c, f) })
 				if rng.Intn(2) == 0 {
-					both(func(b *Broker) { b.OnFrame(c, wire.Unsubscribe{SubID: nextSub}) })
+					both(func(b target) { b.OnFrame(c, wire.Unsubscribe{SubID: nextSub}) })
 				} else {
 					live = append(live, subInfo{conn: c, id: nextSub})
 				}
@@ -201,7 +202,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 				i := rng.Intn(len(live))
 				s := live[i]
 				live = append(live[:i], live[i+1:]...)
-				both(func(b *Broker) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
+				both(func(b target) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
 			case r < 12: // ack a batch of this conn's unacked deliveries
 				if len(open) < 2 {
 					continue
@@ -225,7 +226,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 				acked[c] += n
 				for subID, ts := range tags {
 					f := wire.Ack{SubID: subID, Tags: ts}
-					both(func(b *Broker) { b.OnFrame(c, f) })
+					both(func(b target) { b.OnFrame(c, f) })
 				}
 			default: // publish
 				id := fmt.Sprintf("m%d", op)
@@ -238,32 +239,17 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 					"name":   message.String([]string{"gen-1", "probe-2"}[rng.Intn(2)]),
 					"region": message.String([]string{"us", "eu", "ap"}[rng.Intn(3)]),
 				}
-				both(func(b *Broker) { publishOn(b, pubConn, id, dest, props) })
+				both(func(b target) { publishOn(b, pubConn, id, dest, props) })
 			}
 		}
 
-		for c := ConnID(1); c <= nextConn; c++ {
-			ts, tp := transcript(envS, c), transcript(envP, c)
-			if !reflect.DeepEqual(ts, tp) {
-				t.Fatalf("seed %d conn %d: serial transcript (%d frames) != sharded (%d frames)",
-					seed, c, len(ts), len(tp))
-			}
+		conns := make([]ConnID, nextConn)
+		for i := range conns {
+			conns[i] = ConnID(i + 1)
 		}
-		// Mode-specific meters aside (SerialCore disables the parallel
-		// fan-out engine, so its Fanout*/Egress* meters never move),
-		// counters must agree exactly.
-		if ss, sp := clearLockMeters(bS.Stats()), clearLockMeters(bP.Stats()); ss != sp {
-			t.Fatalf("seed %d: serial stats %+v != sharded %+v", seed, ss, sp)
-		}
-		if bS.PendingCount() != bP.PendingCount() {
-			t.Fatalf("seed %d: pending %d != %d", seed, bS.PendingCount(), bP.PendingCount())
-		}
-		if envS.heap.Used() != envP.heap.Used() {
-			t.Fatalf("seed %d: heap %d != %d", seed, envS.heap.Used(), envP.heap.Used())
-		}
-		if ts, tp := bS.Topics(), bP.Topics(); !reflect.DeepEqual(ts, tp) {
-			t.Fatalf("seed %d: topics %v != %v", seed, ts, tp)
-		}
+		orc.check(t, fmt.Sprintf("seed %d serial", seed), bS, conns, envS.observed)
+		orc.check(t, fmt.Sprintf("seed %d sharded", seed), bP, conns, envP.observed)
+		requireSameBehaviour(t, fmt.Sprintf("seed %d serial vs sharded", seed), conns, bS, envS, bP, envP)
 	}
 }
 
@@ -283,7 +269,7 @@ type raceEnv struct {
 type deliveryRec struct {
 	mu   sync.Mutex
 	tags []wire.Ack // one entry per delivery, ready to feed back
-	ids  []string   // delivered message IDs, in arrival order (never reset)
+	got  []delivery // every delivery, in arrival order (never reset)
 }
 
 func newRaceEnv() *raceEnv {
@@ -313,7 +299,7 @@ func (e *raceEnv) Send(c ConnID, f wire.Frame) {
 		r := e.rec(c)
 		r.mu.Lock()
 		r.tags = append(r.tags, wire.Ack{SubID: d.SubID, Tags: []int64{d.Tag}})
-		r.ids = append(r.ids, d.Msg.ID)
+		r.got = append(r.got, delivery{d.SubID, d.Msg.ID})
 		r.mu.Unlock()
 		wire.PutDeliver(d)
 	case *wire.DeliverBatch:
@@ -321,7 +307,7 @@ func (e *raceEnv) Send(c ConnID, f wire.Frame) {
 		r.mu.Lock()
 		for _, ent := range d.Entries {
 			r.tags = append(r.tags, wire.Ack{SubID: ent.SubID, Tags: []int64{ent.Tag}})
-			r.ids = append(r.ids, d.Msg.ID)
+			r.got = append(r.got, delivery{ent.SubID, d.Msg.ID})
 		}
 		r.mu.Unlock()
 		wire.PutDeliverBatch(d)
@@ -332,6 +318,16 @@ func (e *raceEnv) AllocConn() error    { return e.native.Alloc(1) }
 func (e *raceEnv) FreeConn()           { e.native.Free(1) }
 func (e *raceEnv) Alloc(n int64) error { return e.heap.Alloc(n) }
 func (e *raceEnv) Free(n int64)        { e.heap.Free(n) }
+
+// observed returns a copy of one connection's deliveries so far (the
+// race-env counterpart of fakeEnv.observed; these storms use topics
+// only).
+func (e *raceEnv) observed(c ConnID) []delivery {
+	r := e.rec(c)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]delivery(nil), r.got...)
+}
 
 // drainAcks feeds every recorded delivery of conn c back as an Ack.
 func (e *raceEnv) drainAcks(b *Broker, c ConnID) {

@@ -53,10 +53,12 @@ func TestSnapshotLockedEquivalenceRandomized(t *testing.T) {
 }
 
 // runRoutingEquivalence drives the randomized operation storm through
-// two brokers differing only by the given config mutations ("A" vs "B")
-// and requires bit-identical observable behaviour. Shared by the
-// snapshot-vs-locked and indexed-vs-linear-match equivalence suites.
-func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
+// one 8-shard broker per config mutation and through the naive oracle
+// (oracle_test.go). Every broker must deliver and buffer exactly what
+// the oracle predicts, and the brokers must agree with each other on
+// everything the oracle does not model: full frame transcripts, stats,
+// pending counts, heap usage and topic sets.
+func runRoutingEquivalence(t *testing.T, muts ...func(*Config)) {
 	t.Helper()
 	selectors := []string{
 		"", "TRUE", "1 = 1",
@@ -75,19 +77,22 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 	}
 
 	for seed := int64(1); seed <= 6; seed++ {
-		envSnap := newFakeEnv(0)
-		cfgSnap := DefaultConfig("b")
-		cfgSnap.Shards = 8
-		mutA(&cfgSnap)
-		bSnap := New(envSnap, cfgSnap)
-
-		envLock := newFakeEnv(0)
-		cfgLock := DefaultConfig("b")
-		cfgLock.Shards = 8
-		mutB(&cfgLock)
-		bLock := New(envLock, cfgLock)
-
-		both := func(fn func(b *Broker)) { fn(bSnap); fn(bLock) }
+		var envs []*fakeEnv
+		var brokers []*Broker
+		for _, mut := range muts {
+			env := newFakeEnv(0)
+			cfg := DefaultConfig("b")
+			cfg.Shards = 8
+			mut(&cfg)
+			envs, brokers = append(envs, env), append(brokers, New(env, cfg))
+		}
+		orc := newOracle()
+		both := func(fn func(b target)) {
+			for _, b := range brokers {
+				fn(b)
+			}
+			fn(orc)
+		}
 		rng := rand.New(rand.NewSource(seed))
 
 		var open []ConnID
@@ -95,7 +100,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 		openConn := func() {
 			nextConn++
 			id := nextConn
-			both(func(b *Broker) {
+			both(func(b target) {
 				if err := b.OnConnOpen(id); err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +133,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					}
 				}
 				live = kept
-				both(func(b *Broker) { b.OnConnClose(id) })
+				both(func(b target) { b.OnConnClose(id) })
 			case r < 6: // subscribe a topic
 				if len(open) < 2 {
 					continue
@@ -140,7 +145,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					Dest:     topics[rng.Intn(len(topics))],
 					Selector: selectors[rng.Intn(len(selectors))],
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				both(func(b target) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
 			case r < 7: // subscribe a queue
 				if len(open) < 2 {
@@ -153,7 +158,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					Dest:     queues[rng.Intn(len(queues))],
 					Selector: selectors[rng.Intn(5)],
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				both(func(b target) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
 			case r < 9: // durable attach/recreate (sometimes destroyed)
 				if len(open) < 2 {
@@ -172,12 +177,12 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					Durable:     true,
 					DurableName: fmt.Sprintf("dur-%d", rng.Intn(3)),
 				}
-				both(func(b *Broker) { b.OnFrame(c, f) })
+				both(func(b target) { b.OnFrame(c, f) })
 				if rng.Intn(3) == 0 {
-					both(func(b *Broker) { b.OnFrame(c, wire.Unsubscribe{SubID: nextSub}) })
+					both(func(b target) { b.OnFrame(c, wire.Unsubscribe{SubID: nextSub}) })
 				} else if rng.Intn(2) == 0 {
 					// Disconnect path: the durable keeps buffering.
-					both(func(b *Broker) { b.OnConnClose(c) })
+					both(func(b target) { b.OnConnClose(c) })
 					for i, oc := range open {
 						if oc == c {
 							open = append(open[:i], open[i+1:]...)
@@ -201,13 +206,13 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				i := rng.Intn(len(live))
 				s := live[i]
 				live = append(live[:i], live[i+1:]...)
-				both(func(b *Broker) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
+				both(func(b target) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
 			case r < 12: // ack a batch of this conn's unacked deliveries
 				if len(open) < 2 {
 					continue
 				}
 				c := open[1+rng.Intn(len(open)-1)]
-				frames := envSnap.sent[c]
+				frames := envs[0].sent[c]
 				tags := map[int64][]int64{}
 				n := 0
 				for _, f := range frames[acked[c]:] {
@@ -222,7 +227,7 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				acked[c] += n
 				for subID, ts := range tags {
 					f := wire.Ack{SubID: subID, Tags: ts}
-					both(func(b *Broker) { b.OnFrame(c, f) })
+					both(func(b target) { b.OnFrame(c, f) })
 				}
 			default: // publish
 				id := fmt.Sprintf("m%d", op)
@@ -241,30 +246,43 @@ func runRoutingEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					// "id <> 50".
 					props["id"] = message.Double(math.NaN())
 				}
-				both(func(b *Broker) { publishOn(b, pubConn, id, dest, props) })
+				both(func(b target) { publishOn(b, pubConn, id, dest, props) })
 			}
 		}
 
-		for c := ConnID(1); c <= nextConn; c++ {
-			ts, tl := transcript(envSnap, c), transcript(envLock, c)
-			if !reflect.DeepEqual(ts, tl) {
-				t.Fatalf("seed %d conn %d: snapshot transcript (%d frames) != locked (%d frames)",
-					seed, c, len(ts), len(tl))
-			}
+		conns := make([]ConnID, nextConn)
+		for i := range conns {
+			conns[i] = ConnID(i + 1)
 		}
-		ss, sl := clearLockMeters(bSnap.Stats()), clearLockMeters(bLock.Stats())
-		if ss != sl {
-			t.Fatalf("seed %d: snapshot stats %+v != locked %+v", seed, ss, sl)
+		for i, b := range brokers {
+			orc.check(t, fmt.Sprintf("seed %d broker %d", seed, i), b, conns, envs[i].observed)
+			requireSameBehaviour(t, fmt.Sprintf("seed %d broker 0 vs %d", seed, i), conns, brokers[0], envs[0], b, envs[i])
 		}
-		if bSnap.PendingCount() != bLock.PendingCount() {
-			t.Fatalf("seed %d: pending %d != %d", seed, bSnap.PendingCount(), bLock.PendingCount())
+	}
+}
+
+// requireSameBehaviour compares two brokers that were driven through
+// the same single-goroutine op stream on everything observable: frame
+// transcripts, stats (mode meters aside), pending count, heap usage and
+// topic set.
+func requireSameBehaviour(t *testing.T, label string, conns []ConnID, bA *Broker, envA *fakeEnv, bB *Broker, envB *fakeEnv) {
+	t.Helper()
+	for _, c := range conns {
+		if ta, tb := transcript(envA, c), transcript(envB, c); !reflect.DeepEqual(ta, tb) {
+			t.Fatalf("%s conn %d: transcripts differ (%d vs %d frames)", label, c, len(ta), len(tb))
 		}
-		if envSnap.heap.Used() != envLock.heap.Used() {
-			t.Fatalf("seed %d: heap %d != %d", seed, envSnap.heap.Used(), envLock.heap.Used())
-		}
-		if ts, tl := bSnap.Topics(), bLock.Topics(); !reflect.DeepEqual(ts, tl) {
-			t.Fatalf("seed %d: topics %v != %v", seed, ts, tl)
-		}
+	}
+	if sa, sb := clearLockMeters(bA.Stats()), clearLockMeters(bB.Stats()); sa != sb {
+		t.Fatalf("%s: stats %+v != %+v", label, sa, sb)
+	}
+	if bA.PendingCount() != bB.PendingCount() {
+		t.Fatalf("%s: pending %d != %d", label, bA.PendingCount(), bB.PendingCount())
+	}
+	if envA.heap.Used() != envB.heap.Used() {
+		t.Fatalf("%s: heap %d != %d", label, envA.heap.Used(), envB.heap.Used())
+	}
+	if ta, tb := bA.Topics(), bB.Topics(); !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("%s: topics %v != %v", label, ta, tb)
 	}
 }
 

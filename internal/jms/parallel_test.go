@@ -2,6 +2,7 @@ package jms
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,12 @@ import (
 
 // Parallel-publish coverage for the sharded server: P publisher
 // connections on distinct topics drive the core concurrently (reader
-// goroutines dispatch straight into destination shards), and the same
-// workload must behave identically under the SerialCore event-loop
-// baseline. The CI race job runs this package with -race, which makes
-// these tests the end-to-end locking check for the TCP binding.
+// goroutines dispatch straight into destination shards). Each
+// subscriber must see exactly the stream the routing oracle's rule
+// predicts for one publisher on one topic — every message once, in
+// publish order — in sharded mode and under the SerialCore event-loop
+// baseline alike. The CI race job runs this package with -race, which
+// makes these tests the end-to-end locking check for the TCP binding.
 
 func runParallelTopics(t *testing.T, serial bool) {
 	cfg := ServerConfig{}
@@ -27,13 +30,18 @@ func runParallelTopics(t *testing.T, serial bool) {
 	s := startServer(t, cfg)
 
 	const topics, perTopic = 4, 50
-	var counts [topics]atomic.Int64
+	var mu sync.Mutex
+	var streams [topics][]int64 // per subscriber: the n property of each delivery, in arrival order
 	subs := make([]*Connection, topics)
 	for i := 0; i < topics; i++ {
 		subs[i] = dial(t, s, fmt.Sprintf("sub-%d", i))
 		i := i
-		if _, err := subs[i].Subscribe(message.Topic(fmt.Sprintf("par.%d", i)), "", func(*message.Message) {
-			counts[i].Add(1)
+		if _, err := subs[i].Subscribe(message.Topic(fmt.Sprintf("par.%d", i)), "", func(m *message.Message) {
+			v, _ := m.Property("n")
+			n, _ := v.AsLong()
+			mu.Lock()
+			streams[i] = append(streams[i], n)
+			mu.Unlock()
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -58,9 +66,22 @@ func runParallelTopics(t *testing.T, serial bool) {
 	}
 	wg.Wait()
 
+	want := make([]int64, perTopic)
+	for n := range want {
+		want[n] = int64(n)
+	}
 	for i := 0; i < topics; i++ {
 		i := i
-		waitFor(t, func() bool { return counts[i].Load() == perTopic })
+		waitFor(t, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(streams[i]) >= perTopic
+		})
+		mu.Lock()
+		if !slices.Equal(streams[i], want) {
+			t.Fatalf("topic %d: subscriber saw %v, want 0..%d in publish order", i, streams[i], perTopic-1)
+		}
+		mu.Unlock()
 	}
 	st := s.Stats()
 	if st.Published != topics*perTopic || st.Delivered != topics*perTopic {

@@ -1,0 +1,133 @@
+package rgmacore
+
+import (
+	"slices"
+
+	"gridmon/internal/rgma"
+	"gridmon/internal/sim"
+	"gridmon/internal/sqlmini"
+)
+
+// oracleCore is the deliberately naive reference the randomized storms
+// compare the Core against: producers and consumers in two plain slices
+// (registration order), and for every inserted row the tree-walking
+// sqlmini.Matches (Expr.Eval, not the compiled Program) per consumer —
+// no shards, no snapshot, no matching index. It predicts each buffered
+// continuous consumer's ordered tuple stream, and gathers latest/history
+// pops by walking the producer slice, so a table index the Core forgot
+// to republish shows up as a pop divergence.
+//
+// Resource ids are taken from the Core (the storm registers a resource
+// here after the Core created it); the buffer cap, push sinks and the
+// journal are not modelled. Callers are single-goroutine.
+type oracleCore struct {
+	tables    map[string]*sqlmini.Table
+	producers []*oracleProducer
+	consumers []*oracleConsumer
+}
+
+type oracleProducer struct {
+	id    int64
+	table *sqlmini.Table
+	store *rgma.TupleStore // the stores are plain data: one implementation
+}
+
+type oracleConsumer struct {
+	id    int64
+	table *sqlmini.Table
+	sel   sqlmini.Select
+	qtype rgma.QueryType
+	buf   []PopTuple
+}
+
+func newOracleCore() *oracleCore { return &oracleCore{tables: make(map[string]*sqlmini.Table)} }
+
+func (o *oracleCore) createTable(sql string) {
+	st, err := sqlmini.Parse(sql)
+	if err != nil {
+		panic(err)
+	}
+	ct := st.(sqlmini.CreateTable)
+	o.tables[ct.Table.Name] = &ct.Table
+}
+
+func (o *oracleCore) addProducer(id int64, table string, latest, history sim.Time) {
+	if latest <= 0 {
+		latest = DefaultLatestRetention
+	}
+	if history <= 0 {
+		history = DefaultHistoryRetention
+	}
+	tab := o.tables[table]
+	o.producers = append(o.producers, &oracleProducer{id: id, table: tab, store: rgma.NewTupleStore(tab, latest, history)})
+}
+
+func (o *oracleCore) addConsumer(id int64, query string, qtype rgma.QueryType) {
+	sel, err := rgma.ParseQuery(query)
+	if err != nil {
+		panic(err)
+	}
+	o.consumers = append(o.consumers, &oracleConsumer{id: id, table: o.tables[sel.Table], sel: sel, qtype: qtype})
+}
+
+func (o *oracleCore) closeProducer(id int64) {
+	o.producers = slices.DeleteFunc(o.producers, func(p *oracleProducer) bool { return p.id == id })
+}
+
+func (o *oracleCore) closeConsumer(id int64) {
+	o.consumers = slices.DeleteFunc(o.consumers, func(c *oracleConsumer) bool { return c.id == id })
+}
+
+// insert stores one row through the producer and streams it to every
+// continuous consumer of the producer's table whose WHERE accepts it.
+func (o *oracleCore) insert(producerID int64, sqlText string, now sim.Time) {
+	st, err := sqlmini.Parse(sqlText)
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range o.producers {
+		if p.id != producerID {
+			continue
+		}
+		row, err := sqlmini.ReorderInsert(p.table, st.(sqlmini.Insert))
+		if err != nil {
+			panic(err)
+		}
+		tuple := rgma.Tuple{Row: row, SentAt: now, InsertedAt: now}
+		p.store.Insert(tuple)
+		for _, cn := range o.consumers {
+			if cn.qtype == rgma.ContinuousQuery && cn.table == p.table && sqlmini.Matches(cn.table, cn.sel, row) {
+				cn.buf = append(cn.buf, toPop(tuple))
+			}
+		}
+	}
+}
+
+// pop predicts what Core.Pop returns for the consumer.
+func (o *oracleCore) pop(consumerID int64, now sim.Time) []PopTuple {
+	var out []PopTuple
+	for _, cn := range o.consumers {
+		if cn.id != consumerID {
+			continue
+		}
+		if cn.qtype == rgma.ContinuousQuery {
+			out, cn.buf = cn.buf, nil
+			break
+		}
+		for _, p := range o.producers {
+			if p.table != cn.table {
+				continue
+			}
+			var tuples []rgma.Tuple
+			if cn.qtype == rgma.LatestQuery {
+				tuples = p.store.Latest(now, cn.sel)
+			} else {
+				tuples = p.store.History(now, cn.sel)
+			}
+			for _, t := range tuples {
+				out = append(out, toPop(t))
+			}
+		}
+	}
+	return out
+}

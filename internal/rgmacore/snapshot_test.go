@@ -13,10 +13,11 @@ import (
 
 // Tests for the lock-free (snapshot) read paths: Insert's continuous-
 // consumer scan and Pop's latest/history producer gather. Mirrors the
-// obligations of internal/broker's snapshot_test.go: snapshot routing
-// must be observably identical to locked routing for any single-caller
-// operation sequence, survive concurrent index churn under -race, and
-// the ReadLockAcquisitions meter must prove which path ran.
+// obligations of internal/broker's snapshot_test.go: every read-path
+// mode must pop exactly what the naive oracle (oracle_test.go) predicts
+// for any single-caller operation sequence, survive concurrent index
+// churn under -race, and the ReadLockAcquisitions meter must prove
+// which path ran.
 
 // clearReadLocks zeroes the stats fields that legitimately differ
 // across read-path and match modes — the lock meter and the matching-
@@ -34,22 +35,22 @@ func clearReadLocks(s Stats) Stats {
 // TestCoreSnapshotLockedEquivalenceRandomized drives identical
 // randomized operation sequences — table declares, producer and
 // consumer create/close churn (all query types), inserts, pops —
-// through a snapshot-path core and a locked-path core from a single
-// goroutine, comparing every pop result and error as it happens and the
-// full stats at the end. Any index mutation missing its refreshSnap
-// shows up as a pop divergence.
+// through a snapshot-path core, a locked-path core and the oracle from
+// a single goroutine, comparing every pop result with the oracle's
+// prediction as it happens and the cores' stats at the end. Any index
+// mutation missing its refreshSnap shows up as a pop divergence.
 func TestCoreSnapshotLockedEquivalenceRandomized(t *testing.T) {
 	runCoreEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
 		cfg.LockedReadPath = true
 	})
 }
 
-// runCoreEquivalence drives the randomized operation storm through two
-// cores differing only by the given config mutations and requires
-// identical observable behaviour (pop results, errors, stats modulo
-// clearReadLocks). Shared by the snapshot-vs-locked and
-// indexed-vs-linear-match suites.
-func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
+// runCoreEquivalence drives the randomized operation storm through one
+// core per config mutation and through the oracle: every core must pop
+// what the oracle predicts, and the cores must agree with each other on
+// errors and stats (modulo clearReadLocks). Shared by the
+// snapshot-vs-locked and indexed-vs-linear-match suites.
+func runCoreEquivalence(t *testing.T, muts ...func(*Config)) {
 	t.Helper()
 	tables := []string{"ta", "tb", "tc"}
 	queries := []string{
@@ -69,22 +70,29 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 			c.clock = func() sim.Time { return now }
 			return c
 		}
-		cSnap, cLock := mk(mutA), mk(mutB)
+		var cores []*Core
+		for _, mut := range muts {
+			cores = append(cores, mk(mut))
+		}
+		orc := newOracleCore()
 		both := func(fn func(c *Core) error) error {
-			errS, errL := fn(cSnap), fn(cLock)
-			if (errS == nil) != (errL == nil) {
-				t.Fatalf("seed %d: snapshot err %v, locked err %v", seed, errS, errL)
+			err0 := fn(cores[0])
+			for _, c := range cores[1:] {
+				if err := fn(c); (err == nil) != (err0 == nil) {
+					t.Fatalf("seed %d: core 0 err %v, other core err %v", seed, err0, err)
+				}
 			}
-			return errS
+			return err0
 		}
 		for _, tab := range tables {
+			ddl := fmt.Sprintf("CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab)
 			if err := both(func(c *Core) error {
-				_, err := c.CreateTable(fmt.Sprintf(
-					"CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab))
+				_, err := c.CreateTable(ddl)
 				return err
 			}); err != nil {
 				t.Fatal(err)
 			}
+			orc.createTable(ddl)
 		}
 
 		rng := rand.New(rand.NewSource(seed))
@@ -104,6 +112,7 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					return err
 				}); err == nil {
 					producers = append(producers, id)
+					orc.addProducer(id, tab, ret, ret)
 				}
 			case r < 5: // close a producer
 				if len(producers) == 0 {
@@ -113,6 +122,7 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				id := producers[i]
 				producers = append(producers[:i], producers[i+1:]...)
 				both(func(c *Core) error { return c.CloseProducer(id) })
+				orc.closeProducer(id)
 			case r < 9: // create a consumer (any query type)
 				q := fmt.Sprintf(queries[rng.Intn(len(queries))], tables[rng.Intn(len(tables))])
 				qt := qtypes[rng.Intn(len(qtypes))]
@@ -125,6 +135,7 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					return err
 				}); err == nil {
 					consumers = append(consumers, id)
+					orc.addConsumer(id, q, qt)
 				}
 			case r < 11: // close a consumer
 				if len(consumers) == 0 {
@@ -134,19 +145,22 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 				id := consumers[i]
 				consumers = append(consumers[:i], consumers[i+1:]...)
 				both(func(c *Core) error { return c.CloseConsumer(id) })
+				orc.closeConsumer(id)
 			case r < 14: // pop a consumer, comparing the delivered tuples
 				if len(consumers) == 0 {
 					continue
 				}
 				id := consumers[rng.Intn(len(consumers))]
-				gotS, errS := cSnap.Pop(id)
-				gotL, errL := cLock.Pop(id)
-				if (errS == nil) != (errL == nil) {
-					t.Fatalf("seed %d op %d: pop err %v vs %v", seed, op, errS, errL)
-				}
-				if !reflect.DeepEqual(gotS, gotL) {
-					t.Fatalf("seed %d op %d: pop of %d diverged\nsnapshot: %v\nlocked:   %v",
-						seed, op, id, gotS, gotL)
+				want := orc.pop(id, now)
+				for i, c := range cores {
+					got, err := c.Pop(id)
+					if err != nil {
+						t.Fatalf("seed %d op %d core %d: pop of %d: %v", seed, op, i, id, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d op %d core %d: pop of %d diverged\ncore:   %v\noracle: %v",
+							seed, op, i, id, got, want)
+					}
 				}
 			default: // insert through a random live producer
 				if len(producers) == 0 {
@@ -157,16 +171,21 @@ func runCoreEquivalence(t *testing.T, mutA, mutB func(*Config)) {
 					"INSERT INTO %s (genid, seq, site) VALUES (%d, %d, '%s')",
 					tables[rng.Intn(len(tables))], rng.Intn(20), rng.Intn(100),
 					[]string{"aberdeen", "dundee"}[rng.Intn(2)])
-				both(func(c *Core) error { return c.Insert(id, stmt) })
+				if err := both(func(c *Core) error { return c.Insert(id, stmt) }); err != nil {
+					t.Fatalf("seed %d op %d: insert: %v", seed, op, err)
+				}
+				orc.insert(id, stmt, now)
 			}
 		}
 
-		ss, sl := clearReadLocks(cSnap.StatsSnapshot()), clearReadLocks(cLock.StatsSnapshot())
-		if ss != sl {
-			t.Fatalf("seed %d: A stats %+v != B %+v", seed, ss, sl)
+		s0 := clearReadLocks(cores[0].StatsSnapshot())
+		for i, c := range cores[1:] {
+			if si := clearReadLocks(c.StatsSnapshot()); si != s0 {
+				t.Fatalf("seed %d: core 0 stats %+v != core %d %+v", seed, s0, i+1, si)
+			}
 		}
-		if !cSnap.lockedRead {
-			if got := cSnap.StatsSnapshot().ReadLockAcquisitions; got != 0 {
+		if !cores[0].lockedRead {
+			if got := cores[0].StatsSnapshot().ReadLockAcquisitions; got != 0 {
 				t.Fatalf("seed %d: snapshot core took %d read-path locks", seed, got)
 			}
 		}
@@ -224,8 +243,9 @@ func TestCoreReadPathLockMeters(t *testing.T) {
 // during the storm is inherently racy in both modes, so phase 1 asserts
 // safety only (no races under -race, clean teardown). Then the storm
 // quiesces — every phase-1 resource closed — and a deterministic probe
-// set over fresh producers must pop identical tuples in both modes,
-// proving the churned-up snapshots converged to the locked index state.
+// set over fresh producers must pop exactly what a fresh oracle
+// predicts, proving the churned-up snapshots converged to the state of
+// a core that never saw the storm.
 func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 	const (
 		churners  = 4
@@ -241,15 +261,17 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 		"SELECT * FROM %s WHERE seq >= 50",
 	}
 
-	run := func(mutate func(*Config)) map[int][]PopTuple {
+	run := func(mutate func(*Config)) {
 		cfg := Config{Shards: 4}
 		mutate(&cfg)
 		locked := cfg.LockedReadPath
 		c := New(cfg)
 		c.clock = func() sim.Time { return 0 }
+		orc := newOracleCore()
 		for _, tab := range tables {
-			mustCreateTable(t, c, fmt.Sprintf(
-				"CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab))
+			ddl := fmt.Sprintf("CREATE TABLE %s (genid INTEGER PRIMARY KEY, seq INTEGER, site CHAR(20))", tab)
+			mustCreateTable(t, c, ddl)
+			orc.createTable(ddl)
 		}
 
 		// --- Phase 1: index churn under concurrent inserting.
@@ -346,7 +368,8 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 			t.Fatalf("locked=%v: %d producers, %d consumers survived the storm", locked, p, cn)
 		}
 
-		// --- Phase 2: deterministic probe over the quiesced core.
+		// --- Phase 2: deterministic probe over the quiesced core; the
+		// oracle sees only these ops.
 		type probeSpec struct {
 			query string
 			qtype rgma.QueryType
@@ -366,6 +389,7 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			probes = append(probes, cn)
+			orc.addConsumer(cn.ID(), s.query, s.qtype)
 		}
 		prods := make(map[string]*Producer, len(tables))
 		for _, tab := range tables {
@@ -374,6 +398,7 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			prods[tab] = p
+			orc.addProducer(p.ID(), tab, sim.Second, sim.Second)
 		}
 		rng := rand.New(rand.NewSource(42))
 		for i := 0; i < probeMsgs; i++ {
@@ -383,34 +408,28 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 			if err := c.Insert(prods[tab].ID(), stmt); err != nil {
 				t.Fatal(err)
 			}
+			orc.insert(prods[tab].ID(), stmt, 0)
 		}
-		got := make(map[int][]PopTuple)
 		for i, cn := range probes {
-			out, err := c.Pop(cn.ID())
+			got, err := c.Pop(cn.ID())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got[i] = out
+			if want := orc.pop(cn.ID(), 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("locked=%v: post-churn probe %d pops diverge:\ncore:   %v\noracle: %v", locked, i, got, want)
+			}
 		}
 		if !locked {
 			if rl := c.StatsSnapshot().ReadLockAcquisitions; rl != 0 {
 				t.Fatalf("snapshot mode took %d read-path shard locks", rl)
 			}
 		}
-		return got
 	}
 
-	snap := run(func(cfg *Config) {})
-	lock := run(func(cfg *Config) { cfg.LockedReadPath = true })
-	if !reflect.DeepEqual(snap, lock) {
-		t.Fatalf("post-churn probe pops diverge:\nsnapshot: %v\nlocked:   %v", snap, lock)
-	}
-
-	// Same storm, matching index on vs off: the storm phase races
-	// concurrent per-table index rebuilds against indexed inserts under
-	// -race; the quiesced probes must pop identically.
-	linear := run(func(cfg *Config) { cfg.LinearMatch = true })
-	if !reflect.DeepEqual(snap, linear) {
-		t.Fatalf("post-churn probe pops diverge:\nindexed: %v\nlinear:  %v", snap, linear)
-	}
+	run(func(cfg *Config) {})
+	run(func(cfg *Config) { cfg.LockedReadPath = true })
+	// Same storm with the matching index off: in the default mode the
+	// storm phase races concurrent per-table index rebuilds against
+	// indexed inserts under -race.
+	run(func(cfg *Config) { cfg.LinearMatch = true })
 }

@@ -3,6 +3,8 @@ package rgmahttp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -23,10 +25,14 @@ func startServerWith(t *testing.T, cfg Config) (*Server, *Client) {
 
 // TestHTTPShardedVsSerialEquivalence replays one randomized
 // single-threaded op sequence against the serial-baseline server and
-// sharded servers at several shard counts: the full response transcript
-// — resource ids, pop payloads, registry counts and traffic stats —
-// must be identical. Shards are lock domains; with a single caller the
-// architecture is unobservable.
+// sharded servers at several shard counts. In every configuration each
+// continuous pop must carry exactly the inserts a naive prediction says
+// it should (same table, id under the consumer's bound, insert order —
+// the rgmacore oracle's rule, restated over the HTTP client), and the
+// full response transcript — resource ids, pop payloads, registry
+// counts and traffic stats — must be identical across configurations.
+// Shards are lock domains; with a single caller the architecture is
+// unobservable.
 func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
 	tables := []string{"generator", "turbine", "relay", "meter", "feeder", "substation"}
 	run := func(cfg Config) string {
@@ -45,6 +51,15 @@ func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
 		var producers []*RemoteProducer
 		var producerTable []string
 		var consumers []*RemoteConsumer
+		// Per continuous consumer: its predicate and the seq column
+		// (unique per insert) of every tuple its next pop should carry.
+		// Latest/history consumers are not predicted.
+		type contSpec struct {
+			table string
+			bound int // id < bound; -1 = no WHERE
+			seqs  []string
+		}
+		continuous := map[int64]*contSpec{}
 		for op := 0; op < 600; op++ {
 			tab := tables[rng.Intn(len(tables))]
 			switch r := rng.Intn(10); {
@@ -58,15 +73,19 @@ func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
 				logf("producer %d", p.ID)
 			case r == 1:
 				qtype := []string{"continuous", "latest", "history"}[rng.Intn(3)]
-				where := ""
+				where, bound := "", -1
 				if rng.Intn(2) == 0 {
-					where = fmt.Sprintf(" WHERE id < %d", rng.Intn(40))
+					bound = rng.Intn(40)
+					where = fmt.Sprintf(" WHERE id < %d", bound)
 				}
 				cons, err := c.CreateConsumer("SELECT * FROM "+tab+where, qtype)
 				if err != nil {
 					t.Fatal(err)
 				}
 				consumers = append(consumers, cons)
+				if qtype == "continuous" {
+					continuous[cons.ID] = &contSpec{table: tab, bound: bound}
+				}
 				logf("consumer %d %s", cons.ID, qtype)
 			case r == 2 && len(consumers) > 0:
 				cons := consumers[rng.Intn(len(consumers))]
@@ -76,11 +95,18 @@ func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
 				}
 				// InsertedAt is wall-clock and differs between servers;
 				// compare rows only.
-				var rows []string
+				var rows, seqs []string
 				for _, tu := range tuples {
 					rows = append(rows, fmt.Sprint(tu.Row))
+					seqs = append(seqs, tu.Row[1])
 				}
 				logf("pop %d -> %v", cons.ID, rows)
+				if spec := continuous[cons.ID]; spec != nil {
+					if !slices.Equal(seqs, spec.seqs) {
+						t.Fatalf("%+v op %d: consumer %d popped seqs %v, predicted %v", cfg, op, cons.ID, seqs, spec.seqs)
+					}
+					spec.seqs = nil
+				}
 			case r == 3 && len(producers) > 4:
 				i := rng.Intn(len(producers))
 				p := producers[i]
@@ -96,10 +122,16 @@ func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
 				}
 				i := rng.Intn(len(producers))
 				p := producers[i]
+				id := rng.Intn(50)
 				sql := fmt.Sprintf("INSERT INTO %s (id, seq, load, site) VALUES (%d, %d, %.1f, 'site-%d')",
-					producerTable[i], rng.Intn(50), op, rng.Float64()*100, rng.Intn(9))
+					producerTable[i], id, op, rng.Float64()*100, rng.Intn(9))
 				if err := p.Insert(sql); err != nil {
 					t.Fatal(err)
+				}
+				for _, spec := range continuous {
+					if spec.table == producerTable[i] && (spec.bound < 0 || id < spec.bound) {
+						spec.seqs = append(spec.seqs, strconv.Itoa(op))
+					}
 				}
 			}
 		}
