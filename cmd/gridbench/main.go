@@ -6,25 +6,17 @@
 //	gridbench [-scale quick|full] [-run all|table1|table2|table3|fig3|fig4|
 //	          fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|
 //	          warmup|oom|ablations]
-//	gridbench contention [-benchtime 100000x] [-workers 0] [-out FILE]
-//	gridbench match [-benchtime 2000x] [-selectors 1,10,100,1000] [-out FILE]
-//	gridbench fanout [-benchtime 2000x] [-subs 10,100,1000] [-cpu 1,4] [-out FILE]
 //
 // -scale full reproduces the paper's 30-minute runs (slower); quick keeps
 // the same connection counts and rates with a shorter measurement window.
-// The contention subcommand measures the lock-free read path against the
-// LockedReadPath baseline on live cores (see contention.go); it feeds
-// BENCH_contention.json. The match subcommand measures the content-based
-// matching index against the LinearMatch baseline (see match.go); it
-// feeds BENCH_match.json. The fanout subcommand measures the parallel
-// fan-out engine and its egress coalescing against the SerialFanout
-// baseline (see fanout.go); it feeds BENCH_fanout.json.
+// The live daemons are measured by bench/ (bash bench/run.sh), not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,24 +24,12 @@ import (
 	"gridmon/internal/simbroker"
 )
 
+// experimentIDs are the values -run accepts.
+var experimentIDs = []string{"all", "table1", "table2", "table3",
+	"fig3", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
+	"warmup", "oom", "ablations", "ablation"}
+
 func main() {
-	// Subcommand dispatch: `gridbench contention` measures live lock
-	// contention (see contention.go) and `gridbench match` the matching
-	// index (see match.go); everything else is the simulator's
-	// figure/table runner.
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "contention":
-			contentionMain(os.Args[2:])
-			return
-		case "match":
-			matchMain(os.Args[2:])
-			return
-		case "fanout":
-			fanoutMain(os.Args[2:])
-			return
-		}
-	}
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	runFlag := flag.String("run", "all", "comma-separated experiment ids (see doc comment)")
 	flag.Parse()
@@ -65,9 +45,23 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A misspelt id would otherwise select nothing, and a stray
+	// positional argument (with the default -run all) everything.
+	unknown := func(id string) {
+		fmt.Fprintf(os.Stderr, "gridbench: unknown experiment id %q (-run takes a comma-separated list of %s)\n",
+			id, strings.Join(experimentIDs, ", "))
+		os.Exit(2)
+	}
+	if flag.NArg() > 0 {
+		unknown(flag.Arg(0))
+	}
 	want := map[string]bool{}
 	for _, id := range strings.Split(*runFlag, ",") {
-		want[strings.TrimSpace(strings.ToLower(id))] = true
+		id = strings.TrimSpace(strings.ToLower(id))
+		if !slices.Contains(experimentIDs, id) {
+			unknown(id)
+		}
+		want[id] = true
 	}
 	all := want["all"]
 	sel := func(ids ...string) bool {

@@ -5,18 +5,16 @@
 // Usage:
 //
 //	naradad [-listen :7672] [-id broker-1] [-max-conn-mem 0]
-//	        [-shards 0] [-serial] [-locked-read] [-data-dir DIR] [-fsync]
+//	        [-shards 0] [-data-dir DIR] [-fsync]
 //	        [-routing broadcast|tree] [-peer host:port]...
 //	        [-stats-listen :7680] [-pprof]
 //
-// By default the broker core is sharded across the CPUs (publishes to
-// different topics run in parallel) and topic routing is lock-free: a
-// publish reads a copy-on-write snapshot of the subscriber index
-// without taking its shard's lock. -locked-read restores lock-held
-// routing as an A/B baseline, -serial restores the single event-loop
-// dispatch, -shards pins the destination-shard count. -pprof mounts
-// net/http/pprof under /debug/pprof/ on the stats listener (requires
-// -stats-listen) and enables mutex profiling, so routing-path
+// The broker core is sharded across the CPUs (publishes to different
+// topics run in parallel) and topic routing is lock-free: a publish
+// reads a copy-on-write snapshot of the subscriber index without taking
+// its shard's lock. -shards pins the destination-shard count. -pprof
+// mounts net/http/pprof under /debug/pprof/ on the stats listener
+// (requires -stats-listen) and enables mutex profiling, so lock
 // contention can be measured on a live daemon; the shard-lock wait
 // counters appear in GET /stats either way.
 //
@@ -68,8 +66,6 @@ func main() {
 	statsEvery := flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
 	statsListen := flag.String("stats-listen", "", "HTTP address serving GET /stats as JSON (empty disables)")
 	shards := flag.Int("shards", 0, "destination shard count (0 = one per CPU)")
-	serial := flag.Bool("serial", false, "single event-loop dispatch (pre-shard baseline)")
-	lockedRead := flag.Bool("locked-read", false, "take the shard lock on the topic-routing read path (pre-snapshot baseline)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the stats listener (requires -stats-listen) and enable mutex profiling")
 	dataDir := flag.String("data-dir", "", "persist durable subscriptions and queues to a write-ahead log under this directory (empty = memory-only)")
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit (durable against power loss, not just crashes)")
@@ -93,8 +89,6 @@ func main() {
 
 	cfg := broker.DefaultConfig(*id)
 	cfg.Shards = *shards
-	cfg.SerialCore = *serial
-	cfg.LockedReadPath = *lockedRead
 
 	// With -data-dir, recovery runs in NewServerRestored's quiescent
 	// window: the WAL is replayed into the broker before the listener

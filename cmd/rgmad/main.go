@@ -9,19 +9,17 @@
 //
 // Usage:
 //
-//	rgmad [-listen :8088] [-listen-bin :8089] [-shards 0] [-serial] [-stats 1m]
-//	      [-data-dir DIR] [-fsync] [-locked-read] [-pprof]
+//	rgmad [-listen :8088] [-listen-bin :8089] [-shards 0] [-stats 1m]
+//	      [-data-dir DIR] [-fsync] [-pprof]
 //
-// By default the service core is sharded across the CPUs (inserts into
-// different producers and pops on different consumers run in parallel),
-// and the insert/pop read paths are lock-free: they route through a
+// The service core is sharded across the CPUs (inserts into different
+// producers and pops on different consumers run in parallel), and the
+// insert/pop read paths are lock-free: they route through a
 // copy-on-write snapshot of the per-table indexes instead of taking the
-// table shard's lock. -locked-read restores lock-held reads as an A/B
-// baseline, -serial restores the seed's single global mutex, -shards
-// pins the lock-domain count — the same flags naradad exposes for the
-// broker core. -pprof mounts net/http/pprof under /debug/pprof/ on the
-// HTTP port and enables mutex profiling, so read-path contention can be
-// measured on a live daemon (see README "Concurrency architecture").
+// table shard's lock. -shards pins the lock-domain count, as on naradad.
+// -pprof mounts net/http/pprof under /debug/pprof/ on the HTTP port and
+// enables mutex profiling, so lock contention can be measured on a live
+// daemon (see README "Concurrency architecture").
 // -listen-bin "" disables the binary port. The daemon stops cleanly on
 // SIGINT or SIGTERM (containerized runs send the latter).
 //
@@ -69,23 +67,16 @@ func main() {
 	listen := flag.String("listen", ":8088", "HTTP listen address")
 	listenBin := flag.String("listen-bin", ":8089", "binary transport listen address (empty disables)")
 	shards := flag.Int("shards", 0, "lock-domain shard count (0 = one per CPU)")
-	serial := flag.Bool("serial", false, "serialize every request behind one global mutex (pre-shard baseline)")
 	statsEvery := flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
 	dataDir := flag.String("data-dir", "", "persist schemas, producers and tuples to a write-ahead log under this directory (empty = memory-only)")
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit (durable against power loss, not just crashes)")
-	lockedRead := flag.Bool("locked-read", false, "take the table-shard lock on the insert/pop read paths (pre-snapshot baseline)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ and enable mutex profiling")
 	flag.Parse()
 
 	if *pprofOn {
 		runtime.SetMutexProfileFraction(5)
 	}
-	srv := rgmahttp.NewServerWith(rgmahttp.Config{
-		Shards:         *shards,
-		Serial:         *serial,
-		LockedReadPath: *lockedRead,
-		Pprof:          *pprofOn,
-	})
+	srv := rgmahttp.NewServerWith(rgmahttp.Config{Shards: *shards, Pprof: *pprofOn})
 
 	// With -data-dir, recover the core before either port serves: the
 	// core is quiescent until ListenAndServe below.
@@ -109,15 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("rgmad: %v", err)
 	}
-	mode := "sharded"
-	if *serial {
-		mode = "serial"
-	}
-	readPath := "snapshot reads"
-	if *lockedRead {
-		readPath = "locked reads"
-	}
-	log.Printf("rgmad listening on %s (%s, %s, %d shards)", addr, mode, readPath, srv.NumShards())
+	log.Printf("rgmad listening on %s (%d shards)", addr, srv.NumShards())
 
 	var binSrv *rgmabin.Server
 	if *listenBin != "" {

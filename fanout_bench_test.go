@@ -11,24 +11,24 @@ import (
 
 // Publish fan-out benchmarks for the broker core's subscription index:
 // 10/100/1000 subscribers × {no selector, simple selector, complex
-// selector}, each runnable against the indexed hot path and against the
-// pre-index linear scan (broker.Config.LegacyLinearScan). Subscribers
-// with selectors are split into ten interest bands, so a published
-// message matches roughly a tenth of them — the content-filtering regime
-// the paper's selector workload models. Each iteration publishes one
-// message and feeds back the acknowledgements its deliveries produced.
+// selector}. Subscribers with selectors are split into ten interest
+// bands, so a published message matches roughly a tenth of them — the
+// content-filtering regime the paper's selector workload models. Each
+// iteration publishes one message and feeds back the acknowledgements
+// its deliveries produced.
 //
-// `go test -bench=PublishFanout` runs the matrix. BENCH_fanout.json is
-// produced elsewhere, by `gridbench fanout` (cmd/gridbench/fanout.go),
-// which measures the parallel fan-out engine these benchmarks
-// deliberately disable (see setupFanout).
+// `go test -bench=PublishFanout` runs the matrix as a smoke test; the
+// numbers that count are the live daemon's (bash bench/run.sh, and its
+// broker.publish_ns_* layer replays).
 
 // fanoutEnv is a minimal broker.Env: unlimited memory, frames recorded
 // only to the extent needed to acknowledge deliveries. Like a real
-// transport it consumes each pooled Deliver frame and returns it with
-// PutDeliver, and like a batching client it reuses its Ack frames (and
-// their tag slices) across publishes, so the steady-state measurement
-// shows the broker's own allocations.
+// transport it consumes each pooled Deliver frame (or DeliverBatch, for
+// fan-outs wide enough to be batched) and returns it to its pool, and
+// like a batching client it reuses its Ack frames (and their tag
+// slices) across publishes, so the steady-state measurement shows the
+// broker's own allocations. All subscriptions live on one connection,
+// so a batched fan-out is a single run and Send is never concurrent.
 type fanoutEnv struct {
 	acks      []wire.Ack
 	delivered uint64
@@ -36,19 +36,30 @@ type fanoutEnv struct {
 
 func (e *fanoutEnv) Now() int64 { return 0 }
 func (e *fanoutEnv) Send(conn broker.ConnID, f wire.Frame) {
-	if d, ok := f.(*wire.Deliver); ok {
-		e.delivered++
-		if len(e.acks) < cap(e.acks) {
-			e.acks = e.acks[:len(e.acks)+1]
-			a := &e.acks[len(e.acks)-1]
-			a.SubID = d.SubID
-			a.Tags = append(a.Tags[:0], d.Tag)
-		} else {
-			e.acks = append(e.acks, wire.Ack{SubID: d.SubID, Tags: []int64{d.Tag}})
-		}
+	switch d := f.(type) {
+	case *wire.Deliver:
+		e.ack(d.SubID, d.Tag)
 		wire.PutDeliver(d)
+	case *wire.DeliverBatch:
+		for _, ent := range d.Entries {
+			e.ack(ent.SubID, ent.Tag)
+		}
+		wire.PutDeliverBatch(d)
 	}
 }
+
+func (e *fanoutEnv) ack(subID, tag int64) {
+	e.delivered++
+	if len(e.acks) < cap(e.acks) {
+		e.acks = e.acks[:len(e.acks)+1]
+		a := &e.acks[len(e.acks)-1]
+		a.SubID = subID
+		a.Tags = append(a.Tags[:0], tag)
+	} else {
+		e.acks = append(e.acks, wire.Ack{SubID: subID, Tags: []int64{tag}})
+	}
+}
+
 func (e *fanoutEnv) CloseConn(broker.ConnID) {}
 func (e *fanoutEnv) AllocConn() error        { return nil }
 func (e *fanoutEnv) FreeConn()               {}
@@ -74,18 +85,10 @@ func fanoutSelector(class string, band int) string {
 
 // setupFanout builds a broker with subs subscribers on one topic. All
 // subscriptions land on a single connection; fan-out cost is per
-// subscription, not per connection. clone restores the pre-zero-copy
-// per-delivery deep copy as the measured baseline.
-func setupFanout(subs int, class string, legacy, clone bool) (*broker.Broker, *fanoutEnv) {
+// subscription, not per connection.
+func setupFanout(subs int, class string) (*broker.Broker, *fanoutEnv) {
 	env := &fanoutEnv{}
-	cfg := broker.DefaultConfig("bench")
-	cfg.LegacyLinearScan = legacy
-	cfg.CloneDeliveries = clone
-	// fanoutEnv is single-threaded and records only per-frame Delivers;
-	// keep the serial fan-out so every cell measures the matching path
-	// apples-to-apples. `gridbench fanout` measures the parallel engine.
-	cfg.SerialFanout = true
-	b := broker.New(env, cfg)
+	b := broker.New(env, broker.DefaultConfig("bench"))
 	if err := b.OnConnOpen(1); err != nil {
 		panic(err)
 	}
@@ -119,12 +122,8 @@ func fanoutPublish(b *broker.Broker, env *fanoutEnv, i int) {
 	}
 }
 
-func benchmarkFanout(b *testing.B, subs int, class string, legacy bool) {
-	benchmarkFanoutMode(b, subs, class, legacy, false)
-}
-
-func benchmarkFanoutMode(b *testing.B, subs int, class string, legacy, clone bool) {
-	br, env := setupFanout(subs, class, legacy, clone)
+func benchmarkFanout(b *testing.B, subs int, class string) {
+	br, env := setupFanout(subs, class)
 	fanoutPublish(br, env, 0) // warm up; sanity-check delivery counts
 	if class == "none" && env.delivered != uint64(subs) {
 		b.Fatalf("warmup delivered %d of %d", env.delivered, subs)
@@ -140,16 +139,9 @@ func benchmarkFanoutMode(b *testing.B, subs int, class string, legacy, clone boo
 func BenchmarkPublishFanout(b *testing.B) {
 	for _, subs := range []int{10, 100, 1000} {
 		for _, class := range []string{"none", "simple", "complex"} {
-			for _, mode := range []string{"indexed", "legacy"} {
-				b.Run(fmt.Sprintf("subs=%d/sel=%s/%s", subs, class, mode), func(b *testing.B) {
-					benchmarkFanout(b, subs, class, mode == "legacy")
-				})
-			}
+			b.Run(fmt.Sprintf("subs=%d/sel=%s", subs, class), func(b *testing.B) {
+				benchmarkFanout(b, subs, class)
+			})
 		}
 	}
 }
-
-// BENCH_fanout.json is regenerated by `gridbench fanout` (see
-// cmd/gridbench/fanout.go): it measures the parallel fan-out engine
-// against the serial baseline across GOMAXPROCS, which this in-process
-// benchmark (single-threaded env, serial fan-out forced) cannot.

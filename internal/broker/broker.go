@@ -23,16 +23,15 @@
 //     bookkeeping, and admission/memory accounting (OnConnOpen /
 //     OnConnClose / handleSubscribe / handleAck).
 //   - The destination layer (shard.go, topics.go, queues.go,
-//     durables.go) owns topic, queue and durable state. It is
-//     partitioned into Config.Shards lock-guarded shards keyed by
+//     durables.go, snapshot.go) owns topic, queue and durable state. It
+//     is partitioned into Config.Shards lock-guarded shards keyed by
 //     destination-name hash; each shard owns the subscription indexes
-//     and backlogs of its destinations, so publishes to destinations on
-//     different shards execute concurrently on different cores.
-//   - The egress layer (stats.go, fanplan.go) emits Deliver frames —
-//     or, when the parallel fan-out engine groups a wide fan-out into
-//     per-connection runs, DeliverBatch carriers — and keeps all
-//     counters in atomics, so Stats() and PendingCount() are safe to
-//     call from any goroutine at any time.
+//     and backlogs of its destinations.
+//   - The egress layer (fanplan.go, stats.go) emits Deliver frames —
+//     or, when a wide fan-out is grouped into per-connection runs,
+//     DeliverBatch carriers — and keeps all counters in atomics, so
+//     Stats() and PendingCount() are safe to call from any goroutine at
+//     any time.
 //
 // # Concurrency contract
 //
@@ -44,42 +43,36 @@
 // one reader). Lock order is durableMu → shard.mu → {conn.mu, sub.mu,
 // durableState.mu}; the latter three are leaf locks — nothing is ever
 // acquired while holding one, and they never nest with each other. Env
-// methods are invoked with broker locks held (on the lock-free publish
-// path, only a subscription or durable leaf lock) and must not call
-// back into the broker synchronously (bindings that need to drop a
-// connection from inside Env.Send defer the OnConnClose to another
-// goroutine).
+// methods are invoked with broker locks held (on the publish path, only
+// a subscription or durable leaf lock) and must not call back into the
+// broker synchronously (bindings that need to drop a connection from
+// inside Env.Send defer the OnConnClose to another goroutine).
 //
-// Topic publishes do not take shard locks at all by default: routing
-// reads a copy-on-write snapshot published through an atomic pointer
+// Topic publishes do not take shard locks at all: routing reads a
+// copy-on-write snapshot published through an atomic pointer
 // (snapshot.go), and per-subscriber delivery state synchronizes on the
-// leaf locks. The shard lock remains the write-side lock for every
-// index mutation (subscribe/unsubscribe/durable churn) and for queue
-// operations, whose enqueue/drain cycle is mutation-heavy.
-// Config.LockedReadPath restores lock-held routing as the measured
-// baseline, and Stats meters both paths (ReadLockAcquisitions,
-// ShardLock*).
+// leaf locks. The shard lock is the write-side lock for every index
+// mutation (subscribe/unsubscribe/durable churn) and for queue
+// operations, whose enqueue/drain cycle is mutation-heavy; Stats meters
+// it (ShardLock*).
 //
 // With a single calling goroutine — the discrete-event simulator's
-// kernel, or a binding in Config.SerialCore mode — execution is
-// bit-for-bit identical for any shard count, which is what keeps the
-// paper reproduction (TestExperimentDeterminism) byte-identical: the
-// shards are lock domains, not worker goroutines, so parallelism only
-// arises when multiple callers actually overlap.
+// kernel — execution is bit-for-bit identical for any shard count,
+// which is what keeps the paper reproduction
+// (TestExperimentDeterminism) byte-identical: the shards are lock
+// domains, not worker goroutines, so parallelism only arises when
+// multiple callers actually overlap.
 //
-// Shard-safe API (callable from any goroutine in sharded use): OnFrame,
-// OnConnOpen, OnConnClose, InjectForwarded, CountForwardOut,
-// CountForwardOutN, Stats, PendingCount, Topics, TopicSubscribers,
-// TopicSelectorGroups, ShardOf, SetForwarder, SetInterestFunc,
-// FanoutPool. The forwarding seam is shard-safe:
-// registration is atomic, and both callbacks fire under the destination
-// shard's lock (lock order durableMu → shard.mu), so an observer that
-// guards its own state with a lock *below* the shard locks — acquired
-// under them, never holding it while calling back into the broker's
-// locked paths — composes race-free (package brokernet is the reference
-// observer). The only remaining serial-only path is
-// Config.LegacyLinearScan routing, which scans the global durable table
-// without shard partitioning.
+// Shard-safe API (callable from any goroutine): OnFrame, OnConnOpen,
+// OnConnClose, InjectForwarded, CountForwardOut, CountForwardOutN,
+// Stats, PendingCount, Topics, TopicSubscribers, TopicSelectorGroups,
+// ShardOf, SetForwarder, SetInterestFunc, FanoutPool. The forwarding
+// seam is shard-safe: registration is atomic, the interest callback
+// fires under the destination shard's lock (lock order durableMu →
+// shard.mu), and an observer that guards its own state with a lock
+// *below* the shard locks — acquired under them, never holding it while
+// calling back into the broker's locked paths — composes race-free
+// (package brokernet is the reference observer).
 //
 // # Subscription index
 //
@@ -90,13 +83,15 @@
 // selector-bearing subscriptions grouped by their selector source text,
 // so each distinct selector expression's compiled program
 // (selector.Program) evaluates once per published message no matter how
-// many subscribers share it. Durable subscriptions are additionally indexed by
-// topic name, so a publish touches only the durables of its own topic
-// instead of every durable in the broker. All index structures are
-// ordered slices (subscribe order; groups by first appearance), which
-// makes fan-out order — and therefore the discrete-event simulation —
-// deterministic. Config.LegacyLinearScan restores the pre-index scan as a
-// baseline for A/B benchmarks and equivalence tests.
+// many subscribers share it. On top of the groups each topic route
+// carries a content-based matching index (package predindex) naming the
+// few groups and buffering durables a message could match, so a publish
+// evaluates one program where a thousand disjoint selectors are
+// registered. Durable subscriptions are indexed by topic name, so a
+// publish touches only the durables of its own topic. All index
+// structures are ordered slices (subscribe order; groups by first
+// appearance), which makes fan-out order — and therefore the
+// discrete-event simulation — deterministic.
 //
 // # Zero-copy fan-out
 //
@@ -105,30 +100,28 @@
 // and queue backlogs all share it, so a 1000-subscriber fan-out costs
 // zero message copies instead of 1000 deep clones. Deliver frames come
 // from a pool (wire.GetDeliver) and are returned by the transport that
-// consumes them; transports that cannot guarantee consume-exactly-once
-// (the simulator, whose unreliable transports retransmit frames) set
-// Config.DisableDeliverPool and receive GC-managed frames instead.
-// Clone is reserved for paths that genuinely need a private mutable
-// copy. Config.CloneDeliveries restores the per-delivery deep copy as a
-// baseline for the zero-copy benchmarks.
+// consumes them; a binding that cannot guarantee consume-exactly-once
+// (the simulator, whose unreliable transports retransmit frames) sets
+// Config.SerialEnv and receives GC-managed frames instead. Clone is
+// reserved for paths that genuinely need a private mutable copy.
 //
-// # Parallel fan-out
+// # Fan-out execution
 //
-// On the snapshot read path, a topic publish that matches at least
-// Config.ParallelFanoutThreshold subscriptions (default 64) executes
-// its delivery stage on a bounded worker pool (package fanout): the
-// matched set is grouped into per-connection runs, runs are chunked —
-// never split — across workers, and each run is emitted as one pooled
-// wire.DeliverBatch carrier instead of N Deliver frames. Per-connection
-// delivery order is preserved by construction (one run, one worker, in
-// matched order); no cross-connection order is promised, and the
-// publish blocks until every chunk completes, so per-publisher ordering
-// across consecutive publishes is unchanged. Smaller fan-outs, and all
-// fan-outs under Config.SerialFanout or any serial/locked baseline
-// mode, take the original inline per-frame loop, which keeps
-// single-caller execution — and the simulator's figures — byte-
-// identical. See fanplan.go for the exact ordering argument and
-// stats.go for the fan-out and egress meters.
+// A topic publish collects its matched subscriptions into a pooled plan
+// and then delivers the plan (fanplan.go). Below parallelFanoutThreshold
+// matched subscriptions — and always under Config.SerialEnv — delivery
+// is an inline per-frame loop on the publishing goroutine in matched
+// order, which keeps single-subscriber latency and the simulator's
+// figures untouched. At or above it the delivery stage runs on a
+// bounded worker pool (package fanout): the matched set is grouped into
+// per-connection runs, runs are chunked — never split — across workers,
+// and each run is emitted as one pooled wire.DeliverBatch carrier
+// instead of N Deliver frames. Per-connection delivery order is
+// preserved by construction (one run, one worker, in matched order); no
+// cross-connection order is promised, and the publish blocks until
+// every chunk completes, so per-publisher ordering across consecutive
+// publishes is unchanged. See fanplan.go for the exact ordering
+// argument and stats.go for the fan-out and egress meters.
 package broker
 
 import (
@@ -142,13 +135,14 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Env abstracts the resources a broker consumes. With a serial binding
-// (the sim kernel, or a TCP binding in Config.SerialCore mode) the
-// implementation may be single-threaded; a binding that calls the broker
-// from multiple goroutines must provide an Env that is safe for
-// concurrent use. Send/Alloc/Free/Now are called with broker shard locks
-// held and must not call back into the broker synchronously; AllocConn
-// and FreeConn are serialized by the broker's session lock.
+// Env abstracts the resources a broker consumes. The implementation
+// must be safe for concurrent use — fan-out workers call Send and Alloc
+// from pool goroutines even when the binding itself has one caller —
+// unless the binding sets Config.SerialEnv, which keeps every Env call
+// on the goroutine that called into the broker (the sim kernel).
+// Send/Alloc/Free/Now are called with broker leaf or shard locks held
+// and must not call back into the broker synchronously; AllocConn and
+// FreeConn are serialized by the broker's session lock.
 type Env interface {
 	// Now returns the current time in nanoseconds (virtual or wall).
 	Now() int64
@@ -187,76 +181,20 @@ type Config struct {
 	MaxDurableBacklog int
 	// Shards partitions the destination layer into this many
 	// lock-guarded shards keyed by destination-name hash. 0 and 1 both
-	// mean a single shard — the serial core, the default for the
-	// deterministic simulation. Sharding changes which publishes can
+	// mean a single shard, the default for the deterministic
+	// simulation. Sharding changes which publishes can
 	// proceed concurrently, never what any single operation does: with
 	// one calling goroutine the broker behaves identically for any S.
 	Shards int
-	// SerialCore restores the pre-shard architecture as an A/B
-	// baseline (same pattern as LegacyLinearScan/CloneDeliveries): it
-	// forces a single shard, and bindings that honour it (internal/jms)
-	// funnel every frame through one event-loop goroutine instead of
-	// dispatching reader goroutines straight into the shards.
-	SerialCore bool
-	// DisableDeliverPool makes the broker emit GC-managed Deliver
-	// frames instead of pooled ones (wire.GetDeliver). Pooled frames
-	// require a transport that consumes each frame exactly once and
-	// then releases it; transports that may retransmit or indefinitely
-	// hold frames — the simulator's unreliable datagram channels — set
-	// this and leave reclamation to the garbage collector.
-	DisableDeliverPool bool
-	// LegacyLinearScan restores the pre-index publish path: a linear
-	// scan over every topic subscription with tree-walking selector
-	// evaluation per candidate, and a scan over every durable in the
-	// system. It exists as the measured baseline for the fan-out
-	// benchmarks and for index-equivalence tests; production
-	// configurations leave it false. Serial-only: the durable scan
-	// reads the global durable table without shard partitioning.
-	LegacyLinearScan bool
-	// CloneDeliveries restores the pre-zero-copy fan-out: a private deep
-	// copy of the published message per delivery and per stored backlog
-	// entry, instead of sharing the one frozen message by reference. It
-	// exists as the measured baseline for the zero-copy benchmarks;
-	// production configurations leave it false.
-	CloneDeliveries bool
-	// LockedReadPath restores the locked publish read path as an A/B
-	// baseline (same pattern as SerialCore/LegacyLinearScan): topic
-	// routing reads the shard's indexes under the shard lock instead of
-	// the lock-free copy-on-write snapshot. Behaviour is identical for
-	// any single caller — only contention (and the lock meters in
-	// Stats) differs. LegacyLinearScan implies it.
-	LockedReadPath bool
-	// LinearMatch disables the content-based matching index on the
-	// snapshot publish path (same A/B-baseline pattern as
-	// LockedReadPath): every selector group and buffering durable of
-	// the topic is evaluated per message instead of only the candidates
-	// the predindex discrimination index emits. Behaviour is identical
-	// for any caller — candidates are a superset and are visited in the
-	// same first-appearance order — only the MatchIndex* meters in
-	// Stats and the per-publish evaluation count differ. The locked and
-	// legacy baselines never use the index regardless of this flag.
-	LinearMatch bool
-	// ParallelFanoutThreshold is the matched-target count at or above
-	// which a topic publish hands its fan-out to the parallel engine
-	// (fanplan.go): targets are grouped into per-connection runs, runs
-	// are chunked across a bounded worker pool (internal/fanout), and
-	// each multi-delivery run is emitted as one wire.DeliverBatch
-	// instead of per-subscriber Deliver frames. Fan-outs below the
-	// threshold execute the serial per-frame loop unchanged, so
-	// single-subscriber latency is untouched. 0 means the default (64);
-	// the engine is active only on the snapshot read path with a
-	// thread-safe Env — SerialFanout, SerialCore, LockedReadPath,
-	// LegacyLinearScan and CloneDeliveries all disable it.
-	ParallelFanoutThreshold int
-	// SerialFanout keeps today's serial per-frame fan-out loop as the
-	// measured A/B baseline (same pattern as LinearMatch /
-	// LockedReadPath): no worker pool, no egress batching. Behaviour is
-	// identical per connection — only the Fanout*/Egress* meters in
-	// Stats and the frame envelopes handed to Env.Send differ (batched
-	// runs arrive as one *wire.DeliverBatch; the stream bytes a client
-	// sees are the same either way). Bindings whose Env is not safe for
-	// concurrent use (the simulator) force this on.
-	SerialFanout bool
+	// SerialEnv declares what the binding's Env promises: it is not safe
+	// for concurrent use and may retain the frames it is sent (the
+	// simulator: a single-threaded kernel whose unreliable transports
+	// keep frames queued for retransmission). The broker then keeps
+	// every Env call on the calling goroutine — no fan-out worker pool,
+	// so no wire.DeliverBatch carriers either — and emits GC-managed
+	// Deliver frames instead of pooled ones (wire.GetDeliver), whose
+	// consume-exactly-once ownership rule such a transport cannot keep.
+	SerialEnv bool
 }
 
 // DefaultConfig returns the configuration used in the paper reproduction.
@@ -276,14 +214,11 @@ var ErrConnRefused = errors.New("broker: connection refused (out of memory)")
 
 // Forwarder lets a broker-network layer observe local publishes and inject
 // remote ones; see package brokernet. Shard-safe: OnLocalPublish runs on
-// the publishing goroutine, before local delivery. On the default
-// lock-free read path no shard lock is held, so the ordering guarantee
-// is per-publisher (each publisher's messages reach peers in publish
-// order, which is all JMS promises); in the LockedReadPath /
-// LegacyLinearScan baselines it runs under the destination shard's
-// lock, making peer fan-out for one destination totally ordered with
-// that destination's local deliveries. The implementation must not call
-// back into the broker's locked paths
+// the publishing goroutine, before local delivery. For topics no shard
+// lock is held, so the ordering guarantee is per-publisher (each
+// publisher's messages reach peers in publish order, which is all JMS
+// promises); for queues it runs under the destination shard's lock. The
+// implementation must not call back into the broker's locked paths
 // (OnFrame/OnConnOpen/OnConnClose/InjectForwarded) from inside the
 // callback; atomic counter methods (CountForwardOut, Stats) are fine.
 type Forwarder interface {
@@ -325,10 +260,11 @@ type Broker struct {
 	// candidate buffers and probe adapters, recycled across publishes.
 	matchScratch sync.Pool
 
-	// Parallel fan-out engine (fanplan.go): worker pool, engage
-	// threshold and pooled per-publish plans. fanPool is nil when the
-	// engine is disabled (SerialFanout or any serial/locked baseline) —
-	// the publish path checks that one pointer.
+	// Fan-out (fanplan.go): pooled per-publish plans, the worker pool
+	// (nil under Config.SerialEnv: every plan is then delivered inline)
+	// and the matched-target count at which a plan goes to the pool —
+	// always parallelFanoutThreshold in production, a field only so
+	// in-package tests can engage the pool on small fan-outs.
 	fanPool      *fanout.Pool
 	fanThreshold int
 	fanPlans     sync.Pool
@@ -344,33 +280,24 @@ func New(env Env, cfg Config) *Broker {
 	if cfg.ID == "" {
 		cfg.ID = "broker"
 	}
-	n := cfg.Shards
-	if cfg.SerialCore || n < 1 {
-		n = 1
+	b := &Broker{
+		env: env, cfg: cfg,
+		durables:     make(map[string]*durableState),
+		fanThreshold: parallelFanoutThreshold,
 	}
-	b := &Broker{env: env, cfg: cfg, durables: make(map[string]*durableState)}
 	b.sessions.init()
-	b.shards = make([]*shard, n)
+	b.shards = make([]*shard, max(cfg.Shards, 1))
 	for i := range b.shards {
 		b.shards[i] = newShard()
 	}
-	// The parallel fan-out engine rides the snapshot read path only: the
-	// serial and locked baselines keep the historical loop, and
-	// CloneDeliveries is per-frame by definition (each delivery owns a
-	// private copy; a batch shares one message).
-	if !cfg.SerialFanout && !cfg.SerialCore && !cfg.LockedReadPath &&
-		!cfg.LegacyLinearScan && !cfg.CloneDeliveries {
+	if !cfg.SerialEnv {
 		b.fanPool = fanout.New(0)
-		b.fanThreshold = cfg.ParallelFanoutThreshold
-		if b.fanThreshold <= 0 {
-			b.fanThreshold = defaultParallelFanoutThreshold
-		}
 	}
 	return b
 }
 
-// FanoutPool exposes the broker's parallel fan-out pool (nil when the
-// engine is disabled), so bindings can share it for their own egress
+// FanoutPool exposes the broker's fan-out worker pool (nil under
+// Config.SerialEnv), so bindings can share it for their own egress
 // fan-outs — brokernet peer forwarding chunks its peer set over the
 // same pool.
 func (b *Broker) FanoutPool() *fanout.Pool { return b.fanPool }
@@ -379,7 +306,7 @@ func (b *Broker) FanoutPool() *fanout.Pool { return b.fanPool }
 func (b *Broker) ID() string { return b.cfg.ID }
 
 // Config returns the broker's effective configuration (bindings force
-// some fields, e.g. the simulator host disables the Deliver-frame pool).
+// some fields, e.g. the simulator host sets SerialEnv).
 func (b *Broker) Config() Config { return b.cfg }
 
 // SetForwarder installs the broker-network hook. Shard-safe:
@@ -439,9 +366,6 @@ func (b *Broker) TopicSelectorGroups(name string) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if t := sh.topics[name]; t != nil {
-		if b.cfg.LegacyLinearScan {
-			return len(t.legacy)
-		}
 		return len(t.groups)
 	}
 	return 0
@@ -508,9 +432,8 @@ func (b *Broker) OnFrame(id ConnID, f wire.Frame) {
 func (b *Broker) handlePublish(c *conn, v wire.Publish) {
 	// The broker owns the message from here on: freeze it so the one
 	// value can be shared by reference across forwarding, every local
-	// delivery, and every stored backlog entry. (routeLocal runs the
-	// broker-network forwarder under the destination shard's lock, so
-	// peer brokers receive the sealed message too.)
+	// delivery, and every stored backlog entry (routeLocal hands the
+	// broker-network forwarder the sealed message too).
 	m := v.Msg.Freeze()
 	b.stats.published.Add(1)
 	b.routeLocal(m, true)

@@ -175,28 +175,6 @@ func TestDeliveredMessageIsSharedAndFrozen(t *testing.T) {
 	}
 }
 
-func TestCloneDeliveriesRestoresPrivateCopies(t *testing.T) {
-	env := newFakeEnv(0)
-	cfg := DefaultConfig("b1")
-	cfg.CloneDeliveries = true
-	b := New(env, cfg)
-	topic := message.Topic("t")
-	mustOpen(t, b, 1)
-	mustOpen(t, b, 2)
-	subscribe(t, b, env, 1, 1, topic, "")
-	sent := pub(b, 2, topic, map[string]message.Value{"id": message.Int(1)})
-	d := env.deliveries(1)[0]
-	if d.Msg == sent {
-		t.Fatal("CloneDeliveries delivery aliases the published message")
-	}
-	if !d.Msg.Equal(sent) {
-		t.Fatal("delivered clone differs")
-	}
-	if d.Msg.Frozen() {
-		t.Fatal("clone of a frozen message must be mutable")
-	}
-}
-
 func TestAckReleasesMemory(t *testing.T) {
 	b, env := newBroker(t, 0)
 	topic := message.Topic("t")

@@ -12,35 +12,18 @@ import (
 
 // TestSnapshotChurnEquivalence is the randomized churn storm for the
 // lock-free read path: concurrent subscribe/unsubscribe/durable-recreate
-// churn while publishers hammer the same topics, run once per read-path
-// mode. Delivery *during* the storm is inherently racy (a publish
-// concurrent with a subscribe may legitimately land on either side of
-// it), so the storm phase asserts safety only — no races under -race,
-// balanced heap at teardown, no lost allocations from publishes racing
-// drops. Then the storm quiesces, a deterministic subscriber set
-// attaches, and a known message batch is published from one goroutine:
-// the phase-2 deliveries must be exactly what a fresh oracle predicts,
-// proving the churned-up snapshot state converged to the state of a
-// broker that never saw the storm.
+// churn — and with it concurrent route and matching-index rebuilds —
+// while publishers hammer the same topics. Delivery *during* the storm
+// is inherently racy (a publish concurrent with a subscribe may
+// legitimately land on either side of it), so the storm phase asserts
+// safety only — no races under -race, balanced heap at teardown, no
+// lost allocations from publishes racing drops. Then the storm
+// quiesces, a deterministic subscriber set attaches, and a known
+// message batch is published from one goroutine: the phase-2 deliveries
+// must be exactly what a fresh oracle predicts, proving the churned-up
+// snapshot state converged to the state of a broker that never saw the
+// storm.
 func TestSnapshotChurnEquivalence(t *testing.T) {
-	runChurnStorm(t, func(cfg *Config) {})
-	runChurnStorm(t, func(cfg *Config) { cfg.LockedReadPath = true })
-}
-
-// TestMatchIndexChurnEquivalence runs the same churn storm with the
-// matching index on (the default) and off (LinearMatch): the storm
-// phase races concurrent index rebuilds against indexed publishes under
-// -race, and the quiesced probe deliveries must match the oracle.
-func TestMatchIndexChurnEquivalence(t *testing.T) {
-	runChurnStorm(t, func(cfg *Config) {})
-	runChurnStorm(t, func(cfg *Config) { cfg.LinearMatch = true })
-}
-
-// runChurnStorm is the shared churn driver: concurrent subscribe/
-// unsubscribe/durable-recreate churn under publish load, then a
-// deterministic quiesced probe checked against the oracle.
-func runChurnStorm(t *testing.T, mutate func(*Config)) {
-	t.Helper()
 	const (
 		churners  = 6
 		pubs      = 4
@@ -56,8 +39,6 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) {
 	env := newRaceEnv()
 	cfg := DefaultConfig("churn")
 	cfg.Shards = 8
-	mutate(&cfg)
-	locked := cfg.LockedReadPath
 	b := New(env, cfg)
 
 	// --- Phase 1: churn storm under concurrent publishing.
@@ -171,10 +152,11 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) {
 		})
 	}
 	pubConn := ConnID(400)
-	if err := b.OnConnOpen(pubConn); err != nil {
-		t.Fatal(err)
-	}
-	_ = orc.OnConnOpen(pubConn)
+	both(func(b target) {
+		if err := b.OnConnOpen(pubConn); err != nil {
+			t.Fatal(err)
+		}
+	})
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < probeMsgs; i++ {
 		m := message.NewText("probe")
@@ -187,21 +169,16 @@ func runChurnStorm(t *testing.T, mutate func(*Config)) {
 	// Check each probe's ordered phase-2 deliveries, then tear
 	// everything down; the shared heap must balance to zero or a
 	// snapshot-path delivery leaked past a drop.
-	orc.check(t, fmt.Sprintf("locked=%v probe", locked), b, probeConns, env.observed)
+	orc.check(t, "probe", b, probeConns, env.observed)
 	for _, p := range probes {
 		env.drainAcks(b, p.conn)
 		b.OnConnClose(p.conn)
 	}
 	b.OnConnClose(pubConn)
 	if used := env.heap.Used(); used != 0 {
-		t.Fatalf("locked=%v: heap not balanced after teardown: %d bytes live", locked, used)
+		t.Fatalf("heap not balanced after teardown: %d bytes live", used)
 	}
 	if n := b.PendingCount(); n != 0 {
-		t.Fatalf("locked=%v: pending after teardown: %d", locked, n)
-	}
-	if !locked {
-		if rl := b.Stats().ReadLockAcquisitions; rl != 0 {
-			t.Fatalf("snapshot mode took %d read-path shard locks", rl)
-		}
+		t.Fatalf("pending after teardown: %d", n)
 	}
 }

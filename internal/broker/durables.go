@@ -126,9 +126,7 @@ func (b *Broker) unindexDurable(sh *shard, d *durableState) {
 // no shard lock held). The re-checks guard the RCU races: a consumer
 // that attached after the caller's route was built owns delivery now,
 // and a recreate that moved the durable to another topic must not
-// receive a stale old-topic message. On the locked paths both
-// conditions were already verified under the shard lock, so the checks
-// never fire there and behaviour is unchanged.
+// receive a stale old-topic message.
 func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -143,7 +141,7 @@ func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
 		b.stats.droppedOOM.Add(1)
 		return
 	}
-	d.backlog = append(d.backlog, storedMsg{msg: b.shareOrClone(m), cost: cost})
+	d.backlog = append(d.backlog, storedMsg{msg: m, cost: cost})
 	if j := b.loadJournal(); j != nil {
 		j.DurableStored(d.name, m)
 	}

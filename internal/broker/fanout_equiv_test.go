@@ -11,10 +11,10 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Serial-vs-parallel fan-out equivalence: the engine promises that for
+// Inline-vs-pooled fan-out equivalence: the broker promises that for
 // any single caller, per-connection delivery transcripts and every
-// mode-independent counter are identical whether a fan-out runs as the
-// serial per-frame loop or as per-connection runs across the worker
+// counter but the fan-out meters are identical whether a plan runs as
+// the inline per-frame loop or as per-connection runs across the worker
 // pool. The storm drives randomized subscribe/publish/ack/unsubscribe/
 // connection-churn traffic through one broker per mode and through the
 // oracle — same seed, same ops — requiring every mode to deliver what
@@ -28,14 +28,18 @@ var fanoutStormSelectors = []string{"", "", "id < 500", "id >= 300", "region = '
 // runFanoutStorm drives the deterministic storm against one broker and
 // the oracle, checks the broker against the oracle's prediction, and
 // returns the broker and its env for cross-mode comparison. Conns
-// 1..nConns are subscribers; conn 100 publishes.
-func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *raceEnv) {
+// 1..nConns are subscribers; conn 100 publishes. threshold overrides
+// the broker's pool threshold (0 keeps parallelFanoutThreshold).
+func runFanoutStorm(t *testing.T, seed int64, serialEnv bool, threshold int) (*Broker, *raceEnv) {
 	t.Helper()
 	env := newRaceEnv()
 	cfg := DefaultConfig("fanstorm")
 	cfg.Shards = 4
-	mut(&cfg)
+	cfg.SerialEnv = serialEnv
 	b := New(env, cfg)
+	if threshold > 0 {
+		b.fanThreshold = threshold
+	}
 	orc := newOracle()
 	both := func(fn func(b target)) { fn(b); fn(orc) }
 
@@ -141,44 +145,37 @@ func runFanoutStorm(t *testing.T, seed int64, mut func(*Config)) (*Broker, *race
 	return b, env
 }
 
-// runFanoutEquivalence compares two storm runs configured by mutA/mutB.
-func runFanoutEquivalence(t *testing.T, mutA, mutB func(*Config)) {
-	t.Helper()
+// TestFanoutEquivalenceRandomized runs the storm three ways — every
+// fan-out forced through the pool (threshold 1), the production
+// threshold (inline for these fan-out widths), and Config.SerialEnv (no
+// pool at all, the simulator's configuration). Each run is checked
+// against the oracle inside runFanoutStorm; here the runs must agree
+// with each other on deliveries, stats, pending and heap.
+func TestFanoutEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		bA, envA := runFanoutStorm(t, seed, mutA)
-		bB, envB := runFanoutStorm(t, seed, mutB)
-		for c := ConnID(1); c <= 6; c++ {
-			if gA, gB := envA.observed(c), envB.observed(c); !slices.Equal(gA, gB) {
-				t.Fatalf("seed %d conn %d: deliveries differ\nA: %v\nB: %v", seed, c, gA, gB)
+		bA, envA := runFanoutStorm(t, seed, false, 1)
+		for _, serialEnv := range []bool{false, true} {
+			label := "production threshold"
+			if serialEnv {
+				label = "SerialEnv"
+			}
+			bB, envB := runFanoutStorm(t, seed, serialEnv, 0)
+			for c := ConnID(1); c <= 6; c++ {
+				if gA, gB := envA.observed(c), envB.observed(c); !slices.Equal(gA, gB) {
+					t.Fatalf("seed %d conn %d: forced pool vs %s: deliveries differ\nA: %v\nB: %v", seed, c, label, gA, gB)
+				}
+			}
+			if sA, sB := clearModeMeters(bA.Stats()), clearModeMeters(bB.Stats()); sA != sB {
+				t.Fatalf("seed %d: forced pool vs %s: stats diverge\nA: %+v\nB: %+v", seed, label, sA, sB)
+			}
+			if pA, pB := bA.PendingCount(), bB.PendingCount(); pA != pB {
+				t.Fatalf("seed %d: forced pool vs %s: pending %d vs %d", seed, label, pA, pB)
+			}
+			if uA, uB := envA.heap.Used(), envB.heap.Used(); uA != uB {
+				t.Fatalf("seed %d: forced pool vs %s: heap %d vs %d", seed, label, uA, uB)
 			}
 		}
-		if sA, sB := clearLockMeters(bA.Stats()), clearLockMeters(bB.Stats()); sA != sB {
-			t.Fatalf("seed %d: stats diverge\nA: %+v\nB: %+v", seed, sA, sB)
-		}
-		if pA, pB := bA.PendingCount(), bB.PendingCount(); pA != pB {
-			t.Fatalf("seed %d: pending %d vs %d", seed, pA, pB)
-		}
-		if uA, uB := envA.heap.Used(), envB.heap.Used(); uA != uB {
-			t.Fatalf("seed %d: heap %d vs %d", seed, uA, uB)
-		}
 	}
-}
-
-// TestFanoutSerialParallelEquivalenceRandomized pins the headline
-// contract: SerialFanout vs the parallel engine forced through the pool
-// for every fan-out (threshold 1) agree on all of it.
-func TestFanoutSerialParallelEquivalenceRandomized(t *testing.T) {
-	runFanoutEquivalence(t,
-		func(c *Config) { c.SerialFanout = true },
-		func(c *Config) { c.ParallelFanoutThreshold = 1 })
-}
-
-// TestFanoutThresholdEquivalenceRandomized: the default threshold
-// (mixed inline/pooled execution) agrees with always-pooled.
-func TestFanoutThresholdEquivalenceRandomized(t *testing.T) {
-	runFanoutEquivalence(t,
-		func(c *Config) {},
-		func(c *Config) { c.ParallelFanoutThreshold = 1 })
 }
 
 // TestFanoutParallelChurnStress hammers the parallel engine from 8
@@ -192,8 +189,8 @@ func TestFanoutParallelChurnStress(t *testing.T) {
 	env := newRaceEnv()
 	cfg := DefaultConfig("fanchurn")
 	cfg.Shards = 4
-	cfg.ParallelFanoutThreshold = 8 // engage the pool on small fan-outs too
 	b := New(env, cfg)
+	b.fanThreshold = 8 // engage the pool on small fan-outs too
 
 	const subConns = 4
 	const subsPerConn = 12 // 48 matched targets per publish when all live

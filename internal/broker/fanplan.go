@@ -1,11 +1,9 @@
-// Destination layer, part 6: the parallel fan-out engine. On the
-// snapshot read path the publisher evaluates matching exactly as the
-// serial loop does (selectors once per group, durables inline), but
-// matched subscriptions are collected into a pooled per-publish plan
-// instead of being delivered one Deliver frame at a time. Below
-// Config.ParallelFanoutThreshold the plan replays the serial per-frame
-// loop in the exact matched order — byte-identical behaviour, so
-// single-subscriber latency never pays for the engine. At or above the
+// Destination layer, part 6: fan-out execution. The publisher matches
+// on its own goroutine (selectors once per group, durables inline) and
+// collects the matched subscriptions into a pooled per-publish plan.
+// Below parallelFanoutThreshold — and always under Config.SerialEnv —
+// the plan is delivered as a per-frame loop in the exact matched order,
+// so single-subscriber latency never pays for the pool. At or above the
 // threshold the plan is grouped into per-connection *runs* (preserving
 // matched order within each connection), the runs are chunked across a
 // bounded worker pool (internal/fanout), and each multi-delivery run is
@@ -15,7 +13,7 @@
 // Ordering contract: per-connection delivery order is preserved by
 // construction — a connection's subscriptions live in exactly one run,
 // runs keep matched order, and one worker owns a whole run. What the
-// engine relaxes is cross-connection interleaving and the emission
+// pool relaxes is cross-connection interleaving and the emission
 // point: deliverCost emits inside the sub.mu hold (tag-ordered per
 // subscription even across racing publishers), while a batched run
 // allocates tags under each sub.mu in turn and emits after release. Tag
@@ -24,11 +22,11 @@
 // the transport in the opposite order of their tags — within one
 // publisher, Run blocks before PubAck, so per-publisher order (all JMS
 // promises) holds. This is the same relaxation the Forwarder contract
-// documents for the lock-free read path.
+// documents for topic publishes.
 //
-// The engine requires an Env that is safe for concurrent use, because
+// The pool requires an Env that is safe for concurrent use, because
 // chunk workers call Env.Alloc/Send. Bindings with single-threaded Envs
-// (the simulator) force Config.SerialFanout.
+// (the simulator) set Config.SerialEnv.
 
 package broker
 
@@ -37,11 +35,12 @@ import (
 	"gridmon/internal/wire"
 )
 
-// defaultParallelFanoutThreshold is the matched-target count that
-// engages run grouping and the worker pool when
-// Config.ParallelFanoutThreshold is zero. Below it, plan execution is
-// the serial loop verbatim.
-const defaultParallelFanoutThreshold = 64
+// parallelFanoutThreshold is the matched-target count that engages run
+// grouping and the worker pool. Below it, plan execution is the inline
+// per-frame loop. The selection is made per publish from that observable
+// count; the benchmark has a workload on each side of it (fan-out 1 in
+// grid_paced and match_churn, 1000 in fanout_wide).
+const parallelFanoutThreshold = 64
 
 // fanRun is one connection's slice of a fan-out: every matched
 // subscription of that connection, in matched order.
@@ -51,7 +50,7 @@ type fanRun struct {
 }
 
 // fanPlan is the pooled per-publish collection scratch: the flat
-// matched-target list (serial order), and the run/grouping storage
+// matched-target list (matched order), and the run/grouping storage
 // reused across publishes. Only the publishing goroutine touches a
 // plan; workers see only the immutable runs slice during pool.Run.
 type fanPlan struct {
@@ -88,9 +87,6 @@ func (b *Broker) putFanPlan(p *fanPlan) {
 	b.fanPlans.Put(p)
 }
 
-// add records one matched subscription, in matched (serial) order.
-func (p *fanPlan) add(sub *subscription) { p.flat = append(p.flat, sub) }
-
 // group partitions the flat matched list into per-connection runs,
 // preserving matched order within each connection. Run order is
 // first-appearance order of connections.
@@ -112,14 +108,14 @@ func (p *fanPlan) group() {
 	}
 }
 
-// execFanPlan delivers a collected plan. Below the threshold it IS the
-// serial loop (per-frame deliverCost in matched order); at or above it,
-// runs execute across the fan-out pool with batched emission.
+// execFanPlan delivers a collected plan: inline (per-frame deliverCost
+// in matched order) without a pool or below the threshold; at or above
+// it, runs execute across the fan-out pool with batched emission.
 func (b *Broker) execFanPlan(p *fanPlan, m *message.Message, cost int64) {
 	if len(p.flat) == 0 {
 		return
 	}
-	if len(p.flat) < b.fanThreshold {
+	if b.fanPool == nil || len(p.flat) < b.fanThreshold {
 		b.stats.fanoutInlineRuns.Add(1)
 		for _, sub := range p.flat {
 			b.deliverCost(sub, m, cost)
@@ -149,7 +145,7 @@ func (b *Broker) execFanPlan(p *fanPlan, m *message.Message, cost int64) {
 // under each leaf lock in turn, then emit one DeliverBatch for the
 // whole connection (see the package comment on the emission-ordering
 // relaxation). Skipped subscriptions (detached, backlog cap, OOM)
-// account exactly as the serial loop does; a run whose every delivery
+// account exactly as deliverCost does; a run whose every delivery
 // was skipped releases its batch here — otherwise the transport that
 // consumes the batch releases it, the same exactly-once ownership rule
 // pooled Deliver frames follow.
@@ -158,7 +154,7 @@ func (b *Broker) deliverRun(r *fanRun, m *message.Message, cost int64) {
 		b.deliverCost(r.subs[0], m, cost)
 		return
 	}
-	batch := b.getDeliverBatch()
+	batch := wire.GetDeliverBatch()
 	batch.Msg = m
 	for _, sub := range r.subs {
 		sub.mu.Lock()
@@ -185,27 +181,10 @@ func (b *Broker) deliverRun(r *fanRun, m *message.Message, cost int64) {
 		batch.Entries = append(batch.Entries, wire.DeliverEntry{SubID: sub.id, Tag: tag})
 	}
 	if len(batch.Entries) == 0 {
-		b.putDeliverBatch(batch)
+		wire.PutDeliverBatch(batch)
 		return
 	}
 	b.stats.egressFlushes.Add(1)
 	b.stats.egressFrames.Add(uint64(len(batch.Entries)))
 	b.env.Send(r.connID, batch)
-}
-
-// getDeliverBatch / putDeliverBatch honour Config.DisableDeliverPool
-// the same way getDeliver does: pooled envelopes only for transports
-// that consume exactly once.
-func (b *Broker) getDeliverBatch() *wire.DeliverBatch {
-	if b.cfg.DisableDeliverPool {
-		return new(wire.DeliverBatch)
-	}
-	return wire.GetDeliverBatch()
-}
-
-func (b *Broker) putDeliverBatch(batch *wire.DeliverBatch) {
-	if b.cfg.DisableDeliverPool {
-		return
-	}
-	wire.PutDeliverBatch(batch)
 }

@@ -10,22 +10,9 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Tests for the subscription index: the indexed publish path, and the
-// pre-index linear scan preserved as Config.LegacyLinearScan, must both
-// deliver what the naive oracle predicts across publish / unsubscribe /
-// durable interleavings, and agree with each other on stats.
-
-func newIndexedAndLegacy(t *testing.T) (*Broker, *fakeEnv, *Broker, *fakeEnv) {
-	t.Helper()
-	envI := newFakeEnv(0)
-	cfgI := DefaultConfig("b1")
-	bI := New(envI, cfgI)
-	envL := newFakeEnv(0)
-	cfgL := DefaultConfig("b1")
-	cfgL.LegacyLinearScan = true
-	bL := New(envL, cfgL)
-	return bI, envI, bL, envL
-}
+// Tests for the subscription index: the indexed publish path must
+// deliver what the naive oracle's linear scan predicts across publish /
+// unsubscribe / durable interleavings.
 
 // deliveredIDs extracts, per subscription, the ordered message IDs
 // delivered on a connection.
@@ -204,9 +191,8 @@ func pendingHeapUsed(b *Broker) int64 {
 
 // TestIndexParityRandomized drives an identical randomized interleaving
 // of subscribes, unsubscribes, durable attach/detach cycles and publishes
-// through an indexed broker, a legacy linear-scan broker and the oracle,
-// then asserts both brokers delivered what the oracle predicts and that
-// their stats agree.
+// through the broker and the oracle, then asserts the broker delivered,
+// buffered and rejected exactly what the oracle predicts.
 func TestIndexParityRandomized(t *testing.T) {
 	selectors := []string{
 		"", "TRUE", "1 = 1",
@@ -216,9 +202,9 @@ func TestIndexParityRandomized(t *testing.T) {
 		"missing IS NULL AND id < 90",
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		bI, envI, bL, envL := newIndexedAndLegacy(t)
+		b, env := newBroker(t, 0)
 		orc := newOracle()
-		all := []target{bI, bL, orc}
+		all := []target{b, orc}
 		rng := rand.New(rand.NewSource(seed))
 
 		const conns = 8
@@ -296,14 +282,6 @@ func TestIndexParityRandomized(t *testing.T) {
 			}
 		}
 
-		orc.check(t, fmt.Sprintf("seed %d indexed", seed), bI, connIDs, envI.observed)
-		orc.check(t, fmt.Sprintf("seed %d legacy", seed), bL, connIDs, envL.observed)
-		// The lock meters legitimately differ across read-path modes
-		// (that difference is the point of the meters); everything else
-		// must match exactly.
-		si, sl := clearLockMeters(bI.Stats()), clearLockMeters(bL.Stats())
-		if si != sl {
-			t.Fatalf("seed %d: indexed stats %+v != legacy stats %+v", seed, si, sl)
-		}
+		orc.check(t, fmt.Sprintf("seed %d", seed), b, connIDs, env.observed)
 	}
 }

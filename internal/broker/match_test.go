@@ -8,78 +8,50 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Tests for the content-based matching index on the publish path. The
-// obligations: indexed routing must be observably identical to the
-// LinearMatch baseline — including Stats' SelectorRejected, which the
-// indexed path bulk-accounts for skipped groups — and the Match*
-// meters must prove the index actually skips non-candidate groups.
-
-// TestMatchIndexLinearEquivalenceRandomized drives the randomized
-// routing storm through an indexed broker and a LinearMatch broker
-// (both on the snapshot read path): transcripts, pending counts, heap
-// usage and stats — SelectorRejected included — must be identical, with
-// only the Match* meters (zeroed by clearLockMeters) allowed to differ.
-func TestMatchIndexLinearEquivalenceRandomized(t *testing.T) {
-	runRoutingEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
-		cfg.LinearMatch = true
-	})
-}
+// Tests for the content-based matching index on the publish path. That
+// indexed routing delivers what a linear scan would is the oracle
+// storms' job (TestRoutingOracleRandomized); the Match* meters here
+// prove the index actually skips non-candidate groups.
 
 // TestMatchIndexMeters pins the index's observable contract on a hot
-// topic with many disjoint equality selectors: indexed mode evaluates
-// only the candidate groups per publish (here exactly one, plus the
-// always-delivered fast subscription outside the meters), while
-// LinearMatch evaluates every group; both modes deliver identically and
-// reject identically.
+// topic with many disjoint equality selectors: each publish evaluates
+// only the candidate groups (here exactly one), skips the rest, and
+// still accounts every skipped group's subscriber into SelectorRejected.
 func TestMatchIndexMeters(t *testing.T) {
 	const groups = 64
-	run := func(linear bool) Stats {
-		env := newFakeEnv(0)
-		cfg := DefaultConfig("b")
-		cfg.Shards = 4
-		cfg.LinearMatch = linear
-		b := New(env, cfg)
-		mustOpen(t, b, 1)
-		mustOpen(t, b, 2)
-		for i := 0; i < groups; i++ {
-			b.OnFrame(2, wire.Subscribe{
-				SubID:    int64(i + 1),
-				Dest:     message.Topic("hot"),
-				Selector: fmt.Sprintf("key = 'sub-%d'", i),
-			})
-		}
-		for i := 0; i < groups; i++ {
-			publishOn(b, 1, fmt.Sprintf("m%d", i), message.Topic("hot"), map[string]message.Value{
-				"key": message.String(fmt.Sprintf("sub-%d", i)),
-			})
-		}
-		return b.Stats()
+	env := newFakeEnv(0)
+	cfg := DefaultConfig("b")
+	cfg.Shards = 4
+	b := New(env, cfg)
+	mustOpen(t, b, 1)
+	mustOpen(t, b, 2)
+	for i := 0; i < groups; i++ {
+		b.OnFrame(2, wire.Subscribe{
+			SubID:    int64(i + 1),
+			Dest:     message.Topic("hot"),
+			Selector: fmt.Sprintf("key = 'sub-%d'", i),
+		})
 	}
-
-	idx, lin := run(false), run(true)
-	if idx.Delivered != groups || lin.Delivered != groups {
-		t.Fatalf("delivered: indexed %d, linear %d, want %d each", idx.Delivered, lin.Delivered, groups)
+	for i := 0; i < groups; i++ {
+		publishOn(b, 1, fmt.Sprintf("m%d", i), message.Topic("hot"), map[string]message.Value{
+			"key": message.String(fmt.Sprintf("sub-%d", i)),
+		})
 	}
-	if idx.SelectorRejected != lin.SelectorRejected {
-		t.Fatalf("SelectorRejected: indexed %d != linear %d", idx.SelectorRejected, lin.SelectorRejected)
+	st := b.Stats()
+	if st.Delivered != groups {
+		t.Fatalf("delivered %d, want %d", st.Delivered, groups)
 	}
-	if want := uint64(groups * groups); lin.MatchProgramEvals != want {
-		t.Fatalf("linear MatchProgramEvals = %d, want %d", lin.MatchProgramEvals, want)
+	if want := uint64(groups * (groups - 1)); st.SelectorRejected != want {
+		t.Fatalf("SelectorRejected = %d, want %d", st.SelectorRejected, want)
 	}
-	if want := uint64(groups); idx.MatchProgramEvals != want {
-		t.Fatalf("indexed MatchProgramEvals = %d, want %d (one candidate per publish)", idx.MatchProgramEvals, want)
+	if want := uint64(groups); st.MatchProgramEvals != want {
+		t.Fatalf("MatchProgramEvals = %d, want %d (one candidate per publish)", st.MatchProgramEvals, want)
 	}
-	if idx.MatchIndexCandidates != idx.MatchProgramEvals {
-		t.Fatalf("MatchIndexCandidates %d != MatchProgramEvals %d", idx.MatchIndexCandidates, idx.MatchProgramEvals)
+	if want := uint64(groups * (groups - 1)); st.MatchGroupsSkipped != want {
+		t.Fatalf("MatchGroupsSkipped = %d, want %d", st.MatchGroupsSkipped, want)
 	}
-	if want := uint64(groups * (groups - 1)); idx.MatchGroupsSkipped != want {
-		t.Fatalf("MatchGroupsSkipped = %d, want %d", idx.MatchGroupsSkipped, want)
-	}
-	if lin.MatchIndexCandidates != 0 || lin.MatchGroupsSkipped != 0 || lin.MatchDurablesSkipped != 0 {
-		t.Fatalf("linear mode moved index meters: %+v", lin)
-	}
-	if idx.MatchDurablesSkipped != 0 {
-		t.Fatalf("MatchDurablesSkipped = %d, want 0 (no durables in play)", idx.MatchDurablesSkipped)
+	if st.MatchDurablesSkipped != 0 {
+		t.Fatalf("MatchDurablesSkipped = %d, want 0 (no durables in play)", st.MatchDurablesSkipped)
 	}
 }
 

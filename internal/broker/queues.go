@@ -28,7 +28,7 @@ func (b *Broker) enqueue(q *queueState, m *message.Message) {
 		b.stats.droppedOOM.Add(1)
 		return
 	}
-	q.backlog = append(q.backlog, storedMsg{msg: b.shareOrClone(m), cost: cost})
+	q.backlog = append(q.backlog, storedMsg{msg: m, cost: cost})
 	if j := b.loadJournal(); j != nil {
 		j.QueueStored(q.name, m)
 	}

@@ -202,13 +202,13 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 		sh.topics[v.Dest.Name] = t
 	}
 	wasEmpty := t.subCount() == 0
-	b.addTopicSub(t, sub)
+	t.add(sub)
 	if wasEmpty {
 		b.notifyInterest(t.name, true)
 	}
 	if !b.registerSub(c, sub) {
 		// The connection closed mid-subscribe: undo the installation.
-		b.removeTopicSub(t, sub)
+		t.remove(sub)
 		if t.subCount() == 0 {
 			b.notifyInterest(t.name, false)
 			delete(sh.topics, t.name)
@@ -302,7 +302,7 @@ func (b *Broker) dropSubscription(sub *subscription, unsubscribe bool) {
 	case message.TopicKind:
 		defer b.refreshTopicRoute(sh, sub.dest.Name)
 		if t := sh.topics[sub.dest.Name]; t != nil {
-			b.removeTopicSub(t, sub)
+			t.remove(sub)
 			if t.subCount() == 0 {
 				b.notifyInterest(t.name, false)
 				delete(sh.topics, sub.dest.Name)

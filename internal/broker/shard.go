@@ -23,8 +23,7 @@ type shard struct {
 	queues map[string]*queueState
 	// durablesByTopic indexes durables by their topic (in creation
 	// order) so publish touches only the durables of the published
-	// topic. Unused in legacy mode, which scans the global durable
-	// directory.
+	// topic.
 	durablesByTopic map[string][]*durableState
 
 	// snap is the copy-on-write routing snapshot the lock-free publish
@@ -86,16 +85,12 @@ func (b *Broker) lockShard(sh *shard) {
 }
 
 // routeLocal fans a frozen message out to the local subscribers of its
-// destination. Topic publishes take the lock-free read path by default:
-// the forwarder seam (itself an atomic pointer) fires first, then
-// routing runs from the shard's copy-on-write snapshot without touching
-// shard.mu — concurrent publishes to one topic no longer serialize.
-// Queue publishes, and topic publishes in the LockedReadPath /
-// LegacyLinearScan baselines, still run under the destination shard's
-// lock; with forward set the forwarder runs under that same lock hold,
-// so in the locked modes peer fan-out for a destination stays totally
-// ordered with its local deliveries. (In snapshot mode the ordering
-// guarantee is per-publisher, which is all JMS promises.) Expired
+// destination; with forward set the forwarder seam (itself an atomic
+// pointer) fires first. Topic publishes route from the shard's
+// copy-on-write snapshot without touching shard.mu, so concurrent
+// publishes to one topic do not serialize and the forwarder's ordering
+// guarantee is per-publisher (all JMS promises). Queue publishes run
+// under the destination shard's lock, forwarder included. Expired
 // messages are dropped before forwarding: a message no peer could
 // deliver is not worth wire time.
 func (b *Broker) routeLocal(m *message.Message, forward bool) {
@@ -104,17 +99,10 @@ func (b *Broker) routeLocal(m *message.Message, forward bool) {
 		return
 	}
 	sh := b.shardFor(m.Dest.Name)
-	if m.Dest.Kind == message.TopicKind && !b.cfg.LockedReadPath && !b.cfg.LegacyLinearScan {
-		if forward {
-			if fw := b.forwarder.Load(); fw != nil {
-				(*fw).OnLocalPublish(m)
-			}
-		}
-		b.routeTopicSnapshot(sh, m)
-		return
+	if m.Dest.Kind == message.QueueKind {
+		b.lockShard(sh)
+		defer sh.mu.Unlock()
 	}
-	b.lockShard(sh)
-	defer sh.mu.Unlock()
 	if forward {
 		if fw := b.forwarder.Load(); fw != nil {
 			(*fw).OnLocalPublish(m)
@@ -122,15 +110,7 @@ func (b *Broker) routeLocal(m *message.Message, forward bool) {
 	}
 	switch m.Dest.Kind {
 	case message.TopicKind:
-		// The read-path lock meter: this acquisition existed only to
-		// *read* the routing indexes — exactly what snapshot mode
-		// eliminates (gridbench contention asserts it stays 0 there).
-		b.stats.readLockAcq.Add(1)
-		if b.cfg.LegacyLinearScan {
-			b.routeTopicLegacy(sh, m)
-			return
-		}
-		b.routeTopic(sh, m)
+		b.routeTopicSnapshot(sh, m)
 	case message.QueueKind:
 		q := sh.queues[m.Dest.Name]
 		if q == nil {

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,8 @@ import (
 //  1. Equivalence — sharding is a pure partitioning of lock domains, so
 //     with a single calling goroutine a sharded broker must produce
 //     exactly the frame transcripts, stats, backlogs and heap usage of
-//     the serial (single-shard) broker for any operation sequence.
+//     the single-shard broker for any operation sequence, and both must
+//     route as the naive oracle (oracle_test.go) predicts.
 //  2. Safety — with many calling goroutines the broker must stay
 //     data-race free and keep its memory accounting balanced. Run under
 //     -race (the CI race job covers this package).
@@ -37,6 +39,31 @@ func transcript(env *fakeEnv, c ConnID) []string {
 		}
 	}
 	return out
+}
+
+// requireSameBehaviour compares two brokers that were driven through
+// the same single-goroutine op stream on everything observable: frame
+// transcripts, stats (mode meters aside), pending count, heap usage and
+// topic set.
+func requireSameBehaviour(t *testing.T, label string, conns []ConnID, bA *Broker, envA *fakeEnv, bB *Broker, envB *fakeEnv) {
+	t.Helper()
+	for _, c := range conns {
+		if ta, tb := transcript(envA, c), transcript(envB, c); !reflect.DeepEqual(ta, tb) {
+			t.Fatalf("%s conn %d: transcripts differ (%d vs %d frames)", label, c, len(ta), len(tb))
+		}
+	}
+	if sa, sb := clearModeMeters(bA.Stats()), clearModeMeters(bB.Stats()); sa != sb {
+		t.Fatalf("%s: stats %+v != %+v", label, sa, sb)
+	}
+	if bA.PendingCount() != bB.PendingCount() {
+		t.Fatalf("%s: pending %d != %d", label, bA.PendingCount(), bB.PendingCount())
+	}
+	if envA.heap.Used() != envB.heap.Used() {
+		t.Fatalf("%s: heap %d != %d", label, envA.heap.Used(), envB.heap.Used())
+	}
+	if ta, tb := bA.Topics(), bB.Topics(); !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("%s: topics %v != %v", label, ta, tb)
+	}
 }
 
 func TestShardOfPartitionsNames(t *testing.T) {
@@ -64,22 +91,17 @@ func TestShardOfPartitionsNames(t *testing.T) {
 	if len(seen) < 4 {
 		t.Fatalf("256 names landed on only %d of 8 shards", len(seen))
 	}
-	// SerialCore forces a single shard regardless of Shards.
-	cfg.SerialCore = true
-	if bs := New(newFakeEnv(0), cfg); bs.NumShards() != 1 {
-		t.Fatalf("SerialCore broker has %d shards", bs.NumShards())
-	}
 }
 
 // TestShardedSerialEquivalenceRandomized drives identical randomized
 // operation sequences — connection churn, topic/queue/durable
-// subscribes, unsubscribes, publishes, partial acks — through a serial
-// (SerialCore) broker, an 8-shard broker and the oracle from one
-// goroutine, then requires both brokers to have delivered what the
-// oracle predicts and to agree bit for bit on frame transcripts, stats,
-// pending counts and heap usage. This is the "sharded == serial" proof
-// the concurrency architecture rests on: shards change only which
-// operations may overlap, never what any operation does.
+// subscribes, unsubscribes, publishes, partial acks — through a 1-shard
+// broker, an 8-shard broker and the oracle from one goroutine, then
+// requires both brokers to have delivered what the oracle predicts and
+// to agree bit for bit on frame transcripts, stats, pending counts and
+// heap usage. This is the "sharded == serial" proof the concurrency
+// architecture rests on: shards change only which operations may
+// overlap, never what any operation does.
 func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 	selectors := []string{
 		"", "TRUE", "1 = 1",
@@ -98,9 +120,7 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 
 	for seed := int64(1); seed <= 6; seed++ {
 		envS := newFakeEnv(0)
-		cfgS := DefaultConfig("b")
-		cfgS.SerialCore = true
-		bS := New(envS, cfgS)
+		bS := New(envS, DefaultConfig("b")) // one shard
 
 		envP := newFakeEnv(0)
 		cfgP := DefaultConfig("b")
@@ -247,9 +267,9 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 		for i := range conns {
 			conns[i] = ConnID(i + 1)
 		}
-		orc.check(t, fmt.Sprintf("seed %d serial", seed), bS, conns, envS.observed)
-		orc.check(t, fmt.Sprintf("seed %d sharded", seed), bP, conns, envP.observed)
-		requireSameBehaviour(t, fmt.Sprintf("seed %d serial vs sharded", seed), conns, bS, envS, bP, envP)
+		orc.check(t, fmt.Sprintf("seed %d, 1 shard", seed), bS, conns, envS.observed)
+		orc.check(t, fmt.Sprintf("seed %d, 8 shards", seed), bP, conns, envP.observed)
+		requireSameBehaviour(t, fmt.Sprintf("seed %d, 1 vs 8 shards", seed), conns, bS, envS, bP, envP)
 	}
 }
 

@@ -23,10 +23,6 @@
 // per-durable leaf lock, so racing publishes to one subscriber stay
 // safe, and a subscription dropped mid-publish is skipped via its
 // detached flag instead of leaking pending allocations.
-//
-// Config.LockedReadPath restores the locked read path (routing under
-// shard.mu, exactly the PR 3 architecture) as the measured A/B
-// baseline; Config.LegacyLinearScan implies it.
 
 package broker
 
@@ -53,10 +49,9 @@ type topicEntry struct {
 }
 
 // topicRoute is the immutable fan-out plan for one topic: a frozen copy
-// of the index slices, in the same deterministic order the locked path
-// iterates (fast set in subscribe order, groups in first-appearance
-// order, durables in creation order), so snapshot and locked routing
-// deliver identically for any single caller.
+// of the index slices in their deterministic order (fast set in
+// subscribe order, groups in first-appearance order, durables in
+// creation order).
 type topicRoute struct {
 	fast     []*subscription
 	groups   []routeGroup
@@ -64,13 +59,13 @@ type topicRoute struct {
 
 	// idx is the content-based matching index over groups (seqs
 	// 0..len(groups)-1) and durables (seqs len(groups)..), built at
-	// route-patch time unless Config.LinearMatch; nil when disabled or
-	// when there is nothing to index. Immutable, like the rest of the
-	// route (predindex is shard-safe after Build).
+	// route-patch time; nil only when there are no groups and no
+	// buffering durables. Immutable, like the rest of the route
+	// (predindex is shard-safe after Build).
 	idx *predindex.Index
-	// groupSubs is the total subscriber count across groups, so the
-	// indexed path can bulk-account SelectorRejected for the groups the
-	// index skipped without visiting them.
+	// groupSubs is the total subscriber count across groups, so routing
+	// can bulk-account SelectorRejected for the groups the index skipped
+	// without visiting them.
 	groupSubs int
 }
 
@@ -110,20 +105,15 @@ func (b *Broker) refreshTopicRoute(sh *shard, name string) {
 	if t != nil || inactive > 0 {
 		rt = &topicRoute{}
 		var keys []predindex.Key
-		buildIdx := !b.cfg.LinearMatch
 		if t != nil {
 			rt.fast = slices.Clone(t.fast)
 			if len(t.groups) > 0 {
 				rt.groups = make([]routeGroup, 0, len(t.groups))
-				if buildIdx {
-					keys = make([]predindex.Key, 0, len(t.groups)+inactive)
-				}
+				keys = make([]predindex.Key, 0, len(t.groups)+inactive)
 				for _, g := range t.groups {
 					rt.groups = append(rt.groups, routeGroup{prog: g.prog, subs: slices.Clone(g.subs)})
 					rt.groupSubs += len(g.subs)
-					if buildIdx {
-						keys = append(keys, g.matchKey)
-					}
+					keys = append(keys, g.matchKey)
 				}
 			}
 		}
@@ -132,16 +122,14 @@ func (b *Broker) refreshTopicRoute(sh *shard, name string) {
 			for _, d := range durables {
 				if d.active == nil {
 					rt.durables = append(rt.durables, routeDurable{d: d, sel: d.sel})
-					if buildIdx {
-						keys = append(keys, d.sel.RequiredKey())
-					}
+					keys = append(keys, d.sel.RequiredKey())
 				}
 			}
 		}
-		// Index seqs: groups first (0..G-1), then durables (G..G+D-1) —
-		// the same order the linear scan visits, so sorted candidate
-		// seqs reproduce linear delivery order exactly.
-		if buildIdx && len(keys) > 0 {
+		// Index seqs: groups first (0..G-1), then durables (G..G+D-1),
+		// so seq-sorted candidates are visited in first-appearance
+		// order and delivery order is deterministic.
+		if len(keys) > 0 {
 			rt.idx = predindex.Build(keys)
 		}
 	}
@@ -188,18 +176,17 @@ func (b *Broker) refreshTopicRoute(sh *shard, name string) {
 	sh.snap.Store(&shardSnapshot{topics: next})
 }
 
-// routeTopicSnapshot is the lock-free topic fan-out: identical routing
-// to routeTopic, driven by the shard's published snapshot instead of
-// the locked indexes. No shard lock is taken; deliveries synchronize on
+// routeTopicSnapshot is the topic fan-out, driven by the shard's
+// published snapshot. No shard lock is taken; deliveries synchronize on
 // the per-subscription lock and durable stores on the per-durable lock.
 //
-// With the parallel fan-out engine enabled (fanplan.go), matching runs
-// here on the publishing goroutine exactly as below, but matched
-// subscriptions are collected into a pooled plan and delivered by
-// execFanPlan — per-frame in matched order below the threshold, as
-// per-connection batched runs across the worker pool above it. Durable
-// stores always happen inline: they are leaf-locked, rare, and keeping
-// them on the publisher keeps backlog order identical across modes.
+// Matching runs here on the publishing goroutine; matched subscriptions
+// are collected into a pooled plan and delivered by execFanPlan —
+// per-frame in matched order below the threshold, as per-connection
+// batched runs across the worker pool above it. Durable stores happen
+// inline during matching: they are leaf-locked, rare, and keeping them
+// on the publisher keeps backlog order independent of how the plan is
+// executed.
 func (b *Broker) routeTopicSnapshot(sh *shard, m *message.Message) {
 	snap := sh.snap.Load()
 	if snap == nil {
@@ -214,49 +201,13 @@ func (b *Broker) routeTopicSnapshot(sh *shard, m *message.Message) {
 		return
 	}
 	cost := int64(m.EncodedSize()) + b.cfg.MemPerPendingOverhead
-	var plan *fanPlan
-	if b.fanPool != nil {
-		plan = b.getFanPlan()
-	}
-	for _, sub := range rt.fast {
-		if plan != nil {
-			plan.add(sub)
-		} else {
-			b.deliverCost(sub, m, cost)
-		}
-	}
+	plan := b.getFanPlan()
+	plan.flat = append(plan.flat, rt.fast...)
 	if rt.idx != nil {
 		b.routeMatchIndexed(rt, m, cost, plan)
-	} else {
-		if n := len(rt.groups) + len(rt.durables); n > 0 {
-			b.stats.matchProgramEvals.Add(uint64(n))
-		}
-		for _, g := range rt.groups {
-			if g.prog.Matches(m) {
-				for _, sub := range g.subs {
-					if plan != nil {
-						plan.add(sub)
-					} else {
-						b.deliverCost(sub, m, cost)
-					}
-				}
-			} else {
-				b.stats.selectorRejected.Add(uint64(len(g.subs)))
-			}
-		}
-		for _, rd := range rt.durables {
-			if rd.sel.Matches(m) {
-				// storeDurable re-checks "still buffering" under the durable's
-				// lock: a consumer that attached after this route was built
-				// owns delivery now, so the store is skipped.
-				b.storeDurable(rd.d, m, cost)
-			}
-		}
 	}
-	if plan != nil {
-		b.execFanPlan(plan, m, cost)
-		b.putFanPlan(plan)
-	}
+	b.execFanPlan(plan, m, cost)
+	b.putFanPlan(plan)
 }
 
 // matchScratch is the pooled per-publish scratch of the indexed route:
@@ -274,15 +225,14 @@ func (p *msgProbe) ProbeAttr(attr string) (predindex.Value, bool) {
 	return selector.ProbeValue(p.m, attr)
 }
 
-// routeMatchIndexed fans a message out through the route's matching
-// index: only candidate groups/durables are evaluated, in the same
-// first-appearance order the linear scan uses (candidates arrive
-// seq-sorted), so delivery order — and any single-caller run — is
-// bit-identical to the linear path. Groups the index skipped still
-// account their subscribers into SelectorRejected, keeping Stats
-// comparable across modes. With plan non-nil, matched subscriptions
-// are collected for the parallel fan-out engine instead of delivered
-// inline (durable stores stay inline in both cases).
+// routeMatchIndexed matches a message through the route's matching
+// index: only candidate groups/durables are evaluated, in
+// first-appearance order (candidates arrive seq-sorted), so delivery
+// order is deterministic for any single caller. Groups the index
+// skipped still account their subscribers into SelectorRejected: the
+// index only skips a group whose program could not return TRUE.
+// Matched subscriptions are collected into plan; durable stores happen
+// here.
 func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int64, plan *fanPlan) {
 	sc, _ := b.matchScratch.Get().(*matchScratch)
 	if sc == nil {
@@ -299,25 +249,19 @@ func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int6
 			candGroups++
 			candGroupSubs += len(g.subs)
 			if g.prog.Matches(m) {
-				for _, sub := range g.subs {
-					if plan != nil {
-						plan.add(sub)
-					} else {
-						b.deliverCost(sub, m, cost)
-					}
-				}
+				plan.flat = append(plan.flat, g.subs...)
 			} else {
 				b.stats.selectorRejected.Add(uint64(len(g.subs)))
 			}
 		} else if rd := &rt.durables[int(ci)-nG]; rd.sel.Matches(m) {
-			// storeDurable re-checks "still buffering" under the
-			// durable's lock, as on the linear path.
+			// storeDurable re-checks "still buffering" under the durable's
+			// lock: a consumer that attached after this route was built
+			// owns delivery now, so the store is skipped.
 			b.storeDurable(rd.d, m, cost)
 		}
 	}
 	if n := len(cands); n > 0 {
 		b.stats.matchProgramEvals.Add(uint64(n))
-		b.stats.matchIndexCandidates.Add(uint64(n))
 	}
 	if skipped := nG - candGroups; skipped > 0 {
 		b.stats.matchGroupsSkipped.Add(uint64(skipped))
@@ -326,9 +270,8 @@ func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int6
 		b.stats.matchDurablesSkipped.Add(uint64(skipped))
 	}
 	if rejected := rt.groupSubs - candGroupSubs; rejected > 0 {
-		// Subscribers of skipped groups were rejected by their selector
-		// (the index proved the program could not return TRUE), exactly
-		// as the linear scan would have counted them.
+		// Subscribers of skipped groups were rejected by their selector:
+		// the index proved the program could not return TRUE.
 		b.stats.selectorRejected.Add(uint64(rejected))
 	}
 	sc.probe.m = nil

@@ -1,8 +1,7 @@
 // Egress layer: Deliver-frame emission and broker counters. Counters
 // are atomics, so Stats() and PendingCount() are safe to call from any
 // goroutine while shards run publishes in parallel; deliverCost is the
-// single funnel every delivery passes through, called with the owning
-// shard's lock held.
+// funnel every per-frame delivery passes through.
 
 package broker
 
@@ -28,46 +27,37 @@ type Stats struct {
 	ForwardedIn      uint64 // messages received from peer brokers
 	RefusedConns     uint64
 
-	// Contention observability. ReadLockAcquisitions counts shard-lock
-	// acquisitions taken by the publish path purely to read routing
-	// indexes — zero on the default snapshot read path, one per topic
-	// publish in the LockedReadPath/LegacyLinearScan baselines. The
-	// ShardLock* trio meters every frame-processing shard-lock
-	// acquisition: how many, how many had to wait, and the total
-	// nanoseconds spent waiting.
-	ReadLockAcquisitions  uint64
+	// Contention observability: the ShardLock* trio meters every
+	// frame-processing shard-lock acquisition (subscribe, unsubscribe,
+	// durable churn, queue publish — topic publishes take none): how
+	// many, how many had to wait, and the total nanoseconds spent
+	// waiting.
 	ShardLockAcquisitions uint64
 	ShardLockContended    uint64
 	ShardLockWaitNs       uint64
 
 	// Content-based matching index meters. MatchProgramEvals counts
-	// compiled predicate evaluations on the topic publish path (one per
-	// selector group or buffering durable actually evaluated);
-	// MatchIndexCandidates counts candidates the discrimination index
-	// emitted; MatchGroupsSkipped counts selector groups the index
-	// proved could not match (their subscribers still count into
-	// SelectorRejected, keeping that meter mode-independent) and
-	// MatchDurablesSkipped the buffering durables likewise proved
-	// non-matching. With Config.LinearMatch (or the locked/legacy
-	// baselines) the index is not consulted: candidates/skipped stay 0
-	// and every group and buffering durable is evaluated.
+	// compiled predicate evaluations on the topic publish path — one
+	// per candidate (selector group or buffering durable) the
+	// discrimination index emitted; MatchGroupsSkipped counts selector
+	// groups the index proved could not match (their subscribers still
+	// count into SelectorRejected) and MatchDurablesSkipped the
+	// buffering durables likewise proved non-matching.
 	MatchProgramEvals    uint64
-	MatchIndexCandidates uint64
 	MatchGroupsSkipped   uint64
 	MatchDurablesSkipped uint64
 
 	// Parallel fan-out / egress-batching meters (fanplan.go).
 	// FanoutTasks counts publishes whose fan-out engaged the worker
-	// pool (matched targets >= Config.ParallelFanoutThreshold) and
+	// pool (matched targets >= parallelFanoutThreshold) and
 	// FanoutChunks the chunks those tasks were split into;
-	// FanoutInlineRuns counts fan-outs the engine executed inline on
-	// the publishing goroutine because they stayed below the threshold.
+	// FanoutInlineRuns counts fan-outs executed inline on the
+	// publishing goroutine (below the threshold, or Config.SerialEnv).
 	// EgressFlushes counts batched per-connection emissions (one
 	// wire.DeliverBatch handed to Env.Send) and EgressFrames the
 	// Deliver frames carried inside them — EgressFrames/EgressFlushes
 	// is the average coalescing run length, surfaced as
-	// EgressFramesPerFlush on the daemons' /stats. All five are zero in
-	// SerialFanout mode and in every serial/locked baseline.
+	// EgressFramesPerFlush on the daemons' /stats.
 	FanoutTasks      uint64
 	FanoutChunks     uint64
 	FanoutInlineRuns uint64
@@ -101,13 +91,11 @@ type statCounters struct {
 	forwardedIn      atomic.Uint64
 	refusedConns     atomic.Uint64
 
-	readLockAcq        atomic.Uint64
 	shardLockAcq       atomic.Uint64
 	shardLockContended atomic.Uint64
 	shardLockWaitNs    atomic.Uint64
 
 	matchProgramEvals    atomic.Uint64
-	matchIndexCandidates atomic.Uint64
 	matchGroupsSkipped   atomic.Uint64
 	matchDurablesSkipped atomic.Uint64
 
@@ -136,13 +124,11 @@ func (b *Broker) Stats() Stats {
 		ForwardedIn:      b.stats.forwardedIn.Load(),
 		RefusedConns:     b.stats.refusedConns.Load(),
 
-		ReadLockAcquisitions:  b.stats.readLockAcq.Load(),
 		ShardLockAcquisitions: b.stats.shardLockAcq.Load(),
 		ShardLockContended:    b.stats.shardLockContended.Load(),
 		ShardLockWaitNs:       b.stats.shardLockWaitNs.Load(),
 
 		MatchProgramEvals:    b.stats.matchProgramEvals.Load(),
-		MatchIndexCandidates: b.stats.matchIndexCandidates.Load(),
 		MatchGroupsSkipped:   b.stats.matchGroupsSkipped.Load(),
 		MatchDurablesSkipped: b.stats.matchDurablesSkipped.Load(),
 
@@ -162,23 +148,11 @@ func (b *Broker) PendingCount() int {
 	return int(b.stats.pending.Load())
 }
 
-// shareOrClone returns the message to hand to a delivery or backlog
-// entry: the frozen message itself on the default zero-copy path, or a
-// private deep copy when Config.CloneDeliveries restores the old
-// behaviour as a benchmark baseline.
-func (b *Broker) shareOrClone(m *message.Message) *message.Message {
-	if b.cfg.CloneDeliveries {
-		return m.Clone()
-	}
-	return m
-}
-
-// getDeliver acquires a Deliver frame under the ownership rule of
-// Config.DisableDeliverPool: pooled when the binding's transport
-// consumes each frame exactly once, GC-managed when it may retransmit
-// or hold frames (the simulator).
+// getDeliver acquires a Deliver frame: pooled when the binding's
+// transport consumes each frame exactly once, GC-managed under
+// Config.SerialEnv, whose transport may retransmit or hold frames.
 func (b *Broker) getDeliver() *wire.Deliver {
-	if b.cfg.DisableDeliverPool {
+	if b.cfg.SerialEnv {
 		return new(wire.Deliver)
 	}
 	return wire.GetDeliver()
@@ -197,9 +171,8 @@ func (b *Broker) deliverTo(sub *subscription, m *message.Message) {
 // returned by whichever transport consumes it.
 //
 // Delivery state is guarded by the subscription's leaf lock, not the
-// shard lock: the snapshot publish path calls this with no shard lock
-// at all, and concurrent publishes to the same subscriber serialize
-// here. Keeping env.Send inside the sub.mu hold preserves tag-ordered
+// shard lock: the topic publish path calls this with no shard lock at
+// all, and concurrent publishes to the same subscriber serialize here. Keeping env.Send inside the sub.mu hold preserves tag-ordered
 // frame emission per subscription. A subscription dropped between
 // snapshot load and delivery is detached: skip it, or the allocation
 // would leak (nothing would ever free it).
@@ -223,6 +196,6 @@ func (b *Broker) deliverCost(sub *subscription, m *message.Message, cost int64) 
 	b.stats.delivered.Add(1)
 	b.stats.pending.Add(1)
 	d := b.getDeliver()
-	d.SubID, d.Tag, d.Msg = sub.id, tag, b.shareOrClone(m)
+	d.SubID, d.Tag, d.Msg = sub.id, tag, m
 	b.env.Send(sub.conn.id, d)
 }

@@ -1,12 +1,12 @@
 // Destination layer, part 2: topics. Each topic owns the subscription
-// index described in the package comment (fast set + selector groups,
-// or the flat legacy scan set). All topicState access happens with the
-// owning shard's lock held.
+// index described in the package comment (fast set + selector groups).
+// All topicState access happens with the owning shard's lock held; the
+// publish path reads the copy-on-write route built from it
+// (snapshot.go).
 
 package broker
 
 import (
-	"gridmon/internal/message"
 	"gridmon/internal/predindex"
 	"gridmon/internal/selector"
 )
@@ -23,40 +23,29 @@ type selGroup struct {
 	subs     []*subscription // subscribe order
 }
 
-// topicState indexes a topic's subscriptions for publish fan-out. In the
-// default indexed mode, fast holds subscriptions delivered without
-// selector evaluation and groups holds the selector-bearing ones,
-// deduplicated by selector source. In legacy mode every subscription
-// lives in the legacy set — an unordered map, exactly the structure the
-// pre-index broker scanned.
+// topicState indexes a topic's subscriptions for publish fan-out: fast
+// holds subscriptions delivered without selector evaluation and groups
+// holds the selector-bearing ones, deduplicated by selector source.
 type topicState struct {
 	name   string
 	fast   []*subscription      // always-true selectors, subscribe order
 	groups []*selGroup          // first-appearance order
 	byKey  map[string]*selGroup // selector source -> group
-	legacy map[*subscription]struct{}
 }
 
 func (t *topicState) subCount() int {
-	n := len(t.fast) + len(t.legacy)
+	n := len(t.fast)
 	for _, g := range t.groups {
 		n += len(g.subs)
 	}
 	return n
 }
 
-// addTopicSub places a subscription into the topic's index: the fast set
+// add places a subscription into the topic's index: the fast set
 // when its selector provably matches everything, otherwise the selector
-// group for its selector source (created on first use). Legacy mode
-// appends to the flat scan list instead. Shard lock held.
-func (b *Broker) addTopicSub(t *topicState, sub *subscription) {
-	if b.cfg.LegacyLinearScan {
-		if t.legacy == nil {
-			t.legacy = make(map[*subscription]struct{})
-		}
-		t.legacy[sub] = struct{}{}
-		return
-	}
+// group for its selector source (created on first use). Shard lock
+// held.
+func (t *topicState) add(sub *subscription) {
 	if sub.sel.AlwaysTrue() {
 		t.fast = append(t.fast, sub)
 		return
@@ -71,14 +60,10 @@ func (b *Broker) addTopicSub(t *topicState, sub *subscription) {
 	g.subs = append(g.subs, sub)
 }
 
-// removeTopicSub removes a subscription from the topic's index,
+// remove removes a subscription from the topic's index,
 // preserving the order of the remaining entries. Emptied selector groups
 // are dropped. Shard lock held.
-func (b *Broker) removeTopicSub(t *topicState, sub *subscription) {
-	if b.cfg.LegacyLinearScan {
-		delete(t.legacy, sub)
-		return
-	}
+func (t *topicState) remove(sub *subscription) {
 	if sub.sel.AlwaysTrue() {
 		t.fast = removeSub(t.fast, sub)
 		return
@@ -114,70 +99,4 @@ func removeSub(subs []*subscription, sub *subscription) []*subscription {
 		}
 	}
 	return subs
-}
-
-// routeTopic is the indexed topic fan-out. Shard lock held.
-func (b *Broker) routeTopic(sh *shard, m *message.Message) {
-	t := sh.topics[m.Dest.Name]
-	durables := sh.durablesByTopic[m.Dest.Name]
-	if t == nil && len(durables) == 0 {
-		return
-	}
-	// The message's encoded size (hence its delivery memory cost) is
-	// identical for every subscriber: compute it once per publish.
-	cost := int64(m.EncodedSize()) + b.cfg.MemPerPendingOverhead
-	if t != nil {
-		// Fast set: selectors that provably accept everything are
-		// delivered without evaluation.
-		for _, sub := range t.fast {
-			b.deliverCost(sub, m, cost)
-		}
-		// Selector groups: one compiled evaluation per distinct
-		// selector, applied to every subscriber sharing it.
-		if len(t.groups) > 0 {
-			b.stats.matchProgramEvals.Add(uint64(len(t.groups)))
-		}
-		for _, g := range t.groups {
-			if g.prog.Matches(m) {
-				for _, sub := range g.subs {
-					b.deliverCost(sub, m, cost)
-				}
-			} else {
-				b.stats.selectorRejected.Add(uint64(len(g.subs)))
-			}
-		}
-	}
-	// Durable subscribers currently offline buffer the message; only
-	// this topic's durables are touched.
-	for _, d := range durables {
-		if d.active == nil {
-			b.stats.matchProgramEvals.Add(1)
-			if d.sel.Matches(m) {
-				b.storeDurable(d, m, cost)
-			}
-		}
-	}
-}
-
-// routeTopicLegacy is the pre-index publish path, kept as the measured
-// baseline: every topic subscription is visited with a tree-walking
-// selector evaluation per candidate, and every durable in the broker is
-// scanned regardless of its topic. Serial-only: the durable scan reads
-// the global directory without taking durableMu (lock order forbids it
-// here), which is safe only with a single calling goroutine.
-func (b *Broker) routeTopicLegacy(sh *shard, m *message.Message) {
-	if t := sh.topics[m.Dest.Name]; t != nil {
-		for sub := range t.legacy {
-			if sub.sel.EvalInterpreted(m) == selector.TriTrue {
-				b.deliverTo(sub, m)
-			} else {
-				b.stats.selectorRejected.Add(1)
-			}
-		}
-	}
-	for _, d := range b.durables {
-		if d.active == nil && d.topic == m.Dest.Name && d.sel.EvalInterpreted(m) == selector.TriTrue {
-			b.storeDurable(d, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead)
-		}
-	}
 }

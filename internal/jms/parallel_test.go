@@ -16,17 +16,13 @@ import (
 // goroutines dispatch straight into destination shards). Each
 // subscriber must see exactly the stream the routing oracle's rule
 // predicts for one publisher on one topic — every message once, in
-// publish order — in sharded mode and under the SerialCore event-loop
-// baseline alike. The CI race job runs this package with -race, which
+// publish order. The CI race job runs this package with -race, which
 // makes these tests the end-to-end locking check for the TCP binding.
 
-func runParallelTopics(t *testing.T, serial bool) {
+func TestTCPParallelTopicsSharded(t *testing.T) {
 	cfg := ServerConfig{}
 	cfg.Broker = broker.DefaultConfig("naradad")
-	cfg.Broker.SerialCore = serial
-	if !serial {
-		cfg.Broker.Shards = 8
-	}
+	cfg.Broker.Shards = 8
 	s := startServer(t, cfg)
 
 	const topics, perTopic = 4, 50
@@ -89,13 +85,9 @@ func runParallelTopics(t *testing.T, serial bool) {
 	}
 }
 
-func TestTCPParallelTopicsSharded(t *testing.T) { runParallelTopics(t, false) }
-
-func TestTCPParallelTopicsSerialCore(t *testing.T) { runParallelTopics(t, true) }
-
 // TestTCPStatsFromAnyGoroutine hammers Server.Stats while publishers
 // run: the counters are atomics in the broker's egress layer, so no
-// event-loop round-trip (and no lock) is involved.
+// lock is involved.
 func TestTCPStatsFromAnyGoroutine(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	sub := dial(t, s, "sub")

@@ -6,32 +6,27 @@
 // selectors, acknowledgement bookkeeping, durable subscriptions — holds
 // on the wire.
 //
-// By default the server dispatches each connection's reader goroutine
-// straight into the broker core: the core's destination layer is
-// partitioned into lock-guarded shards (broker.Config.Shards, defaulted
-// here to GOMAXPROCS), so publishes to different topics execute
-// concurrently on different cores and the single-event-loop ceiling of
-// the paper's broker is gone. Topic routing itself is lock-free on the
-// publish side — a reader goroutine carrying a Publish routes through
-// the shard's copy-on-write subscriber snapshot without taking the
-// shard lock at all, so publishes to the *same* topic no longer
-// serialize on routing either (see the broker package comment;
-// broker.Config.LockedReadPath restores lock-held routing as the A/B
-// baseline). broker.Config.SerialCore restores the pre-shard
-// architecture — every frame funnelled through one event-loop goroutine
-// — as the measured baseline for the parallel-publish benchmarks.
+// The server dispatches each connection's reader goroutine straight
+// into the broker core: the core's destination layer is partitioned
+// into lock-guarded shards (broker.Config.Shards, defaulted here to
+// GOMAXPROCS), so publishes to different topics execute concurrently on
+// different cores and the single-event-loop ceiling of the paper's
+// broker is gone. Topic routing itself is lock-free on the publish side
+// — a reader goroutine carrying a Publish routes through the shard's
+// copy-on-write subscriber snapshot without taking the shard lock at
+// all, so publishes to the *same* topic do not serialize on routing
+// either (see the broker package comment).
 //
-// Wide fan-outs arrive at the writers batched: at or above
-// broker.Config.ParallelFanoutThreshold matched subscriptions the core
-// runs its parallel fan-out engine and hands each per-connection run to
-// Env.Send as one wire.DeliverBatch, and the connection's writer
-// splices the frozen message's cached encoding once per entry into a
-// single buffered flush — one syscall where the serial path made N —
-// switching to vectored writev (net.Buffers) for large payloads so the
-// encodings are never copied at all. The batch's stream form is exactly
-// the N MESSAGE frames it stands for, so clients are untouched.
-// broker.Config.SerialFanout restores per-frame emission as the A/B
-// baseline; EgressStats reports writer flushes, frames and writev use.
+// Wide fan-outs arrive at the writers batched: at or above the core's
+// fan-out threshold (64 matched subscriptions) it hands each
+// per-connection run to Env.Send as one wire.DeliverBatch, and the
+// connection's writer splices the frozen message's cached encoding once
+// per entry into a single buffered flush — one syscall where per-frame
+// emission made N — switching to vectored writev (net.Buffers) for
+// large payloads so the encodings are never copied at all. The batch's
+// stream form is exactly the N MESSAGE frames it stands for, so clients
+// are untouched. EgressStats reports writer flushes, frames and writev
+// use.
 //
 // The writer owns every pooled frame it dequeues and releases it
 // exactly once, including on the slow-consumer and shutdown paths: a
@@ -67,8 +62,8 @@ import (
 // ServerConfig tunes the TCP broker server.
 type ServerConfig struct {
 	// Broker configures the wrapped core; zero value gets defaults with
-	// one destination shard per CPU. Set Broker.SerialCore for the
-	// single-event-loop baseline, Broker.Shards to pin the shard count.
+	// one destination shard per CPU. Set Broker.Shards to pin the shard
+	// count.
 	Broker broker.Config
 	// MaxConnMemory bounds simulated per-connection memory, reproducing
 	// the paper's admission cliff on real sockets too (0 = unlimited).
@@ -86,17 +81,12 @@ type ServerConfig struct {
 }
 
 // Server runs a broker core behind a TCP listener. Per-connection reader
-// goroutines feed the sharded core directly (or a single event-loop
-// goroutine in SerialCore mode); per-connection writer goroutines
-// shuttle frames out.
+// goroutines feed the sharded core directly; per-connection writer
+// goroutines shuttle frames out.
 type Server struct {
-	cfg    ServerConfig
-	ln     net.Listener
-	b      *broker.Broker
-	serial bool
-
-	events chan func() // SerialCore only
-	done   chan struct{}
+	cfg ServerConfig
+	ln  net.Listener
+	b   *broker.Broker
 
 	mu      sync.Mutex
 	writers map[broker.ConnID]*connWriter
@@ -226,13 +216,7 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 	} else if cfg.Broker.ID == "" {
 		cfg.Broker.ID = "naradad"
 	}
-	if cfg.Broker.LegacyLinearScan {
-		// The legacy scan is a serial-only baseline (it walks the global
-		// durable table without shard partitioning); never combine it
-		// with concurrent reader dispatch.
-		cfg.Broker.SerialCore = true
-	}
-	if !cfg.Broker.SerialCore && cfg.Broker.Shards <= 0 {
+	if cfg.Broker.Shards <= 0 {
 		cfg.Broker.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.WriteBuffer <= 0 {
@@ -247,8 +231,6 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 	s := &Server{
 		cfg:     cfg,
 		ln:      ln,
-		serial:  cfg.Broker.SerialCore,
-		done:    make(chan struct{}),
 		writers: make(map[broker.ConnID]*connWriter),
 		native:  simproc.NewSharedHeap("server-native", cfg.MaxConnMemory, 0),
 		heap:    simproc.NewSharedHeap("server-heap", 0, 0),
@@ -259,10 +241,6 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 			_ = ln.Close()
 			return nil, err
 		}
-	}
-	if s.serial {
-		s.events = make(chan func(), 1024)
-		go s.loop()
 	}
 	go s.accept()
 	return s, nil
@@ -293,34 +271,12 @@ func (s *Server) Close() {
 	for _, w := range writers {
 		_ = w.conn.Close()
 	}
-	close(s.done)
 }
 
 // Stats proxies the broker core's counters. The core keeps them in
-// atomics, so this is safe from any goroutine in both dispatch modes.
+// atomics, so this is safe from any goroutine.
 func (s *Server) Stats() broker.Stats {
 	return s.b.Stats()
-}
-
-// loop is the SerialCore event-loop goroutine: the single owner of all
-// frame processing, reproducing the pre-shard architecture.
-func (s *Server) loop() {
-	for {
-		select {
-		case fn := <-s.events:
-			fn()
-		case <-s.done:
-			return
-		}
-	}
-}
-
-// post runs fn on the event loop (dropped after Close). SerialCore only.
-func (s *Server) post(fn func()) {
-	select {
-	case s.events <- fn:
-	case <-s.done:
-	}
 }
 
 func (s *Server) accept() {
@@ -478,10 +434,9 @@ func (w *connWriter) run() {
 	}
 }
 
-// read pumps one connection's frames into the core: directly in sharded
-// mode (reads of different connections then execute concurrently,
-// serialized only where they meet on a destination shard), via the
-// event loop in SerialCore mode.
+// read pumps one connection's frames straight into the core: reads of
+// different connections execute concurrently, serialized only where
+// they meet on a destination shard.
 func (s *Server) read(id broker.ConnID, w *connWriter) {
 	fr := wire.NewFrameReader(w.conn)
 	for first := true; ; first = false {
@@ -504,11 +459,7 @@ func (s *Server) read(id broker.ConnID, w *connWriter) {
 			}
 			return
 		}
-		if s.serial {
-			s.post(func() { s.b.OnFrame(id, f) })
-		} else {
-			s.b.OnFrame(id, f)
-		}
+		s.b.OnFrame(id, f)
 	}
 }
 
@@ -530,8 +481,7 @@ func (s *Server) JoinNetwork(mode brokernet.RoutingMode) (*brokernet.Member, err
 		return nil, ErrAlreadyJoined
 	}
 	s.member = brokernet.NewMember(s.b, mode)
-	// Peer fan-out shares the broker's worker pool (nil when the core
-	// runs a serial baseline — forwarding then stays serial too).
+	// Peer fan-out shares the broker's worker pool.
 	s.member.SetFanoutPool(s.b.FanoutPool())
 	s.routing = mode
 	return s.member, nil
@@ -675,11 +625,8 @@ func (s *Server) DialPeer(addr string) (string, error) {
 	return reply.BrokerID, nil
 }
 
-// readPeer pumps one peer link's frames into the broker network —
-// directly in sharded mode, via the event loop in SerialCore mode (the
-// serial architecture funnels every frame source through one goroutine).
-// On link death the peer is detached and its subtree's interest
-// withdrawn.
+// readPeer pumps one peer link's frames into the broker network. On
+// link death the peer is detached and its subtree's interest withdrawn.
 func (s *Server) readPeer(id broker.ConnID, w *connWriter, member *brokernet.Member, peerID string, fr *wire.FrameReader) {
 	for {
 		f, err := fr.Read()
@@ -688,11 +635,7 @@ func (s *Server) readPeer(id broker.ConnID, w *connWriter, member *brokernet.Mem
 			s.dropConn(id, w, false)
 			return
 		}
-		if s.serial {
-			s.post(func() { member.OnPeerFrame(peerID, f) })
-		} else {
-			member.OnPeerFrame(peerID, f)
-		}
+		member.OnPeerFrame(peerID, f)
 	}
 }
 
@@ -711,11 +654,9 @@ func (s *Server) dropConn(id broker.ConnID, w *connWriter, notify bool) {
 	_ = w.conn.Close()
 	if notify && live {
 		// Always on a fresh goroutine: Send may drop a slow consumer
-		// from inside a delivery — while the subscription's own lock is
-		// held (snapshot routing), while its shard lock is held (locked
-		// routing) or on the event-loop goroutine itself (SerialCore
-		// mode, where posting back to a full events queue would deadlock
-		// the loop). OnConnClose is safe from any goroutine in all modes.
+		// from inside a delivery — while the subscription's own leaf
+		// lock is held (topic routing) or its shard lock (queue drain)
+		// — and OnConnClose takes both. It is safe from any goroutine.
 		go s.b.OnConnClose(id)
 	}
 }
@@ -733,6 +674,10 @@ func (e *serverEnv) Send(id broker.ConnID, f wire.Frame) {
 	w, ok := s.writers[id]
 	s.mu.Unlock()
 	if !ok {
+		// The connection was dropped and its deferred OnConnClose has not
+		// run yet, so the core still routes to it: this frame has no
+		// writer to own it.
+		release(f)
 		return
 	}
 	switch w.trySend(f) {

@@ -18,15 +18,13 @@
 // rgma.Registry. Producers inserting into different producer resources
 // and consumers popping different consumers proceed fully in parallel.
 //
-// The hot read paths are lock-free by default: Insert's continuous-
-// consumer scan and Pop's latest/history producer gather read a
-// copy-on-write snapshot of the table shard's indexes published through
-// an atomic pointer (tableSnap), so inserts into the *same* table never
-// serialize on the shard lock either. Index mutations
-// (create/close producer/consumer) still take the shard's write lock
-// and republish the snapshot before releasing it.
-// Config.LockedReadPath restores lock-held reads as the measured A/B
-// baseline; Stats.ReadLockAcquisitions meters the difference.
+// The hot read paths are lock-free: Insert's continuous-consumer scan
+// and Pop's latest/history producer gather read a copy-on-write
+// snapshot of the table shard's indexes published through an atomic
+// pointer (tableSnap), so inserts into the *same* table never serialize
+// on the shard lock either. Index mutations (create/close
+// producer/consumer) take the shard's write lock and republish the
+// snapshot before releasing it.
 //
 // Ordering: a producer whose inserts are issued sequentially (each call
 // returning before the next is made) streams to every continuous
@@ -43,9 +41,7 @@
 // polling transports' model) or push-fed (non-nil sink: the sink is
 // invoked inline on the inserting goroutine for every match, and Pop is
 // refused). Sinks must not block and must not call back into the Core
-// for the same table (on the default snapshot read path they run with no
-// core lock held; in LockedReadPath mode they run under the table
-// shard's read lock).
+// for the same table; they run with no core lock held.
 package rgmacore
 
 import (
@@ -104,22 +100,6 @@ type Config struct {
 	// tuples; when full the oldest tuple is dropped and counted. 0 means
 	// DefaultMaxBuffered; negative means unlimited (the seed behaviour).
 	MaxBuffered int
-	// LockedReadPath restores the locked read paths as an A/B baseline
-	// (the same pattern as broker.Config.LockedReadPath): Insert scans
-	// the continuous-consumer index and Pop gathers the producer index
-	// under the table shard's read lock, instead of the lock-free
-	// copy-on-write snapshot. Behaviour is identical for any single
-	// caller; only contention (and Stats.ReadLockAcquisitions) differs.
-	LockedReadPath bool
-	// LinearMatch disables the content-based matching index on the
-	// snapshot insert path (same A/B-baseline pattern as
-	// LockedReadPath): Insert evaluates every continuous consumer of
-	// the table instead of only the candidates the predindex
-	// discrimination index emits. Behaviour is identical for any caller
-	// — candidates are a superset, visited in registration order — only
-	// the MatchIndex* meters and the per-insert evaluation count
-	// differ. The locked baseline never uses the index regardless.
-	LinearMatch bool
 }
 
 // Core is the shared R-GMA service state.
@@ -129,8 +109,6 @@ type Core struct {
 	registry    *rgma.Registry
 	nextID      atomic.Int64
 	maxBuffered int
-	lockedRead  bool // Config.LockedReadPath
-	linearMatch bool // Config.LinearMatch
 
 	// matchScratch pools the indexed insert path's per-call scratch
 	// (candidate buffer + row-probe adapter), recycled across inserts.
@@ -146,11 +124,9 @@ type Core struct {
 	tuplesStreamed atomic.Uint64
 	tuplesPopped   atomic.Uint64
 	tuplesDropped  atomic.Uint64
-	readLockAcq    atomic.Uint64 // read-path shard-lock acquisitions (locked mode only)
 
-	matchProgramEvals    atomic.Uint64
-	matchIndexCandidates atomic.Uint64
-	matchConsumersSkip   atomic.Uint64
+	matchProgramEvals  atomic.Uint64
+	matchConsumersSkip atomic.Uint64
 
 	start time.Time
 	// clock returns the service's notion of now (nanoseconds since
@@ -187,7 +163,7 @@ type tableSnap struct {
 	// indexes holds, per table, the content-based matching index over
 	// that table's continuous slice (seq i ↔ continuous[table][i]),
 	// consulted by streamInsert. Absent for tables with no continuous
-	// consumers, and empty when Config.LinearMatch disables indexing.
+	// consumers.
 	indexes map[string]*predindex.Index
 }
 
@@ -227,13 +203,11 @@ func (c *Core) refreshSnap(ts *tableShard, table string) {
 	}
 	if cns := ts.continuous[table]; len(cns) > 0 {
 		next.continuous[table] = slices.Clone(cns)
-		if !c.linearMatch {
-			keys := make([]predindex.Key, len(cns))
-			for i, cn := range cns {
-				keys[i] = cn.matchKey
-			}
-			next.indexes[table] = predindex.Build(keys)
+		keys := make([]predindex.Key, len(cns))
+		for i, cn := range cns {
+			keys[i] = cn.matchKey
 		}
+		next.indexes[table] = predindex.Build(keys)
 	}
 	if ps := ts.producers[table]; len(ps) > 0 {
 		next.producers[table] = slices.Clone(ps)
@@ -262,8 +236,6 @@ func New(cfg Config) *Core {
 		res:         make([]*resShard, cfg.Shards),
 		registry:    rgma.NewRegistrySharded(cfg.Shards),
 		maxBuffered: maxBuffered,
-		lockedRead:  cfg.LockedReadPath,
-		linearMatch: cfg.LinearMatch,
 		start:       time.Now(),
 	}
 	c.clock = func() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
@@ -354,10 +326,8 @@ func (p *Producer) maybeSweep(now sim.Time) {
 }
 
 // Sink receives pushed tuples for one push-fed continuous consumer. It
-// runs inline on the inserting goroutine — with no core lock held on the
-// default snapshot read path, or under the table shard's read lock in
-// LockedReadPath mode — so it must not block and must not call back
-// into the Core.
+// runs inline on the inserting goroutine, with no core lock held; it
+// must not block and must not call back into the Core.
 type Sink func(consumerID int64, t *Streamed)
 
 // Consumer is one consumer resource.
@@ -648,30 +618,15 @@ func (c *Core) Insert(producerID int64, sqlText string) error {
 	// covers that behaviour). The table shard's index narrows the scan
 	// to this table's continuous consumers; the compiled predicate
 	// decides per consumer; the one Streamed value is shared across all
-	// of them. On the default lock-free path the consumer list comes
-	// from the shard's copy-on-write snapshot — no shard lock is taken,
-	// so concurrent inserts into one table never serialize here (sinks
-	// are non-blocking and the buffered ring has its own lock). The
-	// LockedReadPath baseline scans the live index under the read lock.
-	ts := c.tableShardFor(p.tableName)
-	var cns []*Consumer
-	if c.lockedRead {
-		// The locked baseline never uses the matching index: it predates
-		// the snapshot machinery that builds one, and keeping it linear
-		// preserves it as the measured pre-index A/B reference.
-		c.readLockAcq.Add(1)
-		ts.mu.RLock()
-		cns = ts.continuous[p.tableName]
-		c.streamInsert(cns, nil, p, row, tuple)
-		ts.mu.RUnlock()
-		return nil
+	// of them. The consumer list comes from the shard's copy-on-write
+	// snapshot — no shard lock is taken, so concurrent inserts into one
+	// table never serialize here (sinks are non-blocking and the
+	// buffered ring has its own lock).
+	if snap := c.tableShardFor(p.tableName).snap.Load(); snap != nil {
+		if cns := snap.continuous[p.tableName]; len(cns) > 0 {
+			c.streamInsert(cns, snap.indexes[p.tableName], p, row, tuple)
+		}
 	}
-	var idx *predindex.Index
-	if snap := ts.snap.Load(); snap != nil {
-		cns = snap.continuous[p.tableName]
-		idx = snap.indexes[p.tableName]
-	}
-	c.streamInsert(cns, idx, p, row, tuple)
 	return nil
 }
 
@@ -694,9 +649,8 @@ func (p *rowProbe) ProbeAttr(attr string) (predindex.Value, bool) {
 }
 
 // streamInsert fans one inserted tuple out to the table's continuous
-// consumers. Called with the consumer list pinned either by the shard's
-// read lock (locked mode, idx nil) or by snapshot immutability
-// (lock-free mode, idx non-nil unless LinearMatch or no consumers).
+// consumers: cns (non-empty) and the matching index over it, both
+// pinned by snapshot immutability.
 //
 // Consumers in cns are registered against p's table by construction:
 // addConsumer files each consumer under its table name, the shard
@@ -718,21 +672,9 @@ func (c *Core) streamInsert(cns []*Consumer, idx *predindex.Index, p *Producer, 
 		}
 		c.tuplesStreamed.Add(1)
 	}
-	if idx == nil {
-		if len(cns) > 0 {
-			c.matchProgramEvals.Add(uint64(len(cns)))
-		}
-		for _, cn := range cns {
-			if cn.prog.Matches(row) {
-				deliver(cn)
-			}
-		}
-		return
-	}
-	// Indexed path: evaluate only the candidate consumers the
-	// discrimination index emits (a superset of the true matchers,
-	// seq-sorted, so visit order equals registration order and delivery
-	// is bit-identical to the linear scan).
+	// Evaluate only the candidate consumers the discrimination index
+	// emits (a superset of the true matchers, seq-sorted, so visit order
+	// equals registration order).
 	sc, _ := c.matchScratch.Get().(*rowScratch)
 	if sc == nil {
 		sc = &rowScratch{}
@@ -747,7 +689,6 @@ func (c *Core) streamInsert(cns []*Consumer, idx *predindex.Index, p *Producer, 
 	}
 	if n := len(cands); n > 0 {
 		c.matchProgramEvals.Add(uint64(n))
-		c.matchIndexCandidates.Add(uint64(n))
 	}
 	if skipped := len(cns) - len(cands); skipped > 0 {
 		c.matchConsumersSkip.Add(uint64(skipped))
@@ -858,17 +799,10 @@ func (c *Core) Pop(consumerID int64) ([]PopTuple, error) {
 		}
 		out = cn.drain()
 	case rgma.LatestQuery, rgma.HistoryQuery:
-		// The gather list was always copied out before reading stores
-		// (each store locks internally), so the snapshot path changes
-		// nothing semantically — it just skips the shard lock.
-		ts := c.tableShardFor(cn.tableName)
+		// The gather list comes from the snapshot; each store locks
+		// internally.
 		var producers []*Producer
-		if c.lockedRead {
-			c.readLockAcq.Add(1)
-			ts.mu.RLock()
-			producers = append([]*Producer(nil), ts.producers[cn.tableName]...)
-			ts.mu.RUnlock()
-		} else if snap := ts.snap.Load(); snap != nil {
+		if snap := c.tableShardFor(cn.tableName).snap.Load(); snap != nil {
 			producers = snap.producers[cn.tableName]
 		}
 		now := c.clock()
@@ -935,22 +869,12 @@ type Stats struct {
 	TuplesStreamed uint64
 	TuplesPopped   uint64
 	TuplesDropped  uint64
-	// ReadLockAcquisitions counts table-shard lock acquisitions taken by
-	// the Insert/Pop read paths purely to read the routing indexes —
-	// zero on the default snapshot path, one per insert and per
-	// latest/history pop in the LockedReadPath baseline.
-	ReadLockAcquisitions uint64
 	// MatchProgramEvals counts compiled WHERE evaluations on the insert
-	// stream path: one per continuous consumer visited. Indexed mode
-	// visits only index candidates, so this is the meter the matching
-	// index exists to shrink. MatchIndexCandidates counts candidates the
-	// index emitted (equal to MatchProgramEvals in indexed mode, zero
-	// otherwise); MatchConsumersSkipped counts consumers the index
-	// proved could not match and never visited. TuplesStreamed is
-	// mode-independent — the index only skips consumers whose predicate
-	// could not return TRUE.
+	// stream path: one per candidate consumer the matching index
+	// emitted. MatchConsumersSkipped counts consumers the index proved
+	// could not match and never visited — it only skips consumers whose
+	// predicate could not return TRUE.
 	MatchProgramEvals     uint64
-	MatchIndexCandidates  uint64
 	MatchConsumersSkipped uint64
 }
 
@@ -966,10 +890,7 @@ func (c *Core) StatsSnapshot() Stats {
 		TuplesPopped:   c.tuplesPopped.Load(),
 		TuplesDropped:  c.tuplesDropped.Load(),
 
-		ReadLockAcquisitions: c.readLockAcq.Load(),
-
 		MatchProgramEvals:     c.matchProgramEvals.Load(),
-		MatchIndexCandidates:  c.matchIndexCandidates.Load(),
 		MatchConsumersSkipped: c.matchConsumersSkip.Load(),
 	}
 }

@@ -9,64 +9,42 @@ import (
 )
 
 // Tests for the content-based matching index on the insert stream path.
-
-// TestCoreMatchIndexLinearEquivalenceRandomized drives the randomized
-// operation storm through an indexed core and a LinearMatch core (both
-// on the snapshot read path): every pop result and the final stats —
-// TuplesStreamed above all — must be identical; only the Match* meters
-// (zeroed by clearReadLocks) may differ.
-func TestCoreMatchIndexLinearEquivalenceRandomized(t *testing.T) {
-	runCoreEquivalence(t, func(cfg *Config) {}, func(cfg *Config) {
-		cfg.LinearMatch = true
-	})
-}
+// That indexed streaming delivers what a linear scan would is the
+// oracle storm's job (TestCoreOracleRandomized); the meters here prove
+// the index actually skips non-candidate consumers.
 
 // TestCoreMatchIndexMeters pins the index's observable contract on a
-// hot table with many disjoint equality WHEREs: indexed mode evaluates
-// only the candidate consumers per insert (here exactly one), while
-// LinearMatch evaluates all of them; both stream identically.
+// hot table with many disjoint equality WHEREs: each insert evaluates
+// only the candidate consumers (here exactly one) and skips the rest.
 func TestCoreMatchIndexMeters(t *testing.T) {
 	const consumers = 64
-	run := func(linear bool) Stats {
-		c := New(Config{Shards: 2, LinearMatch: linear})
-		mustCreateTable(t, c, "CREATE TABLE hot (genid INTEGER PRIMARY KEY, site CHAR(20))")
-		p, err := c.CreateProducer("hot", sim.Second, sim.Second)
-		if err != nil {
+	c := New(Config{Shards: 2})
+	mustCreateTable(t, c, "CREATE TABLE hot (genid INTEGER PRIMARY KEY, site CHAR(20))")
+	p, err := c.CreateProducer("hot", sim.Second, sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < consumers; i++ {
+		q := fmt.Sprintf("SELECT * FROM hot WHERE site = 'c%d'", i)
+		if _, err := c.CreateConsumer(q, rgma.ContinuousQuery, nil); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < consumers; i++ {
-			q := fmt.Sprintf("SELECT * FROM hot WHERE site = 'c%d'", i)
-			if _, err := c.CreateConsumer(q, rgma.ContinuousQuery, nil); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for i := 0; i < consumers; i++ {
+		stmt := fmt.Sprintf("INSERT INTO hot (genid, site) VALUES (%d, 'c%d')", i, i)
+		if err := c.Insert(p.ID(), stmt); err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < consumers; i++ {
-			stmt := fmt.Sprintf("INSERT INTO hot (genid, site) VALUES (%d, 'c%d')", i, i)
-			if err := c.Insert(p.ID(), stmt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c.StatsSnapshot()
 	}
-
-	idx, lin := run(false), run(true)
-	if idx.TuplesStreamed != consumers || lin.TuplesStreamed != consumers {
-		t.Fatalf("streamed: indexed %d, linear %d, want %d each", idx.TuplesStreamed, lin.TuplesStreamed, consumers)
+	st := c.StatsSnapshot()
+	if st.TuplesStreamed != consumers {
+		t.Fatalf("streamed %d, want %d", st.TuplesStreamed, consumers)
 	}
-	if want := uint64(consumers * consumers); lin.MatchProgramEvals != want {
-		t.Fatalf("linear MatchProgramEvals = %d, want %d", lin.MatchProgramEvals, want)
+	if want := uint64(consumers); st.MatchProgramEvals != want {
+		t.Fatalf("MatchProgramEvals = %d, want %d (one candidate per insert)", st.MatchProgramEvals, want)
 	}
-	if want := uint64(consumers); idx.MatchProgramEvals != want {
-		t.Fatalf("indexed MatchProgramEvals = %d, want %d (one candidate per insert)", idx.MatchProgramEvals, want)
-	}
-	if idx.MatchIndexCandidates != idx.MatchProgramEvals {
-		t.Fatalf("MatchIndexCandidates %d != MatchProgramEvals %d", idx.MatchIndexCandidates, idx.MatchProgramEvals)
-	}
-	if want := uint64(consumers * (consumers - 1)); idx.MatchConsumersSkipped != want {
-		t.Fatalf("MatchConsumersSkipped = %d, want %d", idx.MatchConsumersSkipped, want)
-	}
-	if lin.MatchIndexCandidates != 0 || lin.MatchConsumersSkipped != 0 {
-		t.Fatalf("linear mode moved index meters: %+v", lin)
+	if want := uint64(consumers * (consumers - 1)); st.MatchConsumersSkipped != want {
+		t.Fatalf("MatchConsumersSkipped = %d, want %d", st.MatchConsumersSkipped, want)
 	}
 }
 

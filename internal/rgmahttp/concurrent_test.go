@@ -23,17 +23,16 @@ func startServerWith(t *testing.T, cfg Config) (*Server, *Client) {
 	return s, NewClient(addr)
 }
 
-// TestHTTPShardedVsSerialEquivalence replays one randomized
-// single-threaded op sequence against the serial-baseline server and
-// sharded servers at several shard counts. In every configuration each
-// continuous pop must carry exactly the inserts a naive prediction says
-// it should (same table, id under the consumer's bound, insert order —
-// the rgmacore oracle's rule, restated over the HTTP client), and the
-// full response transcript — resource ids, pop payloads, registry
-// counts and traffic stats — must be identical across configurations.
-// Shards are lock domains; with a single caller the architecture is
+// TestHTTPShardCountEquivalence replays one randomized single-threaded
+// op sequence against servers at several shard counts. At every count
+// each continuous pop must carry exactly the inserts a naive prediction
+// says it should (same table, id under the consumer's bound, insert
+// order — the rgmacore oracle's rule, restated over the HTTP client),
+// and the full response transcript — resource ids, pop payloads,
+// registry counts and traffic stats — must be identical across counts.
+// Shards are lock domains; with a single caller the shard count is
 // unobservable.
-func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
+func TestHTTPShardCountEquivalence(t *testing.T) {
 	tables := []string{"generator", "turbine", "relay", "meter", "feeder", "substation"}
 	run := func(cfg Config) string {
 		rng := rand.New(rand.NewSource(4242))
@@ -147,10 +146,10 @@ func TestHTTPShardedVsSerialEquivalence(t *testing.T) {
 			pn, cn, st.Inserts, st.Pops, st.TuplesStreamed, st.TuplesPopped)
 		return fmt.Sprint(transcript)
 	}
-	serial := run(Config{Serial: true, Shards: 1})
-	for _, cfg := range []Config{{Shards: 1}, {Shards: 8}, {Shards: 32}} {
-		if got := run(cfg); got != serial {
-			t.Fatalf("shards=%d transcript diverges from serial baseline:\nserial: %.2000s\nsharded: %.2000s", cfg.Shards, serial, got)
+	one := run(Config{Shards: 1})
+	for _, cfg := range []Config{{Shards: 8}, {Shards: 32}} {
+		if got := run(cfg); got != one {
+			t.Fatalf("shards=%d transcript diverges from shards=1:\nshards=1: %.2000s\nshards=%d: %.2000s", cfg.Shards, one, cfg.Shards, got)
 		}
 	}
 }
@@ -301,7 +300,7 @@ func TestHTTPStatsAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Producers != 1 || st.Consumers != 1 || st.Inserts != 1 || st.TuplesStreamed != 1 || st.Shards != 4 || st.Serial {
+	if st.Producers != 1 || st.Consumers != 1 || st.Inserts != 1 || st.TuplesStreamed != 1 || st.Shards != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if err := cons.Close(); err != nil {

@@ -17,11 +17,6 @@
 // the ordering contract. Consumer WHERE predicates are compiled once at
 // create time (sqlmini.Program) and evaluated on the insert fast path.
 //
-// Config.Serial restores the seed architecture — one global mutex held
-// for every request — as the measured A/B baseline
-// (BenchmarkRGMAParallelInsertPop, cmd/rgmad -serial), the same pattern
-// as broker.Config.SerialCore.
-//
 // Endpoints (all JSON):
 //
 //	POST /schema/createTable   {"sql": "CREATE TABLE ..."}
@@ -43,7 +38,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"gridmon/internal/rgmacore"
@@ -51,35 +45,26 @@ import (
 	"gridmon/internal/wal"
 )
 
-// Config tunes the server's concurrency architecture.
+// Config tunes the server.
 type Config struct {
 	// Shards is the lock-domain count for the core's table and resource
 	// shard families (0 = GOMAXPROCS). Shard counts do not change
 	// behaviour, only contention.
 	Shards int
-	// Serial serializes every request behind one global mutex — the
-	// seed architecture, kept as the A/B baseline for load tests.
-	Serial bool
 	// MaxBuffered caps each continuous consumer's undrained tuples
 	// (0 = rgmacore.DefaultMaxBuffered, negative = unlimited).
 	MaxBuffered int
-	// LockedReadPath restores the core's lock-held read paths as the
-	// measured A/B baseline (rgmacore.Config.LockedReadPath): inserts
-	// scan the continuous-consumer index under the table shard's read
-	// lock instead of the lock-free snapshot.
-	LockedReadPath bool
 	// Pprof mounts net/http/pprof's handlers under /debug/pprof/ on the
 	// server's mux (cmd/rgmad -pprof). Combined with
-	// runtime.SetMutexProfileFraction this is how read-path lock
-	// contention is measured on a live daemon.
+	// runtime.SetMutexProfileFraction this is how lock contention is
+	// measured on a live daemon.
 	Pprof bool
 }
 
 // Server is an R-GMA service over HTTP.
 type Server struct {
-	cfg      Config
-	serialMu sync.Mutex // held around each request when cfg.Serial
-	core     *rgmacore.Core
+	cfg  Config
+	core *rgmacore.Core
 
 	http *http.Server
 	ln   net.Listener
@@ -93,15 +78,11 @@ type Server struct {
 func NewServer() *Server { return NewServerWith(Config{}) }
 
 // NewServerWith constructs an unstarted server with an explicit
-// concurrency configuration.
+// configuration.
 func NewServerWith(cfg Config) *Server {
 	return &Server{
 		cfg:  cfg,
-		core: rgmacore.New(rgmacore.Config{
-			Shards:         cfg.Shards,
-			MaxBuffered:    cfg.MaxBuffered,
-			LockedReadPath: cfg.LockedReadPath,
-		}),
+		core: rgmacore.New(rgmacore.Config{Shards: cfg.Shards, MaxBuffered: cfg.MaxBuffered}),
 	}
 }
 
@@ -118,34 +99,19 @@ func (s *Server) NumShards() int { return s.core.NumShards() }
 // across lock domains, as broker.ShardOf does for destinations.
 func (s *Server) TableShardOf(name string) int { return s.core.TableShardOf(name) }
 
-// serial wraps a handler in the global mutex when the serial baseline
-// is configured; in sharded mode it is the identity.
-func (s *Server) serial(h http.HandlerFunc) http.HandlerFunc {
-	if !s.cfg.Serial {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.serialMu.Lock()
-		defer s.serialMu.Unlock()
-		h(w, r)
-	}
-}
-
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /schema/createTable", s.serial(s.handleCreateTable))
-	mux.HandleFunc("POST /producer/create", s.serial(s.handleProducerCreate))
-	mux.HandleFunc("POST /producer/insert", s.serial(s.handleInsert))
-	mux.HandleFunc("POST /producer/close", s.serial(s.handleProducerClose))
-	mux.HandleFunc("POST /consumer/create", s.serial(s.handleConsumerCreate))
-	mux.HandleFunc("GET /consumer/pop", s.serial(s.handlePop))
-	mux.HandleFunc("POST /consumer/close", s.serial(s.handleConsumerClose))
-	mux.HandleFunc("GET /registry", s.serial(s.handleRegistry))
-	mux.HandleFunc("GET /stats", s.serial(s.handleStats))
+	mux.HandleFunc("POST /schema/createTable", s.handleCreateTable)
+	mux.HandleFunc("POST /producer/create", s.handleProducerCreate)
+	mux.HandleFunc("POST /producer/insert", s.handleInsert)
+	mux.HandleFunc("POST /producer/close", s.handleProducerClose)
+	mux.HandleFunc("POST /consumer/create", s.handleConsumerCreate)
+	mux.HandleFunc("GET /consumer/pop", s.handlePop)
+	mux.HandleFunc("POST /consumer/close", s.handleConsumerClose)
+	mux.HandleFunc("GET /registry", s.handleRegistry)
+	mux.HandleFunc("GET /stats", s.handleStats)
 	if s.cfg.Pprof {
-		// Never wrapped in serial(): profiling must stay reachable while
-		// the serial baseline is saturated — that is when it is needed.
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -340,7 +306,6 @@ type Stats struct {
 	TuplesPopped   uint64 `json:"tuplesPopped"`
 	TuplesDropped  uint64 `json:"tuplesDropped"`
 	Shards         int    `json:"shards"`
-	Serial         bool   `json:"serial"`
 
 	// WAL is present only when the server persists to a write-ahead
 	// log (cmd/rgmad -data-dir).
@@ -394,7 +359,6 @@ func (s *Server) StatsSnapshot() Stats {
 		TuplesPopped:   cs.TuplesPopped,
 		TuplesDropped:  cs.TuplesDropped,
 		Shards:         s.core.NumShards(),
-		Serial:         s.cfg.Serial,
 	}
 	if f := s.walStats.Load(); f != nil {
 		ws := (*f)()

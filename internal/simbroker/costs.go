@@ -89,10 +89,6 @@ func frameBytes(f wire.Frame) int {
 		return v.Msg.EncodedSize()
 	case *wire.Deliver:
 		return v.Msg.EncodedSize()
-	case *wire.DeliverBatch:
-		// Stream-identical to N Delivers of the same message (the batch
-		// is a transport-internal envelope): N payload copies' worth.
-		return len(v.Entries) * v.Msg.EncodedSize()
 	case wire.BrokerForward:
 		return v.Msg.EncodedSize()
 	}
@@ -117,14 +113,9 @@ func (c Costs) brokerRecvCost(f wire.Frame, conns int, tr Transport) sim.Time {
 
 // brokerSendCost prices an outbound frame at the broker.
 func (c Costs) brokerSendCost(f wire.Frame, tr Transport) sim.Time {
-	switch v := f.(type) {
+	switch f.(type) {
 	case wire.Deliver, *wire.Deliver:
 		return c.BrokerDeliverBase + sim.Time(frameBytes(f))*c.BrokerPerByte + tr.DataOverhead
-	case *wire.DeliverBatch:
-		// Parity with the N Deliver frames the batch replaces (the sim
-		// hosts force SerialFanout, so this prices hypothetical runs).
-		return sim.Time(len(v.Entries))*(c.BrokerDeliverBase+tr.DataOverhead) +
-			sim.Time(frameBytes(f))*c.BrokerPerByte
 	default:
 		return c.BrokerSmallSend
 	}
@@ -140,12 +131,9 @@ func (c Costs) clientSendCost(f wire.Frame, tr Transport) sim.Time {
 
 // clientRecvCost prices frame reception on the client node.
 func (c Costs) clientRecvCost(f wire.Frame, tr Transport) sim.Time {
-	switch v := f.(type) {
+	switch f.(type) {
 	case wire.Deliver, *wire.Deliver:
 		return c.ClientRecvBase + sim.Time(frameBytes(f))*c.ClientPerByte + tr.DataOverhead
-	case *wire.DeliverBatch:
-		return sim.Time(len(v.Entries))*(c.ClientRecvBase+tr.DataOverhead) +
-			sim.Time(frameBytes(f))*c.ClientPerByte
 	}
 	return c.ClientSmall
 }

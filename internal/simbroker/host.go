@@ -41,21 +41,18 @@ type hostLink struct {
 
 // NewHost creates a broker on the given simulated node.
 //
-// The simulated transports carry frames by reference and may hold a
-// Deliver frame indefinitely (unreliable transports keep it queued for
-// retransmission until acked or abandoned), so the consume-exactly-once
-// ownership rule of the wire frame pool cannot hold here. The host
-// therefore opts the broker out of the pool: sim deliveries are
-// GC-managed, and wire.PutDeliver is never called on them.
-//
-// The host also forces the serial fan-out: its Env runs inside the
-// single-threaded simulation kernel (Send schedules events, Alloc
-// charges a non-atomic heap), so the parallel engine's concurrent
-// chunk workers may not call it — and the figures' event order must
-// stay deterministic regardless of GOMAXPROCS.
+// The host forces broker.Config.SerialEnv, for both things that field
+// promises. Its Env runs inside the single-threaded simulation kernel
+// (Send schedules events, Alloc charges a non-atomic heap), so fan-out
+// workers may not call it — and the figures' event order must stay
+// deterministic regardless of GOMAXPROCS. And the simulated transports
+// carry frames by reference and may hold a Deliver frame indefinitely
+// (unreliable transports keep it queued for retransmission until acked
+// or abandoned), so the consume-exactly-once ownership rule of the wire
+// frame pool cannot hold here: sim deliveries are GC-managed, and
+// wire.PutDeliver is never called on them.
 func NewHost(net *simnet.Network, node *simnet.Node, cfg broker.Config, costs Costs) *Host {
-	cfg.DisableDeliverPool = true
-	cfg.SerialFanout = true
+	cfg.SerialEnv = true
 	h := &Host{
 		net:    net,
 		k:      net.Kernel(),

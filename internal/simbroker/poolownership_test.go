@@ -14,15 +14,15 @@ import (
 // The wire Deliver-frame pool requires consume-exactly-once ownership.
 // The simulator cannot provide it: its transports carry frames by
 // reference and the unreliable ones keep a frame queued for
-// retransmission until acked or abandoned. NewHost therefore opts the
-// broker out of the pool (broker.Config.DisableDeliverPool), and these
-// tests pin that ownership rule down.
+// retransmission until acked or abandoned. NewHost therefore declares
+// its Env serial and frame-retaining (broker.Config.SerialEnv), and
+// these tests pin that ownership rule down.
 
-func TestHostOptsOutOfDeliverPool(t *testing.T) {
+func TestHostDeclaresSerialEnv(t *testing.T) {
 	r := newRig(t)
-	if !r.host.Broker().Config().DisableDeliverPool {
-		t.Fatal("simbroker host must disable the Deliver-frame pool: " +
-			"retransmission may hold frames past delivery")
+	if !r.host.Broker().Config().SerialEnv {
+		t.Fatal("simbroker host must set SerialEnv: its kernel is single-threaded " +
+			"and retransmission may hold frames past delivery")
 	}
 }
 

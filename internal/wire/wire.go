@@ -196,9 +196,9 @@ type BrokerLink struct {
 // anything that retransmits, fans a frame out to several holders, or
 // parks frames in queues with independent lifetimes — must not use the
 // pool at all: the simulator's by-reference transports opt the broker
-// out via broker.Config.DisableDeliverPool and leave their frames to
-// the GC, which is always safe; releasing a frame someone still
-// references is not.
+// out via broker.Config.SerialEnv and leave their frames to the GC,
+// which is always safe; releasing a frame someone still references is
+// not.
 var deliverPool = sync.Pool{New: func() any { return new(Deliver) }}
 
 // GetDeliver returns a zeroed Deliver frame from the pool. Both Deliver

@@ -1,10 +1,7 @@
 package gridmon
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,19 +13,12 @@ import (
 
 // Parallel-publish benchmarks for the sharded broker core: P publisher
 // goroutines on P distinct topics (each with subsPer no-selector
-// subscribers) drive OnFrame concurrently. In sharded mode each
-// publisher runs the whole publish→deliver→ack cycle inline on its own
-// goroutine, meeting the others only on shard locks — on an N-core box,
-// publishes to different topics execute on different cores. In
-// SerialCore mode the same frames funnel through a single event-loop
-// goroutine, reproducing the pre-shard architecture as the measured
-// baseline (broker.Config.SerialCore, same A/B pattern as
-// LegacyLinearScan/CloneDeliveries).
+// subscribers) drive OnFrame concurrently. Each publisher runs the whole
+// publish→deliver→ack cycle inline on its own goroutine, meeting the
+// others only on shard locks — on an N-core box, publishes to different
+// topics execute on different cores.
 //
-// `go test -bench ParallelPublish -cpu 1,4,8` runs the matrix;
-// `BENCH_PARALLEL_OUT=BENCH_parallel.json go test -run
-// TestWriteParallelBench .` times every cell across GOMAXPROCS values
-// and writes the scaling curve.
+// `go test -bench ParallelPublish -cpu 1,4,8` runs the matrix.
 
 // parAckPair is one recorded delivery awaiting acknowledgement.
 type parAckPair struct {
@@ -36,10 +26,10 @@ type parAckPair struct {
 }
 
 // parConnRec accumulates deliveries per subscriber connection. With one
-// publisher per topic the owning publisher is the only goroutine that
-// ever touches its topic's record (deliveries happen inline during its
-// OnFrame call), so the mutex is uncontended; it exists for the serial
-// funnel, where the loop goroutine does the writing.
+// publisher per topic the owning publisher — or, for a fan-out wide
+// enough to be batched, the pool worker running its one run — is the
+// only goroutine touching its topic's record, so the mutex is
+// uncontended.
 type parConnRec struct {
 	mu    sync.Mutex
 	pairs []parAckPair
@@ -55,14 +45,26 @@ type parEnv struct {
 
 func (e *parEnv) Now() int64 { return 0 }
 func (e *parEnv) Send(c broker.ConnID, f wire.Frame) {
-	if d, ok := f.(*wire.Deliver); ok {
+	r := e.recs[c]
+	switch d := f.(type) {
+	case *wire.Deliver:
 		e.delivered.Add(1)
-		if r := e.recs[c]; r != nil {
+		if r != nil {
 			r.mu.Lock()
 			r.pairs = append(r.pairs, parAckPair{sub: d.SubID, tag: d.Tag})
 			r.mu.Unlock()
 		}
 		wire.PutDeliver(d)
+	case *wire.DeliverBatch:
+		e.delivered.Add(uint64(len(d.Entries)))
+		if r != nil {
+			r.mu.Lock()
+			for _, ent := range d.Entries {
+				r.pairs = append(r.pairs, parAckPair{sub: ent.SubID, tag: ent.Tag})
+			}
+			r.mu.Unlock()
+		}
+		wire.PutDeliverBatch(d)
 	}
 }
 func (e *parEnv) CloseConn(broker.ConnID) {}
@@ -102,13 +104,10 @@ func parMessage(topic string, i int) *message.Message {
 // publisher goroutines on `pubs` shard-distinct topics, each with
 // subsPer subscribers; every publish feeds its deliveries' acks back,
 // as a live broker would see them.
-func benchmarkParallelPublish(b *testing.B, pubs, subsPer int, serial bool) {
+func benchmarkParallelPublish(b *testing.B, pubs, subsPer int) {
 	env := &parEnv{recs: make(map[broker.ConnID]*parConnRec)}
 	cfg := broker.DefaultConfig("bench")
-	cfg.SerialCore = serial
-	if !serial {
-		cfg.Shards = pubs
-	}
+	cfg.Shards = pubs
 	br := broker.New(env, cfg)
 	topics := parTopicNames(br, pubs)
 
@@ -145,26 +144,9 @@ func benchmarkParallelPublish(b *testing.B, pubs, subsPer int, serial bool) {
 		}
 	}
 
-	var funnel chan func()
-	var loopWG sync.WaitGroup
-	if serial {
-		// The pre-shard architecture: one event-loop goroutine owns all
-		// frame processing; publisher goroutines only enqueue.
-		funnel = make(chan func(), 256)
-		loopWG.Add(1)
-		go func() {
-			defer loopWG.Done()
-			for fn := range funnel {
-				fn()
-			}
-		}()
-	}
-
 	b.ReportAllocs()
 	b.ResetTimer()
 	var next int64
-	var pending sync.WaitGroup
-	pending.Add(b.N)
 	var workers sync.WaitGroup
 	for p := 0; p < pubs; p++ {
 		workers.Add(1)
@@ -179,105 +161,20 @@ func benchmarkParallelPublish(b *testing.B, pubs, subsPer int, serial bool) {
 					return
 				}
 				m := parMessage(topics[t], int(i))
-				pub := wire.Publish{Seq: i, Msg: m}
-				if serial {
-					funnel <- func() {
-						br.OnFrame(pubConn(p), pub)
-						drainAcks(t, &scratch, &ack)
-						pending.Done()
-					}
-				} else {
-					br.OnFrame(pubConn(p), pub)
-					drainAcks(t, &scratch, &ack)
-					pending.Done()
-				}
+				br.OnFrame(pubConn(p), wire.Publish{Seq: i, Msg: m})
+				drainAcks(t, &scratch, &ack)
 			}
 		}(p)
 	}
 	workers.Wait()
-	pending.Wait()
 	b.StopTimer()
-	if serial {
-		close(funnel)
-		loopWG.Wait()
-	}
 	b.ReportMetric(float64(env.delivered.Load())/float64(b.N), "deliveries/op")
 }
 
 func BenchmarkParallelPublish(b *testing.B) {
 	for _, pubs := range []int{1, 8} {
-		for _, mode := range []string{"sharded", "serial"} {
-			b.Run(fmt.Sprintf("pubs=%d/topics=%d/subs=100/%s", pubs, pubs, mode), func(b *testing.B) {
-				benchmarkParallelPublish(b, pubs, 100, mode == "serial")
-			})
-		}
-	}
-}
-
-// parallelResult is one cell of BENCH_parallel.json.
-type parallelResult struct {
-	CPUs           int     `json:"gomaxprocs"`
-	Publishers     int     `json:"publishers"`
-	Topics         int     `json:"topics"`
-	Subscribers    int     `json:"subscribers_per_topic"`
-	ShardedNsOp    float64 `json:"sharded_ns_per_publish"`
-	SerialNsOp     float64 `json:"serial_ns_per_publish"`
-	ShardedPubSec  float64 `json:"sharded_publishes_per_sec"`
-	SerialPubSec   float64 `json:"serial_publishes_per_sec"`
-	Speedup        float64 `json:"speedup_vs_serial_core"`
-	ShardedAllocOp float64 `json:"sharded_allocs_per_publish"`
-}
-
-// TestWriteParallelBench times the sharded core against the SerialCore
-// event-loop baseline across GOMAXPROCS values and writes
-// BENCH_parallel.json. Gated behind an env var so the regular test run
-// stays fast: BENCH_PARALLEL_OUT=BENCH_parallel.json go test -run
-// TestWriteParallelBench .
-func TestWriteParallelBench(t *testing.T) {
-	out := os.Getenv("BENCH_PARALLEL_OUT")
-	if out == "" {
-		t.Skip("set BENCH_PARALLEL_OUT to write the parallel benchmark file")
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var results []parallelResult
-	for _, cpus := range []int{1, 4, 8} {
-		runtime.GOMAXPROCS(cpus)
-		const pubs, subs = 8, 100
-		cell := parallelResult{CPUs: cpus, Publishers: pubs, Topics: pubs, Subscribers: subs}
-		for _, serial := range []bool{false, true} {
-			serial := serial
-			r := testing.Benchmark(func(b *testing.B) {
-				benchmarkParallelPublish(b, pubs, subs, serial)
-			})
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if serial {
-				cell.SerialNsOp = ns
-				cell.SerialPubSec = 1e9 / ns
-			} else {
-				cell.ShardedNsOp = ns
-				cell.ShardedPubSec = 1e9 / ns
-				cell.ShardedAllocOp = float64(r.AllocsPerOp())
-			}
-		}
-		cell.Speedup = cell.SerialNsOp / cell.ShardedNsOp
-		results = append(results, cell)
-		t.Logf("gomaxprocs=%d: sharded %.0f ns/publish, serial-core %.0f ns/publish, speedup %.2fx",
-			cpus, cell.ShardedNsOp, cell.SerialNsOp, cell.Speedup)
-	}
-	runtime.GOMAXPROCS(prev)
-	buf, err := json.MarshalIndent(map[string]any{
-		"benchmark": "parallel publish: sharded destination layer vs SerialCore single event loop",
-		"description": "8 publisher goroutines on 8 shard-distinct topics, 100 subscribers each; ns per publish incl. " +
-			"delivery + ack processing. Speedup above 1x requires real cores: on a single-core host all GOMAXPROCS " +
-			"values time-share one CPU and the sharded and serial figures converge.",
-		"host_cpus": runtime.NumCPU(),
-		"results":   results,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+		b.Run(fmt.Sprintf("pubs=%d/topics=%d/subs=100", pubs, pubs), func(b *testing.B) {
+			benchmarkParallelPublish(b, pubs, 100)
+		})
 	}
 }

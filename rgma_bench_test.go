@@ -23,11 +23,9 @@ import (
 // its own table shard, with one producer inserting and one continuous
 // consumer popping — drive the HTTP handler concurrently, the full
 // servlet path the paper measured (JSON decode, SQL parse, typed store
-// insert, compiled-predicate streaming, buffered pop). In sharded mode
-// each lane runs the whole insert→stream→pop cycle inline on its own
-// goroutine, meeting the others only on shard locks; Config.Serial
-// funnels every request behind the seed's global mutex as the measured
-// baseline (the same A/B pattern as broker.Config.SerialCore).
+// insert, compiled-predicate streaming, buffered pop). Each lane runs
+// the whole insert→stream→pop cycle inline on its own goroutine,
+// meeting the others only on shard locks.
 //
 // `go test -bench RGMA -cpu 1,4,8` runs the matrix;
 // `BENCH_RGMA_OUT=BENCH_rgma.json go test -run TestWriteRGMABench .`
@@ -68,12 +66,8 @@ func rgmaCall(b *testing.B, h http.Handler, method, target, body string) {
 // concurrent lanes; every lane drains its continuous consumer each 32
 // inserts, so streamed buffers stay bounded and the pop path is in the
 // measured mix.
-func benchmarkRGMAInsertPop(b *testing.B, lanes int, serial bool) {
-	cfg := rgmahttp.Config{Serial: serial}
-	if !serial {
-		cfg.Shards = lanes
-	}
-	s := rgmahttp.NewServerWith(cfg)
+func benchmarkRGMAInsertPop(b *testing.B, lanes int) {
+	s := rgmahttp.NewServerWith(rgmahttp.Config{Shards: lanes})
 	h := s.Handler()
 	names := rgmaLaneNames(s, lanes)
 
@@ -151,11 +145,9 @@ func benchmarkRGMAInsertPop(b *testing.B, lanes int, serial bool) {
 
 func BenchmarkRGMAParallelInsertPop(b *testing.B) {
 	for _, lanes := range []int{1, 8} {
-		for _, mode := range []string{"sharded", "serial"} {
-			b.Run(fmt.Sprintf("lanes=%d/%s", lanes, mode), func(b *testing.B) {
-				benchmarkRGMAInsertPop(b, lanes, mode == "serial")
-			})
-		}
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			benchmarkRGMAInsertPop(b, lanes)
+		})
 	}
 }
 
@@ -201,13 +193,10 @@ func rgmaPredicateCases() []rgmaPredCase {
 // --- BENCH_rgma.json harness ---
 
 type rgmaParallelCell struct {
-	CPUs          int     `json:"gomaxprocs"`
-	Lanes         int     `json:"lanes"`
-	ShardedNsOp   float64 `json:"sharded_ns_per_insert"`
-	SerialNsOp    float64 `json:"serial_ns_per_insert"`
-	ShardedInsSec float64 `json:"sharded_inserts_per_sec"`
-	SerialInsSec  float64 `json:"serial_inserts_per_sec"`
-	Speedup       float64 `json:"speedup_vs_serial_mutex"`
+	CPUs   int     `json:"gomaxprocs"`
+	Lanes  int     `json:"lanes"`
+	NsOp   float64 `json:"ns_per_insert"`
+	InsSec float64 `json:"inserts_per_sec"`
 }
 
 type rgmaPredicateCell struct {
@@ -227,9 +216,9 @@ type rgmaTransportCell struct {
 	SpeedupMed float64 `json:"median_speedup_vs_http_poll,omitempty"`
 }
 
-// TestWriteRGMABench times the sharded R-GMA service against the
-// serial global-mutex baseline across GOMAXPROCS values, plus the
-// compiled-vs-interpreted predicate table, and writes BENCH_rgma.json.
+// TestWriteRGMABench times the sharded R-GMA service across GOMAXPROCS
+// values, plus the compiled-vs-interpreted predicate table and the
+// push-vs-poll latency, and writes BENCH_rgma.json.
 // Gated behind an env var so the regular test run stays fast:
 // BENCH_RGMA_OUT=BENCH_rgma.json go test -run TestWriteRGMABench .
 func TestWriteRGMABench(t *testing.T) {
@@ -244,23 +233,11 @@ func TestWriteRGMABench(t *testing.T) {
 	for _, cpus := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(cpus)
 		const lanes = 8
-		cell := rgmaParallelCell{CPUs: cpus, Lanes: lanes}
-		for _, serial := range []bool{false, true} {
-			serial := serial
-			r := testing.Benchmark(func(b *testing.B) {
-				benchmarkRGMAInsertPop(b, lanes, serial)
-			})
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if serial {
-				cell.SerialNsOp = ns
-				cell.SerialInsSec = 1e9 / ns
-			} else {
-				cell.ShardedNsOp = ns
-				cell.ShardedInsSec = 1e9 / ns
-			}
-		}
-		cell.Speedup = cell.SerialNsOp / cell.ShardedNsOp
-		parallel = append(parallel, cell)
+		r := testing.Benchmark(func(b *testing.B) {
+			benchmarkRGMAInsertPop(b, lanes)
+		})
+		ns := float64(r.T.Nanoseconds()) / float64(r.N)
+		parallel = append(parallel, rgmaParallelCell{CPUs: cpus, Lanes: lanes, NsOp: ns, InsSec: 1e9 / ns})
 	}
 	runtime.GOMAXPROCS(prev)
 
@@ -319,8 +296,8 @@ func TestWriteRGMABench(t *testing.T) {
 	}
 
 	doc := map[string]any{
-		"benchmark":   "R-GMA service stack: sharded lock domains vs the seed's global server mutex (8 lanes of insert+continuous pop through the HTTP handler), compiled vs interpreted WHERE predicates, and insert-to-deliver latency of the push binary transport vs the paper's 100 ms HTTP poll",
-		"description": "ns per insert includes JSON decode, SQL parse, typed store insert, compiled-predicate streaming to the lane's continuous consumer, and a pop drain every 32 inserts. Speedup above 1x requires real cores: on a single-core host all GOMAXPROCS values time-share one CPU and the sharded and serial figures converge. transport_latency times tuples end to end over live TCP: a polled tuple waits for the next consumer poll, a pushed tuple is written to subscribed connections on the insert path.",
+		"benchmark":   "R-GMA service stack: 8 lanes of insert+continuous pop through the HTTP handler across GOMAXPROCS values, compiled vs interpreted WHERE predicates, and insert-to-deliver latency of the push binary transport vs the paper's 100 ms HTTP poll",
+		"description": "ns per insert includes JSON decode, SQL parse, typed store insert, compiled-predicate streaming to the lane's continuous consumer, and a pop drain every 32 inserts. Scaling with GOMAXPROCS requires real cores (see host_cpus). transport_latency times tuples end to end over live TCP: a polled tuple waits for the next consumer poll, a pushed tuple is written to subscribed connections on the insert path.",
 		"host_cpus":   runtime.NumCPU(),
 		"parallel":    parallel,
 		"predicate":   preds,

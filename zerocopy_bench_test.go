@@ -1,40 +1,18 @@
 package gridmon
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"testing"
 
 	"gridmon/internal/message"
 	"gridmon/internal/wire"
 )
 
-// Zero-copy fan-out benchmarks: the shared-reference delivery path
-// (frozen message fanned out by reference, pooled Deliver frames)
-// against the pre-zero-copy baseline (a private deep copy per delivery,
-// restored by broker.Config.CloneDeliveries), and the encode-once splice
-// path (cached message encoding memcpy'd into each Deliver frame)
-// against field-by-field re-encoding per frame.
-//
-// `go test -bench=ZeroCopy` runs the matrix; `BENCH_ZEROCOPY_OUT=
-// BENCH_zerocopy.json go test -run TestWriteZeroCopyBench .` times every
-// cell and writes the before/after file kept alongside BENCH_fanout.json.
+// Encode-once benchmark: the splice path (cached message encoding
+// memcpy'd into each Deliver frame) against field-by-field re-encoding
+// per frame. `go test -bench=DeliverEncode` runs it.
 
-func BenchmarkZeroCopyFanout(b *testing.B) {
-	for _, subs := range []int{100, 1000} {
-		for _, class := range []string{"none", "simple"} {
-			for _, mode := range []string{"shared", "clone"} {
-				b.Run(fmt.Sprintf("subs=%d/sel=%s/%s", subs, class, mode), func(b *testing.B) {
-					benchmarkFanoutMode(b, subs, class, false, mode == "clone")
-				})
-			}
-		}
-	}
-}
-
-// zerocopyMessage is the fan-out payload used by the encode benchmarks:
-// same shape as the fan-out bench publishes.
+// zerocopyMessage is the payload of the encode benchmark: same shape as
+// the fan-out bench publishes.
 func zerocopyMessage() *message.Message {
 	m := message.NewText("reading")
 	m.ID = "ID:bench/1"
@@ -75,108 +53,5 @@ func BenchmarkDeliverEncode(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// zerocopyResult is one fan-out cell of BENCH_zerocopy.json.
-type zerocopyResult struct {
-	Subscribers    int     `json:"subscribers"`
-	Selector       string  `json:"selector"`
-	SharedNsOp     float64 `json:"shared_ns_per_publish"`
-	CloneNsOp      float64 `json:"clone_ns_per_publish"`
-	SharedAllocsOp float64 `json:"shared_allocs_per_publish"`
-	CloneAllocsOp  float64 `json:"clone_allocs_per_publish"`
-	SharedBytesOp  float64 `json:"shared_bytes_per_publish"`
-	CloneBytesOp   float64 `json:"clone_bytes_per_publish"`
-	Speedup        float64 `json:"speedup"`
-	AllocsRatio    float64 `json:"allocs_ratio"`
-}
-
-// encodeResult is one splice-vs-full cell of BENCH_zerocopy.json.
-type encodeResult struct {
-	Mode     string  `json:"mode"`
-	NsOp     float64 `json:"ns_per_frame"`
-	AllocsOp float64 `json:"allocs_per_frame"`
-}
-
-// TestWriteZeroCopyBench times shared-vs-clone fan-out and splice-vs-
-// full encoding and writes BENCH_zerocopy.json. Gated behind an env var
-// so the regular test run stays fast:
-// BENCH_ZEROCOPY_OUT=BENCH_zerocopy.json go test -run TestWriteZeroCopyBench .
-func TestWriteZeroCopyBench(t *testing.T) {
-	out := os.Getenv("BENCH_ZEROCOPY_OUT")
-	if out == "" {
-		t.Skip("set BENCH_ZEROCOPY_OUT to write the zero-copy benchmark file")
-	}
-	var fanout []zerocopyResult
-	for _, subs := range []int{100, 1000} {
-		for _, class := range []string{"none", "simple", "complex"} {
-			cell := zerocopyResult{Subscribers: subs, Selector: class}
-			for _, clone := range []bool{false, true} {
-				subs, class, clone := subs, class, clone
-				r := testing.Benchmark(func(b *testing.B) {
-					benchmarkFanoutMode(b, subs, class, false, clone)
-				})
-				ns := float64(r.T.Nanoseconds()) / float64(r.N)
-				if clone {
-					cell.CloneNsOp = ns
-					cell.CloneAllocsOp = float64(r.AllocsPerOp())
-					cell.CloneBytesOp = float64(r.AllocedBytesPerOp())
-				} else {
-					cell.SharedNsOp = ns
-					cell.SharedAllocsOp = float64(r.AllocsPerOp())
-					cell.SharedBytesOp = float64(r.AllocedBytesPerOp())
-				}
-			}
-			cell.Speedup = cell.CloneNsOp / cell.SharedNsOp
-			if cell.SharedAllocsOp > 0 {
-				cell.AllocsRatio = cell.CloneAllocsOp / cell.SharedAllocsOp
-			}
-			fanout = append(fanout, cell)
-			t.Logf("subs=%d sel=%s: shared %.0f ns/publish (%.0f allocs), clone %.0f ns/publish (%.0f allocs), speedup %.2fx, allocs ratio %.1fx",
-				subs, class, cell.SharedNsOp, cell.SharedAllocsOp, cell.CloneNsOp, cell.CloneAllocsOp, cell.Speedup, cell.AllocsRatio)
-		}
-	}
-	var encode []encodeResult
-	for _, mode := range []string{"splice", "full"} {
-		mode := mode
-		m := zerocopyMessage()
-		if mode == "splice" {
-			m.Freeze()
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			d := &wire.Deliver{SubID: 7, Tag: 1, Msg: m}
-			buf, err := wire.AppendFrame(make([]byte, 0, 4096), d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf, err = wire.AppendFrame(buf[:0], d)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		encode = append(encode, encodeResult{
-			Mode:     mode,
-			NsOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsOp: float64(r.AllocsPerOp()),
-		})
-		t.Logf("deliver encode %s: %.0f ns/frame", mode, encode[len(encode)-1].NsOp)
-	}
-	buf, err := json.MarshalIndent(map[string]any{
-		"benchmark": "zero-copy fan-out: frozen shared-reference deliveries vs per-delivery deep copies; splice vs full frame encoding",
-		"description": "fan-out cells: one topic, N subscribers split across 10 selector interest bands, ns and allocs per publish incl. delivery + ack processing; " +
-			"clone restores broker.Config.CloneDeliveries (the PR 1 behaviour, cf. BENCH_fanout.json). encode cells: one Deliver frame into a reused buffer.",
-		"fanout": fanout,
-		"encode": encode,
-	}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
