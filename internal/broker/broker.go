@@ -349,7 +349,7 @@ func (b *Broker) TopicSubscribers(name string) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if t := sh.topics[name]; t != nil {
-		return t.subCount()
+		return t.subs
 	}
 	return 0
 }
@@ -366,7 +366,7 @@ func (b *Broker) TopicSelectorGroups(name string) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if t := sh.topics[name]; t != nil {
-		return len(t.groups)
+		return t.route.groups
 	}
 	return 0
 }
@@ -380,7 +380,7 @@ func (b *Broker) Topics() []string {
 	for _, sh := range b.shards {
 		sh.mu.Lock()
 		for name, t := range sh.topics {
-			if t.subCount() > 0 {
+			if t.subs > 0 {
 				out = append(out, name)
 			}
 		}

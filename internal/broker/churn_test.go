@@ -11,8 +11,9 @@ import (
 )
 
 // TestSnapshotChurnEquivalence is the randomized churn storm for the
-// lock-free read path: concurrent subscribe/unsubscribe/durable-recreate
-// churn — and with it concurrent route and matching-index rebuilds —
+// lock-free read path: concurrent subscribe/unsubscribe/resubscribe/
+// durable-recreate churn over many distinct selectors — and with it
+// concurrent route and matching-index patches, merges and compactions —
 // while publishers hammer the same topics. Delivery *during* the storm
 // is inherently racy (a publish concurrent with a subscribe may
 // legitimately land on either side of it), so the storm phase asserts
@@ -22,8 +23,17 @@ import (
 // message batch is published from one goroutine: the phase-2 deliveries
 // must be exactly what a fresh oracle predicts, proving the churned-up
 // snapshot state converged to the state of a broker that never saw the
-// storm.
+// storm. It runs at the production compaction threshold and again
+// compacting on every removal.
 func TestSnapshotChurnEquivalence(t *testing.T) {
+	t.Run("production", snapshotChurnStorm)
+	t.Run("compact-every-removal", func(t *testing.T) {
+		forceCompaction(t)
+		snapshotChurnStorm(t)
+	})
+}
+
+func snapshotChurnStorm(t *testing.T) {
 	const (
 		churners  = 6
 		pubs      = 4
@@ -55,9 +65,16 @@ func TestSnapshotChurnEquivalence(t *testing.T) {
 			}
 			nextSub := int64(0)
 			var live []int64
+			// hotSub subscribes a distinct selector on the hot topic t0,
+			// which every churner grows and shrinks at once.
+			hotSub := func() {
+				nextSub++
+				b.OnFrame(c, wire.Subscribe{SubID: nextSub, Dest: topics[0], Selector: distinctSelector(rng)})
+				live = append(live, nextSub)
+			}
 			for op := 0; op < stormOps; op++ {
 				switch r := rng.Intn(10); {
-				case r < 4: // subscribe (sometimes durable: recreate storms)
+				case r < 2: // subscribe (sometimes durable: recreate storms)
 					nextSub++
 					f := wire.Subscribe{
 						SubID:    nextSub,
@@ -70,13 +87,18 @@ func TestSnapshotChurnEquivalence(t *testing.T) {
 					}
 					b.OnFrame(c, f)
 					live = append(live, nextSub)
-				case r < 7: // unsubscribe
+				case r < 4:
+					hotSub()
+				case r < 8: // unsubscribe; half the time resubscribe
 					if len(live) == 0 {
 						continue
 					}
 					i := rng.Intn(len(live))
 					b.OnFrame(c, wire.Unsubscribe{SubID: live[i]})
 					live = append(live[:i], live[i+1:]...)
+					if rng.Intn(2) == 0 {
+						hotSub()
+					}
 				default: // ack deliveries so far
 					env.drainAcks(b, c)
 				}

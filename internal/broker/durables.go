@@ -7,6 +7,7 @@
 package broker
 
 import (
+	"slices"
 	"sync"
 
 	"gridmon/internal/message"
@@ -29,6 +30,11 @@ type durableState struct {
 	mu      sync.Mutex
 	active  *subscription // nil while disconnected
 	backlog []storedMsg
+
+	// slot is the durable's route slot while it buffers, nil otherwise,
+	// and seq that slot's seq; both guarded by the shard lock of topic.
+	slot *routeSlot
+	seq  int32
 }
 
 // attachDurable resolves (creating on first use) the durable state for a
@@ -46,7 +52,7 @@ func (b *Broker) attachDurable(sub *subscription) (*durableState, bool) {
 		b.durables[sub.durableName] = d
 		sh := b.shardFor(d.topic)
 		b.lockShard(sh)
-		sh.durablesByTopic[d.topic] = append(sh.durablesByTopic[d.topic], d)
+		sh.indexDurable(d)
 		if j := b.loadJournal(); j != nil {
 			j.DurableSubscribed(d.name, d.topic, d.sel.String())
 		}
@@ -83,7 +89,7 @@ func (b *Broker) attachDurable(sub *subscription) (*durableState, bool) {
 			d.mu.Unlock()
 			nsh := b.shardFor(d.topic)
 			b.lockShard(nsh)
-			nsh.durablesByTopic[d.topic] = append(nsh.durablesByTopic[d.topic], d)
+			nsh.indexDurable(d)
 			if j := b.loadJournal(); j != nil {
 				j.DurableSubscribed(d.name, d.topic, d.sel.String())
 			}
@@ -95,30 +101,28 @@ func (b *Broker) attachDurable(sub *subscription) (*durableState, bool) {
 		if j := b.loadJournal(); j != nil {
 			j.DurableSubscribed(d.name, d.topic, d.sel.String())
 		}
-		// The published route captured the old selector; rebuild it.
+		// The published route's slot captured the old selector; the
+		// refresh replaces it.
 		b.refreshTopicRoute(sh, d.topic)
 	}
 	sh.mu.Unlock()
 	return d, true
 }
 
-// unindexDurable removes a durable from its shard's by-topic index,
-// preserving the order of the remaining entries. Shard lock held.
+// unindexDurable removes a durable from its topic's durable index and
+// route, preserving the order of the remaining entries. Shard lock held.
 func (b *Broker) unindexDurable(sh *shard, d *durableState) {
-	ds := sh.durablesByTopic[d.topic]
-	for i, od := range ds {
-		if od == d {
-			copy(ds[i:], ds[i+1:])
-			ds[len(ds)-1] = nil // don't pin the dead durable's backlog
-			ds = ds[:len(ds)-1]
-			break
-		}
+	t := sh.topics[d.topic]
+	if t == nil {
+		return
 	}
-	if len(ds) == 0 {
-		delete(sh.durablesByTopic, d.topic)
-	} else {
-		sh.durablesByTopic[d.topic] = ds
+	if d.slot != nil {
+		t.dropDurableSlot(d)
 	}
+	if i := slices.Index(t.durables, d); i >= 0 {
+		t.durables = slices.Delete(t.durables, i, i+1) // zeroes the tail: no pinned backlog
+	}
+	sh.dropIfIdle(t)
 }
 
 // storeDurable buffers a message for a disconnected durable subscriber,

@@ -97,7 +97,7 @@ func (b *Broker) RestoreDurable(name, topic, selSrc string) error {
 		b.durables[name] = d
 		sh := b.shardFor(topic)
 		sh.mu.Lock()
-		sh.durablesByTopic[topic] = append(sh.durablesByTopic[topic], d)
+		sh.indexDurable(d)
 		b.refreshTopicRoute(sh, topic)
 		sh.mu.Unlock()
 		return nil
@@ -115,7 +115,7 @@ func (b *Broker) RestoreDurable(name, topic, selSrc string) error {
 		d.sel = sel
 		nsh := b.shardFor(topic)
 		nsh.mu.Lock()
-		nsh.durablesByTopic[topic] = append(nsh.durablesByTopic[topic], d)
+		nsh.indexDurable(d)
 		b.refreshTopicRoute(nsh, topic)
 		nsh.mu.Unlock()
 		return nil

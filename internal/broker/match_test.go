@@ -55,7 +55,7 @@ func TestMatchIndexMeters(t *testing.T) {
 	}
 }
 
-// TestMatchIndexDurableCandidates covers the durable tail of the index
+// TestMatchIndexDurableCandidates covers the durable slots of the index
 // seq space: buffering durables behind non-matching selectors are
 // skipped without evaluation, matching ones still buffer.
 func TestMatchIndexDurableCandidates(t *testing.T) {

@@ -196,12 +196,8 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 		d.active = sub
 		d.mu.Unlock()
 	}
-	t := sh.topics[v.Dest.Name]
-	if t == nil {
-		t = &topicState{name: v.Dest.Name, byKey: make(map[string]*selGroup)}
-		sh.topics[v.Dest.Name] = t
-	}
-	wasEmpty := t.subCount() == 0
+	t := sh.topic(v.Dest.Name)
+	wasEmpty := t.subs == 0
 	t.add(sub)
 	if wasEmpty {
 		b.notifyInterest(t.name, true)
@@ -209,15 +205,15 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 	if !b.registerSub(c, sub) {
 		// The connection closed mid-subscribe: undo the installation.
 		t.remove(sub)
-		if t.subCount() == 0 {
+		if t.subs == 0 {
 			b.notifyInterest(t.name, false)
-			delete(sh.topics, t.name)
 		}
 		if d != nil {
 			d.mu.Lock()
 			d.active = nil
 			d.mu.Unlock()
 		}
+		sh.dropIfIdle(t)
 		return
 	}
 	b.env.Send(c.id, wire.SubOK{SubID: v.SubID})
@@ -301,11 +297,11 @@ func (b *Broker) dropSubscription(sub *subscription, unsubscribe bool) {
 	switch sub.dest.Kind {
 	case message.TopicKind:
 		defer b.refreshTopicRoute(sh, sub.dest.Name)
-		if t := sh.topics[sub.dest.Name]; t != nil {
+		t := sh.topics[sub.dest.Name]
+		if t != nil {
 			t.remove(sub)
-			if t.subCount() == 0 {
+			if t.subs == 0 {
 				b.notifyInterest(t.name, false)
-				delete(sh.topics, sub.dest.Name)
 			}
 		}
 		if sub.durableName != "" {
@@ -327,6 +323,9 @@ func (b *Broker) dropSubscription(sub *subscription, unsubscribe bool) {
 					}
 				}
 			}
+		}
+		if t != nil {
+			sh.dropIfIdle(t)
 		}
 	case message.QueueKind:
 		if q := sh.queues[sub.dest.Name]; q != nil {

@@ -21,10 +21,6 @@ type shard struct {
 
 	topics map[string]*topicState
 	queues map[string]*queueState
-	// durablesByTopic indexes durables by their topic (in creation
-	// order) so publish touches only the durables of the published
-	// topic.
-	durablesByTopic map[string][]*durableState
 
 	// snap is the copy-on-write routing snapshot the lock-free publish
 	// path reads (see snapshot.go). Stored only under mu; loaded
@@ -34,9 +30,8 @@ type shard struct {
 
 func newShard() *shard {
 	return &shard{
-		topics:          make(map[string]*topicState),
-		queues:          make(map[string]*queueState),
-		durablesByTopic: make(map[string][]*durableState),
+		topics: make(map[string]*topicState),
+		queues: make(map[string]*queueState),
 	}
 }
 

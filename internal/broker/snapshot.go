@@ -1,18 +1,27 @@
 // Destination layer, part 5: the lock-free publish read path. Each
 // shard publishes a copy-on-write snapshot of its topic routing state —
-// per topic, the fast set, the selector groups and the buffering
-// (inactive) durables — through an atomic.Pointer. routeLocal loads the
-// snapshot and fans out without taking shard.mu at all; mutations
-// (subscribe/unsubscribe/durable churn, still under shard.mu) rebuild
-// only the touched topic's slices and republish, so the shard lock is a
-// pure write-side lock and concurrent publishes to the *same* topic no
-// longer serialize on it.
+// per topic, the fast set and the route slots (selector groups and
+// buffering durables) with their matching index — through an
+// atomic.Pointer. routeLocal loads the snapshot and fans out without
+// taking shard.mu at all; mutations (subscribe/unsubscribe/durable
+// churn, still under shard.mu) patch the touched topic's route and
+// republish it, so the shard lock is a pure write-side lock and
+// concurrent publishes to the *same* topic never serialize on it.
 //
 // The snapshot is two-level: an immutable topic→entry map (copied only
 // when a topic appears or disappears) whose entries hold the per-topic
 // route behind their own atomic.Pointer (swapped on subscription churn
 // within an existing topic). Readers therefore pay two atomic loads per
 // publish; writers pay one map copy only on topic create/delete.
+//
+// A patch never rebuilds the route. Each selector group and buffering
+// durable owns one route slot, addressed by a seq that is stable for as
+// long as the slot lives: a new slot is appended, a removed one leaves
+// a nil tombstone, and the slots are renumbered (in order) only when
+// tombstones pile up. Every slot is an immutable view, replaced when its
+// group's membership changes, so republishing costs one copy of the
+// slot pointer slice plus a predindex With/Without on the matching
+// index.
 //
 // Consistency contract (standard RCU semantics): a publish concurrent
 // with an index mutation may route against the immediately-prior index
@@ -48,89 +57,45 @@ type topicEntry struct {
 	route atomic.Pointer[topicRoute]
 }
 
-// topicRoute is the immutable fan-out plan for one topic: a frozen copy
-// of the index slices in their deterministic order (fast set in
-// subscribe order, groups in first-appearance order, durables in
-// creation order).
+// topicRoute is the immutable fan-out plan for one topic: the fast set
+// in subscribe order, and the route slots in first-appearance order.
 type topicRoute struct {
-	fast     []*subscription
-	groups   []routeGroup
-	durables []routeDurable
-
-	// idx is the content-based matching index over groups (seqs
-	// 0..len(groups)-1) and durables (seqs len(groups)..), built at
-	// route-patch time; nil only when there are no groups and no
-	// buffering durables. Immutable, like the rest of the route
-	// (predindex is shard-safe after Build).
+	fast []*subscription
+	// slots is indexed by matching-index seq; nil marks a removed slot.
+	slots []*routeSlot
+	// idx is the content-based matching index over the live slots; nil
+	// only when there are none. It never emits a removed seq.
 	idx *predindex.Index
-	// groupSubs is the total subscriber count across groups, so routing
-	// can bulk-account SelectorRejected for the groups the index skipped
-	// without visiting them.
-	groupSubs int
+	// groups and durables count the live group and durable slots, and
+	// groupSubs the subscribers across the groups, so routing can
+	// bulk-account SelectorRejected and the skipped-slot meters for the
+	// slots the index skipped without visiting them.
+	groups, durables, groupSubs int
 }
 
-// routeGroup mirrors selGroup with a copied member slice (the live
-// group's slice is mutated in place under shard.mu).
-type routeGroup struct {
-	prog *selector.Program
+// routeSlot is one matching-index entry of a topic route: a selector
+// group (sel and its members, in subscribe order) or a buffering durable
+// (d, and the selector captured when its slot was made — a recreate may
+// swap d.sel, and the refresh that recreate triggers replaces the
+// slot). Immutable once published.
+type routeSlot struct {
+	sel  *selector.Selector
 	subs []*subscription
+	d    *durableState
 }
 
-// routeDurable is one durable that was buffering (no active consumer)
-// when the route was built. sel is captured at build time because a
-// recreate may swap d.sel; the refresh that recreate triggers
-// republishes the route.
-type routeDurable struct {
-	d   *durableState
-	sel *selector.Selector
-}
-
-// refreshTopicRoute rebuilds one topic's copy-on-write route from the
-// shard's locked index state and publishes it to the lock-free read
+// refreshTopicRoute publishes one topic's route to the lock-free read
 // path. Every mutation of a topic's subscription index, its by-topic
 // durable index, or a durable's active flag calls this before releasing
 // the shard lock — the lock is what single-files snapshot writers.
 // Shard lock held.
 func (b *Broker) refreshTopicRoute(sh *shard, name string) {
-	t := sh.topics[name]
-	durables := sh.durablesByTopic[name]
-	inactive := 0
-	for _, d := range durables {
-		if d.active == nil {
-			inactive++
-		}
-	}
-
 	var rt *topicRoute
-	if t != nil || inactive > 0 {
-		rt = &topicRoute{}
-		var keys []predindex.Key
-		if t != nil {
-			rt.fast = slices.Clone(t.fast)
-			if len(t.groups) > 0 {
-				rt.groups = make([]routeGroup, 0, len(t.groups))
-				keys = make([]predindex.Key, 0, len(t.groups)+inactive)
-				for _, g := range t.groups {
-					rt.groups = append(rt.groups, routeGroup{prog: g.prog, subs: slices.Clone(g.subs)})
-					rt.groupSubs += len(g.subs)
-					keys = append(keys, g.matchKey)
-				}
-			}
-		}
-		if inactive > 0 {
-			rt.durables = make([]routeDurable, 0, inactive)
-			for _, d := range durables {
-				if d.active == nil {
-					rt.durables = append(rt.durables, routeDurable{d: d, sel: d.sel})
-					keys = append(keys, d.sel.RequiredKey())
-				}
-			}
-		}
-		// Index seqs: groups first (0..G-1), then durables (G..G+D-1),
-		// so seq-sorted candidates are visited in first-appearance
-		// order and delivery order is deterministic.
-		if len(keys) > 0 {
-			rt.idx = predindex.Build(keys)
+	if t := sh.topics[name]; t != nil {
+		t.syncDurables()
+		if r := t.route; len(r.fast) > 0 || r.groups+r.durables > 0 {
+			r.slots = slices.Clone(r.slots)
+			rt = &r
 		}
 	}
 
@@ -226,13 +191,12 @@ func (p *msgProbe) ProbeAttr(attr string) (predindex.Value, bool) {
 }
 
 // routeMatchIndexed matches a message through the route's matching
-// index: only candidate groups/durables are evaluated, in
-// first-appearance order (candidates arrive seq-sorted), so delivery
-// order is deterministic for any single caller. Groups the index
-// skipped still account their subscribers into SelectorRejected: the
-// index only skips a group whose program could not return TRUE.
-// Matched subscriptions are collected into plan; durable stores happen
-// here.
+// index: only candidate slots are evaluated, in first-appearance order
+// (candidates arrive seq-sorted), so delivery order is deterministic for
+// any single caller. Groups the index skipped still account their
+// subscribers into SelectorRejected: the index only skips a group whose
+// program could not return TRUE. Matched subscriptions are collected
+// into plan; durable stores happen here.
 func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int64, plan *fanPlan) {
 	sc, _ := b.matchScratch.Get().(*matchScratch)
 	if sc == nil {
@@ -240,33 +204,32 @@ func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int6
 	}
 	sc.probe.m = m
 	cands := rt.idx.Candidates(&sc.probe, sc.buf[:0])
-	nG := len(rt.groups)
 	candGroups := 0
 	candGroupSubs := 0
 	for _, ci := range cands {
-		if int(ci) < nG {
-			g := &rt.groups[ci]
+		s := rt.slots[ci]
+		if s.d == nil {
 			candGroups++
-			candGroupSubs += len(g.subs)
-			if g.prog.Matches(m) {
-				plan.flat = append(plan.flat, g.subs...)
+			candGroupSubs += len(s.subs)
+			if s.sel.Matches(m) {
+				plan.flat = append(plan.flat, s.subs...)
 			} else {
-				b.stats.selectorRejected.Add(uint64(len(g.subs)))
+				b.stats.selectorRejected.Add(uint64(len(s.subs)))
 			}
-		} else if rd := &rt.durables[int(ci)-nG]; rd.sel.Matches(m) {
+		} else if s.sel.Matches(m) {
 			// storeDurable re-checks "still buffering" under the durable's
 			// lock: a consumer that attached after this route was built
 			// owns delivery now, so the store is skipped.
-			b.storeDurable(rd.d, m, cost)
+			b.storeDurable(s.d, m, cost)
 		}
 	}
 	if n := len(cands); n > 0 {
 		b.stats.matchProgramEvals.Add(uint64(n))
 	}
-	if skipped := nG - candGroups; skipped > 0 {
+	if skipped := rt.groups - candGroups; skipped > 0 {
 		b.stats.matchGroupsSkipped.Add(uint64(skipped))
 	}
-	if skipped := len(rt.durables) - (len(cands) - candGroups); skipped > 0 {
+	if skipped := rt.durables - (len(cands) - candGroups); skipped > 0 {
 		b.stats.matchDurablesSkipped.Add(uint64(skipped))
 	}
 	if rejected := rt.groupSubs - candGroupSubs; rejected > 0 {

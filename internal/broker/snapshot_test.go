@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gridmon/internal/message"
@@ -31,17 +32,48 @@ func clearModeMeters(s Stats) Stats {
 	return s
 }
 
+// forceCompaction makes every route-slot removal renumber its topic's
+// slots and matching index, for the rest of the test.
+func forceCompaction(t *testing.T) {
+	prev := compactAt
+	compactAt = func(int) int { return 1 }
+	t.Cleanup(func() { compactAt = prev })
+}
+
+// distinctSelector draws from a family of per-subscription selectors —
+// `id = k` and `id BETWEEN k AND k+3` — so a topic carries dozens of
+// selector groups whose slots come and go, and its matching index
+// patches, merges and compacts.
+func distinctSelector(rng *rand.Rand) string {
+	k := rng.Intn(100)
+	if rng.Intn(2) == 0 {
+		return fmt.Sprintf("id = %d", k)
+	}
+	return fmt.Sprintf("id BETWEEN %d AND %d", k, k+3)
+}
+
 // TestRoutingOracleRandomized drives randomized operation sequences —
 // connection churn, topic/queue/durable subscribes, durable recreates
-// (including cross-shard moves), unsubscribes, publishes with NaN ids,
-// partial acks — through a 1-shard broker, an 8-shard broker and the
-// oracle from a single goroutine, then requires both brokers to have
-// delivered and buffered exactly what the oracle predicts, and to agree
-// with each other on what the oracle does not model (queue deliveries,
-// acks, heap). Any index mutation missing its snapshot refresh, and any
-// group or durable the matching index wrongly skips, shows up here as a
-// routing divergence.
+// (including cross-shard moves), unsubscribes and resubscribes over many
+// distinct selectors, publishes with NaN ids, partial acks — through a
+// 1-shard broker, an 8-shard broker and the oracle from a single
+// goroutine, then requires both brokers to have delivered and buffered
+// exactly what the oracle predicts, and to agree with each other on what
+// the oracle does not model (queue deliveries, acks, heap). Any index
+// mutation missing its snapshot refresh, any group or durable the
+// matching index wrongly skips, and any slot a patch or compaction
+// misnumbers shows up here as a routing divergence. Every seed runs at
+// the production compaction threshold and again compacting on every
+// removal.
 func TestRoutingOracleRandomized(t *testing.T) {
+	t.Run("production", func(t *testing.T) { routingOracleSeeds(t) })
+	t.Run("compact-every-removal", func(t *testing.T) {
+		forceCompaction(t)
+		routingOracleSeeds(t)
+	})
+}
+
+func routingOracleSeeds(t *testing.T) {
 	selectors := []string{
 		"", "TRUE", "1 = 1",
 		"id < 50", "id >= 50",
@@ -82,6 +114,12 @@ func TestRoutingOracleRandomized(t *testing.T) {
 		}
 		openConn() // conn 1 is the dedicated publisher
 		pubConn := open[0]
+		// Conn 2 is never closed and never picked at random: it holds
+		// the distinct-selector subscriptions, so the two hot topics grow
+		// dozens of selector groups whose slots come and go.
+		openConn()
+		hotConn := open[1]
+		open = open[:1]
 
 		type subInfo struct {
 			conn ConnID
@@ -90,6 +128,12 @@ func TestRoutingOracleRandomized(t *testing.T) {
 		var live []subInfo
 		nextSub := int64(0)
 		acked := map[ConnID]int{}
+		hotSub := func() {
+			nextSub++
+			f := wire.Subscribe{SubID: nextSub, Dest: topics[rng.Intn(2)], Selector: distinctSelector(rng)}
+			both(func(b target) { b.OnFrame(hotConn, f) })
+			live = append(live, subInfo{conn: hotConn, id: nextSub})
+		}
 
 		for op := 0; op < 600; op++ {
 			switch r := rng.Intn(20); {
@@ -107,7 +151,9 @@ func TestRoutingOracleRandomized(t *testing.T) {
 				}
 				live = kept
 				both(func(b target) { b.OnConnClose(id) })
-			case r < 6: // subscribe a topic
+			case r < 4: // subscribe a distinct selector on a hot topic
+				hotSub()
+			case r < 5: // subscribe a topic
 				if len(open) < 2 {
 					continue
 				}
@@ -120,7 +166,7 @@ func TestRoutingOracleRandomized(t *testing.T) {
 				}
 				both(func(b target) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
-			case r < 7: // subscribe a queue
+			case r < 6: // subscribe a queue
 				if len(open) < 2 {
 					continue
 				}
@@ -133,7 +179,7 @@ func TestRoutingOracleRandomized(t *testing.T) {
 				}
 				both(func(b target) { b.OnFrame(c, f) })
 				live = append(live, subInfo{conn: c, id: nextSub})
-			case r < 9: // durable attach/recreate (sometimes destroyed)
+			case r < 8: // durable attach/recreate (sometimes destroyed)
 				if len(open) < 2 {
 					continue
 				}
@@ -172,7 +218,7 @@ func TestRoutingOracleRandomized(t *testing.T) {
 				} else {
 					live = append(live, subInfo{conn: c, id: nextSub})
 				}
-			case r < 10: // unsubscribe
+			case r < 12: // unsubscribe; half the time resubscribe a hot topic
 				if len(live) == 0 {
 					continue
 				}
@@ -180,7 +226,10 @@ func TestRoutingOracleRandomized(t *testing.T) {
 				s := live[i]
 				live = append(live[:i], live[i+1:]...)
 				both(func(b target) { b.OnFrame(s.conn, wire.Unsubscribe{SubID: s.id}) })
-			case r < 12: // ack a batch of this conn's unacked deliveries
+				if rng.Intn(2) == 0 {
+					hotSub()
+				}
+			case r < 13: // ack a batch of this conn's unacked deliveries
 				if len(open) < 2 {
 					continue
 				}
@@ -232,6 +281,44 @@ func TestRoutingOracleRandomized(t *testing.T) {
 	}
 }
 
+// TestSubscribeChurnAllocsFlat is the quadratic-regression guard for the
+// route's write side: unsubscribing and resubscribing one selector on a
+// topic with n distinct selector groups patches the route and its
+// matching index, so its allocations do not grow with n. It also pins
+// that tombstoned slots are not reported as groups.
+func TestSubscribeChurnAllocsFlat(t *testing.T) {
+	topic := message.Topic("hot")
+	perPair := func(n int) float64 {
+		b, env := newBroker(t, 0)
+		mustOpen(t, b, 1)
+		for k := 0; k < n; k++ {
+			b.OnFrame(1, wire.Subscribe{SubID: int64(k + 1), Dest: topic, Selector: fmt.Sprintf("id = %d", k)})
+		}
+		// Tombstone a slot that stays a hole through the churn below.
+		b.OnFrame(1, wire.Unsubscribe{SubID: 1})
+		id := int64(n + 1)
+		b.OnFrame(1, wire.Subscribe{SubID: id, Dest: topic, Selector: "id = -1"})
+		allocs := testing.AllocsPerRun(200, func() {
+			b.OnFrame(1, wire.Unsubscribe{SubID: id})
+			id++
+			b.OnFrame(1, wire.Subscribe{SubID: id, Dest: topic, Selector: "id = -1"})
+			env.sent[1] = env.sent[1][:0]
+		})
+		if got := b.TopicSelectorGroups("hot"); got != n {
+			t.Fatalf("n=%d: TopicSelectorGroups = %d, want %d live groups", n, got, n)
+		}
+		if got := b.TopicSubscribers("hot"); got != n {
+			t.Fatalf("n=%d: TopicSubscribers = %d, want %d", n, got, n)
+		}
+		return allocs
+	}
+	small, large := perPair(100), perPair(1000)
+	t.Logf("allocations per unsubscribe+subscribe: %.1f at 100 groups, %.1f at 1000", small, large)
+	if large > 1.5*small {
+		t.Fatalf("unsubscribe+subscribe allocates %.1f at 1000 groups vs %.1f at 100: grows with the topic", large, small)
+	}
+}
+
 // TestTopicPublishTakesNoShardLock pins the read path's observable
 // contract: a topic publish routes from the snapshot, so the shard-lock
 // meter does not move while messages are delivered.
@@ -259,30 +346,39 @@ func TestTopicPublishTakesNoShardLock(t *testing.T) {
 
 // TestSnapshotSeesRestoredDurables covers the recovery refresh sites: a
 // durable restored through the journal Restore API must buffer snapshot-
-// path publishes (RestoreDurable), and a restored-then-dropped one must
-// not (RestoreDurableDrop).
+// path publishes (RestoreDurable), one restored again with a new
+// selector must buffer by the new one (its route slot is replaced while
+// it keeps buffering), and a restored-then-dropped one must not
+// (RestoreDurableDrop).
 func TestSnapshotSeesRestoredDurables(t *testing.T) {
 	env := newFakeEnv(0)
 	cfg := DefaultConfig("b")
 	cfg.Shards = 4
 	b := New(env, cfg)
-	if err := b.RestoreDurable("keep", "t", "id < 50"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.RestoreDurable("drop", "t", ""); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct{ name, sel string }{
+		{"keep", "id < 50"},
+		{"drop", ""},
+		{"resel", "id < 50"},
+		{"resel", "id >= 50"},
+	} {
+		if err := b.RestoreDurable(r.name, "t", r.sel); err != nil {
+			t.Fatal(err)
+		}
 	}
 	b.RestoreDurableDrop("drop")
 
 	mustOpen(t, b, 1)
-	publishOn(b, 1, "hit", message.Topic("t"), map[string]message.Value{"id": message.Int(7)})
-	publishOn(b, 1, "miss", message.Topic("t"), map[string]message.Value{"id": message.Int(90)})
+	publishOn(b, 1, "low", message.Topic("t"), map[string]message.Value{"id": message.Int(7)})
+	publishOn(b, 1, "high", message.Topic("t"), map[string]message.Value{"id": message.Int(90)})
 
-	dumps := b.DumpDurables()
-	if len(dumps) != 1 || dumps[0].Name != "keep" {
-		t.Fatalf("durable dump: %+v", dumps)
+	got := map[string][]string{}
+	for _, d := range b.DumpDurables() {
+		got[d.Name] = nil
+		for _, m := range d.Backlog {
+			got[d.Name] = append(got[d.Name], m.ID)
+		}
 	}
-	if len(dumps[0].Backlog) != 1 || dumps[0].Backlog[0].ID != "hit" {
-		t.Fatalf("restored durable backlog: %+v", dumps[0].Backlog)
+	if want := map[string][]string{"keep": {"low"}, "resel": {"high"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored durable backlogs %v, want %v", got, want)
 	}
 }

@@ -11,7 +11,7 @@
 // keys go into a per-attribute interval tree, and predicates without an
 // extractable key fall to a residual list that is scanned linearly.
 //
-// The contract is *candidate superset*, never exact match: Candidates
+// The contract is *candidate superset, never exact match*: Candidates
 // returns every predicate that could evaluate to TRUE (and possibly
 // some that do not), in the same first-appearance order a linear scan
 // would visit them, and the caller's compiled program still renders the
@@ -20,14 +20,34 @@
 // which is why extraction (internal/selector, internal/sqlmini) only
 // widens (inclusive float64 bounds, residual on anything subtle).
 //
-// Shard-safety: an Index is immutable after Build and may be read
-// concurrently without synchronization. Both users build it at
-// copy-on-write route-patch time (broker topicRoute, rgmacore
-// tableSnap) and publish it through the same atomic.Pointer snapshot,
-// so the lock-free read paths consult it with no additional ordering.
+// # Patching
+//
+// Every predicate is addressed by a caller-chosen seq, and Candidates
+// emits seqs in ascending order. Build indexes a dense list (seq i is
+// keys[i]); With and Without patch an index one predicate at a time, so
+// a caller whose predicates come and go keeps each one's seq for as long
+// as it lives and never renumbers the rest. A patched index is an
+// LSM-style pair: a frozen base shared with every version patched from
+// it, plus a small delta — the predicates added since the base was built
+// (in a small index of the same shape) and the base seqs removed since
+// (a sorted set Candidates filters out). Once the delta holds more than
+// about √n entries it is folded into a fresh base, so a patch costs
+// amortised O(√n) work and O(1) allocations and a probe pays one extra
+// small-bucket lookup per attribute. Compact renumbers the survivors
+// densely, keeping their order, for callers whose seq space has grown
+// sparse.
+//
+// Shard-safety: an Index is immutable — With, Without and Compact
+// return a new Index and leave the receiver untouched — so it may be
+// read concurrently without synchronization. Both users patch it under
+// their write-side lock (broker topic state, rgmacore table shard) and
+// publish it through the same atomic.Pointer snapshot as the route it
+// serves, so the lock-free read paths consult it with no additional
+// ordering. The nil *Index is the empty index.
 package predindex
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -197,6 +217,22 @@ type Source interface {
 	ProbeAttr(attr string) (Value, bool)
 }
 
+// mergeAt is the delta size (added entries plus removed base seqs) at
+// which a patched index folds its delta into a fresh base, given the
+// number of live predicates. √live balances the two costs a delta
+// adds: a patch rebuilds the delta, and a merge rebuilds everything.
+// The floor keeps small indexes from merging on nearly every patch.
+// Tests force it low to push every patch through a merge.
+var mergeAt = func(live int) int { return max(8, int(math.Sqrt(float64(live)))) }
+
+// entry is one indexed predicate.
+type entry struct {
+	seq int32
+	key Key
+}
+
+func cmpEntrySeq(e entry, seq int32) int { return cmp.Compare(e.seq, seq) }
+
 // iv is one range entry: predicate seq requires the attribute in
 // [lo, hi].
 type iv struct {
@@ -204,65 +240,155 @@ type iv struct {
 	seq    int32
 }
 
+// span locates one Eq bucket inside level.seqs.
+type span struct{ off, n int32 }
+
 // attrPlan holds every key extracted for one attribute.
 type attrPlan struct {
 	attr string
-	eq   map[Value][]int32 // bucket → seqs, each seq in exactly one bucket
-	ivs  []iv              // sorted by lo; stabbed via maxHi
+	// nums, strs and bools map an Eq value, by kind, to its bucket in
+	// level.buckets: the seqs requiring attr to equal it, ascending. A
+	// seq appears at most once per bucket and, through the per-key value
+	// dedup, at most once per probe. Keying by the bare float64, string
+	// or bool keeps hashing — most of a probe and of a build — to the
+	// one field that matters; equality is unchanged (NaN matches
+	// nothing, ±0 match each other).
+	nums  map[float64]int32
+	strs  map[string]int32
+	bools map[bool]int32
+	ivs   []iv // sorted by lo; stabbed via maxHi
 	// maxHi[i] is the maximum hi in the subtree rooted at i of the
 	// implicit balanced tree over ivs (midpoint recursion), enabling
 	// O(log n + k) stabbing queries.
 	maxHi []float64
 }
 
-// Index is a built discrimination index over a fixed predicate list.
-// Immutable after Build; see the package comment for shard-safety.
-type Index struct {
-	plans    []attrPlan
+// level is one immutable build over a seq-sorted entry list: an index's
+// frozen base, or its delta of recent additions.
+type level struct {
+	entries []entry // ascending seq: what the level was built over
+	plans   []attrPlan
+	// buckets lays every plan's Eq buckets out back to back in seqs, so
+	// a build allocates per level, not per value.
+	buckets  []span
+	seqs     []int32
 	residual []int32
-	n        int
-	never    int
 }
+
+// Index is a discrimination index over a set of seq-addressed
+// predicates. Immutable; see the package comment for shard-safety.
+type Index struct {
+	base *level // never nil
+	// delta indexes the entries added since base was built; nil when
+	// none. Its plans start with base's attributes in base's order, so
+	// Candidates probes each attribute once for both levels.
+	delta *level
+	// gone holds the base seqs removed since base was built, ascending;
+	// Candidates drops them. No delta seq is in gone, so the filter may
+	// run over both levels' emissions at once.
+	gone []int32
+
+	live, residual, never int
+}
+
+// emptyLevel is the base of an index patched up from nothing.
+var emptyLevel = &level{}
 
 // Build constructs an index over keys[i] for predicate seq i. The seqs
 // emitted by Candidates index into the same slice order.
 func Build(keys []Key) *Index {
-	ix := &Index{n: len(keys)}
-	byAttr := map[string]int{}
+	entries := make([]entry, len(keys))
+	for i, k := range keys {
+		entries[i] = entry{seq: int32(i), key: k}
+	}
+	return fromEntries(entries)
+}
+
+// fromEntries builds a delta-free index over seq-sorted entries.
+func fromEntries(entries []entry) *Index {
+	if len(entries) == 0 {
+		return nil
+	}
+	ix := &Index{base: build(entries, nil), live: len(entries)}
+	for _, e := range entries {
+		ix.count(e.key, 1)
+	}
+	return ix
+}
+
+// build indexes seq-sorted entries. The level's plans begin with like's
+// attributes, in like's order (empty plans where entries have none).
+func build(entries []entry, like []attrPlan) *level {
+	lv := &level{entries: entries}
+	byAttr := make(map[string]int, len(like))
+	if len(like) > 0 {
+		lv.plans = make([]attrPlan, len(like))
+		for i := range like {
+			lv.plans[i].attr = like[i].attr
+			byAttr[like[i].attr] = i
+		}
+	}
 	plan := func(attr string) *attrPlan {
 		i, ok := byAttr[attr]
 		if !ok {
-			i = len(ix.plans)
+			i = len(lv.plans)
 			byAttr[attr] = i
-			ix.plans = append(ix.plans, attrPlan{attr: attr})
+			lv.plans = append(lv.plans, attrPlan{attr: attr})
 		}
-		return &ix.plans[i]
+		return &lv.plans[i]
 	}
-	for seq, k := range keys {
-		switch k.Kind {
-		case Never:
-			ix.never++
+	// One pass sizes the Eq buckets (one map operation per value; value
+	// hashing dominates a build) and records each seq's bucket, and
+	// collects intervals and residuals.
+	type placement struct{ bucket, seq int32 }
+	var placed []placement
+	for _, e := range entries {
+		switch k := e.key; k.Kind {
 		case Eq:
 			pl := plan(k.Attr)
-			if pl.eq == nil {
-				pl.eq = map[Value][]int32{}
+			if placed == nil { // sized for the common one value per key
+				placed = make([]placement, 0, len(entries))
+				lv.buckets = make([]span, 0, len(entries))
 			}
-			seen := map[Value]bool{}
-			for _, v := range k.Vals {
-				if !seen[v] { // a seq must appear at most once per probe
-					seen[v] = true
-					pl.eq[v] = append(pl.eq[v], int32(seq))
+			for j, v := range k.Vals {
+				if slices.Contains(k.Vals[:j], v) { // a seq must appear at most once per probe
+					continue
 				}
+				var b int32
+				switch v.Kind {
+				case KNum:
+					b = bucket(lv, &pl.nums, v.F)
+				case KStr:
+					b = bucket(lv, &pl.strs, v.S)
+				case KBool:
+					b = bucket(lv, &pl.bools, v.B)
+				default:
+					continue // no probe carries a kindless value
+				}
+				lv.buckets[b].n++
+				placed = append(placed, placement{b, e.seq})
 			}
 		case Range:
 			pl := plan(k.Attr)
-			pl.ivs = append(pl.ivs, iv{lo: k.Lo, hi: k.Hi, seq: int32(seq)})
-		default:
-			ix.residual = append(ix.residual, int32(seq))
+			pl.ivs = append(pl.ivs, iv{lo: k.Lo, hi: k.Hi, seq: e.seq})
+		case Residual:
+			lv.residual = append(lv.residual, e.seq)
 		}
 	}
-	for i := range ix.plans {
-		pl := &ix.plans[i]
+	// Lay the buckets out back to back, then fill them in seq order.
+	off := int32(0)
+	for b, sp := range lv.buckets {
+		lv.buckets[b] = span{off: off}
+		off += sp.n
+	}
+	lv.seqs = make([]int32, off)
+	for _, p := range placed {
+		sp := &lv.buckets[p.bucket]
+		lv.seqs[sp.off+sp.n] = p.seq
+		sp.n++
+	}
+	for i := range lv.plans {
+		pl := &lv.plans[i]
 		if len(pl.ivs) == 0 {
 			continue
 		}
@@ -275,7 +401,22 @@ func Build(keys []Key) *Index {
 		pl.maxHi = make([]float64, len(pl.ivs))
 		buildMaxHi(pl.ivs, pl.maxHi, 0, len(pl.ivs))
 	}
-	return ix
+	return lv
+}
+
+// bucket returns the bucket of value k in *m, adding an empty one (and
+// the map) on first use.
+func bucket[K comparable](lv *level, m *map[K]int32, k K) int32 {
+	if *m == nil {
+		*m = map[K]int32{}
+	}
+	b, ok := (*m)[k]
+	if !ok {
+		b = int32(len(lv.buckets))
+		(*m)[k] = b
+		lv.buckets = append(lv.buckets, span{})
+	}
+	return b
 }
 
 // buildMaxHi fills the implicit-tree subtree maxima for ivs[l:r) and
@@ -296,14 +437,169 @@ func buildMaxHi(ivs []iv, maxHi []float64, l, r int) float64 {
 	return m
 }
 
-// Len reports the number of predicates the index was built over.
-func (ix *Index) Len() int { return ix.n }
+// count adjusts the per-kind counters for one key entering (d = 1) or
+// leaving (d = -1) the index.
+func (ix *Index) count(k Key, d int) {
+	switch k.Kind {
+	case Residual:
+		ix.residual += d
+	case Never:
+		ix.never += d
+	}
+}
+
+// Len reports the number of predicates the index holds.
+func (ix *Index) Len() int {
+	if ix == nil {
+		return 0
+	}
+	return ix.live
+}
 
 // NumResidual reports how many predicates fell to the linear residual.
-func (ix *Index) NumResidual() int { return len(ix.residual) }
+func (ix *Index) NumResidual() int {
+	if ix == nil {
+		return 0
+	}
+	return ix.residual
+}
 
 // NumNever reports how many predicates were proven never-TRUE.
-func (ix *Index) NumNever() int { return ix.never }
+func (ix *Index) NumNever() int {
+	if ix == nil {
+		return 0
+	}
+	return ix.never
+}
+
+// find locates seq in a level's entries.
+func (lv *level) find(seq int32) (int, bool) {
+	if lv == nil {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(lv.entries, seq, cmpEntrySeq)
+}
+
+// inBase reports whether seq is a live base predicate, and where it
+// sits in base.entries and (when absent) in gone.
+func (ix *Index) inBase(seq int32) (at, goneAt int, ok bool) {
+	at, ok = ix.base.find(seq)
+	if !ok {
+		return 0, 0, false
+	}
+	goneAt, removed := slices.BinarySearch(ix.gone, seq)
+	return at, goneAt, !removed
+}
+
+// With returns an index that also holds predicate seq with key k. seq
+// must not be live in ix; it may be new or previously removed. A caller
+// that appends seqs in increasing order keeps Candidates'
+// first-appearance order without renumbering anything.
+func (ix *Index) With(seq int32, k Key) *Index {
+	next := Index{base: emptyLevel}
+	if ix != nil {
+		next = *ix
+		_, inDelta := ix.delta.find(seq)
+		if _, _, inBase := ix.inBase(seq); inDelta || inBase {
+			panic("predindex: With of a seq the index already holds")
+		}
+		if _, removed := slices.BinarySearch(ix.gone, seq); removed {
+			// Re-adding a removed base seq: fold the delta first, so the
+			// seq is not both in gone and in the new delta.
+			next = *fromEntries(ix.survivors())
+		}
+	}
+	var de []entry
+	if next.delta != nil {
+		de = next.delta.entries
+	}
+	at, _ := next.delta.find(seq)
+	next.delta = build(slices.Insert(slices.Clip(de), at, entry{seq: seq, key: k}), next.base.plans)
+	next.live++
+	next.count(k, 1)
+	return next.settle()
+}
+
+// Without returns an index that no longer holds predicate seq, or nil
+// when seq was the last one. seq must be live in ix.
+func (ix *Index) Without(seq int32) *Index {
+	if ix == nil {
+		panic("predindex: Without on an empty index")
+	}
+	next := *ix
+	var k Key
+	if at, ok := ix.delta.find(seq); ok {
+		k = ix.delta.entries[at].key
+		next.delta = nil
+		if len(ix.delta.entries) > 1 {
+			next.delta = build(slices.Delete(slices.Clone(ix.delta.entries), at, at+1), ix.base.plans)
+		}
+	} else if at, goneAt, ok := ix.inBase(seq); ok {
+		k = ix.base.entries[at].key
+		next.gone = slices.Insert(slices.Clip(ix.gone), goneAt, seq)
+	} else {
+		panic("predindex: Without of a seq the index does not hold")
+	}
+	next.live--
+	next.count(k, -1)
+	if next.live == 0 {
+		return nil
+	}
+	return next.settle()
+}
+
+// settle folds the delta into a fresh base once it has grown past
+// mergeAt, and returns the resulting index.
+func (ix *Index) settle() *Index {
+	pending := len(ix.gone)
+	if ix.delta != nil {
+		pending += len(ix.delta.entries)
+	}
+	if pending < mergeAt(ix.live) {
+		return ix
+	}
+	return fromEntries(ix.survivors())
+}
+
+// survivors returns the live entries in ascending seq order: base minus
+// gone, merged with the delta.
+func (ix *Index) survivors() []entry {
+	base, delta := ix.base.entries, []entry(nil)
+	if ix.delta != nil {
+		delta = ix.delta.entries
+	}
+	out := make([]entry, 0, ix.live)
+	gone := ix.gone
+	for len(base) > 0 || len(delta) > 0 {
+		if len(delta) == 0 || (len(base) > 0 && base[0].seq < delta[0].seq) {
+			if len(gone) > 0 && gone[0] == base[0].seq {
+				gone = gone[1:]
+			} else {
+				out = append(out, base[0])
+			}
+			base = base[1:]
+		} else {
+			out = append(out, delta[0])
+			delta = delta[1:]
+		}
+	}
+	return out
+}
+
+// Compact returns the index with its predicates renumbered 0..Len()-1
+// in ascending order of their current seqs: the i-th surviving
+// predicate becomes seq i. A caller holding a seq-addressed slot slice
+// with holes renumbers its slots the same way and keeps its order.
+func (ix *Index) Compact() *Index {
+	if ix == nil {
+		return nil
+	}
+	entries := ix.survivors()
+	for i := range entries {
+		entries[i].seq = int32(i)
+	}
+	return fromEntries(entries)
+}
 
 // Candidates appends to out the seqs of every predicate that could
 // evaluate TRUE for the probe source, sorted ascending — the same
@@ -312,26 +608,71 @@ func (ix *Index) NumNever() int { return ix.never }
 // path. out is used as scratch; pass a recycled buffer to avoid
 // allocation.
 func (ix *Index) Candidates(src Source, out []int32) []int32 {
-	for i := range ix.plans {
-		pl := &ix.plans[i]
-		v, ok := src.ProbeAttr(pl.attr)
+	if ix == nil {
+		return out
+	}
+	from := len(out)
+	levels := [2]*level{ix.base, ix.delta}
+	plans := ix.base.plans
+	if ix.delta != nil {
+		plans = ix.delta.plans // begins with base's attributes, in base's order
+	}
+	for i := range plans {
+		v, ok := src.ProbeAttr(plans[i].attr)
 		if !ok {
 			continue
 		}
-		if pl.eq != nil {
-			out = append(out, pl.eq[v]...)
-		}
-		if len(pl.ivs) > 0 && v.Kind == KNum {
-			out = stab(pl.ivs, pl.maxHi, v.F, 0, len(pl.ivs), out)
+		for _, lv := range levels {
+			if lv == nil || i >= len(lv.plans) {
+				continue
+			}
+			pl := &lv.plans[i]
+			var b int32
+			var hit bool
+			switch v.Kind {
+			case KNum:
+				b, hit = pl.nums[v.F]
+			case KStr:
+				b, hit = pl.strs[v.S]
+			case KBool:
+				b, hit = pl.bools[v.B]
+			}
+			if hit {
+				sp := lv.buckets[b]
+				out = append(out, lv.seqs[sp.off:sp.off+sp.n]...)
+			}
+			if len(pl.ivs) > 0 && v.Kind == KNum {
+				out = stab(pl.ivs, pl.maxHi, v.F, 0, len(pl.ivs), out)
+			}
 		}
 	}
-	out = append(out, ix.residual...)
+	for _, lv := range levels {
+		if lv != nil {
+			out = append(out, lv.residual...)
+		}
+	}
+	if len(ix.gone) > 0 {
+		out = ix.dropGone(out, from)
+	}
 	// Each seq appears at most once (one bucket per plan, plans are
-	// disjoint by attr, residual is disjoint from plans), so a plain
+	// disjoint by attr, residual is disjoint from plans, a live seq is
+	// in base or delta and a removed base seq is dropped), so a plain
 	// sort restores first-appearance order. slices.Sort does not
 	// allocate, unlike sort.Slice — this runs per publish.
 	slices.Sort(out)
 	return out
+}
+
+// dropGone removes removed base seqs from out[from:], in place.
+func (ix *Index) dropGone(out []int32, from int) []int32 {
+	kept := from
+	for _, s := range out[from:] {
+		if _, removed := slices.BinarySearch(ix.gone, s); !removed {
+			out[kept] = s
+			kept++
+		}
+	}
+	return out[:kept]
 }
 
 // stab walks the implicit interval tree over ivs[l:r) appending every

@@ -140,77 +140,121 @@ type Core struct {
 // streaming index) and its producers (the latest/history gather index),
 // both in registration order.
 type tableShard struct {
-	mu         sync.RWMutex
-	tables     map[string]*sqlmini.Table
-	continuous map[string][]*Consumer
-	producers  map[string][]*Producer
+	mu     sync.RWMutex
+	tables map[string]*sqlmini.Table
+	// routes holds the writer's copy of each table's read-path state,
+	// patched under mu (write lock) and published through snap.
+	routes map[string]*tableRoute
 
-	// snap is the copy-on-write snapshot of the two read-path indexes,
+	// snap is the copy-on-write snapshot of the read-path state,
 	// published through an atomic pointer so Insert's consumer scan and
 	// Pop's producer gather run with no shard lock at all (the broker's
 	// snapshot.go pattern). Stored only under mu (write lock); loaded
-	// without it. Index mutations are rare next to inserts, so each
-	// mutation rebuilds the touched table's slices and shares the rest.
+	// without it.
 	snap atomic.Pointer[tableSnap]
 }
 
-// tableSnap is one shard's published read-path state. Maps, slices and
-// indexes are immutable once stored (predindex.Index is shard-safe
-// after Build).
+// compactAt is the number of consumer-slot tombstones at which a table
+// renumbers its continuous consumers densely, given the number of live
+// ones: holes may grow to the live count, so a compaction's O(n) is
+// amortised over at least as many closes; the floor spares small tables
+// a compaction on nearly every close. Tests force it to 1 to compact on
+// every close.
+var compactAt = func(live int) int { return max(8, live) }
+
+// tableSnap is one shard's published read-path state: per table, an
+// immutable route. Tables with neither producers nor continuous
+// consumers are absent.
 type tableSnap struct {
-	continuous map[string][]*Consumer
-	producers  map[string][]*Producer
-	// indexes holds, per table, the content-based matching index over
-	// that table's continuous slice (seq i ↔ continuous[table][i]),
-	// consulted by streamInsert. Absent for tables with no continuous
-	// consumers.
-	indexes map[string]*predindex.Index
+	routes map[string]*tableRoute
+}
+
+// tableRoute is one table's read-path state. A published tableRoute is
+// immutable; the writer's copy in tableShard.routes shares its frozen
+// producers slice and its index with the published ones, and patches
+// only its continuous slice in place — which is why publishing clones
+// that slice.
+type tableRoute struct {
+	// continuous holds the table's continuous consumers by matching-index
+	// seq: a consumer keeps its seq until it closes, which leaves a nil
+	// tombstone; compaction renumbers the rest in order.
+	continuous []*Consumer
+	// live counts the non-nil continuous entries.
+	live int
+	// idx is the content-based matching index over the live continuous
+	// consumers, consulted by streamInsert; nil when there are none.
+	idx *predindex.Index
+	// producers is the latest/history gather list, in registration order.
+	producers []*Producer
+}
+
+// route returns the writer's copy of a table's route, creating it on
+// first use. Write lock held.
+func (ts *tableShard) route(table string) *tableRoute {
+	r := ts.routes[table]
+	if r == nil {
+		r = &tableRoute{}
+		ts.routes[table] = r
+	}
+	return r
+}
+
+// addContinuous appends a continuous consumer, with a seq after every
+// live one so candidates keep registration order. Write lock held.
+func (r *tableRoute) addContinuous(cn *Consumer) {
+	cn.seq = int32(len(r.continuous))
+	r.continuous = append(r.continuous, cn)
+	r.idx = r.idx.With(cn.seq, cn.matchKey)
+	r.live++
+}
+
+// removeContinuous tombstones a continuous consumer's slot, compacting
+// once tombstones reach compactAt. Write lock held.
+func (r *tableRoute) removeContinuous(cn *Consumer) {
+	r.continuous[cn.seq] = nil
+	r.idx = r.idx.Without(cn.seq)
+	r.live--
+	if len(r.continuous)-r.live < compactAt(r.live) {
+		return
+	}
+	// Renumber 0..live-1 in the current order — the order
+	// predindex.Compact renumbers the index in.
+	r.idx = r.idx.Compact()
+	live := make([]*Consumer, 0, r.live)
+	for _, c := range r.continuous {
+		if c != nil {
+			c.seq = int32(len(live))
+			live = append(live, c)
+		}
+	}
+	r.continuous = live
 }
 
 // refreshSnap republishes the shard's snapshot after a mutation of one
-// table's index entries. Untouched tables share their slices with the
-// previous snapshot generation; the mutated table's slices are cloned
-// from the locked indexes (which are append/delete-mutated in place)
-// and its matching index rebuilt from the consumers' cached keys.
-// Write lock held — that is what single-files snapshot writers.
+// table's route: the map is copied, untouched tables share their routes
+// with the previous generation, and the mutated table's route is
+// published as a copy whose continuous slice is cloned from the
+// writer's. Write lock held — that is what single-files snapshot
+// writers.
 func (c *Core) refreshSnap(ts *tableShard, table string) {
-	cur := ts.snap.Load()
-	var curC map[string][]*Consumer
-	var curP map[string][]*Producer
-	var curI map[string]*predindex.Index
-	if cur != nil {
-		curC, curP, curI = cur.continuous, cur.producers, cur.indexes
+	var cur map[string]*tableRoute
+	if snap := ts.snap.Load(); snap != nil {
+		cur = snap.routes
 	}
-	next := &tableSnap{
-		continuous: make(map[string][]*Consumer, len(curC)+1),
-		producers:  make(map[string][]*Producer, len(curP)+1),
-		indexes:    make(map[string]*predindex.Index, len(curI)+1),
-	}
-	for k, v := range curC {
+	next := &tableSnap{routes: make(map[string]*tableRoute, len(cur)+1)}
+	for k, v := range cur {
 		if k != table {
-			next.continuous[k] = v
+			next.routes[k] = v
 		}
 	}
-	for k, v := range curP {
-		if k != table {
-			next.producers[k] = v
+	if r := ts.routes[table]; r != nil {
+		if r.live == 0 && len(r.producers) == 0 {
+			delete(ts.routes, table)
+		} else {
+			pub := *r
+			pub.continuous = slices.Clone(r.continuous)
+			next.routes[table] = &pub
 		}
-	}
-	for k, v := range curI {
-		if k != table {
-			next.indexes[k] = v
-		}
-	}
-	if cns := ts.continuous[table]; len(cns) > 0 {
-		next.continuous[table] = slices.Clone(cns)
-		keys := make([]predindex.Key, len(cns))
-		for i, cn := range cns {
-			keys[i] = cn.matchKey
-		}
-		next.indexes[table] = predindex.Build(keys)
-	}
-	if ps := ts.producers[table]; len(ps) > 0 {
-		next.producers[table] = slices.Clone(ps)
 	}
 	ts.snap.Store(next)
 }
@@ -241,9 +285,8 @@ func New(cfg Config) *Core {
 	c.clock = func() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
 	for i := 0; i < cfg.Shards; i++ {
 		c.tables[i] = &tableShard{
-			tables:     make(map[string]*sqlmini.Table),
-			continuous: make(map[string][]*Consumer),
-			producers:  make(map[string][]*Producer),
+			tables: make(map[string]*sqlmini.Table),
+			routes: make(map[string]*tableRoute),
 		}
 		c.res[i] = &resShard{
 			producers: make(map[int64]*Producer),
@@ -343,6 +386,10 @@ type Consumer struct {
 	qtype     rgma.QueryType
 
 	sink Sink // non-nil: push-fed; nil: buffered
+
+	// seq is a continuous consumer's matching-index seq in its table's
+	// route; guarded by the table shard's write lock.
+	seq int32
 
 	// Buffered-delivery state: a bounded ring. Until the cap is reached
 	// buf grows by append; at the cap the oldest slot is overwritten
@@ -520,7 +567,8 @@ func (c *Core) addProducer(id int64, table string, latestRetention, historyReten
 	rs.producers[p.id] = p
 	rs.mu.Unlock()
 	ts.mu.Lock()
-	ts.producers[table] = append(ts.producers[table], p)
+	r := ts.route(table)
+	r.producers = append(slices.Clip(r.producers), p)
 	c.refreshSnap(ts, table)
 	ts.mu.Unlock()
 	if journal {
@@ -559,7 +607,8 @@ func (c *Core) closeProducer(id int64, journal bool) error {
 	c.registry.UnregisterProducerFrom(p.tableName, p.regID)
 	ts := c.tableShardFor(p.tableName)
 	ts.mu.Lock()
-	ts.producers[p.tableName] = removeHandle(ts.producers[p.tableName], p)
+	r := ts.routes[p.tableName]
+	r.producers = removeHandle(slices.Clone(r.producers), p)
 	c.refreshSnap(ts, p.tableName)
 	ts.mu.Unlock()
 	if journal {
@@ -623,8 +672,8 @@ func (c *Core) Insert(producerID int64, sqlText string) error {
 	// table never serialize here (sinks are non-blocking and the
 	// buffered ring has its own lock).
 	if snap := c.tableShardFor(p.tableName).snap.Load(); snap != nil {
-		if cns := snap.continuous[p.tableName]; len(cns) > 0 {
-			c.streamInsert(cns, snap.indexes[p.tableName], p, row, tuple)
+		if r := snap.routes[p.tableName]; r != nil && r.live > 0 {
+			c.streamInsert(r, p, row, tuple)
 		}
 	}
 	return nil
@@ -648,18 +697,18 @@ func (p *rowProbe) ProbeAttr(attr string) (predindex.Value, bool) {
 	return sqlmini.ProbeValue(p.tab, p.row, attr)
 }
 
-// streamInsert fans one inserted tuple out to the table's continuous
-// consumers: cns (non-empty) and the matching index over it, both
-// pinned by snapshot immutability.
+// streamInsert fans one inserted tuple out to the live continuous
+// consumers of r (at least one) through r's matching index, both pinned
+// by snapshot immutability.
 //
-// Consumers in cns are registered against p's table by construction:
+// Consumers in r are registered against p's table by construction:
 // addConsumer files each consumer under its table name, the shard
 // snapshot keys consumer lists by that same name, and CreateTable never
 // replaces a live *Table (identical re-creates no-op, conflicting ones
 // error), so cn.table == p.table holds for every entry and is not
 // re-checked here. (Pop keeps its parallel check because it crosses
 // producer and consumer handles supplied by the caller.)
-func (c *Core) streamInsert(cns []*Consumer, idx *predindex.Index, p *Producer, row sqlmini.Row, tuple rgma.Tuple) {
+func (c *Core) streamInsert(r *tableRoute, p *Producer, row sqlmini.Row, tuple rgma.Tuple) {
 	var streamed *Streamed
 	deliver := func(cn *Consumer) {
 		if streamed == nil {
@@ -681,16 +730,16 @@ func (c *Core) streamInsert(cns []*Consumer, idx *predindex.Index, p *Producer, 
 	}
 	sc.probe.tab = p.table
 	sc.probe.row = row
-	cands := idx.Candidates(&sc.probe, sc.buf[:0])
+	cands := r.idx.Candidates(&sc.probe, sc.buf[:0])
 	for _, ci := range cands {
-		if cn := cns[ci]; cn.prog.Matches(row) {
+		if cn := r.continuous[ci]; cn.prog.Matches(row) {
 			deliver(cn)
 		}
 	}
 	if n := len(cands); n > 0 {
 		c.matchProgramEvals.Add(uint64(n))
 	}
-	if skipped := len(cns) - len(cands); skipped > 0 {
+	if skipped := r.live - len(cands); skipped > 0 {
 		c.matchConsumersSkip.Add(uint64(skipped))
 	}
 	sc.probe.tab = nil
@@ -757,7 +806,7 @@ func (c *Core) addConsumer(id int64, query string, qtype rgma.QueryType, sink Si
 	rs.mu.Unlock()
 	if qtype == rgma.ContinuousQuery {
 		ts.mu.Lock()
-		ts.continuous[sel.Table] = append(ts.continuous[sel.Table], cn)
+		ts.route(sel.Table).addContinuous(cn)
 		c.refreshSnap(ts, sel.Table)
 		ts.mu.Unlock()
 	}
@@ -803,7 +852,9 @@ func (c *Core) Pop(consumerID int64) ([]PopTuple, error) {
 		// internally.
 		var producers []*Producer
 		if snap := c.tableShardFor(cn.tableName).snap.Load(); snap != nil {
-			producers = snap.producers[cn.tableName]
+			if r := snap.routes[cn.tableName]; r != nil {
+				producers = r.producers
+			}
 		}
 		now := c.clock()
 		for _, p := range producers {
@@ -846,7 +897,7 @@ func (c *Core) closeConsumer(id int64, journal bool) error {
 	if cn.qtype == rgma.ContinuousQuery {
 		ts := c.tableShardFor(cn.tableName)
 		ts.mu.Lock()
-		ts.continuous[cn.tableName] = removeHandle(ts.continuous[cn.tableName], cn)
+		ts.routes[cn.tableName].removeContinuous(cn)
 		c.refreshSnap(ts, cn.tableName)
 		ts.mu.Unlock()
 	}

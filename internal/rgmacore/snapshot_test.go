@@ -18,14 +18,45 @@ import (
 // (oracle_test.go) predicts for any single-caller operation sequence,
 // and survive concurrent index churn under -race.
 
+// forceCompaction makes every continuous-consumer close renumber its
+// table's consumers and matching index, for the rest of the test.
+func forceCompaction(t *testing.T) {
+	prev := compactAt
+	compactAt = func(int) int { return 1 }
+	t.Cleanup(func() { compactAt = prev })
+}
+
+// distinctWhere draws from a family of per-consumer queries on table —
+// `seq = k` and `seq >= k AND seq <= k+3` — so the table carries dozens
+// of continuous consumers that come and go, and its matching index
+// patches, merges and compacts.
+func distinctWhere(rng *rand.Rand, table string) string {
+	k := rng.Intn(100)
+	if rng.Intn(2) == 0 {
+		return fmt.Sprintf("SELECT * FROM %s WHERE seq = %d", table, k)
+	}
+	return fmt.Sprintf("SELECT * FROM %s WHERE seq >= %d AND seq <= %d", table, k, k+3)
+}
+
 // TestCoreOracleRandomized drives randomized operation sequences —
 // table declares, producer and consumer create/close churn (all query
-// types), inserts, pops — through the core and the oracle from a single
+// types, and many distinct continuous consumers on one hot table),
+// inserts, pops — through the core and the oracle from a single
 // goroutine, comparing every pop result with the oracle's prediction as
-// it happens. Any index mutation missing its refreshSnap, and any
-// consumer the matching index wrongly skips, shows up as a pop
-// divergence.
+// it happens. Any index mutation missing its refreshSnap, any consumer
+// the matching index wrongly skips, and any consumer a patch or
+// compaction misnumbers shows up as a pop divergence. Every seed runs at
+// the production compaction threshold and again compacting on every
+// close.
 func TestCoreOracleRandomized(t *testing.T) {
+	t.Run("production", coreOracleSeeds)
+	t.Run("compact-every-close", func(t *testing.T) {
+		forceCompaction(t)
+		coreOracleSeeds(t)
+	})
+}
+
+func coreOracleSeeds(t *testing.T) {
 	tables := []string{"ta", "tb", "tc"}
 	queries := []string{
 		"SELECT * FROM %s",
@@ -48,6 +79,14 @@ func TestCoreOracleRandomized(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(seed))
 		var producers, consumers []int64
+		createConsumer := func(op int, q string, qt rgma.QueryType) {
+			cn, err := c.CreateConsumer(q, qt, nil)
+			if err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			consumers = append(consumers, cn.ID())
+			orc.addConsumer(cn.ID(), q, qt)
+		}
 		for op := 0; op < 600; op++ {
 			now += sim.Time(rng.Intn(50)) * sim.Millisecond
 			switch r := rng.Intn(20); {
@@ -71,16 +110,12 @@ func TestCoreOracleRandomized(t *testing.T) {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 				orc.closeProducer(id)
-			case r < 9: // create a consumer (any query type)
+			case r < 7: // create a consumer (any query type)
 				q := fmt.Sprintf(queries[rng.Intn(len(queries))], tables[rng.Intn(len(tables))])
-				qt := qtypes[rng.Intn(len(qtypes))]
-				cn, err := c.CreateConsumer(q, qt, nil)
-				if err != nil {
-					t.Fatalf("seed %d op %d: %v", seed, op, err)
-				}
-				consumers = append(consumers, cn.ID())
-				orc.addConsumer(cn.ID(), q, qt)
-			case r < 11: // close a consumer
+				createConsumer(op, q, qtypes[rng.Intn(len(qtypes))])
+			case r < 9: // create a distinct continuous consumer on the hot table
+				createConsumer(op, distinctWhere(rng, tables[0]), rgma.ContinuousQuery)
+			case r < 12: // close a consumer; half the time replace it on the hot table
 				if len(consumers) == 0 {
 					continue
 				}
@@ -91,6 +126,9 @@ func TestCoreOracleRandomized(t *testing.T) {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 				orc.closeConsumer(id)
+				if rng.Intn(2) == 0 {
+					createConsumer(op, distinctWhere(rng, tables[0]), rgma.ContinuousQuery)
+				}
 			case r < 14: // pop a consumer, comparing the delivered tuples
 				if len(consumers) == 0 {
 					continue
@@ -122,16 +160,26 @@ func TestCoreOracleRandomized(t *testing.T) {
 }
 
 // TestCoreSnapshotChurnEquivalence is the concurrent storm: goroutines
-// churn producers and continuous consumers (create, pop, close) while
-// inserters hammer the same tables, racing per-table snapshot and
-// matching-index rebuilds against indexed inserts. Delivery during the
+// churn producers and continuous consumers (create, pop, close, and
+// distinct consumers replaced on a hot table) while inserters hammer the
+// same tables, racing per-table snapshot and matching-index patches,
+// merges and compactions against indexed inserts. Delivery during the
 // storm is inherently racy, so phase 1 asserts safety only (no races
 // under -race, clean teardown). Then the storm
 // quiesces — every phase-1 resource closed — and a deterministic probe
 // set over fresh producers must pop exactly what a fresh oracle
 // predicts, proving the churned-up snapshots converged to the state of
-// a core that never saw the storm.
+// a core that never saw the storm. It runs at the production compaction
+// threshold and again compacting on every close.
 func TestCoreSnapshotChurnEquivalence(t *testing.T) {
+	t.Run("production", coreChurnStorm)
+	t.Run("compact-every-close", func(t *testing.T) {
+		forceCompaction(t)
+		coreChurnStorm(t)
+	})
+}
+
+func coreChurnStorm(t *testing.T) {
 	const (
 		churners  = 4
 		inserters = 4
@@ -165,8 +213,11 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 			var cns []int64
 			for op := 0; op < stormOps; op++ {
 				switch rng.Intn(8) {
-				case 0, 1, 2: // create a continuous consumer
+				case 0, 1, 2: // create a continuous consumer (half on the hot table)
 					q := fmt.Sprintf(queries[rng.Intn(len(queries))], tables[rng.Intn(len(tables))])
+					if rng.Intn(2) == 0 {
+						q = distinctWhere(rng, tables[0])
+					}
 					cn, err := c.CreateConsumer(q, rgma.ContinuousQuery, nil)
 					if err != nil {
 						t.Error(err)
@@ -299,5 +350,39 @@ func TestCoreSnapshotChurnEquivalence(t *testing.T) {
 		if want := orc.pop(cn.ID(), 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("post-churn probe %d pops diverge:\ncore:   %v\noracle: %v", i, got, want)
 		}
+	}
+}
+
+// TestConsumerChurnAllocsFlat is the quadratic-regression guard for the
+// table route's write side: closing and re-creating one continuous
+// consumer beside n others patches the route and its matching index, so
+// its allocations do not grow with n.
+func TestConsumerChurnAllocsFlat(t *testing.T) {
+	const churn = "SELECT * FROM hot WHERE seq = -1"
+	perPair := func(n int) float64 {
+		c := New(Config{Shards: 1})
+		mustCreateTable(t, c, "CREATE TABLE hot (genid INTEGER PRIMARY KEY, seq INTEGER)")
+		for k := 0; k < n; k++ {
+			if _, err := c.CreateConsumer(fmt.Sprintf("SELECT * FROM hot WHERE seq = %d", k), rgma.ContinuousQuery, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cn, err := c.CreateConsumer(churn, rgma.ContinuousQuery, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if err := c.CloseConsumer(cn.ID()); err != nil {
+				t.Fatal(err)
+			}
+			if cn, err = c.CreateConsumer(churn, rgma.ContinuousQuery, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := perPair(100), perPair(1000)
+	t.Logf("allocations per close+create: %.1f at 100 consumers, %.1f at 1000", small, large)
+	if large > 1.5*small {
+		t.Fatalf("close+create allocates %.1f at 1000 consumers vs %.1f at 100: grows with the table", large, small)
 	}
 }
