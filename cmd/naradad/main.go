@@ -57,6 +57,7 @@ import (
 	"gridmon/internal/jms"
 	"gridmon/internal/wal"
 	"gridmon/internal/walfs"
+	"gridmon/internal/wire"
 )
 
 func main() {
@@ -192,9 +193,9 @@ func serveStats(addr string, srv *jms.Server, pers *brokerwal.Persister, pprofOn
 			// EgressFramesPerFlush is the broker-level average coalescing
 			// run length (Deliver frames per batched emission);
 			// TransportEgress counts the socket-level writer batching.
-			EgressFramesPerFlush float64         `json:"egress_frames_per_flush"`
-			TransportEgress      jms.EgressStats `json:"transport_egress"`
-			WAL                  *wal.Stats      `json:"wal,omitempty"`
+			EgressFramesPerFlush float64          `json:"egress_frames_per_flush"`
+			TransportEgress      wire.EgressStats `json:"transport_egress"`
+			WAL                  *wal.Stats       `json:"wal,omitempty"`
 		}{Stats: srv.Stats(), TransportEgress: srv.EgressStats()}
 		out.EgressFramesPerFlush = out.Stats.EgressFramesPerFlush()
 		if pers != nil {

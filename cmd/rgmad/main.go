@@ -108,15 +108,7 @@ func main() {
 		if pers != nil {
 			binSrv.SetWALStats(pers.Stats)
 		}
-		srv.SetBinEgress(func() rgmahttp.BinEgressStats {
-			es := binSrv.EgressStats()
-			return rgmahttp.BinEgressStats{
-				WriterFlushes:  es.WriterFlushes,
-				WriterFrames:   es.WriterFrames,
-				MergedPushes:   es.MergedPushes,
-				FramesPerFlush: es.FramesPerFlush,
-			}
-		})
+		srv.SetBinEgress(binSrv.EgressStats)
 		binAddr, err := binSrv.ListenAndServe(*listenBin)
 		if err != nil {
 			log.Fatalf("rgmad: binary transport: %v", err)

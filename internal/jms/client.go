@@ -108,25 +108,10 @@ func (c *Connection) BrokerID() string {
 	return c.brokerID
 }
 
-// maxRetainedSendBuf caps the encode buffer kept across sends; an
-// occasional huge frame should not pin its buffer for the connection's
-// lifetime.
-const maxRetainedSendBuf = 64 << 10
-
 func (c *Connection) send(f wire.Frame) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	buf, err := wire.AppendFrame(c.wbuf[:0], f)
-	if err != nil {
-		return err
-	}
-	if cap(buf) <= maxRetainedSendBuf {
-		c.wbuf = buf
-	} else {
-		c.wbuf = nil
-	}
-	_, err = c.conn.Write(buf)
-	return err
+	return wire.WriteFrameBuf(c.conn, &c.wbuf, f)
 }
 
 func (c *Connection) readLoop() {

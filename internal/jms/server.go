@@ -17,23 +17,17 @@
 // all, so publishes to the *same* topic do not serialize on routing
 // either (see the broker package comment).
 //
-// Wide fan-outs arrive at the writers batched: at or above the core's
-// fan-out threshold (64 matched subscriptions) it hands each
-// per-connection run to Env.Send as one wire.DeliverBatch, and the
-// connection's writer splices the frozen message's cached encoding once
-// per entry into a single buffered flush — one syscall where per-frame
-// emission made N — switching to vectored writev (net.Buffers) for
-// large payloads so the encodings are never copied at all. The batch's
-// stream form is exactly the N MESSAGE frames it stands for, so clients
-// are untouched. EgressStats reports writer flushes, frames and writev
-// use.
-//
-// The writer owns every pooled frame it dequeues and releases it
-// exactly once, including on the slow-consumer and shutdown paths: a
-// writer that dies drains its queue under a writer-side quiescence lock
-// (connWriter.quit), and senders that lose the enqueue race release the
-// frame themselves (trySend). A DeliverBatch dropped this way releases
-// the whole batch once — never per-entry.
+// Every connection's outbound side is a wire.FrameWriter, the writer
+// rgmabin runs too: a bounded queue drained by one goroutine into
+// coalesced writes, owning and releasing exactly once every pooled
+// Deliver/DeliverBatch it is handed. Wide fan-outs arrive batched — at
+// or above the core's fan-out threshold (64 matched subscriptions) each
+// per-connection run reaches Env.Send as one wire.DeliverBatch, which
+// the writer splices into one flush (or writes as one writev for large
+// payloads); clients see the same MESSAGE frames either way. This
+// package keeps only the policy: a send that finds the queue full drops
+// the connection as a slow consumer (dropConn). EgressStats reports the
+// writers' meters.
 //
 // Servers also peer with each other over the same listener, forming the
 // paper's Distributed Broker Network on real TCP: JoinNetwork attaches
@@ -50,7 +44,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gridmon/internal/broker"
@@ -70,15 +63,13 @@ type ServerConfig struct {
 	MaxConnMemory int64
 	// MemPerConn is the per-connection charge against MaxConnMemory.
 	MemPerConn int64
-	// WriteBuffer is the per-connection outbound frame queue length.
+	// WriteBuffer is the per-connection outbound frame queue length (default 256).
 	WriteBuffer int
-	// PeerWriteBuffer is the outbound frame queue length for
-	// broker-to-broker links (default 4096). Peer links absorb the
-	// aggregated forward traffic of a whole broker, so they get a much
-	// deeper queue than client connections; a peer that still overflows
-	// it is dropped like any slow consumer.
-	PeerWriteBuffer int
 }
+
+// Writer queue lengths. Peer links carry a whole broker's forwarded
+// traffic, so they get a much deeper queue than client connections.
+const defaultWriteBuffer, peerWriteBuffer = 256, 4096
 
 // Server runs a broker core behind a TCP listener. Per-connection reader
 // goroutines feed the sharded core directly; per-connection writer
@@ -89,7 +80,7 @@ type Server struct {
 	b   *broker.Broker
 
 	mu      sync.Mutex
-	writers map[broker.ConnID]*connWriter
+	writers map[broker.ConnID]*wire.FrameWriter
 	nextID  broker.ConnID
 	closed  bool
 
@@ -102,99 +93,11 @@ type Server struct {
 	native *simproc.SharedHeap
 	heap   *simproc.SharedHeap
 
-	egress egressMeters
+	egress wire.EgressMeters
 }
 
-type connWriter struct {
-	conn net.Conn
-	out  chan wire.Frame
-	done chan struct{}
-	eg   *egressMeters
-
-	// quit guards the enqueue/shutdown race for pooled frames: senders
-	// enqueue under the read lock, the exiting writer goroutine sets dead
-	// under the write lock and then drains the channel. Any frame
-	// enqueued before the writer observed dead is therefore drained (and
-	// released) by the writer; any sender arriving after sees dead and
-	// releases the frame itself — every pooled frame is released exactly
-	// once no matter when the connection dies.
-	quit sync.RWMutex
-	dead bool
-}
-
-// sendResult reports what trySend did with the frame.
-type sendResult int
-
-const (
-	sendOK   sendResult = iota
-	sendFull            // queue full: frame released, connection should drop
-	sendDead            // writer exited: frame released
-)
-
-// trySend enqueues f for the writer goroutine without blocking. The
-// frame's ownership transfers to the writer only on sendOK; on sendFull
-// and sendDead it has already been released here.
-func (w *connWriter) trySend(f wire.Frame) sendResult {
-	w.quit.RLock()
-	if w.dead {
-		w.quit.RUnlock()
-		release(f)
-		return sendDead
-	}
-	select {
-	case w.out <- f:
-		w.quit.RUnlock()
-		return sendOK
-	default:
-		w.quit.RUnlock()
-		release(f)
-		return sendFull
-	}
-}
-
-// shutdown marks the writer dead and releases every frame still queued.
-// Called exactly once, from the writer goroutine's exit path.
-func (w *connWriter) shutdown() {
-	w.quit.Lock()
-	w.dead = true
-	w.quit.Unlock()
-	for {
-		select {
-		case f := <-w.out:
-			release(f)
-		default:
-			return
-		}
-	}
-}
-
-// egressMeters counts transport-level egress batching on a server: how
-// many socket flushes the per-connection writers performed, how many
-// frames those flushes carried (a DeliverBatch counts each spliced
-// Deliver), and how many flushes went out as vectored writes.
-type egressMeters struct {
-	flushes atomic.Uint64
-	frames  atomic.Uint64
-	writevs atomic.Uint64
-}
-
-// EgressStats is the naradad /stats view of the transport egress layer.
-type EgressStats struct {
-	WriterFlushes  uint64  `json:"writer_flushes"`
-	WriterFrames   uint64  `json:"writer_frames"`
-	WriterWritevs  uint64  `json:"writer_writevs"`
-	FramesPerFlush float64 `json:"frames_per_flush"`
-}
-
-// EgressStats reports the server's transport egress counters.
-func (s *Server) EgressStats() EgressStats {
-	fl, fr := s.egress.flushes.Load(), s.egress.frames.Load()
-	es := EgressStats{WriterFlushes: fl, WriterFrames: fr, WriterWritevs: s.egress.writevs.Load()}
-	if fl > 0 {
-		es.FramesPerFlush = float64(fr) / float64(fl)
-	}
-	return es
-}
+// EgressStats reports the egress counters of all the server's writers.
+func (s *Server) EgressStats() wire.EgressStats { return s.egress.Stats() }
 
 // NewServer starts a broker server on the given listener. Close releases
 // it.
@@ -220,10 +123,7 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 		cfg.Broker.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = 256
-	}
-	if cfg.PeerWriteBuffer <= 0 {
-		cfg.PeerWriteBuffer = 4096
+		cfg.WriteBuffer = defaultWriteBuffer
 	}
 	if cfg.MemPerConn <= 0 {
 		cfg.MemPerConn = 256 << 10
@@ -231,7 +131,7 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 	s := &Server{
 		cfg:     cfg,
 		ln:      ln,
-		writers: make(map[broker.ConnID]*connWriter),
+		writers: make(map[broker.ConnID]*wire.FrameWriter),
 		native:  simproc.NewSharedHeap("server-native", cfg.MaxConnMemory, 0),
 		heap:    simproc.NewSharedHeap("server-heap", 0, 0),
 	}
@@ -262,15 +162,11 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	writers := make([]*connWriter, 0, len(s.writers))
 	for _, w := range s.writers {
-		writers = append(writers, w)
+		_ = w.Conn().Close()
 	}
 	s.mu.Unlock()
 	_ = s.ln.Close()
-	for _, w := range writers {
-		_ = w.conn.Close()
-	}
 }
 
 // Stats proxies the broker core's counters. The core keeps them in
@@ -293,7 +189,7 @@ func (s *Server) accept() {
 		}
 		s.nextID++
 		id := s.nextID
-		w := &connWriter{conn: conn, out: make(chan wire.Frame, s.cfg.WriteBuffer), done: make(chan struct{}), eg: &s.egress}
+		w := wire.NewFrameWriter(conn, s.cfg.WriteBuffer, &s.egress)
 		s.writers[id] = w
 		s.mu.Unlock()
 
@@ -303,142 +199,16 @@ func (s *Server) accept() {
 			s.dropConn(id, w, false)
 			continue
 		}
-		go w.run()
+		go w.Run()
 		go s.read(id, w)
-	}
-}
-
-// maxWriteBatch caps how many bytes of queued frames the writer encodes
-// into one buffer before flushing to the socket.
-const maxWriteBatch = 64 << 10
-
-// writeBufPool recycles per-connection encode buffers across connection
-// lifetimes, so churning clients don't allocate a fresh buffer per
-// accept. Buffers are pooled behind a pointer so Put doesn't box the
-// slice header; oversized buffers are dropped rather than pooled.
-var writeBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// release returns a consumed frame to its pool. The writer owns each
-// frame it dequeues once encoding is done; broker fan-out Deliver frames
-// and DeliverBatch envelopes are pooled, everything else is left to the
-// GC.
-func release(f wire.Frame) {
-	switch d := f.(type) {
-	case *wire.Deliver:
-		wire.PutDeliver(d)
-	case *wire.DeliverBatch:
-		wire.PutDeliverBatch(d)
-	}
-}
-
-// vecPayloadMin is the smallest cached encoding for which a multi-entry
-// DeliverBatch goes out as a vectored write (one writev referencing the
-// shared payload N times) instead of being spliced into the coalescing
-// buffer N times. Below it, copying into one buffer is cheaper than the
-// per-iovec syscall bookkeeping.
-const vecPayloadMin = 4 << 10
-
-func (w *connWriter) run() {
-	// One reusable encode buffer per connection (pooled across
-	// connections): frames already queued when the writer wakes
-	// (same-tick deliveries of a fan-out, or one broker-batched
-	// DeliverBatch, which AppendFrame splices as N MESSAGE frames
-	// sharing one cached payload encoding) are coalesced into a single
-	// Write call. On every exit path shutdown drains and releases the
-	// frames still queued, so pooled Delivers/DeliverBatches are
-	// returned exactly once even when the connection dies mid-stream.
-	bp := writeBufPool.Get().(*[]byte)
-	buf := *bp
-	var vec [][]byte // writev scratch, reused across flushes
-	defer func() {
-		w.shutdown()
-		if cap(buf) <= maxWriteBatch {
-			*bp = buf[:0]
-			writeBufPool.Put(bp)
-		}
-	}()
-	for {
-		select {
-		case f := <-w.out:
-			// Large-payload batches skip the copy entirely: one writev
-			// whose iovecs alternate per-entry headers (sliced from buf)
-			// with the single shared payload encoding.
-			if b, ok := f.(*wire.DeliverBatch); ok && len(b.Entries) >= 2 && b.Msg.EncodedSize() >= vecPayloadMin {
-				frames := len(b.Entries)
-				v, hdr, err := wire.AppendDeliverBatchVec(vec[:0], buf[:0], b)
-				release(f)
-				if err != nil {
-					_ = w.conn.Close()
-					return
-				}
-				vec, buf = v, hdr
-				bufs := net.Buffers(vec)
-				_, err = bufs.WriteTo(w.conn)
-				if err != nil {
-					_ = w.conn.Close()
-					return
-				}
-				w.eg.flushes.Add(1)
-				w.eg.frames.Add(uint64(frames))
-				w.eg.writevs.Add(1)
-				if cap(buf) > maxWriteBatch {
-					buf = make([]byte, 0, 4096)
-				}
-				continue
-			}
-			frames := wire.FrameCount(f)
-			var err error
-			buf, err = wire.AppendFrame(buf[:0], f)
-			release(f)
-			if err != nil {
-				_ = w.conn.Close()
-				return
-			}
-		coalesce:
-			for len(buf) < maxWriteBatch {
-				select {
-				case f2 := <-w.out:
-					frames += wire.FrameCount(f2)
-					buf, err = wire.AppendFrame(buf, f2)
-					release(f2)
-					if err != nil {
-						// Flush the frames that did encode before
-						// dropping the connection.
-						_, _ = w.conn.Write(buf)
-						_ = w.conn.Close()
-						return
-					}
-				default:
-					break coalesce
-				}
-			}
-			if _, err := w.conn.Write(buf); err != nil {
-				_ = w.conn.Close()
-				return
-			}
-			w.eg.flushes.Add(1)
-			w.eg.frames.Add(uint64(frames))
-			// An occasional oversized frame must not pin its buffer for
-			// the connection's lifetime.
-			if cap(buf) > maxWriteBatch {
-				buf = make([]byte, 0, 4096)
-			}
-		case <-w.done:
-			return
-		}
 	}
 }
 
 // read pumps one connection's frames straight into the core: reads of
 // different connections execute concurrently, serialized only where
 // they meet on a destination shard.
-func (s *Server) read(id broker.ConnID, w *connWriter) {
-	fr := wire.NewFrameReader(w.conn)
+func (s *Server) read(id broker.ConnID, w *wire.FrameWriter) {
+	fr := wire.NewFrameReader(w.Conn())
 	for first := true; ; first = false {
 		f, err := fr.Read()
 		if err != nil {
@@ -494,14 +264,14 @@ func (s *Server) Member() *brokernet.Member {
 	return s.member
 }
 
-// newPeerWriter registers a deep-buffered connWriter for a peer link and
+// newPeerWriter registers a deep-buffered writer for a peer link and
 // starts its writer goroutine. With old == nil a fresh id is allocated
 // (outbound dial); otherwise old's registration is atomically replaced
 // and old's writer goroutine stopped (inbound upgrade — old's queue is
 // empty by construction: a connection whose first frame was the peer
 // handshake was never sent anything).
-func (s *Server) newPeerWriter(id broker.ConnID, old *connWriter, conn net.Conn) (broker.ConnID, *connWriter, error) {
-	w := &connWriter{conn: conn, out: make(chan wire.Frame, s.cfg.PeerWriteBuffer), done: make(chan struct{}), eg: &s.egress}
+func (s *Server) newPeerWriter(id broker.ConnID, old *wire.FrameWriter, conn net.Conn) (broker.ConnID, *wire.FrameWriter, error) {
+	w := wire.NewFrameWriter(conn, peerWriteBuffer, &s.egress)
 	s.mu.Lock()
 	if s.closed || (old != nil && s.writers[id] != old) {
 		s.mu.Unlock()
@@ -514,23 +284,23 @@ func (s *Server) newPeerWriter(id broker.ConnID, old *connWriter, conn net.Conn)
 	s.writers[id] = w
 	s.mu.Unlock()
 	if old != nil {
-		close(old.done)
+		old.Stop()
 	}
-	go w.run()
+	go w.Run()
 	return id, w, nil
 }
 
 // peerSender builds the brokernet.LinkSender for one peer link: a
-// non-blocking enqueue onto the link's writer channel. Enqueue-only is
+// non-blocking enqueue onto the link's writer. Enqueue-only is
 // the LinkSender contract (the caller holds member and shard locks), and
 // non-blocking keeps a stalled peer from wedging publishers: on
 // overflow the TCP connection is closed, the link's read loop observes
 // the error on its own goroutine and detaches the peer — the same
 // drop-the-slow-consumer policy clients get, with a much deeper queue.
-func (s *Server) peerSender(w *connWriter) brokernet.LinkSender {
+func (s *Server) peerSender(w *wire.FrameWriter) brokernet.LinkSender {
 	return func(f wire.Frame) {
-		if w.trySend(f) == sendFull {
-			_ = w.conn.Close()
+		if w.TrySend(f) == wire.SendFull {
+			_ = w.Conn().Close()
 		}
 	}
 }
@@ -538,7 +308,7 @@ func (s *Server) peerSender(w *connWriter) brokernet.LinkSender {
 // handlePeerLink upgrades an accepted client connection into a peer
 // link: release the client session the accept path admitted, answer the
 // handshake, register the link, and pump peer frames.
-func (s *Server) handlePeerLink(id broker.ConnID, w *connWriter, bl wire.BrokerLink, fr *wire.FrameReader) {
+func (s *Server) handlePeerLink(id broker.ConnID, w *wire.FrameWriter, bl wire.BrokerLink, fr *wire.FrameReader) {
 	// The connection was admitted as a client (and has processed no
 	// other frame, so it owns no subscriptions); hand that session back.
 	s.b.OnConnClose(id)
@@ -552,9 +322,9 @@ func (s *Server) handlePeerLink(id broker.ConnID, w *connWriter, bl wire.BrokerL
 	}
 	// Swap the accept-time writer (client-sized queue, empty: nothing
 	// was ever sent to this conn) for a peer-sized one.
-	_, pw, err := s.newPeerWriter(id, w, w.conn)
+	_, pw, err := s.newPeerWriter(id, w, w.Conn())
 	if err != nil {
-		_ = w.conn.Close()
+		_ = w.Conn().Close()
 		return
 	}
 	// The success reply travels as Link's preamble: it is enqueued only
@@ -627,7 +397,7 @@ func (s *Server) DialPeer(addr string) (string, error) {
 
 // readPeer pumps one peer link's frames into the broker network. On
 // link death the peer is detached and its subtree's interest withdrawn.
-func (s *Server) readPeer(id broker.ConnID, w *connWriter, member *brokernet.Member, peerID string, fr *wire.FrameReader) {
+func (s *Server) readPeer(id broker.ConnID, w *wire.FrameWriter, member *brokernet.Member, peerID string, fr *wire.FrameReader) {
 	for {
 		f, err := fr.Read()
 		if err != nil {
@@ -642,16 +412,16 @@ func (s *Server) readPeer(id broker.ConnID, w *connWriter, member *brokernet.Mem
 // dropConn tears down one connection; notify releases core state. The
 // first dropper wins: later calls for the same id are no-ops, as are
 // calls holding a stale writer (a client writer swapped out by a peer
-// upgrade), so w.done is closed exactly once.
-func (s *Server) dropConn(id broker.ConnID, w *connWriter, notify bool) {
+// upgrade), so the core hears of each connection's close once.
+func (s *Server) dropConn(id broker.ConnID, w *wire.FrameWriter, notify bool) {
 	s.mu.Lock()
 	live := s.writers[id] == w
 	if live {
 		delete(s.writers, id)
-		close(w.done)
+		w.Stop()
 	}
 	s.mu.Unlock()
-	_ = w.conn.Close()
+	_ = w.Conn().Close()
 	if notify && live {
 		// Always on a fresh goroutine: Send may drop a slow consumer
 		// from inside a delivery — while the subscription's own leaf
@@ -662,7 +432,7 @@ func (s *Server) dropConn(id broker.ConnID, w *connWriter, notify bool) {
 }
 
 // serverEnv implements broker.Env. All methods are safe for concurrent
-// use: frame queues are per-connection channels behind the writers
+// use: frame queues are per-connection FrameWriters behind the writers
 // mutex, memory accounting is atomic (simproc.SharedHeap).
 type serverEnv Server
 
@@ -677,14 +447,12 @@ func (e *serverEnv) Send(id broker.ConnID, f wire.Frame) {
 		// The connection was dropped and its deferred OnConnClose has not
 		// run yet, so the core still routes to it: this frame has no
 		// writer to own it.
-		release(f)
+		wire.Release(f)
 		return
 	}
-	switch w.trySend(f) {
-	case sendOK, sendDead:
-	case sendFull:
+	if w.TrySend(f) == wire.SendFull {
 		// Slow consumer: drop the connection rather than block the
-		// broker (NaradaBrokering-era brokers did the same). trySend
+		// broker (NaradaBrokering-era brokers did the same). TrySend
 		// already released the frame.
 		s.dropConn(id, w, true)
 	}

@@ -112,13 +112,7 @@ func (c *Client) Close() error {
 func (c *Client) writeFrame(f wire.Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	buf, err := wire.AppendFrame(c.wbuf[:0], f)
-	if err != nil {
-		return err
-	}
-	c.wbuf = buf
-	_, err = c.nc.Write(buf)
-	return err
+	return wire.WriteFrameBuf(c.nc, &c.wbuf, f)
 }
 
 func (c *Client) readLoop() {

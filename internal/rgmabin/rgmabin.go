@@ -23,14 +23,14 @@
 // # Concurrency and ordering
 //
 // Each connection has one reader goroutine (which executes requests
-// against the shard-safe core inline) and one batching writer goroutine
-// (per-connection frame queue, coalesced into single TCP writes — the
-// same connWriter idiom as internal/jms). Requests on one connection
-// are executed in arrival order; pushes for one consumer arrive in the
-// producer's insert order (the core fans out under the table shard's
-// read lock and the writer preserves queue order). A push may overtake
-// the RGMAOK of the consumer-create that subscribed it; the client
-// buffers such early tuples and replays them to the callback in order.
+// against the shard-safe core inline) and one wire.FrameWriter, the
+// coalescing writer internal/jms runs too, which merges queue-adjacent
+// pushes for one consumer into one RGMATuples frame. Requests on one
+// connection are executed in arrival order; pushes for one consumer
+// arrive in the producer's insert order (the core fans out under the
+// table shard's read lock and the writer preserves queue order). A push
+// may overtake the RGMAOK of the consumer-create that subscribed it; the
+// client buffers such early tuples and replays them in order.
 //
 // # Slow consumers
 //
@@ -39,7 +39,8 @@
 // (the R-GMA analogue of the broker's slow-consumer policy): the socket
 // is closed, the reader observes the error on its own goroutine and
 // releases the connection's producers and consumers in the core. Sinks
-// never block an inserting producer.
+// never block an inserting producer. SlowConsumerDrops counts each
+// dropped connection once, however many sends found its queue full.
 package rgmabin
 
 import (
@@ -81,44 +82,12 @@ type Server struct {
 	conns  map[*serverConn]struct{}
 	closed bool
 
-	slowDrops atomic.Uint64
-	walStats  atomic.Pointer[func() wal.Stats]
-
-	egress egressMeters
+	walStats atomic.Pointer[func() wal.Stats]
+	egress   wire.EgressMeters
 }
 
-// egressMeters counts writer-side egress batching: socket flushes, the
-// frames they carried (counted before merging), and pushes folded into
-// the preceding same-consumer push frame instead of being encoded as
-// their own frame.
-type egressMeters struct {
-	flushes      atomic.Uint64
-	frames       atomic.Uint64
-	mergedPushes atomic.Uint64
-}
-
-// EgressStats is the /stats view of the binary transport's egress
-// batching (see Server.EgressStats).
-type EgressStats struct {
-	WriterFlushes  uint64  `json:"writer_flushes"`
-	WriterFrames   uint64  `json:"writer_frames"`
-	MergedPushes   uint64  `json:"merged_pushes"`
-	FramesPerFlush float64 `json:"frames_per_flush"`
-}
-
-// EgressStats reports the server's transport egress counters: how many
-// TCP writes the per-connection writers performed, how many reply/push
-// frames rode in them, and how many continuous-query pushes were merged
-// into a neighbouring push for the same consumer (one RGMATuples frame
-// carrying N tuples instead of N frames).
-func (s *Server) EgressStats() EgressStats {
-	fl, fr := s.egress.flushes.Load(), s.egress.frames.Load()
-	es := EgressStats{WriterFlushes: fl, WriterFrames: fr, MergedPushes: s.egress.mergedPushes.Load()}
-	if fl > 0 {
-		es.FramesPerFlush = float64(fr) / float64(fl)
-	}
-	return es
-}
+// EgressStats reports the connection writers' egress counters.
+func (s *Server) EgressStats() wire.EgressStats { return s.egress.Stats() }
 
 // NewServer wraps a core (possibly shared with an rgmahttp.Server) in
 // an unstarted binary server.
@@ -135,9 +104,8 @@ func NewServer(core *rgmacore.Core, cfg Config) *Server {
 // Core returns the server's service core.
 func (s *Server) Core() *rgmacore.Core { return s.core }
 
-// SlowConsumerDrops reports connections dropped for an overflowing
-// write queue.
-func (s *Server) SlowConsumerDrops() uint64 { return s.slowDrops.Load() }
+// SlowConsumerDrops reports connections dropped for a full write queue.
+func (s *Server) SlowConsumerDrops() uint64 { return s.EgressStats().SlowConsumerDrops }
 
 // SetWALStats installs the write-ahead-log counter source reported by
 // the stats RPC (cmd/rgmad wires the persister's Stats method in when
@@ -199,8 +167,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		c := &serverConn{
 			s:         s,
 			nc:        nc,
-			out:       make(chan wire.Frame, s.cfg.WriteBuffer),
-			done:      make(chan struct{}),
+			w:         wire.NewFrameWriter(nc, s.cfg.WriteBuffer, &s.egress),
 			producers: make(map[int64]struct{}),
 			consumers: make(map[int64]struct{}),
 		}
@@ -212,7 +179,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		go c.runWriter()
+		go c.w.Run()
 		go c.read()
 	}
 }
@@ -223,16 +190,12 @@ func (s *Server) acceptLoop(ln net.Listener) {
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	conns := make([]*serverConn, 0, len(s.conns))
 	for c := range s.conns {
-		conns = append(conns, c)
+		_ = c.nc.Close()
 	}
 	s.mu.Unlock()
 	if s.ln != nil {
 		_ = s.ln.Close()
-	}
-	for _, c := range conns {
-		_ = c.nc.Close()
 	}
 	return nil
 }
@@ -244,142 +207,20 @@ func (s *Server) Close() error {
 // consumers in the fan-out index). The resource maps are touched only
 // by the reader goroutine.
 type serverConn struct {
-	s    *Server
-	nc   net.Conn
-	out  chan wire.Frame
-	done chan struct{}
+	s  *Server
+	nc net.Conn
+	w  *wire.FrameWriter
 
 	producers map[int64]struct{}
 	consumers map[int64]struct{}
 }
 
-// send enqueues a frame for the writer without blocking. A full queue
-// means the peer is not draining its socket: drop the connection (the
-// reader goroutine observes the closed socket and tears down), never
-// block the caller — send is invoked from core fan-out under a table
-// shard's read lock.
+// send enqueues a frame without blocking (core fan-out calls it under a
+// table shard's read lock). A full queue means the peer is not draining
+// its socket: close it, and the reader goroutine tears down.
 func (c *serverConn) send(f wire.Frame) {
-	select {
-	case c.out <- f:
-	default:
-		c.s.slowDrops.Add(1)
+	if c.w.TrySend(f) == wire.SendFull {
 		_ = c.nc.Close()
-	}
-}
-
-// maxWriteBatch caps how many bytes of queued frames the writer encodes
-// into one buffer before flushing to the socket.
-const maxWriteBatch = 64 << 10
-
-// writeBufPool recycles per-connection encode buffers across connection
-// lifetimes; oversized buffers are dropped rather than pooled.
-var writeBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// runWriter drains the connection's outbound queue into coalesced TCP
-// writes. Adjacent continuous-query pushes for the same consumer (Seq 0
-// RGMATuples — an insert batch fans each matching statement out as its
-// own push) are merged into one RGMATuples frame whose Enc splices all
-// their shared encodings, so a subscribed connection sees one frame per
-// insert batch instead of one per statement. Merging is strictly
-// order-preserving: only queue-adjacent pushes fold together, and any
-// other frame (or a push for a different consumer) flushes the pending
-// run first.
-func (c *serverConn) runWriter() {
-	bp := writeBufPool.Get().(*[]byte)
-	buf := *bp
-	var pend wire.RGMATuples // pending push run (pendRun > 0 when active)
-	pendRun := 0
-	encScratch := make([][]byte, 0, 16) // backing for pend.Enc, reused
-	defer func() {
-		if cap(buf) <= maxWriteBatch {
-			*bp = buf[:0]
-			writeBufPool.Put(bp)
-		}
-	}()
-	// flushPend encodes the pending push run, if any, into buf.
-	flushPend := func() error {
-		if pendRun == 0 {
-			return nil
-		}
-		var err error
-		buf, err = wire.AppendFrame(buf, pend)
-		encScratch = pend.Enc[:0]
-		pend = wire.RGMATuples{}
-		pendRun = 0
-		return err
-	}
-	// add stages one dequeued frame: pushes start or extend the pending
-	// run, everything else flushes the run and encodes directly.
-	add := func(f wire.Frame) error {
-		if t, ok := f.(wire.RGMATuples); ok && t.Seq == 0 {
-			if pendRun > 0 && pend.Consumer == t.Consumer {
-				pend.Enc = append(pend.Enc, t.Enc...)
-				pendRun++
-				c.s.egress.mergedPushes.Add(1)
-				return nil
-			}
-			if err := flushPend(); err != nil {
-				return err
-			}
-			pend = wire.RGMATuples{Consumer: t.Consumer, Enc: append(encScratch[:0], t.Enc...)}
-			pendRun = 1
-			return nil
-		}
-		if err := flushPend(); err != nil {
-			return err
-		}
-		var err error
-		buf, err = wire.AppendFrame(buf, f)
-		return err
-	}
-	for {
-		select {
-		case f := <-c.out:
-			frames := 1
-			buf = buf[:0]
-			if err := add(f); err != nil {
-				_ = c.nc.Close()
-				return
-			}
-		coalesce:
-			for len(buf) < maxWriteBatch {
-				select {
-				case f2 := <-c.out:
-					frames++
-					if err := add(f2); err != nil {
-						// Flush the frames that did encode before
-						// dropping the connection.
-						_, _ = c.nc.Write(buf)
-						_ = c.nc.Close()
-						return
-					}
-				default:
-					break coalesce
-				}
-			}
-			if err := flushPend(); err != nil {
-				_ = c.nc.Close()
-				return
-			}
-			if _, err := c.nc.Write(buf); err != nil {
-				_ = c.nc.Close()
-				return
-			}
-			c.s.egress.flushes.Add(1)
-			c.s.egress.frames.Add(uint64(frames))
-			// An occasional oversized frame must not pin its buffer for
-			// the connection's lifetime.
-			if cap(buf) > maxWriteBatch {
-				buf = make([]byte, 0, 4096)
-			}
-		case <-c.done:
-			return
-		}
 	}
 }
 
@@ -410,7 +251,7 @@ func (c *serverConn) read() {
 // forgets the connection.
 func (c *serverConn) teardown() {
 	_ = c.nc.Close()
-	close(c.done)
+	c.w.Stop()
 	for id := range c.producers {
 		_ = c.s.core.CloseProducer(id)
 	}

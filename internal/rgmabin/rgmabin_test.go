@@ -2,6 +2,7 @@ package rgmabin_test
 
 import (
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -9,10 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"gridmon/internal/rgma"
 	"gridmon/internal/rgmabin"
 	"gridmon/internal/rgmacore"
 	"gridmon/internal/rgmahttp"
 	"gridmon/internal/wal"
+	"gridmon/internal/wire"
 )
 
 const createSQL = `CREATE TABLE generator (
@@ -508,6 +511,95 @@ func TestBinConcurrentPushInsertStress(t *testing.T) {
 	}
 	if drops := s.SlowConsumerDrops(); drops != 0 {
 		t.Fatalf("slow-consumer drops during stress: %d", drops)
+	}
+}
+
+// TestBinSlowConsumerDropCountedOnce: a connection of push consumers
+// that never reads its socket is dropped — and counted once, however
+// many pushes found its queue full before and after the drop — while
+// every insert of the producer beside it is acknowledged, and the
+// dropped connection's consumers are released in the core.
+func TestBinSlowConsumerDropCountedOnce(t *testing.T) {
+	core := rgmacore.New(rgmacore.Config{Shards: 2})
+	s := rgmabin.NewServer(core, rgmabin.Config{WriteBuffer: 4})
+	addr, err := s.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+
+	prod := dial(t, addr)
+	if err := prod.CreateTable("CREATE TABLE blob (id INTEGER PRIMARY KEY, pad VARCHAR(2000))"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := prod.CreatePrimaryProducer("blob", time.Minute, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, consumersBefore := core.RegistryCounts()
+
+	// The stalled client: handshake, continuous consumers, then silence.
+	// Each insert pushes one frame per consumer in a row, four times the
+	// queue, so the pushes following the overflowing one find the queue
+	// full too and must not count again.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nc.Close() })
+	_ = nc.(*net.TCPConn).SetReadBuffer(4 << 10)
+	fr := wire.NewFrameReader(nc)
+	reqs := []wire.Frame{wire.RGMAHello{ClientID: "stalled"}}
+	for seq := int64(1); seq <= 16; seq++ {
+		reqs = append(reqs, wire.RGMAConsumerCreate{Seq: seq, Query: "SELECT * FROM blob", QType: uint8(rgma.ContinuousQuery)})
+	}
+	for _, req := range reqs {
+		if err := wire.WriteFrame(nc, req); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := fr.Read(); err != nil {
+			t.Fatal(err)
+		} else if _, ok := f.(wire.RGMAErr); ok {
+			t.Fatalf("%v rejected: %+v", req.Type(), f)
+		}
+	}
+
+	pad := strings.Repeat("x", 1000)
+	inserted := 0
+	insert := func(n int) {
+		t.Helper()
+		batch := make([]string, n)
+		for i := range batch {
+			inserted++
+			batch[i] = fmt.Sprintf("INSERT INTO blob (id, pad) VALUES (%d, '%s')", inserted, pad)
+		}
+		if err := p.InsertBatch(batch); err != nil {
+			t.Fatalf("insert %d not acknowledged: %v", inserted, err)
+		}
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for s.SlowConsumerDrops() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled consumer never dropped")
+		}
+		insert(4)
+	}
+	for i := 0; i < 200; i++ {
+		insert(1)
+	}
+
+	waitFor(t, "dropped consumer released", func() bool {
+		_, cn := core.RegistryCounts()
+		return cn == consumersBefore
+	})
+	if got := core.StatsSnapshot().Inserts; got != uint64(inserted) {
+		t.Fatalf("core applied %d inserts, producer sent %d", got, inserted)
+	}
+	if drops := s.SlowConsumerDrops(); drops != 1 {
+		t.Fatalf("SlowConsumerDrops = %d, want 1", drops)
+	}
+	if es := s.EgressStats(); es.SlowConsumerDrops != 1 {
+		t.Fatalf("EgressStats().SlowConsumerDrops = %d, want 1", es.SlowConsumerDrops)
 	}
 }
 

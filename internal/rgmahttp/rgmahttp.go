@@ -43,6 +43,7 @@ import (
 	"gridmon/internal/rgmacore"
 	"gridmon/internal/sim"
 	"gridmon/internal/wal"
+	"gridmon/internal/wire"
 )
 
 // Config tunes the server.
@@ -70,7 +71,7 @@ type Server struct {
 	ln   net.Listener
 
 	walStats  atomic.Pointer[func() wal.Stats]
-	binEgress atomic.Pointer[func() BinEgressStats]
+	binEgress atomic.Pointer[func() wire.EgressStats]
 }
 
 // NewServer constructs an unstarted server with the default sharded
@@ -313,23 +314,12 @@ type Stats struct {
 
 	// BinEgress is present only when a binary push transport shares the
 	// core (cmd/rgmad -listen-bin): its writer-side egress batching.
-	BinEgress *BinEgressStats `json:"bin_egress,omitempty"`
-}
-
-// BinEgressStats mirrors the binary transport's egress counters into
-// /stats without coupling this package to internal/rgmabin: socket
-// flushes, frames carried, and continuous-query pushes merged into a
-// neighbouring same-consumer frame.
-type BinEgressStats struct {
-	WriterFlushes  uint64  `json:"writer_flushes"`
-	WriterFrames   uint64  `json:"writer_frames"`
-	MergedPushes   uint64  `json:"merged_pushes"`
-	FramesPerFlush float64 `json:"frames_per_flush"`
+	BinEgress *wire.EgressStats `json:"bin_egress,omitempty"`
 }
 
 // SetBinEgress installs the binary transport's egress counter source
 // reported under "bin_egress" in /stats. Pass nil to detach.
-func (s *Server) SetBinEgress(f func() BinEgressStats) {
+func (s *Server) SetBinEgress(f func() wire.EgressStats) {
 	if f == nil {
 		s.binEgress.Store(nil)
 		return

@@ -19,7 +19,7 @@
 // acknowledgement sent after Append implies the operation survives a
 // crash. Writes are group-committed: concurrent Appends are coalesced
 // by one writer goroutine into a single write and a single fsync, the
-// same batching idiom the broker's connWriter uses for frames. The
+// same batching idiom wire.FrameWriter uses for frames. The
 // first I/O error poisons the log — every later Append returns it —
 // which keeps the successful appends an exact prefix of the requested
 // ones. Segment rotation syncs the finished segment even with Fsync

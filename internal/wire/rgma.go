@@ -1,5 +1,7 @@
 package wire
 
+import "sync/atomic"
+
 // R-GMA binary-transport frames (internal/rgmabin). The request frames
 // carry a client-assigned Seq echoed by the matching RGMAOK / RGMAErr /
 // RGMATuples reply; Seq 0 is reserved for unsolicited server pushes, so
@@ -184,6 +186,54 @@ func writeRGMATuples(w *writer, v RGMATuples) {
 	for _, t := range v.Tuples {
 		w.buf = AppendRGMATuple(w.buf, t)
 	}
+}
+
+// pushMerge lays queued frames on a stream under the R-GMA push rule:
+// queue-adjacent continuous-query pushes (Seq 0 RGMATuples carrying Enc)
+// for the same consumer merge into one RGMATuples frame splicing all
+// their tuple encodings, so a subscribed connection sees one frame per
+// insert batch instead of one per statement. Merging preserves order:
+// any other frame, or a push for another consumer, first appends the
+// pending run. Replies (Seq ≠ 0) never merge, and a stream without
+// pushes is laid down exactly as AppendFrame lays it. FrameWriter keeps
+// one per connection.
+type pushMerge struct {
+	run     RGMATuples // pending run, valid while active
+	active  bool
+	scratch [][]byte       // backing for run.Enc, reused across runs
+	merges  *atomic.Uint64 // counts pushes that joined a pending run
+}
+
+// append lays f on dst after the pending run, or adds it to the run.
+func (p *pushMerge) append(dst []byte, f Frame) ([]byte, error) {
+	t, push := f.(RGMATuples)
+	push = push && t.Seq == 0 && t.Enc != nil
+	if push && p.active && p.run.Consumer == t.Consumer {
+		p.run.Enc = append(p.run.Enc, t.Enc...)
+		p.merges.Add(1)
+		return dst, nil
+	}
+	dst, err := p.flush(dst)
+	switch {
+	case err != nil:
+		return dst, err
+	case !push:
+		return AppendFrame(dst, f)
+	}
+	p.run = RGMATuples{Consumer: t.Consumer, Enc: append(p.scratch[:0], t.Enc...)}
+	p.active = true
+	return dst, nil
+}
+
+// flush appends the pending run, if any, to dst as one frame.
+func (p *pushMerge) flush(dst []byte) ([]byte, error) {
+	if !p.active {
+		return dst, nil
+	}
+	dst, err := AppendFrame(dst, p.run)
+	p.scratch = p.run.Enc[:0]
+	p.run, p.active = RGMATuples{}, false
+	return dst, err
 }
 
 func readRGMATuple(r *reader) RGMATuple {

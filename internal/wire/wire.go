@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"gridmon/internal/message"
 )
@@ -199,11 +200,15 @@ type BrokerLink struct {
 // out via broker.Config.SerialEnv and leave their frames to the GC,
 // which is always safe; releasing a frame someone still references is
 // not.
-var deliverPool = sync.Pool{New: func() any { return new(Deliver) }}
+var (
+	deliverPool              = sync.Pool{New: func() any { return new(Deliver) }}
+	deliverGets, deliverPuts atomic.Uint64
+)
 
 // GetDeliver returns a zeroed Deliver frame from the pool. Both Deliver
 // and *Deliver implement Frame; pooled frames travel as *Deliver.
 func GetDeliver() *Deliver {
+	deliverGets.Add(1)
 	return deliverPool.Get().(*Deliver)
 }
 
@@ -211,7 +216,13 @@ func GetDeliver() *Deliver {
 // consumer may call it, exactly once.
 func PutDeliver(d *Deliver) {
 	*d = Deliver{}
+	deliverPuts.Add(1)
 	deliverPool.Put(d)
+}
+
+// DeliverPoolCounters is DeliverBatchPoolCounters for the Deliver pool.
+func DeliverPoolCounters() (gets, puts uint64) {
+	return deliverGets.Load(), deliverPuts.Load()
 }
 
 // Type implementations.
@@ -853,13 +864,25 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 
 // WriteFrame writes a length-prefixed frame to a stream with a single
 // Write call (header and body share one buffer). Callers writing many
-// frames should hold their own buffer and use AppendFrame directly.
+// frames should use WriteFrameBuf or FrameWriter.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf, err := AppendFrame(make([]byte, 0, 128), f)
+	var buf []byte
+	return WriteFrameBuf(w, &buf, f)
+}
+
+// WriteFrameBuf is WriteFrame encoding into *buf, which it keeps for the
+// next call unless the frame grew it past 64 KiB — the synchronous send
+// of both clients. Callers serialize calls that share buf.
+func WriteFrameBuf(w io.Writer, buf *[]byte, f Frame) error {
+	b, err := AppendFrame((*buf)[:0], f)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
+	*buf = b
+	if cap(b) > maxRetainedBuf {
+		*buf = nil
+	}
+	_, err = w.Write(b)
 	return err
 }
 
@@ -882,10 +905,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	return Unmarshal(body)
 }
 
-// maxRetainedReadBuf caps the body buffer a FrameReader keeps between
-// frames; an occasional oversized frame must not pin its buffer for the
-// connection's lifetime.
-const maxRetainedReadBuf = 64 << 10
+// maxRetainedBuf caps the buffer a FrameReader or WriteFrameBuf keeps
+// between frames; an occasional oversized frame must not pin its buffer
+// for the connection's lifetime.
+const maxRetainedBuf = 64 << 10
 
 // FrameReader reads length-prefixed frames from a stream, reusing one
 // body buffer across frames. Reuse is safe because Unmarshal copies
@@ -920,7 +943,7 @@ func (fr *FrameReader) Read() (Frame, error) {
 		return nil, err
 	}
 	f, err := Unmarshal(body)
-	if cap(fr.buf) > maxRetainedReadBuf {
+	if cap(fr.buf) > maxRetainedBuf {
 		fr.buf = make([]byte, 0, 4096)
 	}
 	return f, err
