@@ -14,11 +14,11 @@
 //
 // Locking: journal callbacks append to the log from inside broker shard
 // locks, which is safe because wal.Append only touches the log's own
-// writer machinery. The reverse direction — Snapshot and CloseClean
-// dump broker state while the log's writer is parked — would deadlock
-// against a concurrent mutation blocked in Append, so both require the
-// broker to be quiescent; the daemons call them only during startup
-// recovery and after the listener has closed.
+// lock and files. The reverse direction — Snapshot and CloseClean dump
+// broker state while Snapshot owns the file — would deadlock against a
+// concurrent mutation blocked in Append, so both require the broker to
+// be quiescent; the daemons call them only during startup recovery and
+// after the listener has closed.
 package brokerwal
 
 import (

@@ -1,8 +1,8 @@
 // Package latency collects per-operation latency samples and reports
 // the tail percentiles load tools print at exit (cmd/gridpub,
-// cmd/rgmaload, cmd/gridbench). A Recorder is single-goroutine by
-// design — each worker owns one and the driver merges them after the
-// workers join — so the record path is an append, not a lock.
+// cmd/rgmaload). A Recorder is single-goroutine by design — each
+// worker owns one and the driver merges them after the workers join —
+// so the record path is an append, not a lock.
 package latency
 
 import (

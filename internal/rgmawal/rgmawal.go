@@ -14,8 +14,8 @@
 //
 // The same quiescence rule as brokerwal applies: journal callbacks may
 // append from inside core shard locks, but Snapshot/CloseClean dump
-// core state while the log's writer is parked, so they must only run
-// while nothing mutates the core (daemon startup and shutdown).
+// core state while Snapshot owns the file, so they must only run while
+// nothing mutates the core (daemon startup and shutdown).
 package rgmawal
 
 import (

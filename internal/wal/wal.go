@@ -17,13 +17,15 @@
 // Durability contract: Append returns after the record is written (and,
 // with Options.Fsync, synced) to the current segment, so an
 // acknowledgement sent after Append implies the operation survives a
-// crash. Writes are group-committed: concurrent Appends are coalesced
-// by one writer goroutine into a single write and a single fsync, the
-// same batching idiom wire.FrameWriter uses for frames. The
-// first I/O error poisons the log — every later Append returns it —
-// which keeps the successful appends an exact prefix of the requested
-// ones. Segment rotation syncs the finished segment even with Fsync
-// off, so a torn tail can only ever exist in the final segment.
+// crash. Writes are group-committed on the appenders' own goroutines:
+// each Append frames its record into a shared pending batch, and one
+// appender at a time owns the file and writes everything pending with a
+// single write and a single fsync, while the appenders that arrive
+// meanwhile wait for the next batch. The first I/O error poisons the
+// log — every later Append returns it — which keeps the successful
+// appends an exact prefix of the requested ones. Segment rotation syncs
+// the finished segment even with Fsync off, so a torn tail can only
+// ever exist in the final segment.
 package wal
 
 import (
@@ -103,11 +105,10 @@ type Stats struct {
 	CleanStart          bool   `json:"clean_start"`
 }
 
-type appendReq struct {
-	framed  []byte
-	done    chan error
-	barrier chan struct{} // non-nil: park the writer until closed
-}
+// maxRetainedBatch caps the batch buffer a log keeps between commits,
+// the same rule wire.FrameWriter applies to its encode buffer: one
+// oversized batch must not pin its memory for the log's lifetime.
+const maxRetainedBatch = 64 << 10
 
 // Log is a segmented write-ahead log. Append is safe for concurrent
 // use; Snapshot, CloseClean and Close must not race each other.
@@ -115,25 +116,27 @@ type Log struct {
 	fs   walfs.FS
 	opts Options
 
-	reqs chan *appendReq
-	quit chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	mu sync.Mutex
+	// cond (on mu) wakes appenders waiting for the file's owner to
+	// finish a batch.
+	cond sync.Cond
+	// pending holds the framed records no owner has taken yet; spare is
+	// the previous batch's buffer, which the next owner swaps in.
+	pending, spare []byte
+	// framed numbers every record Append has framed; records numbered up
+	// to committed are written (and synced, under Fsync).
+	framed, committed uint64
+	// busy marks the file state as owned: by an appender writing a
+	// batch, or by Snapshot or writeMarker.
+	busy   bool
+	closed bool
+	err    error // first I/O error; poisons the log
 
-	// closedMu orders Append/park sends against Close: a send holds the
-	// read side, Close takes the write side before signalling quit, so
-	// every enqueued request is answered by the writer's final drain.
-	closedMu sync.RWMutex
-	closed   bool
-
-	// File state is owned by the writer goroutine; Snapshot touches it
-	// only while the writer is parked at a barrier.
+	// File state: touched by the owner (see busy) with mu released, and
+	// by Close with mu held once nothing is pending.
 	cur     walfs.File
 	curNum  uint64
 	curSize int64
-
-	mu  sync.Mutex
-	err error // first I/O error; poisons the log
 
 	recordsAppended atomic.Uint64
 	bytesLogged     atomic.Uint64
@@ -305,12 +308,8 @@ func Open(vfs walfs.FS, opts Options, apply func(rec []byte) error) (*Log, Recov
 	}
 	info.CleanStart = clean
 
-	l := &Log{
-		fs:   vfs,
-		opts: opts,
-		reqs: make(chan *appendReq, 128),
-		quit: make(chan struct{}),
-	}
+	l := &Log{fs: vfs, opts: opts}
+	l.cond.L = &l.mu
 
 	for i, n := range segs {
 		last := i == len(segs)-1
@@ -366,8 +365,6 @@ func Open(vfs walfs.FS, opts Options, apply func(rec []byte) error) (*Log, Recov
 	}
 
 	l.recover = info
-	l.wg.Add(1)
-	go l.writer()
 	return l, info, nil
 }
 
@@ -396,129 +393,73 @@ func fileSize(vfs walfs.FS, name string) (int64, error) {
 // the current segment — and synced, under Options.Fsync — so callers
 // may acknowledge the operation as soon as Append returns nil.
 func (l *Log) Append(payload []byte) error {
-	req := &appendReq{framed: frame(nil, payload), done: make(chan error, 1)}
-	if err := l.send(req); err != nil {
-		return err
-	}
-	return <-req.done
-}
-
-// send enqueues one request for the writer; it guarantees the writer
-// will reply on req.done exactly once.
-func (l *Log) send(req *appendReq) error {
-	l.closedMu.RLock()
-	defer l.closedMu.RUnlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	l.reqs <- req
-	return nil
-}
-
-// writer is the group-commit loop: it drains every pending append,
-// writes them as one buffer, syncs once, then acknowledges all of them.
-func (l *Log) writer() {
-	defer l.wg.Done()
-	for {
-		var req *appendReq
-		select {
-		case req = <-l.reqs:
-		case <-l.quit:
-			l.drainClosed()
-			return
-		}
-		if req.barrier != nil {
-			req.done <- nil
-			<-req.barrier // parked: the caller owns the file state
-			continue
-		}
-		batch := []*appendReq{req}
-		var barrier *appendReq
-	drain:
-		for {
-			select {
-			case r := <-l.reqs:
-				if r.barrier != nil {
-					barrier = r
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		l.commit(batch)
-		if barrier != nil {
-			barrier.done <- nil
-			<-barrier.barrier
+	if l.err != nil {
+		return l.err
+	}
+	l.pending = frame(l.pending, payload)
+	l.framed++
+	seq := l.framed
+	// Whoever owns the file is writing an earlier batch: wait for it,
+	// then the first appender still uncommitted writes the next one.
+	for seq > l.committed && l.err == nil {
+		if l.busy {
+			l.cond.Wait()
+		} else {
+			l.commitLocked()
 		}
 	}
-}
-
-func (l *Log) drainClosed() {
-	for {
-		select {
-		case r := <-l.reqs:
-			r.done <- ErrClosed
-		default:
-			return
-		}
+	if seq <= l.committed {
+		return nil
 	}
-}
-
-func (l *Log) poison(err error) error {
-	l.mu.Lock()
-	if l.err == nil {
-		l.err = err
-	}
-	err = l.err
-	l.mu.Unlock()
-	return err
-}
-
-// Err returns the error that poisoned the log, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.err
 }
 
-func (l *Log) commit(batch []*appendReq) {
-	if err := l.Err(); err != nil {
-		for _, r := range batch {
-			r.done <- err
-		}
-		return
+// commitLocked takes ownership of the file state and writes every
+// pending record as one batch, with l.mu released for the I/O. The
+// caller holds l.mu; the log has no owner and is not poisoned.
+func (l *Log) commitLocked() {
+	batch, last := l.pending, l.framed
+	l.pending, l.spare = l.spare[:0], nil
+	l.busy = true
+	l.mu.Unlock()
+	err := l.write(batch)
+	l.mu.Lock()
+	if err == nil {
+		l.recordsAppended.Add(last - l.committed)
+		l.committed = last
 	}
-	err := l.commitBatch(batch)
-	if err != nil {
-		err = l.poison(err)
+	if cap(batch) <= maxRetainedBatch {
+		l.spare = batch[:0]
 	}
-	for _, r := range batch {
-		r.done <- err
-	}
+	l.releaseLocked(err)
 }
 
-func (l *Log) commitBatch(batch []*appendReq) error {
+// releaseLocked ends the caller's ownership of the file state and wakes
+// the waiting appenders. A non-nil err poisons the log: the records
+// still pending are never written, and their appenders return err.
+func (l *Log) releaseLocked(err error) {
+	if err != nil {
+		l.err = err
+		l.pending = l.pending[:0]
+	}
+	l.busy = false
+	l.cond.Broadcast()
+}
+
+// write appends one batch to the current segment, rotating first if the
+// segment is full. The caller owns the file state.
+func (l *Log) write(batch []byte) error {
 	if l.curSize >= l.opts.segmentBytes() {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	var buf []byte
-	if len(batch) == 1 {
-		buf = batch[0].framed
-	} else {
-		total := 0
-		for _, r := range batch {
-			total += len(r.framed)
-		}
-		buf = make([]byte, 0, total)
-		for _, r := range batch {
-			buf = append(buf, r.framed...)
-		}
-	}
-	if _, err := l.cur.Write(buf); err != nil {
+	if _, err := l.cur.Write(batch); err != nil {
 		return err
 	}
 	if l.opts.Fsync {
@@ -527,10 +468,16 @@ func (l *Log) commitBatch(batch []*appendReq) error {
 		}
 		l.fsyncs.Add(1)
 	}
-	l.curSize += int64(len(buf))
-	l.recordsAppended.Add(uint64(len(batch)))
-	l.bytesLogged.Add(uint64(len(buf)))
+	l.curSize += int64(len(batch))
+	l.bytesLogged.Add(uint64(len(batch)))
 	return nil
+}
+
+// Err returns the error that poisoned the log, if any.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
 }
 
 // rotate syncs and closes the current segment and opens its successor.
@@ -552,17 +499,42 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// park stops the writer at a barrier and returns the release function,
-// giving the caller exclusive ownership of the file state.
-func (l *Log) park() (release func(), err error) {
-	req := &appendReq{done: make(chan error, 1), barrier: make(chan struct{})}
-	if err := l.send(req); err != nil {
-		return nil, err
+// own commits every pending record and then takes ownership of the file
+// state, so whatever the caller writes lands after those records and
+// before any later Append. disown hands the file back.
+func (l *Log) own() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
 	}
-	if err := <-req.done; err != nil {
-		return nil, err
+	l.commitPendingLocked()
+	if l.err != nil {
+		return l.err
 	}
-	return func() { close(req.barrier) }, nil
+	l.busy = true
+	return nil
+}
+
+// disown ends an own, poisoning the log if err is non-nil, and returns
+// err.
+func (l *Log) disown(err error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.releaseLocked(err)
+	return err
+}
+
+// commitPendingLocked waits out the current owner and commits what is
+// pending, until the log has neither.
+func (l *Log) commitPendingLocked() {
+	for l.busy || len(l.pending) > 0 {
+		if l.busy {
+			l.cond.Wait()
+		} else {
+			l.commitLocked()
+		}
+	}
 }
 
 // Snapshot compacts the log: dump re-emits the owner's current state as
@@ -574,22 +546,17 @@ func (l *Log) park() (release func(), err error) {
 // quiescent — no concurrent mutations — for the duration; the daemons
 // call it only during startup recovery and shutdown.
 func (l *Log) Snapshot(dump func(emit func(rec []byte) error) error) error {
-	release, err := l.park()
-	if err != nil {
+	if err := l.own(); err != nil {
 		return err
 	}
-	defer release()
-	if err := l.Err(); err != nil {
-		return err
+	err := l.snapshot(dump)
+	if err == nil {
+		l.snapshots.Add(1)
 	}
-	if err := l.snapshotLocked(dump); err != nil {
-		return l.poison(err)
-	}
-	l.snapshots.Add(1)
-	return nil
+	return l.disown(err)
 }
 
-func (l *Log) snapshotLocked(dump func(emit func(rec []byte) error) error) error {
+func (l *Log) snapshot(dump func(emit func(rec []byte) error) error) error {
 	// Seal the tail: everything the snapshot will cover must be
 	// durable before the covering snapshot can replace it.
 	if err := l.cur.Sync(); err != nil {
@@ -668,42 +635,34 @@ func (l *Log) CloseClean(dump func(emit func(rec []byte) error) error) error {
 }
 
 func (l *Log) writeMarker() error {
-	release, err := l.park()
-	if err != nil {
+	if err := l.own(); err != nil {
 		return err
 	}
-	defer release()
 	f, err := l.fs.OpenFile(cleanMarker, true)
 	if err != nil {
-		return err
+		return l.disown(err)
 	}
-	if _, err := f.Write([]byte(fmt.Sprintf("%016x\n", l.curNum))); err != nil {
-		_ = f.Close()
-		return err
+	_, err = f.Write([]byte(fmt.Sprintf("%016x\n", l.curNum)))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return l.disown(err)
 }
 
-// Close stops the writer and closes the current segment. Appends still
-// in flight are refused with ErrClosed.
+// Close commits the records already appended and closes the current
+// segment; every later Append is refused with ErrClosed.
 func (l *Log) Close() error {
-	l.once.Do(func() {
-		l.closedMu.Lock()
-		l.closed = true
-		l.closedMu.Unlock()
-		close(l.quit)
-	})
-	l.wg.Wait()
-	if l.cur != nil {
-		err := l.cur.Close()
-		l.cur = nil
-		return err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil
 	}
-	return nil
+	l.closed = true
+	l.commitPendingLocked()
+	return l.cur.Close()
 }
 
 // Stats returns current counters, including what recovery replayed.
