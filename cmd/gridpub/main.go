@@ -18,7 +18,9 @@
 // and reports the aggregate throughput achieved plus per-publish
 // latency percentiles (p50/p95/p99/max). With -sync each sample is the
 // full publish→broker-acknowledgement round trip; without it, the time
-// to hand the message to the connection's writer (local enqueue).
+// to hand the message to the connection's writer (local enqueue). Every
+// sample is kept (8 bytes each) and the percentiles are nearest-rank
+// over all of them, as metrics.RTT computes the paper's figures.
 package main
 
 import (
@@ -31,8 +33,8 @@ import (
 
 	"gridmon/internal/gridgen"
 	"gridmon/internal/jms"
-	"gridmon/internal/latency"
 	"gridmon/internal/message"
+	"gridmon/internal/metrics"
 )
 
 func main() {
@@ -53,9 +55,9 @@ func main() {
 	}
 
 	var wg sync.WaitGroup
-	recs := make([]*latency.Recorder, *generators)
+	recs := make([]*metrics.RTT, *generators)
 	for g := 0; g < *generators; g++ {
-		recs[g] = latency.NewRecorder(0)
+		recs[g] = new(metrics.RTT)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -81,7 +83,7 @@ func main() {
 					log.Printf("generator %d: publish: %v", g, err)
 					return
 				}
-				recs[g].Record(time.Since(t0))
+				recs[g].Add(sinceMs(t0))
 				if *count > 0 && seq >= int64(*count) {
 					return
 				}
@@ -94,10 +96,12 @@ func main() {
 	logLatency(recs, *sync_)
 }
 
-// logLatency merges the workers' recorders (after they have joined) and
+func sinceMs(t0 time.Time) float64 { return float64(time.Since(t0)) / 1e6 }
+
+// logLatency merges the workers' samples (after they have joined) and
 // prints the per-publish percentile summary.
-func logLatency(recs []*latency.Recorder, syncMode bool) {
-	all := latency.NewRecorder(0)
+func logLatency(recs []*metrics.RTT, syncMode bool) {
+	var all metrics.RTT
 	for _, r := range recs {
 		all.Merge(r)
 	}
@@ -105,7 +109,8 @@ func logLatency(recs []*latency.Recorder, syncMode bool) {
 	if syncMode {
 		kind = "publish-ack round trip"
 	}
-	log.Printf("gridpub: %s latency: %v", kind, all.Summarize())
+	log.Printf("gridpub: %s latency: n=%d p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms", kind,
+		all.Count(), all.Percentile(50), all.Percentile(95), all.Percentile(99), all.Max())
 }
 
 // loadTest runs nConns parallel connections, each publishing at the
@@ -118,9 +123,9 @@ func loadTest(addr, topic string, nConns, nTopics, count int, rate float64, sync
 	var sent, failed atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
-	recs := make([]*latency.Recorder, nConns)
+	recs := make([]*metrics.RTT, nConns)
 	for c := 0; c < nConns; c++ {
-		recs[c] = latency.NewRecorder(0)
+		recs[c] = new(metrics.RTT)
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -159,7 +164,7 @@ func loadTest(addr, topic string, nConns, nTopics, count int, rate float64, sync
 					log.Printf("conn %d: publish: %v", c, err)
 					return
 				}
-				recs[c].Record(time.Since(t0))
+				recs[c].Add(sinceMs(t0))
 				sent.Add(1)
 				if tick != nil {
 					<-tick

@@ -168,12 +168,10 @@ func main() {
 	got := <-sig
 	fmt.Println()
 	log.Printf("naradad: shutting down (%v)", got)
+	// Close returns once every connection's teardown has run, so the
+	// snapshot dump below sees a quiescent core.
 	srv.Close()
 	if pers != nil {
-		// Close dropped every connection; give their reader goroutines a
-		// moment to finish releasing broker resources so the snapshot
-		// dump runs against a quiescent core.
-		time.Sleep(200 * time.Millisecond)
 		if err := pers.CloseClean(); err != nil {
 			log.Printf("naradad: wal close: %v", err)
 		}

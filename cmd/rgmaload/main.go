@@ -29,7 +29,9 @@
 // It reports the aggregate insert throughput achieved, the
 // p50/p95/p99/max latency of the acknowledged operations (each HTTP
 // insert request; each pipelined batch flush on bin) and, when
-// consumers run, the tuples they observed. Drive rgmad once with
+// consumers run, the tuples they observed. Every latency sample is kept
+// (8 bytes each) and the percentiles are nearest-rank over all of them,
+// as metrics.RTT computes the paper's figures. Drive rgmad once with
 // -transport http and once with bin to measure the push transport's
 // gain on your hardware.
 package main
@@ -43,7 +45,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gridmon/internal/latency"
+	"gridmon/internal/metrics"
 	"gridmon/internal/rgmabin"
 	"gridmon/internal/rgmahttp"
 	"gridmon/internal/sqlmini"
@@ -52,7 +54,7 @@ import (
 // producerSession is one worker's handle on the server, whichever
 // transport carries it. flush pushes out any partial batch (a no-op
 // over HTTP, which has no batching). Each transport records its acked
-// operation into the worker's latency recorder: HTTP times every
+// operation into the worker's metrics.RTT (in ms): HTTP times every
 // insert request, bin times every batch flush.
 type producerSession struct {
 	send  func(sql string) error
@@ -84,7 +86,7 @@ func main() {
 	// the load loop below is transport-blind.
 	var (
 		createTable   func(sql string) error
-		newProducer   func(w int, table string, rec *latency.Recorder) (producerSession, error)
+		newProducer   func(w int, table string, rec *metrics.RTT) (producerSession, error)
 		startConsumer func(i int, popped *atomic.Int64) (stop func(), err error)
 		serverStats   func()
 	)
@@ -92,7 +94,7 @@ func main() {
 	case "http":
 		c := rgmahttp.NewClient(*server)
 		createTable = c.CreateTable
-		newProducer = func(w int, table string, rec *latency.Recorder) (producerSession, error) {
+		newProducer = func(w int, table string, rec *metrics.RTT) (producerSession, error) {
 			p, err := c.CreatePrimaryProducer(table, 30*time.Second, time.Minute)
 			if err != nil {
 				return producerSession{}, err
@@ -102,7 +104,7 @@ func main() {
 					t0 := time.Now()
 					err := p.Insert(sql)
 					if err == nil {
-						rec.Record(time.Since(t0))
+						rec.Add(float64(time.Since(t0)) / 1e6)
 					}
 					return err
 				},
@@ -154,7 +156,7 @@ func main() {
 		}
 		defer control.Close()
 		createTable = control.CreateTable
-		newProducer = func(w int, table string, rec *latency.Recorder) (producerSession, error) {
+		newProducer = func(w int, table string, rec *metrics.RTT) (producerSession, error) {
 			// Each worker gets its own connection so -conns measures
 			// genuinely parallel binary sessions, like HTTP's pooled
 			// sockets.
@@ -175,7 +177,7 @@ func main() {
 				t0 := time.Now()
 				err := p.InsertBatch(pending)
 				if err == nil {
-					rec.Record(time.Since(t0))
+					rec.Add(float64(time.Since(t0)) / 1e6)
 				}
 				pending = pending[:0]
 				return err
@@ -243,9 +245,9 @@ func main() {
 	var sent, failed atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
-	recs := make([]*latency.Recorder, *conns)
+	recs := make([]*metrics.RTT, *conns)
 	for w := 0; w < *conns; w++ {
-		recs[w] = latency.NewRecorder(0)
+		recs[w] = new(metrics.RTT)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -300,7 +302,7 @@ func main() {
 	n := sent.Load()
 	log.Printf("rgmaload: %d inserts over %d conns on %d tables in %v (%.0f inserts/s aggregate, transport %s)",
 		n, *conns, *tables, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), *transport)
-	all := latency.NewRecorder(0)
+	var all metrics.RTT
 	for _, r := range recs {
 		all.Merge(r)
 	}
@@ -308,7 +310,8 @@ func main() {
 	if *transport == "bin" {
 		op = fmt.Sprintf("batch flush round trip (batch %d)", *batch)
 	}
-	log.Printf("rgmaload: %s latency: %v", op, all.Summarize())
+	log.Printf("rgmaload: %s latency: n=%d p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms", op,
+		all.Count(), all.Percentile(50), all.Percentile(95), all.Percentile(99), all.Max())
 	if *consumers > 0 {
 		log.Printf("rgmaload: %d consumers observed %d tuples", *consumers, popped.Load())
 	}

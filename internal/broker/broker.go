@@ -64,15 +64,15 @@
 // multiple callers actually overlap.
 //
 // Shard-safe API (callable from any goroutine): OnFrame, OnConnOpen,
-// OnConnClose, InjectForwarded, CountForwardOut, CountForwardOutN,
-// Stats, PendingCount, Topics, TopicSubscribers, TopicSelectorGroups,
-// ShardOf, SetForwarder, SetInterestFunc, FanoutPool. The forwarding
-// seam is shard-safe: registration is atomic, the interest callback
-// fires under the destination shard's lock (lock order durableMu →
-// shard.mu), and an observer that guards its own state with a lock
-// *below* the shard locks — acquired under them, never holding it while
-// calling back into the broker's locked paths — composes race-free
-// (package brokernet is the reference observer).
+// OnConnClose, InjectForwarded, CountForwardOut, Stats, PendingCount,
+// Topics, TopicSubscribers, TopicSelectorGroups, ShardOf, SetForwarder,
+// SetInterestFunc. The forwarding seam is shard-safe: registration is
+// atomic, the interest callback fires under the destination shard's
+// lock (lock order durableMu → shard.mu), and an observer that guards
+// its own state with a lock *below* the shard locks — acquired under
+// them, never holding it while calling back into the broker's locked
+// paths — composes race-free (package brokernet is the reference
+// observer).
 //
 // # Subscription index
 //
@@ -296,12 +296,6 @@ func New(env Env, cfg Config) *Broker {
 	return b
 }
 
-// FanoutPool exposes the broker's fan-out worker pool (nil under
-// Config.SerialEnv), so bindings can share it for their own egress
-// fan-outs — brokernet peer forwarding chunks its peer set over the
-// same pool.
-func (b *Broker) FanoutPool() *fanout.Pool { return b.fanPool }
-
 // ID returns the broker's identifier.
 func (b *Broker) ID() string { return b.cfg.ID }
 
@@ -451,7 +445,3 @@ func (b *Broker) InjectForwarded(m *message.Message) {
 // CountForwardOut records that the network layer forwarded a message to a
 // peer (for stats parity between routing modes). Shard-safe.
 func (b *Broker) CountForwardOut() { b.stats.forwardedOut.Add(1) }
-
-// CountForwardOutN is CountForwardOut for a whole peer fan-out counted
-// at once (the network layer's parallel forward path). Shard-safe.
-func (b *Broker) CountForwardOutN(n int) { b.stats.forwardedOut.Add(uint64(n)) }

@@ -26,14 +26,18 @@
 // while peer-frame processing takes the member lock only when no broker
 // lock is held (BrokerForward injection releases it before calling
 // InjectForwarded). Forwarding counters are atomics, so Stats is
-// wait-free. The one contract a binding must honour: a LinkSender must
+// wait-free. A forward runs on the publishing goroutine under the read
+// side of the member lock and enqueues onto each eligible link in
+// AddPeer order, one cheap enqueue per peer, so publishes on different
+// shards forward concurrently while each link sees a publisher's frames
+// in order. The one contract a binding must honour: a LinkSender must
 // *enqueue* — hand the frame to a writer goroutine, an event queue, or a
 // socket buffer — and never call back into a Member on the caller's
 // goroutine, because the caller may hold member and shard locks
 // (synchronous re-entry was only ever safe under the old single-caller
 // regime). Both real bindings already satisfy this: the TCP server's
-// peer links feed per-connection writer channels, and the simulator's
-// links submit to the node's CPU queue.
+// peer links feed per-connection frame writers (a non-blocking
+// TrySend), and the simulator's links submit to the node's CPU queue.
 //
 // With a single calling goroutine (the discrete-event kernel) every lock
 // is uncontended and acquisition order is the caller's order, so the
@@ -48,7 +52,6 @@ import (
 	"sync/atomic"
 
 	"gridmon/internal/broker"
-	"gridmon/internal/fanout"
 	"gridmon/internal/message"
 	"gridmon/internal/wire"
 )
@@ -123,10 +126,6 @@ type Member struct {
 	// localTopics tracks this broker's own subscriber interest.
 	localTopics map[string]bool
 
-	// fanPool, when set, parallelizes wide peer fan-outs (see
-	// SetFanoutPool). Guarded by mu like the link table.
-	fanPool *fanout.Pool
-
 	forwardsSent     atomic.Uint64
 	forwardsReceived atomic.Uint64
 	prunedForwards   atomic.Uint64
@@ -161,26 +160,6 @@ func NewMember(b *broker.Broker, mode RoutingMode) *Member {
 	}
 	m.mu.Unlock()
 	return m
-}
-
-// parallelForwardMin is the eligible-peer count below which forward
-// stays on the publishing goroutine even with a pool set — chunk
-// bookkeeping costs more than three channel enqueues.
-const parallelForwardMin = 4
-
-// SetFanoutPool shares a worker pool with the member for wide peer
-// fan-outs: with p non-nil, a forward reaching parallelForwardMin or
-// more eligible peers is chunked across the pool, one whole peer per
-// chunk (per-peer frame order is untouched — each link's frames are
-// still enqueued by exactly one goroutine per forward, and forward
-// itself still blocks until every enqueue is done). Every LinkSender
-// must then be safe for concurrent use with the senders of *other*
-// peers. Simulated deterministic topologies leave the pool unset and
-// keep the exact serial AddPeer-order fan-out. Pass nil to clear.
-func (m *Member) SetFanoutPool(p *fanout.Pool) {
-	m.mu.Lock()
-	m.fanPool = p
-	m.mu.Unlock()
 }
 
 // Broker returns the wrapped broker core.
@@ -387,10 +366,6 @@ func (m *Member) forward(msg *message.Message, from, origin string) {
 	// shards forward concurrently.
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if m.fanPool != nil && len(m.peerOrder) >= parallelForwardMin {
-		m.forwardParallel(msg, from, origin)
-		return
-	}
 	for _, peer := range m.peerOrder {
 		if peer == from {
 			continue
@@ -406,45 +381,6 @@ func (m *Member) forward(msg *message.Message, from, origin string) {
 		m.b.CountForwardOut()
 		send(wire.BrokerForward{Origin: origin, Msg: msg})
 	}
-}
-
-// forwardParallel is forward's wide-fan-out path: the pruning decisions
-// run here on the publishing goroutine (they read the interest maps the
-// read lock guards), then the eligible links are chunked across the
-// shared pool — a whole peer per chunk, so each link's enqueue order is
-// unchanged. Called with m.mu read-held; the lock stays held until
-// every chunk finishes (Run blocks), which is what keeps the link table
-// stable under the workers.
-func (m *Member) forwardParallel(msg *message.Message, from, origin string) {
-	sends := make([]LinkSender, 0, len(m.peerOrder))
-	for _, peer := range m.peerOrder {
-		if peer == from {
-			continue
-		}
-		if m.mode == RoutingTree && msg.Dest.Kind == message.TopicKind {
-			if !m.interest[peer][msg.Dest.Name] {
-				m.prunedForwards.Add(1)
-				continue
-			}
-		}
-		sends = append(sends, m.peers[peer])
-	}
-	if len(sends) == 0 {
-		return
-	}
-	m.forwardsSent.Add(uint64(len(sends)))
-	m.b.CountForwardOutN(len(sends))
-	f := wire.BrokerForward{Origin: origin, Msg: msg}
-	n := len(sends)
-	chunks := n
-	if w := m.fanPool.Workers(); chunks > w {
-		chunks = w
-	}
-	m.fanPool.Run(chunks, func(ci int) {
-		for i := ci * n / chunks; i < (ci+1)*n/chunks; i++ {
-			sends[i](f)
-		}
-	})
 }
 
 // OnPeerFrame processes a frame from a peer broker link. Each link's

@@ -366,3 +366,29 @@ func TestQueueDrainReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalZeroAlloc pins the journal callbacks on queue_wal's path —
+// a queue publish with a consumer attached journals QueueStored then
+// QueueDrained — and a durable store at zero allocations, pooled encode
+// buffer included.
+func TestJournalZeroAlloc(t *testing.T) {
+	b := newBroker()
+	p, _, err := brokerwal.Open(walfs.NewMem(), wal.Options{}, b)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer p.Close()
+	m := message.NewText("job")
+	m.Dest = queue("jobs")
+	m.Freeze()
+	removed := []int{0}
+	if allocs := testing.AllocsPerRun(200, func() {
+		p.QueueStored("jobs", m)
+		p.QueueDrained("jobs", removed)
+	}); allocs != 0 {
+		t.Errorf("QueueStored+QueueDrained allocate %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { p.DurableStored("d", m) }); allocs != 0 {
+		t.Errorf("DurableStored allocates %v times, want 0", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package jms
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,4 +280,22 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 		m.Dest = message.Topic("t")
 		return c.Publish(m) != nil
 	})
+}
+
+// TestCloseWaitsForTeardown: once Close returns, every connection's
+// teardown has run, so the broker holds no connection and a persister
+// may dump it at once.
+func TestCloseWaitsForTeardown(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	for i := range 8 {
+		c := dial(t, s, fmt.Sprintf("sub%d", i))
+		if _, err := c.Subscribe(message.Topic("power"), "id < 10000", func(*message.Message) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return s.Stats().Connections == 8 })
+	s.Close()
+	if n := s.Stats().Connections; n != 0 {
+		t.Fatalf("%d connections still open in the broker after Close", n)
+	}
 }

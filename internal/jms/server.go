@@ -84,6 +84,11 @@ type Server struct {
 	nextID  broker.ConnID
 	closed  bool
 
+	// teardown counts the accept loop, every client and peer-link reader
+	// and every deferred OnConnClose; Close waits for it. Each Add runs on
+	// a goroutine already counted, or under mu before closed is set.
+	teardown sync.WaitGroup
+
 	// member is the broker-network attachment (nil until JoinNetwork).
 	// Written once under mu; read lock-free on the peer hot path is safe
 	// because JoinNetwork must precede any peer link.
@@ -142,6 +147,7 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 			return nil, err
 		}
 	}
+	s.teardown.Add(1)
 	go s.accept()
 	return s, nil
 }
@@ -154,19 +160,21 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // NewServerRestored callback or call after Close.
 func (s *Server) Broker() *broker.Broker { return s.b }
 
-// Close stops the server and drops all connections.
+// Close stops the server and drops all connections. It returns once
+// their teardown is done: every reader has exited and the core has
+// released every connection, so the broker is quiescent and a persister
+// may dump it at once.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	for _, w := range s.writers {
-		_ = w.Conn().Close()
+	if !s.closed {
+		s.closed = true
+		for _, w := range s.writers {
+			_ = w.Conn().Close()
+		}
 	}
 	s.mu.Unlock()
 	_ = s.ln.Close()
+	s.teardown.Wait()
 }
 
 // Stats proxies the broker core's counters. The core keeps them in
@@ -176,6 +184,7 @@ func (s *Server) Stats() broker.Stats {
 }
 
 func (s *Server) accept() {
+	defer s.teardown.Done()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -200,6 +209,7 @@ func (s *Server) accept() {
 			continue
 		}
 		go w.Run()
+		s.teardown.Add(1)
 		go s.read(id, w)
 	}
 }
@@ -208,6 +218,7 @@ func (s *Server) accept() {
 // different connections execute concurrently, serialized only where
 // they meet on a destination shard.
 func (s *Server) read(id broker.ConnID, w *wire.FrameWriter) {
+	defer s.teardown.Done()
 	fr := wire.NewFrameReader(w.Conn())
 	for first := true; ; first = false {
 		f, err := fr.Read()
@@ -251,8 +262,6 @@ func (s *Server) JoinNetwork(mode brokernet.RoutingMode) (*brokernet.Member, err
 		return nil, ErrAlreadyJoined
 	}
 	s.member = brokernet.NewMember(s.b, mode)
-	// Peer fan-out shares the broker's worker pool.
-	s.member.SetFanoutPool(s.b.FanoutPool())
 	s.routing = mode
 	return s.member, nil
 }
@@ -266,10 +275,11 @@ func (s *Server) Member() *brokernet.Member {
 
 // newPeerWriter registers a deep-buffered writer for a peer link and
 // starts its writer goroutine. With old == nil a fresh id is allocated
-// (outbound dial); otherwise old's registration is atomically replaced
-// and old's writer goroutine stopped (inbound upgrade — old's queue is
-// empty by construction: a connection whose first frame was the peer
-// handshake was never sent anything).
+// and the link's reader-to-be counted in s.teardown (outbound dial);
+// otherwise old's registration is atomically replaced and old's writer
+// goroutine stopped (inbound upgrade — old's queue is empty by
+// construction: a connection whose first frame was the peer handshake
+// was never sent anything).
 func (s *Server) newPeerWriter(id broker.ConnID, old *wire.FrameWriter, conn net.Conn) (broker.ConnID, *wire.FrameWriter, error) {
 	w := wire.NewFrameWriter(conn, peerWriteBuffer, &s.egress)
 	s.mu.Lock()
@@ -280,6 +290,7 @@ func (s *Server) newPeerWriter(id broker.ConnID, old *wire.FrameWriter, conn net
 	if old == nil {
 		s.nextID++
 		id = s.nextID
+		s.teardown.Add(1)
 	}
 	s.writers[id] = w
 	s.mu.Unlock()
@@ -389,9 +400,13 @@ func (s *Server) DialPeer(addr string) (string, error) {
 	}
 	if err := member.Link(reply.BrokerID, s.peerSender(pw)); err != nil {
 		s.dropConn(id, pw, false)
+		s.teardown.Done()
 		return "", err
 	}
-	go s.readPeer(id, pw, member, reply.BrokerID, wire.NewFrameReader(conn))
+	go func() {
+		defer s.teardown.Done()
+		s.readPeer(id, pw, member, reply.BrokerID, wire.NewFrameReader(conn))
+	}()
 	return reply.BrokerID, nil
 }
 
@@ -427,7 +442,11 @@ func (s *Server) dropConn(id broker.ConnID, w *wire.FrameWriter, notify bool) {
 		// from inside a delivery — while the subscription's own leaf
 		// lock is held (topic routing) or its shard lock (queue drain)
 		// — and OnConnClose takes both. It is safe from any goroutine.
-		go s.b.OnConnClose(id)
+		s.teardown.Add(1)
+		go func() {
+			defer s.teardown.Done()
+			s.b.OnConnClose(id)
+		}()
 	}
 }
 

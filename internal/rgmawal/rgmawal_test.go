@@ -291,3 +291,17 @@ func TestCrashPointPrefix(t *testing.T) {
 		_ = p2.Close()
 	}
 }
+
+// TestJournalZeroAlloc pins the insert journal callback at zero
+// allocations, pooled encode buffer included.
+func TestJournalZeroAlloc(t *testing.T) {
+	p, _, err := rgmawal.Open(walfs.NewMem(), wal.Options{}, newCore())
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer p.Close()
+	sql := "INSERT INTO generator VALUES (1, 480.5, 'aberdeen')"
+	if allocs := testing.AllocsPerRun(200, func() { p.Inserted(1, 42, sql) }); allocs != 0 {
+		t.Errorf("Inserted allocates %v times, want 0", allocs)
+	}
+}

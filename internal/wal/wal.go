@@ -26,6 +26,10 @@
 // appends an exact prefix of the requested ones. Segment rotation syncs
 // the finished segment even with Fsync off, so a torn tail can only
 // ever exist in the final segment.
+//
+// A Persister (persister.go) is the skeleton both state owners' journals
+// share — open with replay and compaction, attach, record, close clean —
+// and states the quiescence rule those owners must keep.
 package wal
 
 import (
@@ -160,13 +164,15 @@ func parseNum(name, prefix, suffix string) (uint64, bool) {
 	return n, err == nil
 }
 
-// frame appends one CRC-framed record to buf.
-func frame(buf, payload []byte) []byte {
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// frame appends one CRC-framed record to buf; encode appends the
+// payload, in place after the header.
+func frame(buf []byte, encode func(buf []byte) []byte) []byte {
+	start := len(buf)
+	buf = encode(append(buf, make([]byte, headerSize)...))
+	payload := buf[start+headerSize:]
+	binary.LittleEndian.PutUint32(buf[start:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(payload)))
+	return buf
 }
 
 // scan walks framed records in data, calling apply for each valid
@@ -393,6 +399,12 @@ func fileSize(vfs walfs.FS, name string) (int64, error) {
 // the current segment — and synced, under Options.Fsync — so callers
 // may acknowledge the operation as soon as Append returns nil.
 func (l *Log) Append(payload []byte) error {
+	return l.append(func(buf []byte) []byte { return append(buf, payload...) })
+}
+
+// append is Append with the payload written by encode straight into the
+// pending batch, under l.mu: no copy and no buffer of its own.
+func (l *Log) append(encode func(buf []byte) []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -401,7 +413,7 @@ func (l *Log) Append(payload []byte) error {
 	if l.err != nil {
 		return l.err
 	}
-	l.pending = frame(l.pending, payload)
+	l.pending = frame(l.pending, encode)
 	l.framed++
 	seq := l.framed
 	// Whoever owns the file is writing an earlier batch: wait for it,
@@ -543,8 +555,7 @@ func (l *Log) commitPendingLocked() {
 // and snapshot is pruned and a fresh segment begins.
 //
 // The snapshot captures only what dump emits, so the owner must be
-// quiescent — no concurrent mutations — for the duration; the daemons
-// call it only during startup recovery and shutdown.
+// quiescent for the duration (see Persister).
 func (l *Log) Snapshot(dump func(emit func(rec []byte) error) error) error {
 	if err := l.own(); err != nil {
 		return err
@@ -571,7 +582,7 @@ func (l *Log) snapshot(dump func(emit func(rec []byte) error) error) error {
 	}
 	var buf []byte
 	werr := dump(func(rec []byte) error {
-		buf = frame(buf[:0], rec)
+		buf = frame(buf[:0], func(b []byte) []byte { return append(b, rec...) })
 		_, err := tmp.Write(buf)
 		return err
 	})
