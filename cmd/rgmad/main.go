@@ -135,10 +135,8 @@ func main() {
 	}
 	_ = srv.Close()
 	if pers != nil {
-		// Both transports are closed; give in-flight request goroutines a
-		// moment to drain so the snapshot dump runs against a quiescent
-		// core.
-		time.Sleep(200 * time.Millisecond)
+		// Both Close calls return after their in-flight requests and
+		// connection teardown, so the dump sees a quiescent core.
 		if err := pers.CloseClean(); err != nil {
 			log.Printf("rgmad: wal close: %v", err)
 		}

@@ -65,14 +65,14 @@
 //
 // Shard-safe API (callable from any goroutine): OnFrame, OnConnOpen,
 // OnConnClose, InjectForwarded, CountForwardOut, Stats, PendingCount,
-// Topics, TopicSubscribers, TopicSelectorGroups, ShardOf, SetForwarder,
-// SetInterestFunc. The forwarding seam is shard-safe: registration is
-// atomic, the interest callback fires under the destination shard's
-// lock (lock order durableMu → shard.mu), and an observer that guards
-// its own state with a lock *below* the shard locks — acquired under
-// them, never holding it while calling back into the broker's locked
-// paths — composes race-free (package brokernet is the reference
-// observer).
+// Topics, TopicSubscribers, TopicSelectorGroups, ShardOf, NumShards,
+// SetForwarder, SetInterestFunc, SetJournal. The forwarding seam is
+// shard-safe: registration is atomic, the interest callback fires under
+// the destination shard's lock (lock order durableMu → shard.mu), and
+// an observer that guards its own state with a lock *below* the shard
+// locks — acquired under them, never holding it while calling back into
+// the broker's locked paths — composes race-free (package brokernet is
+// the reference observer).
 //
 // # Subscription index
 //
@@ -108,20 +108,18 @@
 // # Fan-out execution
 //
 // A topic publish collects its matched subscriptions into a pooled plan
-// and then delivers the plan (fanplan.go). Below parallelFanoutThreshold
-// matched subscriptions — and always under Config.SerialEnv — delivery
-// is an inline per-frame loop on the publishing goroutine in matched
-// order, which keeps single-subscriber latency and the simulator's
-// figures untouched. At or above it the delivery stage runs on a
-// bounded worker pool (package fanout): the matched set is grouped into
-// per-connection runs, runs are chunked — never split — across workers,
-// and each run is emitted as one pooled wire.DeliverBatch carrier
-// instead of N Deliver frames. Per-connection delivery order is
-// preserved by construction (one run, one worker, in matched order); no
-// cross-connection order is promised, and the publish blocks until
-// every chunk completes, so per-publisher ordering across consecutive
-// publishes is unchanged. See fanplan.go for the exact ordering
-// argument and stats.go for the fan-out and egress meters.
+// and then delivers the plan on the publishing goroutine (fanplan.go).
+// Below batchFanoutThreshold matched subscriptions — and always under
+// Config.SerialEnv — delivery is a per-frame loop in matched order,
+// which keeps single-subscriber latency and the simulator's figures
+// untouched. At or above it the matched set is grouped into
+// per-connection runs, and each run is emitted as one pooled
+// wire.DeliverBatch carrier instead of N Deliver frames. Per-connection
+// delivery order holds because one goroutine walks every run in matched
+// order, and the publish delivers every run before its PubAck, so
+// per-publisher ordering across consecutive publishes is unchanged. See
+// fanplan.go for the one emission-order relaxation and stats.go for the
+// egress meters.
 package broker
 
 import (
@@ -130,16 +128,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gridmon/internal/fanout"
 	"gridmon/internal/message"
 	"gridmon/internal/wire"
 )
 
-// Env abstracts the resources a broker consumes. The implementation
-// must be safe for concurrent use — fan-out workers call Send and Alloc
-// from pool goroutines even when the binding itself has one caller —
-// unless the binding sets Config.SerialEnv, which keeps every Env call
-// on the goroutine that called into the broker (the sim kernel).
+// Env abstracts the resources a broker consumes. Every Env call runs on
+// the goroutine that called into the broker, so the implementation must
+// be safe for concurrent use exactly when the binding calls into the
+// broker from more than one goroutine.
 // Send/Alloc/Free/Now are called with broker leaf or shard locks held
 // and must not call back into the broker synchronously; AllocConn and
 // FreeConn are serialized by the broker's session lock.
@@ -189,11 +185,11 @@ type Config struct {
 	// SerialEnv declares what the binding's Env promises: it is not safe
 	// for concurrent use and may retain the frames it is sent (the
 	// simulator: a single-threaded kernel whose unreliable transports
-	// keep frames queued for retransmission). The broker then keeps
-	// every Env call on the calling goroutine — no fan-out worker pool,
-	// so no wire.DeliverBatch carriers either — and emits GC-managed
-	// Deliver frames instead of pooled ones (wire.GetDeliver), whose
-	// consume-exactly-once ownership rule such a transport cannot keep.
+	// keep frames queued for retransmission). The broker then delivers
+	// every fan-out per frame — no wire.DeliverBatch carriers — and
+	// emits GC-managed Deliver frames instead of pooled ones
+	// (wire.GetDeliver), whose consume-exactly-once ownership rule such
+	// a transport cannot keep.
 	SerialEnv bool
 }
 
@@ -256,16 +252,11 @@ type Broker struct {
 	forwarder  atomic.Pointer[Forwarder]
 	onInterest atomic.Pointer[func(topic string, add bool)]
 
-	// Scratch pool for the indexed snapshot publish path (snapshot.go):
-	// candidate buffers and probe adapters, recycled across publishes.
-	matchScratch sync.Pool
-
-	// Fan-out (fanplan.go): pooled per-publish plans, the worker pool
-	// (nil under Config.SerialEnv: every plan is then delivered inline)
-	// and the matched-target count at which a plan goes to the pool —
-	// always parallelFanoutThreshold in production, a field only so
-	// in-package tests can engage the pool on small fan-outs.
-	fanPool      *fanout.Pool
+	// Fan-out (fanplan.go): pooled per-publish plans, and the
+	// matched-target count at which a plan is delivered as batched
+	// per-connection runs — always batchFanoutThreshold in production,
+	// a field only so in-package tests can force batching on small
+	// fan-outs.
 	fanThreshold int
 	fanPlans     sync.Pool
 
@@ -283,15 +274,12 @@ func New(env Env, cfg Config) *Broker {
 	b := &Broker{
 		env: env, cfg: cfg,
 		durables:     make(map[string]*durableState),
-		fanThreshold: parallelFanoutThreshold,
+		fanThreshold: batchFanoutThreshold,
 	}
 	b.sessions.init()
 	b.shards = make([]*shard, max(cfg.Shards, 1))
 	for i := range b.shards {
 		b.shards[i] = newShard()
-	}
-	if !cfg.SerialEnv {
-		b.fanPool = fanout.New(0)
 	}
 	return b
 }

@@ -11,11 +11,10 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Inline-vs-pooled fan-out equivalence: the broker promises that for
-// any single caller, per-connection delivery transcripts and every
-// counter but the fan-out meters are identical whether a plan runs as
-// the inline per-frame loop or as per-connection runs across the worker
-// pool. The storm drives randomized subscribe/publish/ack/unsubscribe/
+// Per-frame-vs-batched fan-out equivalence: the broker promises that
+// for any single caller, per-connection delivery transcripts and every
+// counter but the egress meters are identical whether a plan runs as
+// the per-frame loop or as batched per-connection runs. The storm drives randomized subscribe/publish/ack/unsubscribe/
 // connection-churn traffic through one broker per mode and through the
 // oracle — same seed, same ops — requiring every mode to deliver what
 // the oracle predicts, and the modes to agree on stats, pending and
@@ -29,7 +28,7 @@ var fanoutStormSelectors = []string{"", "", "id < 500", "id >= 300", "region = '
 // the oracle, checks the broker against the oracle's prediction, and
 // returns the broker and its env for cross-mode comparison. Conns
 // 1..nConns are subscribers; conn 100 publishes. threshold overrides
-// the broker's pool threshold (0 keeps parallelFanoutThreshold).
+// the broker's batching threshold (0 keeps batchFanoutThreshold).
 func runFanoutStorm(t *testing.T, seed int64, serialEnv bool, threshold int) (*Broker, *raceEnv) {
 	t.Helper()
 	env := newRaceEnv()
@@ -146,9 +145,9 @@ func runFanoutStorm(t *testing.T, seed int64, serialEnv bool, threshold int) (*B
 }
 
 // TestFanoutEquivalenceRandomized runs the storm three ways — every
-// fan-out forced through the pool (threshold 1), the production
-// threshold (inline for these fan-out widths), and Config.SerialEnv (no
-// pool at all, the simulator's configuration). Each run is checked
+// fan-out forced into batched runs (threshold 1), the production
+// threshold (per-frame for these fan-out widths), and Config.SerialEnv
+// (never batched, the simulator's configuration). Each run is checked
 // against the oracle inside runFanoutStorm; here the runs must agree
 // with each other on deliveries, stats, pending and heap.
 func TestFanoutEquivalenceRandomized(t *testing.T) {
@@ -162,25 +161,26 @@ func TestFanoutEquivalenceRandomized(t *testing.T) {
 			bB, envB := runFanoutStorm(t, seed, serialEnv, 0)
 			for c := ConnID(1); c <= 6; c++ {
 				if gA, gB := envA.observed(c), envB.observed(c); !slices.Equal(gA, gB) {
-					t.Fatalf("seed %d conn %d: forced pool vs %s: deliveries differ\nA: %v\nB: %v", seed, c, label, gA, gB)
+					t.Fatalf("seed %d conn %d: forced batching vs %s: deliveries differ\nA: %v\nB: %v", seed, c, label, gA, gB)
 				}
 			}
 			if sA, sB := clearModeMeters(bA.Stats()), clearModeMeters(bB.Stats()); sA != sB {
-				t.Fatalf("seed %d: forced pool vs %s: stats diverge\nA: %+v\nB: %+v", seed, label, sA, sB)
+				t.Fatalf("seed %d: forced batching vs %s: stats diverge\nA: %+v\nB: %+v", seed, label, sA, sB)
 			}
 			if pA, pB := bA.PendingCount(), bB.PendingCount(); pA != pB {
-				t.Fatalf("seed %d: forced pool vs %s: pending %d vs %d", seed, label, pA, pB)
+				t.Fatalf("seed %d: forced batching vs %s: pending %d vs %d", seed, label, pA, pB)
 			}
 			if uA, uB := envA.heap.Used(), envB.heap.Used(); uA != uB {
-				t.Fatalf("seed %d: forced pool vs %s: heap %d vs %d", seed, label, uA, uB)
+				t.Fatalf("seed %d: forced batching vs %s: heap %d vs %d", seed, label, uA, uB)
 			}
 		}
 	}
 }
 
-// TestFanoutParallelChurnStress hammers the parallel engine from 8
-// publisher goroutines while another goroutine bounces subscriber
-// connections mid-fan-out — the detached-subscription skip path and the
+// TestFanoutParallelChurnStress hammers batched fan-out from 8
+// publisher goroutines racing each other's runs while another goroutine
+// bounces subscriber connections mid-fan-out — the detached-subscription
+// skip path and the
 // batch-released-by-the-broker path (a run whose every delivery died)
 // run constantly. Every delivery allocation must balance: SharedHeap
 // panics on unbalanced frees, the counting DeliverBatch pool panics on
@@ -190,7 +190,7 @@ func TestFanoutParallelChurnStress(t *testing.T) {
 	cfg := DefaultConfig("fanchurn")
 	cfg.Shards = 4
 	b := New(env, cfg)
-	b.fanThreshold = 8 // engage the pool on small fan-outs too
+	b.fanThreshold = 8 // batch small fan-outs too
 
 	const subConns = 4
 	const subsPerConn = 12 // 48 matched targets per publish when all live

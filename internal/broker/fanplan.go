@@ -1,32 +1,24 @@
 // Destination layer, part 6: fan-out execution. The publisher matches
 // on its own goroutine (selectors once per group, durables inline) and
-// collects the matched subscriptions into a pooled per-publish plan.
-// Below parallelFanoutThreshold — and always under Config.SerialEnv —
-// the plan is delivered as a per-frame loop in the exact matched order,
-// so single-subscriber latency never pays for the pool. At or above the
-// threshold the plan is grouped into per-connection *runs* (preserving
-// matched order within each connection), the runs are chunked across a
-// bounded worker pool (internal/fanout), and each multi-delivery run is
-// emitted as one wire.DeliverBatch splicing the frozen message's cached
-// encoding per entry at the transport.
+// collects the matched subscriptions into a pooled per-publish plan,
+// which it then delivers itself. Below batchFanoutThreshold — and
+// always under Config.SerialEnv — the plan is delivered as a per-frame
+// loop in the exact matched order. At or above the threshold the plan
+// is grouped into per-connection *runs* (preserving matched order
+// within each connection), and each multi-delivery run is emitted as
+// one wire.DeliverBatch splicing the frozen message's cached encoding
+// per entry at the transport.
 //
-// Ordering contract: per-connection delivery order is preserved by
-// construction — a connection's subscriptions live in exactly one run,
-// runs keep matched order, and one worker owns a whole run. What the
-// pool relaxes is cross-connection interleaving and the emission
-// point: deliverCost emits inside the sub.mu hold (tag-ordered per
-// subscription even across racing publishers), while a batched run
-// allocates tags under each sub.mu in turn and emits after release. Tag
-// *allocation* order is still serialized per subscription; with
-// concurrent publishers to the same subscription two batches may reach
-// the transport in the opposite order of their tags — within one
-// publisher, Run blocks before PubAck, so per-publisher order (all JMS
-// promises) holds. This is the same relaxation the Forwarder contract
-// documents for topic publishes.
-//
-// The pool requires an Env that is safe for concurrent use, because
-// chunk workers call Env.Alloc/Send. Bindings with single-threaded Envs
-// (the simulator) set Config.SerialEnv.
+// Ordering contract: one goroutine walks every run in matched order, so
+// per-connection delivery order holds trivially. The one relaxation is
+// the emission point: deliverCost emits inside the sub.mu hold
+// (tag-ordered per subscription even across racing publishers), while a
+// batched run allocates tags under each sub.mu in turn and emits after
+// release. With concurrent publishers to the same subscription two
+// batches may therefore reach the transport in the opposite order of
+// their tags; per-publisher order (all JMS promises) holds, because a
+// publish delivers every run before its PubAck. This is the same
+// relaxation the Forwarder contract documents for topic publishes.
 
 package broker
 
@@ -35,12 +27,12 @@ import (
 	"gridmon/internal/wire"
 )
 
-// parallelFanoutThreshold is the matched-target count that engages run
-// grouping and the worker pool. Below it, plan execution is the inline
+// batchFanoutThreshold is the matched-target count that engages run
+// grouping and batched emission. Below it, plan execution is the
 // per-frame loop. The selection is made per publish from that observable
 // count; the benchmark has a workload on each side of it (fan-out 1 in
 // grid_paced and match_churn, 1000 in fanout_wide).
-const parallelFanoutThreshold = 64
+const batchFanoutThreshold = 64
 
 // fanRun is one connection's slice of a fan-out: every matched
 // subscription of that connection, in matched order.
@@ -49,14 +41,17 @@ type fanRun struct {
 	subs   []*subscription
 }
 
-// fanPlan is the pooled per-publish collection scratch: the flat
-// matched-target list (matched order), and the run/grouping storage
-// reused across publishes. Only the publishing goroutine touches a
-// plan; workers see only the immutable runs slice during pool.Run.
+// fanPlan is the pooled per-publish scratch, the only one a topic
+// publish takes: the flat matched-target list (matched order), the
+// run/grouping storage, and the matching index's candidate buffer and
+// probe adapter (pooled here so handing &p.probe to the index costs no
+// allocation). Only the publishing goroutine touches a plan.
 type fanPlan struct {
 	flat   []*subscription
 	runs   []fanRun
 	byConn map[ConnID]int
+	cands  []int32
+	probe  msgProbe
 }
 
 // getFanPlan returns an empty plan from the broker's pool.
@@ -84,6 +79,7 @@ func (b *Broker) putFanPlan(p *fanPlan) {
 	}
 	p.runs = p.runs[:0]
 	clear(p.byConn)
+	p.probe.m = nil
 	b.fanPlans.Put(p)
 }
 
@@ -108,36 +104,20 @@ func (p *fanPlan) group() {
 	}
 }
 
-// execFanPlan delivers a collected plan: inline (per-frame deliverCost
-// in matched order) without a pool or below the threshold; at or above
-// it, runs execute across the fan-out pool with batched emission.
+// execFanPlan delivers a collected plan on the publishing goroutine:
+// per-frame deliverCost in matched order under Config.SerialEnv or below
+// the threshold; at or above it, one deliverRun per connection.
 func (b *Broker) execFanPlan(p *fanPlan, m *message.Message, cost int64) {
-	if len(p.flat) == 0 {
-		return
-	}
-	if b.fanPool == nil || len(p.flat) < b.fanThreshold {
-		b.stats.fanoutInlineRuns.Add(1)
+	if b.cfg.SerialEnv || len(p.flat) < b.fanThreshold {
 		for _, sub := range p.flat {
 			b.deliverCost(sub, m, cost)
 		}
 		return
 	}
 	p.group()
-	runs := p.runs
-	chunks := len(runs)
-	if w := b.fanPool.Workers(); chunks > w {
-		chunks = w
+	for i := range p.runs {
+		b.deliverRun(&p.runs[i], m, cost)
 	}
-	b.stats.fanoutTasks.Add(1)
-	b.stats.fanoutChunks.Add(uint64(chunks))
-	n := len(runs)
-	b.fanPool.Run(chunks, func(ci int) {
-		// Contiguous whole-run spans: a connection never splits across
-		// chunks, so per-connection order survives parallel execution.
-		for i := ci * n / chunks; i < (ci+1)*n/chunks; i++ {
-			b.deliverRun(&runs[i], m, cost)
-		}
-	})
 }
 
 // deliverRun emits one connection's run. A single-delivery run takes

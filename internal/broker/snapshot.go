@@ -148,10 +148,8 @@ func (b *Broker) refreshTopicRoute(sh *shard, name string) {
 // Matching runs here on the publishing goroutine; matched subscriptions
 // are collected into a pooled plan and delivered by execFanPlan —
 // per-frame in matched order below the threshold, as per-connection
-// batched runs across the worker pool above it. Durable stores happen
-// inline during matching: they are leaf-locked, rare, and keeping them
-// on the publisher keeps backlog order independent of how the plan is
-// executed.
+// batched runs above it. Durable stores happen inline during matching,
+// so backlog order is independent of how the plan is executed.
 func (b *Broker) routeTopicSnapshot(sh *shard, m *message.Message) {
 	snap := sh.snap.Load()
 	if snap == nil {
@@ -175,14 +173,6 @@ func (b *Broker) routeTopicSnapshot(sh *shard, m *message.Message) {
 	b.putFanPlan(plan)
 }
 
-// matchScratch is the pooled per-publish scratch of the indexed route:
-// the candidate buffer and the probe adapter live in one pooled struct
-// so handing &sc.probe to the index costs no allocation.
-type matchScratch struct {
-	buf   []int32
-	probe msgProbe
-}
-
 // msgProbe adapts a message to the index's attribute-probe interface.
 type msgProbe struct{ m *message.Message }
 
@@ -196,14 +186,12 @@ func (p *msgProbe) ProbeAttr(attr string) (predindex.Value, bool) {
 // any single caller. Groups the index skipped still account their
 // subscribers into SelectorRejected: the index only skips a group whose
 // program could not return TRUE. Matched subscriptions are collected
-// into plan; durable stores happen here.
+// into plan, whose candidate buffer and probe the index borrows; durable
+// stores happen here.
 func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int64, plan *fanPlan) {
-	sc, _ := b.matchScratch.Get().(*matchScratch)
-	if sc == nil {
-		sc = &matchScratch{}
-	}
-	sc.probe.m = m
-	cands := rt.idx.Candidates(&sc.probe, sc.buf[:0])
+	plan.probe.m = m
+	cands := rt.idx.Candidates(&plan.probe, plan.cands[:0])
+	plan.cands = cands[:0]
 	candGroups := 0
 	candGroupSubs := 0
 	for _, ci := range cands {
@@ -237,7 +225,4 @@ func (b *Broker) routeMatchIndexed(rt *topicRoute, m *message.Message, cost int6
 		// the index proved the program could not return TRUE.
 		b.stats.selectorRejected.Add(uint64(rejected))
 	}
-	sc.probe.m = nil
-	sc.buf = cands[:0]
-	b.matchScratch.Put(sc)
 }

@@ -18,15 +18,12 @@ import (
 
 // clearModeMeters zeroes the meters that legitimately differ between
 // two brokers whose routing is identical: the shard-lock meters (shard
-// count changes contention) and the fan-out/egress meters (inline vs
-// pooled plan execution). Everything else in Stats must match exactly.
+// count changes contention) and the egress meters (per-frame vs batched
+// plan execution). Everything else in Stats must match exactly.
 func clearModeMeters(s Stats) Stats {
 	s.ShardLockAcquisitions = 0
 	s.ShardLockContended = 0
 	s.ShardLockWaitNs = 0
-	s.FanoutTasks = 0
-	s.FanoutChunks = 0
-	s.FanoutInlineRuns = 0
 	s.EgressFlushes = 0
 	s.EgressFrames = 0
 	return s

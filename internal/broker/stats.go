@@ -47,22 +47,13 @@ type Stats struct {
 	MatchGroupsSkipped   uint64
 	MatchDurablesSkipped uint64
 
-	// Parallel fan-out / egress-batching meters (fanplan.go).
-	// FanoutTasks counts publishes whose fan-out engaged the worker
-	// pool (matched targets >= parallelFanoutThreshold) and
-	// FanoutChunks the chunks those tasks were split into;
-	// FanoutInlineRuns counts fan-outs executed inline on the
-	// publishing goroutine (below the threshold, or Config.SerialEnv).
-	// EgressFlushes counts batched per-connection emissions (one
-	// wire.DeliverBatch handed to Env.Send) and EgressFrames the
-	// Deliver frames carried inside them — EgressFrames/EgressFlushes
-	// is the average coalescing run length, surfaced as
-	// EgressFramesPerFlush on the daemons' /stats.
-	FanoutTasks      uint64
-	FanoutChunks     uint64
-	FanoutInlineRuns uint64
-	EgressFlushes    uint64
-	EgressFrames     uint64
+	// Egress-batching meters (fanplan.go). EgressFlushes counts batched
+	// per-connection emissions (one wire.DeliverBatch handed to
+	// Env.Send) and EgressFrames the Deliver frames carried inside them
+	// — EgressFrames/EgressFlushes is the average coalescing run length,
+	// surfaced as egress_frames_per_flush on naradad's /stats.
+	EgressFlushes uint64
+	EgressFrames  uint64
 }
 
 // EgressFramesPerFlush reports the average number of Deliver frames per
@@ -99,11 +90,8 @@ type statCounters struct {
 	matchGroupsSkipped   atomic.Uint64
 	matchDurablesSkipped atomic.Uint64
 
-	fanoutTasks      atomic.Uint64
-	fanoutChunks     atomic.Uint64
-	fanoutInlineRuns atomic.Uint64
-	egressFlushes    atomic.Uint64
-	egressFrames     atomic.Uint64
+	egressFlushes atomic.Uint64
+	egressFrames  atomic.Uint64
 }
 
 // Stats returns a snapshot of broker counters. Shard-safe: callable from
@@ -132,11 +120,8 @@ func (b *Broker) Stats() Stats {
 		MatchGroupsSkipped:   b.stats.matchGroupsSkipped.Load(),
 		MatchDurablesSkipped: b.stats.matchDurablesSkipped.Load(),
 
-		FanoutTasks:      b.stats.fanoutTasks.Load(),
-		FanoutChunks:     b.stats.fanoutChunks.Load(),
-		FanoutInlineRuns: b.stats.fanoutInlineRuns.Load(),
-		EgressFlushes:    b.stats.egressFlushes.Load(),
-		EgressFrames:     b.stats.egressFrames.Load(),
+		EgressFlushes: b.stats.egressFlushes.Load(),
+		EgressFrames:  b.stats.egressFrames.Load(),
 	}
 }
 

@@ -1,9 +1,15 @@
-// Package fanout provides the bounded worker pool behind the broker's
-// parallel fan-out engine. A large matched-target set is split into
-// chunks — partitioned by connection at the call site, so per-connection
-// delivery order is preserved by construction — and the chunks are
-// executed by the submitting goroutine plus up to Workers()-1 pool
-// workers.
+// Package fanout provides a bounded worker pool that once ran the
+// broker's wide fan-outs. No production code uses it any more: the
+// broker delivers every fan-out on the publishing goroutine, since the
+// pool bought no measurable throughput or CPU on the fanout_wide
+// workload. It is kept only because the benchmark module's layer
+// replays (bench/layers) still time Pool.Run as fanout.run_ns; it goes
+// once that replay does.
+//
+// A large matched-target set is split into chunks — partitioned by
+// connection at the call site, so per-connection delivery order is
+// preserved by construction — and the chunks are executed by the
+// submitting goroutine plus up to Workers()-1 pool workers.
 //
 // The pool is deliberately minimal and unkillable-safe:
 //

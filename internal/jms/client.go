@@ -36,9 +36,7 @@ type Connection struct {
 	brokerID    string
 	connected   chan struct{}
 	subs        map[int64]*subscription
-	subOK       map[int64]chan bool
-	pubAcks     map[int64]chan struct{}
-	pongs       map[int64]chan struct{}
+	waiters     map[waitKey]chan error
 	closed      bool
 	closeErr    error
 	pendingTags []pendingTag // CLIENT-mode deliveries awaiting Acknowledge
@@ -57,6 +55,21 @@ type subscription struct {
 	conn     *Connection
 }
 
+// waitKey names one outstanding request: a subscription id, a publish
+// sequence number or a ping token, by the reply kind that completes it.
+type waitKey struct {
+	kind waitKind
+	id   int64
+}
+
+type waitKind uint8
+
+const (
+	waitSubOK waitKind = iota
+	waitPubAck
+	waitPong
+)
+
 // Dial connects and performs the protocol handshake with a 10 s request
 // timeout.
 func Dial(addr string, clientID string) (*Connection, error) {
@@ -73,9 +86,7 @@ func DialTimeout(addr string, clientID string, timeout time.Duration) (*Connecti
 		conn:      nc,
 		connected: make(chan struct{}),
 		subs:      make(map[int64]*subscription),
-		subOK:     make(map[int64]chan bool),
-		pubAcks:   make(map[int64]chan struct{}),
-		pongs:     make(map[int64]chan struct{}),
+		waiters:   make(map[waitKey]chan error),
 		timeout:   timeout,
 		ackMode:   message.AutoAck,
 	}
@@ -133,34 +144,15 @@ func (c *Connection) readLoop() {
 			}
 			c.mu.Unlock()
 		case wire.SubOK:
-			id := v.SubID
-			ok := true
-			if id < 0 {
-				id, ok = -id, false
-			}
-			c.mu.Lock()
-			ch := c.subOK[id]
-			delete(c.subOK, id)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- ok
+			if v.SubID < 0 {
+				c.complete(waitKey{waitSubOK, -v.SubID}, ErrSubRejected)
+			} else {
+				c.complete(waitKey{waitSubOK, v.SubID}, nil)
 			}
 		case wire.PubAck:
-			c.mu.Lock()
-			ch := c.pubAcks[v.Seq]
-			delete(c.pubAcks, v.Seq)
-			c.mu.Unlock()
-			if ch != nil {
-				close(ch)
-			}
+			c.complete(waitKey{waitPubAck, v.Seq}, nil)
 		case wire.Pong:
-			c.mu.Lock()
-			ch := c.pongs[v.Token]
-			delete(c.pongs, v.Token)
-			c.mu.Unlock()
-			if ch != nil {
-				close(ch)
-			}
+			c.complete(waitKey{waitPong, v.Token}, nil)
 		case wire.Deliver:
 			c.mu.Lock()
 			sub := c.subs[v.SubID]
@@ -211,16 +203,50 @@ func (c *Connection) shutdown(err error) {
 	}
 	c.closed = true
 	c.closeErr = err
-	for _, ch := range c.subOK {
-		ch <- false
+	for _, ch := range c.waiters {
+		ch <- ErrClosed
 	}
-	c.subOK = map[int64]chan bool{}
-	for _, ch := range c.pubAcks {
-		close(ch)
-	}
-	c.pubAcks = map[int64]chan struct{}{}
+	clear(c.waiters)
 	c.mu.Unlock()
 	_ = c.conn.Close()
+}
+
+// request registers a waiter under key, sends f and blocks until the
+// reply completes the waiter (nil, or ErrSubRejected), the connection
+// dies (ErrClosed) or the timeout passes (ErrTimeout). A waiter that
+// was never sent or timed out removes itself from the table.
+func (c *Connection) request(key waitKey, f wire.Frame) error {
+	ch := make(chan error, 1)
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	c.waiters[key] = ch
+	c.mu.Unlock()
+	if err := c.send(f); err != nil {
+		c.complete(key, nil) // drops the waiter; nothing reads ch
+		return err
+	}
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(c.timeout):
+		c.complete(key, nil) // drops the waiter; nothing reads ch
+		return ErrTimeout
+	}
+}
+
+// complete hands err to the waiter under key, if it is still waiting,
+// and removes it from the table.
+func (c *Connection) complete(key waitKey, err error) {
+	c.mu.Lock()
+	ch := c.waiters[key]
+	delete(c.waiters, key)
+	c.mu.Unlock()
+	if ch != nil {
+		ch <- err
+	}
 }
 
 // Close terminates the connection gracefully.
@@ -249,31 +275,24 @@ func (c *Connection) subscribe(dest message.Destination, selector, durable strin
 	}
 	c.nextSub++
 	id := c.nextSub
-	ch := make(chan bool, 1)
-	c.subOK[id] = ch
 	c.subs[id] = &subscription{id: id, listener: l, conn: c}
 	mode := c.ackMode
 	c.mu.Unlock()
 
-	err := c.send(wire.Subscribe{
+	err := c.request(waitKey{waitSubOK, id}, wire.Subscribe{
 		SubID: id, Dest: dest, Selector: selector,
 		Durable: durable != "", DurableName: durable, AckMode: mode,
 	})
-	if err != nil {
-		return 0, err
-	}
-	select {
-	case ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			delete(c.subs, id)
-			c.mu.Unlock()
-			return 0, fmt.Errorf("%w: %q", ErrSubRejected, selector)
-		}
+	if err == nil {
 		return id, nil
-	case <-time.After(c.timeout):
-		return 0, ErrTimeout
 	}
+	c.mu.Lock()
+	delete(c.subs, id)
+	c.mu.Unlock()
+	if errors.Is(err, ErrSubRejected) {
+		return 0, fmt.Errorf("%w: %q", ErrSubRejected, selector)
+	}
+	return 0, err
 }
 
 // Unsubscribe removes a subscription.
@@ -297,29 +316,7 @@ func (c *Connection) Publish(m *message.Message) error {
 func (c *Connection) PublishSync(m *message.Message) error {
 	seq := atomic.AddInt64(&c.nextSeq, 1)
 	c.stamp(m, seq)
-	ch := make(chan struct{})
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.pubAcks[seq] = ch
-	c.mu.Unlock()
-	if err := c.send(wire.Publish{Seq: seq, Msg: m}); err != nil {
-		return err
-	}
-	select {
-	case <-ch:
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
-		return nil
-	case <-time.After(c.timeout):
-		return ErrTimeout
-	}
+	return c.request(waitKey{waitPubAck, seq}, wire.Publish{Seq: seq, Msg: m})
 }
 
 func (c *Connection) stamp(m *message.Message, seq int64) {
@@ -332,21 +329,5 @@ func (c *Connection) stamp(m *message.Message, seq int64) {
 // Ping round-trips a liveness probe.
 func (c *Connection) Ping() error {
 	tok := atomic.AddInt64(&c.nextTok, 1)
-	ch := make(chan struct{})
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	c.pongs[tok] = ch
-	c.mu.Unlock()
-	if err := c.send(wire.Ping{Token: tok}); err != nil {
-		return err
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-time.After(c.timeout):
-		return ErrTimeout
-	}
+	return c.request(waitKey{waitPong, tok}, wire.Ping{Token: tok})
 }

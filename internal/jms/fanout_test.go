@@ -12,18 +12,18 @@ import (
 	"gridmon/internal/wire"
 )
 
-// Transport-level coverage of the parallel fan-out engine: batched
-// emission over real sockets, slow-consumer drops fired from inside a
-// worker chunk, and exactly-once release of pooled DeliverBatch
-// envelopes on the partial-failure paths (the counting pool in
-// internal/wire — gets vs puts — is the leak detector).
+// Transport-level coverage of batched fan-out: DeliverBatch emission
+// over real sockets, slow-consumer drops fired from inside a batched
+// run, and exactly-once release of pooled DeliverBatch envelopes on the
+// partial-failure paths (the counting pool in internal/wire — gets vs
+// puts — is the leak detector).
 
 // TestBatchedFanoutDelivery subscribes enough listeners (spread over
-// two client connections) to push every publish over the parallel
+// two client connections) to push every publish over the batching
 // threshold, and checks that all deliveries arrive through the batched
-// path: the broker must report pool tasks and >1 frames per egress
-// flush, the transport >1 frames per socket flush, and every listener
-// must see every message.
+// path: the broker must report >1 frames per egress flush, the
+// transport >1 frames per socket flush, and every listener must see
+// every message.
 func TestBatchedFanoutDelivery(t *testing.T) {
 	s := startServer(t, ServerConfig{})
 	subA := dial(t, s, "subA")
@@ -51,11 +51,7 @@ func TestBatchedFanoutDelivery(t *testing.T) {
 	}
 	waitFor(t, func() bool { return got.Load() == 2*subsPerConn*msgs })
 
-	st := s.Stats()
-	if st.FanoutTasks == 0 {
-		t.Fatalf("no fan-out pool tasks recorded: %+v", st)
-	}
-	if f := st.EgressFramesPerFlush(); f <= 1 {
+	if f := s.Stats().EgressFramesPerFlush(); f <= 1 {
 		t.Fatalf("broker egress not coalescing: %.2f frames/flush", f)
 	}
 	if es := s.EgressStats(); es.FramesPerFlush <= 1 {
@@ -104,7 +100,7 @@ func newStalledClient(t *testing.T, s *Server, nSubs int, topic string) *stalled
 // for pooled DeliverBatch envelopes on the partial-failure path: a
 // stalled subscriber connection accumulates batched deliveries until
 // the writer queue overflows, the slow-consumer drop fires from inside
-// a fan-out worker chunk (Env.Send → trySend full → dropConn, the PR 3
+// a batched run (Env.Send → trySend full → dropConn, the PR 3
 // deferred-OnConnClose path), the dying writer drains and releases its
 // queue, and late publishes hit the dead-writer release path. At
 // quiesce the counting pool must balance: every GetDeliverBatch matched
@@ -152,7 +148,7 @@ func TestBatchPoolExactlyOnceUnderDrop(t *testing.T) {
 
 // TestFanoutChurnOverTCP races a wide fan-out with subscribers joining
 // and leaving mid-publish and a stalled consumer being dropped from a
-// worker chunk, under -race in CI. The assertion is convergence: the
+// batched run, under -race in CI. The assertion is convergence: the
 // surviving subscriber keeps receiving, and the pool balances.
 func TestFanoutChurnOverTCP(t *testing.T) {
 	gets0, puts0 := wire.DeliverBatchPoolCounters()

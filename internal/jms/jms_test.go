@@ -3,12 +3,14 @@ package jms
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridmon/internal/message"
+	"gridmon/internal/wire"
 )
 
 func startServer(t *testing.T, cfg ServerConfig) *Server {
@@ -280,6 +282,68 @@ func TestTCPServerCloseUnblocksClients(t *testing.T) {
 		m.Dest = message.Topic("t")
 		return c.Publish(m) != nil
 	})
+}
+
+// TestDeadConnFailsWaiters: a connection that dies under pending
+// requests fails every one of them with ErrClosed at once, whatever its
+// kind — not with a timeout, and not as a rejected subscription. Three
+// goroutines share one connection; the fake server answers the
+// handshake, reads their three requests, and hangs up.
+func TestDeadConnFailsWaiters(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		fr := wire.NewFrameReader(nc)
+		if _, err := fr.Read(); err != nil {
+			return
+		}
+		if err := wire.WriteFrame(nc, wire.Connected{BrokerID: "fake"}); err != nil {
+			return
+		}
+		for range 3 {
+			if _, err := fr.Read(); err != nil {
+				return
+			}
+		}
+	}()
+
+	const timeout = 3 * time.Second
+	c, err := DialTimeout(ln.Addr().String(), "c", timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := message.NewText("x")
+	m.Dest = message.Topic("t")
+	requests := map[string]func() error{
+		"Ping":        c.Ping,
+		"PublishSync": func() error { return c.PublishSync(m) },
+		"Subscribe": func() error {
+			_, err := c.Subscribe(message.Topic("t"), "", nil)
+			return err
+		},
+	}
+	var wg sync.WaitGroup
+	for name, req := range requests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			err := req()
+			if took := time.Since(start); !errors.Is(err, ErrClosed) || took >= timeout/2 {
+				t.Errorf("%s on a dead connection: %v after %v, want ErrClosed at once", name, err, took)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCloseWaitsForTeardown: once Close returns, every connection's

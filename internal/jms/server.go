@@ -20,11 +20,12 @@
 // Every connection's outbound side is a wire.FrameWriter, the writer
 // rgmabin runs too: a bounded queue drained by one goroutine into
 // coalesced writes, owning and releasing exactly once every pooled
-// Deliver/DeliverBatch it is handed. Wide fan-outs arrive batched — at
-// or above the core's fan-out threshold (64 matched subscriptions) each
-// per-connection run reaches Env.Send as one wire.DeliverBatch, which
-// the writer splices into one flush (or writes as one writev for large
-// payloads); clients see the same MESSAGE frames either way. This
+// Deliver/DeliverBatch it is handed. The publishing reader goroutine
+// runs the whole fan-out itself, and wide fan-outs arrive batched — at
+// or above the core's batching threshold (64 matched subscriptions)
+// each per-connection run reaches Env.Send as one wire.DeliverBatch,
+// which the writer splices into one flush (or writes as one writev for
+// large payloads); clients see the same MESSAGE frames either way. This
 // package keeps only the policy: a send that finds the queue full drops
 // the connection as a slow consumer (dropConn). EgressStats reports the
 // writers' meters.

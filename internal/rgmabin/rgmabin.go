@@ -82,6 +82,10 @@ type Server struct {
 	conns  map[*serverConn]struct{}
 	closed bool
 
+	// teardown counts the accept loop and every reader; Close waits for
+	// it. A reader's Add runs under mu before closed is set.
+	teardown sync.WaitGroup
+
 	walStats atomic.Pointer[func() wal.Stats]
 	egress   wire.EgressMeters
 }
@@ -154,11 +158,13 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
+	s.teardown.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
+	defer s.teardown.Done()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -178,15 +184,17 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return
 		}
 		s.conns[c] = struct{}{}
+		s.teardown.Add(1)
 		s.mu.Unlock()
 		go c.w.Run()
 		go c.read()
 	}
 }
 
-// Close stops accepting and drops every connection; per-connection
-// resource cleanup runs on the reader goroutines as they observe the
-// closed sockets.
+// Close stops accepting and drops every connection. It returns once
+// their teardown is done: every reader has finished its in-flight
+// request and released its producers and consumers, so the core is
+// quiescent and a persister may dump it at once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -197,6 +205,7 @@ func (s *Server) Close() error {
 	if s.ln != nil {
 		_ = s.ln.Close()
 	}
+	s.teardown.Wait()
 	return nil
 }
 
@@ -225,6 +234,7 @@ func (c *serverConn) send(f wire.Frame) {
 }
 
 func (c *serverConn) read() {
+	defer c.s.teardown.Done()
 	defer c.teardown()
 	fr := wire.NewFrameReader(c.nc)
 	f, err := fr.Read()

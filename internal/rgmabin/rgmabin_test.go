@@ -645,3 +645,58 @@ func TestBinStats(t *testing.T) {
 		t.Errorf("WAL stats not forwarded: %+v", st)
 	}
 }
+
+// TestCloseWaitsForTeardown pins Close's quiescence promise: with four
+// clients inserting 16-row batches into push-fed continuous consumers,
+// the core must not move once Close returns — no insert still being
+// applied, every producer and consumer already released — so a
+// persister can dump it straight away.
+func TestCloseWaitsForTeardown(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{Shards: 4}), rgmabin.Config{})
+		addr, err := s.ListenAndServe("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup := dial(t, addr)
+		if err := setup.CreateTable(createSQL); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			c := dial(t, addr)
+			if _, err := c.CreateConsumer("SELECT * FROM generator", "continuous", func([]rgmabin.PoppedTuple) {}); err != nil {
+				t.Fatal(err)
+			}
+			p, err := c.CreatePrimaryProducer("generator", time.Second, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				batch := make([]string, 16)
+				for i := 0; ; i++ {
+					for j := range batch {
+						batch[j] = fmt.Sprintf("INSERT INTO generator (genid, seq, power, site) VALUES (%d, %d, 1.5, 'close')", w*16+j, i)
+					}
+					if p.InsertBatch(batch) != nil {
+						return
+					}
+				}
+			}(w)
+		}
+		waitFor(t, "inserts under way", func() bool { return s.Core().StatsSnapshot().Inserts >= 64 })
+
+		_ = s.Close()
+		atClose := s.Core().StatsSnapshot()
+		time.Sleep(50 * time.Millisecond)
+		if later := s.Core().StatsSnapshot(); later != atClose {
+			t.Fatalf("round %d: core moved after Close returned\nat Close: %+v\n50ms on:  %+v", round, atClose, later)
+		}
+		if atClose.Producers != 0 || atClose.Consumers != 0 {
+			t.Fatalf("round %d: Close returned with %d producers and %d consumers still registered", round, atClose.Producers, atClose.Consumers)
+		}
+		wg.Wait()
+	}
+}

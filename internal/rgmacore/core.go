@@ -110,9 +110,9 @@ type Core struct {
 	nextID      atomic.Int64
 	maxBuffered int
 
-	// matchScratch pools the indexed insert path's per-call scratch
+	// rowScratches pools the indexed insert path's per-call scratch
 	// (candidate buffer + row-probe adapter), recycled across inserts.
-	matchScratch sync.Pool
+	rowScratches sync.Pool
 
 	// journal is the persistence seam (see journal.go); nil-by-default
 	// keeps every mutation path at one atomic load when persistence is
@@ -724,7 +724,7 @@ func (c *Core) streamInsert(r *tableRoute, p *Producer, row sqlmini.Row, tuple r
 	// Evaluate only the candidate consumers the discrimination index
 	// emits (a superset of the true matchers, seq-sorted, so visit order
 	// equals registration order).
-	sc, _ := c.matchScratch.Get().(*rowScratch)
+	sc, _ := c.rowScratches.Get().(*rowScratch)
 	if sc == nil {
 		sc = &rowScratch{}
 	}
@@ -745,7 +745,7 @@ func (c *Core) streamInsert(r *tableRoute, p *Producer, row sqlmini.Row, tuple r
 	sc.probe.tab = nil
 	sc.probe.row = nil
 	sc.buf = cands[:0]
-	c.matchScratch.Put(sc)
+	c.rowScratches.Put(sc)
 }
 
 // --- consumers ---

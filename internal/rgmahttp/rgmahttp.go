@@ -31,6 +31,7 @@
 package rgmahttp
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,6 +40,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"gridmon/internal/rgmacore"
 	"gridmon/internal/sim"
@@ -134,10 +136,23 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the server.
+// closeGrace bounds how long Close waits for in-flight handlers.
+const closeGrace = 5 * time.Second
+
+// Close stops the server. It returns once every in-flight handler has
+// finished, so the core is quiescent and a persister may dump it at
+// once. A handler still running after closeGrace (a pprof profile, a
+// client that stopped reading its response) has its connection closed
+// under it, and Close reports the timeout.
 func (s *Server) Close() error {
-	if s.http != nil {
-		return s.http.Close()
+	if s.http == nil {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), closeGrace)
+	defer cancel()
+	if err := s.http.Shutdown(ctx); err != nil {
+		_ = s.http.Close()
+		return err
 	}
 	return nil
 }

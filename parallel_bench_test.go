@@ -26,10 +26,8 @@ type parAckPair struct {
 }
 
 // parConnRec accumulates deliveries per subscriber connection. With one
-// publisher per topic the owning publisher — or, for a fan-out wide
-// enough to be batched, the pool worker running its one run — is the
-// only goroutine touching its topic's record, so the mutex is
-// uncontended.
+// publisher per topic the owning publisher is the only goroutine
+// touching its topic's record, so the mutex is uncontended.
 type parConnRec struct {
 	mu    sync.Mutex
 	pairs []parAckPair
