@@ -30,6 +30,7 @@ type durableState struct {
 	mu      sync.Mutex
 	active  *subscription // nil while disconnected
 	backlog []storedMsg
+	gone    bool // destroyed by unsubscribe; a stale route must not store
 
 	// slot is the durable's route slot while it buffers, nil otherwise,
 	// and seq that slot's seq; both guarded by the shard lock of topic.
@@ -128,13 +129,14 @@ func (b *Broker) unindexDurable(sh *shard, d *durableState) {
 // storeDurable buffers a message for a disconnected durable subscriber,
 // under the durable's leaf lock (the snapshot publish path stores with
 // no shard lock held). The re-checks guard the RCU races: a consumer
-// that attached after the caller's route was built owns delivery now,
-// and a recreate that moved the durable to another topic must not
-// receive a stale old-topic message.
+// that attached after the caller's route was built owns delivery now, a
+// recreate that moved the durable to another topic must not receive a
+// stale old-topic message, and a destroyed durable's backlog would never
+// be freed.
 func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.active != nil || d.topic != m.Dest.Name {
+	if d.active != nil || d.gone || d.topic != m.Dest.Name {
 		return
 	}
 	if b.cfg.MaxDurableBacklog > 0 && len(d.backlog) >= b.cfg.MaxDurableBacklog {

@@ -168,10 +168,12 @@ func (b *Broker) handleSubscribe(c *conn, v wire.Subscribe) {
 
 // subscribeTopic installs a topic subscription: durable attach (under
 // the durable directory lock), index insertion, interest callback,
-// registration on the conn, SubOK, and durable backlog replay — all
-// under one hold of the topic's shard lock, so a concurrent publish
-// either lands in the backlog (drained below, after SubOK) or is
-// delivered live once the subscription is indexed; no message is missed.
+// registration on the conn, durable backlog replay, route republish and
+// SubOK — all under one hold of the topic's shard lock. The route is
+// republished before SubOK: the reply promises delivery of every later
+// publish, and the lock-free publish path reads only the published
+// route. The backlog goes out before the republish, so no live delivery
+// can overtake it.
 func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 	var d *durableState
 	if v.Durable && v.DurableName != "" {
@@ -187,10 +189,6 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 	sub.shard = sh
 	b.lockShard(sh)
 	defer sh.mu.Unlock()
-	// Republish the topic's routing snapshot before the lock is released
-	// (deferred calls run inner-first), so the lock-free read path sees
-	// every index mutation made below.
-	defer b.refreshTopicRoute(sh, v.Dest.Name)
 	if d != nil {
 		d.mu.Lock()
 		d.active = sub
@@ -214,9 +212,9 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 			d.mu.Unlock()
 		}
 		sh.dropIfIdle(t)
+		b.refreshTopicRoute(sh, v.Dest.Name)
 		return
 	}
-	b.env.Send(c.id, wire.SubOK{SubID: v.SubID})
 	if d != nil {
 		// Deliver the backlog the durable buffered while disconnected.
 		// The backlog is swapped out under the durable's leaf lock and
@@ -236,6 +234,8 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 			b.deliverTo(sub, sm.msg)
 		}
 	}
+	b.refreshTopicRoute(sh, v.Dest.Name)
+	b.env.Send(c.id, wire.SubOK{SubID: v.SubID})
 }
 
 func (b *Broker) subscribeQueue(c *conn, sub *subscription, v wire.Subscribe) {
@@ -313,6 +313,7 @@ func (b *Broker) dropSubscription(sub *subscription, unsubscribe bool) {
 						b.env.Free(sm.cost)
 					}
 					d.backlog = nil
+					d.gone = true
 				}
 				d.mu.Unlock()
 				if unsubscribe {

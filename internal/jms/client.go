@@ -105,7 +105,8 @@ func DialTimeout(addr string, clientID string, timeout time.Duration) (*Connecti
 }
 
 // SetAckMode selects AUTO (default) or CLIENT acknowledgement. In CLIENT
-// mode the application must call Acknowledge.
+// mode the application must call Acknowledge. AUTO and DUPS_OK acks are
+// batched per read burst (see the package comment).
 func (c *Connection) SetAckMode(m message.AckMode) {
 	c.mu.Lock()
 	c.ackMode = m
@@ -127,7 +128,12 @@ func (c *Connection) send(f wire.Frame) error {
 
 func (c *Connection) readLoop() {
 	fr := wire.NewFrameReader(c.conn)
+	var acks ackBatch
 	for {
+		if !fr.FrameBuffered() {
+			// The next Read would block: acknowledge the burst first.
+			c.flushAcks(&acks)
+		}
 		f, err := fr.Read()
 		if err != nil {
 			c.shutdown(err)
@@ -162,7 +168,9 @@ func (c *Connection) readLoop() {
 				sub.listener(v.Msg)
 			}
 			if mode == message.AutoAck || mode == message.DupsOKAck {
-				_ = c.send(wire.Ack{SubID: v.SubID, Tags: []int64{v.Tag}})
+				if acks.add(v.SubID, v.Tag) >= wire.MaxWriteBatch {
+					c.flushAcks(&acks)
+				}
 			} else {
 				c.mu.Lock()
 				// CLIENT mode: remember tags for Acknowledge.
@@ -171,6 +179,48 @@ func (c *Connection) readLoop() {
 			}
 		}
 	}
+}
+
+// ackBatch collects the AUTO/DUPS_OK acks of one read burst. A run of
+// acks for one subscription merges into one Ack frame; finished frames
+// are encoded into buf, which goes out in one write.
+type ackBatch struct {
+	buf []byte   // encoded Ack frames
+	run wire.Ack // the open run, not yet encoded
+}
+
+// add appends tag to the batch and returns the batch's size in bytes,
+// roughly, for the caller's flush threshold.
+func (a *ackBatch) add(sub, tag int64) int {
+	if len(a.run.Tags) > 0 && a.run.SubID != sub {
+		a.seal()
+	}
+	a.run.SubID = sub
+	a.run.Tags = append(a.run.Tags, tag)
+	return len(a.buf) + 8*len(a.run.Tags)
+}
+
+// seal encodes the open run onto buf.
+func (a *ackBatch) seal() {
+	if len(a.run.Tags) == 0 {
+		return
+	}
+	// An Ack within MaxWriteBatch is far below MaxFrameSize.
+	a.buf, _ = wire.AppendFrame(a.buf, a.run)
+	a.run.Tags = a.run.Tags[:0]
+}
+
+// flushAcks writes the batched acks in one write. A write error is left
+// to the read loop, which sees the connection fail.
+func (c *Connection) flushAcks(a *ackBatch) {
+	a.seal()
+	if len(a.buf) == 0 {
+		return
+	}
+	c.writeMu.Lock()
+	_, _ = c.conn.Write(a.buf)
+	c.writeMu.Unlock()
+	a.buf = a.buf[:0]
 }
 
 type pendingTag struct {

@@ -2,6 +2,7 @@ package jms
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"gridmon/internal/broker"
 	"gridmon/internal/brokernet"
 	"gridmon/internal/message"
+	"gridmon/internal/wire"
 )
 
 // startDBN builds a chain of n servers joined in the given routing mode,
@@ -195,4 +197,55 @@ func TestDBNConcurrentPublishStress(t *testing.T) {
 		i := i
 		waitFor(t, func() bool { return counts[i].Load() == total })
 	}
+}
+
+// TestDialPeerHandshakeSharesReader: a peer that sends its handshake
+// reply and its first interest frames in one write loses none of them —
+// the link's reader is the one that read the handshake.
+func TestDialPeerHandshakeSharesReader(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	if _, err := s.JoinNetwork(brokernet.RoutingTree); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	const topics = 5
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		fr := wire.NewFrameReader(nc)
+		if _, err := fr.Read(); err != nil {
+			return
+		}
+		buf, _ := wire.AppendFrame(nil, wire.BrokerLink{BrokerID: "fake", Routing: uint8(brokernet.RoutingTree)})
+		for i := range topics {
+			buf, _ = wire.AppendFrame(buf, wire.BrokerSub{BrokerID: "fake", Topic: fmt.Sprintf("t%d", i), Add: true})
+		}
+		if _, err := nc.Write(buf); err != nil {
+			return
+		}
+		for {
+			if _, err := fr.Read(); err != nil {
+				return
+			}
+		}
+	}()
+	peer, err := s.DialPeer(ln.Addr().String())
+	if err != nil || peer != "fake" {
+		t.Fatalf("DialPeer = %q, %v", peer, err)
+	}
+	waitFor(t, func() bool {
+		for i := range topics {
+			if len(s.Member().InterestedPeers(fmt.Sprintf("t%d", i))) != 1 {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -37,6 +37,15 @@
 // forwarded frames ride the same per-connection batching writers as
 // client deliveries — a BrokerForward splices the frozen message's
 // cached encoding, so relaying costs no re-encode.
+//
+// Every read loop here — server connections, peer links and the client
+// — reads through one wire.FrameReader per connection, so a burst of
+// frames costs one read. The client answers a burst the same way: it
+// acknowledges AUTO and DUPS_OK deliveries once the burst is decoded,
+// when its reader would next block (or when the acks reach
+// wire.MaxWriteBatch bytes), merging consecutive acks of one
+// subscription into one Ack frame and writing them all in one write. An
+// ack still goes only after the listener for its message has returned.
 package jms
 
 import (
@@ -377,8 +386,12 @@ func (s *Server) DialPeer(addr string) (string, error) {
 		_ = conn.Close()
 		return "", fmt.Errorf("jms: peer handshake %s: %w", addr, err)
 	}
+	// One reader for the link's lifetime: the peer may send its first
+	// interest frames in the same segment as the reply, and a second
+	// reader would lose whatever the first had buffered.
+	fr := wire.NewFrameReader(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := wire.ReadFrame(conn)
+	f, err := fr.Read()
 	if err != nil {
 		_ = conn.Close()
 		return "", fmt.Errorf("jms: peer handshake %s: %w", addr, err)
@@ -406,7 +419,7 @@ func (s *Server) DialPeer(addr string) (string, error) {
 	}
 	go func() {
 		defer s.teardown.Done()
-		s.readPeer(id, pw, member, reply.BrokerID, wire.NewFrameReader(conn))
+		s.readPeer(id, pw, member, reply.BrokerID, fr)
 	}()
 	return reply.BrokerID, nil
 }

@@ -52,6 +52,29 @@ func TestTupleStoreRetention(t *testing.T) {
 	}
 }
 
+// A sweep that expires a few tuples must not copy the survivors: the
+// insert path sweeps every few dozen inserts, so a copy there costs the
+// whole retained history each time.
+func TestTupleStorePurgeDoesNotCopy(t *testing.T) {
+	const n, runs = 1000, 100
+	s := NewTupleStore(MonitoringTable(), sim.Second, sim.Second)
+	for i := range n {
+		s.Insert(Tuple{Row: MonitoringRow(1, int64(i)), InsertedAt: sim.Time(i) * sim.Millisecond})
+	}
+	now := sim.Second
+	allocs := testing.AllocsPerRun(runs, func() {
+		now += sim.Millisecond // one more tuple past its retention
+		s.Purge(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("Purge allocated %v times per call, want 0", allocs)
+	}
+	// AllocsPerRun calls the function runs+1 times.
+	if got, want := s.Len(), n-(runs+1); got != want {
+		t.Fatalf("history = %d after purging, want %d", got, want)
+	}
+}
+
 func TestTupleStoreQueryFilter(t *testing.T) {
 	tab := MonitoringTable()
 	s := NewTupleStore(tab, sim.Minute, sim.Minute)

@@ -138,7 +138,12 @@ func (s *TupleStore) purgeLocked(now sim.Time) {
 		cut++
 	}
 	if cut > 0 {
-		s.history = append([]Tuple(nil), s.history[cut:]...)
+		// Reslice rather than copy the survivors: the insert path sweeps
+		// every insertsPerSweep inserts, and a copy would cost the whole
+		// retained history each time. The expired slots are cleared so
+		// their rows can be collected; append's next growth drops them.
+		clear(s.history[:cut])
+		s.history = s.history[cut:]
 		s.purged.Add(uint64(cut))
 	}
 	for k, t := range s.latest {

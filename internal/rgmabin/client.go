@@ -88,8 +88,11 @@ func Dial(addr string) (*Client, error) {
 		_ = nc.Close()
 		return nil, err
 	}
+	// The handshake and the read loop share one reader: a push that
+	// arrives in the same segment as the welcome must not be lost.
+	fr := wire.NewFrameReader(nc)
 	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := wire.ReadFrame(nc)
+	f, err := fr.Read()
 	if err != nil {
 		_ = nc.Close()
 		return nil, fmt.Errorf("rgmabin: handshake: %w", err)
@@ -99,7 +102,7 @@ func Dial(addr string) (*Client, error) {
 		return nil, fmt.Errorf("rgmabin: unexpected handshake reply %v", f.Type())
 	}
 	_ = nc.SetReadDeadline(time.Time{})
-	go c.readLoop()
+	go c.readLoop(fr)
 	return c, nil
 }
 
@@ -115,8 +118,7 @@ func (c *Client) writeFrame(f wire.Frame) error {
 	return wire.WriteFrameBuf(c.nc, &c.wbuf, f)
 }
 
-func (c *Client) readLoop() {
-	fr := wire.NewFrameReader(c.nc)
+func (c *Client) readLoop(fr *wire.FrameReader) {
 	for {
 		f, err := fr.Read()
 		if err != nil {

@@ -886,65 +886,104 @@ func WriteFrameBuf(w io.Writer, buf *[]byte, f Frame) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame from a stream. It allocates
-// a fresh body buffer per frame; loops reading many frames should use a
-// FrameReader, which reuses one.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooBig
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return Unmarshal(body)
-}
-
 // maxRetainedBuf caps the buffer a FrameReader or WriteFrameBuf keeps
 // between frames; an occasional oversized frame must not pin its buffer
 // for the connection's lifetime.
 const maxRetainedBuf = 64 << 10
 
-// FrameReader reads length-prefixed frames from a stream, reusing one
-// body buffer across frames. Reuse is safe because Unmarshal copies
-// every variable-length field (strings, byte payloads) out of the input
-// buffer. Not safe for concurrent use; each connection's read loop owns
-// one.
+// readAhead is a FrameReader's buffer size: one read of the stream takes
+// up to this many bytes, however many frames they hold.
+const readAhead = 16 << 10
+
+// FrameReader reads length-prefixed frames from a stream through one
+// read-ahead buffer: a single read takes whatever the stream has ready,
+// so a burst of frames costs one read, not two per frame. Frames are
+// decoded straight out of the buffer, which is safe because Unmarshal
+// copies every variable-length field (strings, byte payloads) out of its
+// input. A frame larger than the buffer grows it once its length has
+// passed the MaxFrameSize check; a buffer grown past 64 KiB is dropped
+// once drained. Read returns io.EOF only at a frame boundary and
+// io.ErrUnexpectedEOF when the stream ends mid-frame.
+//
+// Once a FrameReader has read from a stream, it owns the stream: bytes
+// of later frames may already sit in its buffer. Not safe for concurrent
+// use; each connection's read loop owns one, handshake included.
 type FrameReader struct {
-	r   io.Reader
-	buf []byte
+	r        io.Reader
+	buf      []byte
+	off, end int // buf[off:end] is read but not yet decoded
 }
 
-// NewFrameReader wraps r for pooled-buffer frame reading.
+// NewFrameReader wraps r for buffered frame reading.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: r, buf: make([]byte, 0, 4096)}
+	return &FrameReader{r: r, buf: make([]byte, readAhead)}
+}
+
+// FrameBuffered reports whether the next Read returns without reading
+// the stream: a whole frame (or a length Read will reject) is buffered.
+// A read loop that batches replies flushes them when this turns false,
+// before it would block.
+func (fr *FrameReader) FrameBuffered() bool {
+	avail := fr.end - fr.off
+	if avail < 4 {
+		return false
+	}
+	n := binary.BigEndian.Uint32(fr.buf[fr.off:])
+	return n > MaxFrameSize || uint32(avail-4) >= n
 }
 
 // Read decodes the next frame from the stream.
 func (fr *FrameReader) Read() (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if err := fr.fill(4); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.off:]))
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooBig
 	}
-	if cap(fr.buf) < n {
-		fr.buf = make([]byte, n)
-	}
-	body := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, body); err != nil {
+	if err := fr.fill(4 + n); err != nil {
 		return nil, err
 	}
+	body := fr.buf[fr.off+4 : fr.off+4+n]
+	fr.off += 4 + n
 	f, err := Unmarshal(body)
-	if cap(fr.buf) > maxRetainedBuf {
-		fr.buf = make([]byte, 0, 4096)
+	if fr.off == fr.end {
+		fr.off, fr.end = 0, 0
+		if len(fr.buf) > maxRetainedBuf {
+			fr.buf = make([]byte, readAhead)
+		}
 	}
 	return f, err
+}
+
+// fill reads until need bytes past off are buffered. A partial frame
+// that would not fit is first slid to the front; a frame larger than the
+// buffer grows it by doubling as its bytes arrive, so a length the
+// stream never backs up costs little. A stream error is returned only
+// when the bytes before it fall short; io.EOF after part of a frame
+// becomes io.ErrUnexpectedEOF.
+func (fr *FrameReader) fill(need int) error {
+	if fr.end-fr.off >= need {
+		return nil
+	}
+	if need > len(fr.buf)-fr.off {
+		fr.end = copy(fr.buf, fr.buf[fr.off:fr.end])
+		fr.off = 0
+	}
+	for fr.end-fr.off < need {
+		if fr.end == len(fr.buf) {
+			buf := make([]byte, min(need, 2*len(fr.buf)))
+			copy(buf, fr.buf[:fr.end])
+			fr.buf = buf
+		}
+		m, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += m
+		if err != nil && fr.end-fr.off < need {
+			if err == io.EOF && fr.end > fr.off {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
 }

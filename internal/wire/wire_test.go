@@ -256,8 +256,9 @@ func TestStreamFraming(t *testing.T) {
 			t.Fatalf("write %v: %v", f.Type(), err)
 		}
 	}
+	fr := NewFrameReader(&buf)
 	for _, want := range frames {
-		got, err := ReadFrame(&buf)
+		got, err := fr.Read()
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -265,7 +266,7 @@ func TestStreamFraming(t *testing.T) {
 			t.Fatalf("stream round trip mismatch for %v", want.Type())
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := fr.Read(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -276,14 +277,14 @@ func TestReadFrameTruncatedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()[:buf.Len()-1]
-	if _, err := ReadFrame(bytes.NewReader(b)); err == nil {
-		t.Fatal("truncated body did not error")
+	if _, err := NewFrameReader(bytes.NewReader(b)).Read(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated body: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
 func TestReadFrameOversize(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := NewFrameReader(bytes.NewReader(hdr)).Read(); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversize err = %v", err)
 	}
 }
@@ -401,29 +402,6 @@ func TestDeliverPoolRoundTrip(t *testing.T) {
 		t.Fatalf("pooled Deliver not zeroed: %+v", d2)
 	}
 	PutDeliver(d2)
-}
-
-func TestFrameReaderMatchesReadFrame(t *testing.T) {
-	var buf bytes.Buffer
-	frames := allFrames()
-	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatalf("write %v: %v", f.Type(), err)
-		}
-	}
-	fr := NewFrameReader(&buf)
-	for _, want := range frames {
-		got, err := fr.Read()
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if !framesEqual(want, got) {
-			t.Fatalf("FrameReader round trip mismatch for %v", want.Type())
-		}
-	}
-	if _, err := fr.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
 }
 
 func BenchmarkMarshalPublish(b *testing.B) {

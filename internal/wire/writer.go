@@ -11,9 +11,10 @@ import (
 	"sync/atomic"
 )
 
-// maxWriteBatch caps how many bytes of queued frames the writer encodes
-// into one buffer before flushing to the socket.
-const maxWriteBatch = 64 << 10
+// MaxWriteBatch caps how many bytes of queued frames the writer encodes
+// into one buffer before flushing to the socket; the jms client caps a
+// read burst's batched acks the same way.
+const MaxWriteBatch = 64 << 10
 
 // vecPayloadMin is the smallest cached encoding for which a multi-entry
 // DeliverBatch goes out as one writev referencing the shared payload N
@@ -154,7 +155,7 @@ func (w *FrameWriter) Run() {
 		for len(w.out) > 0 {
 			Release(<-w.out)
 		}
-		if cap(buf) <= maxWriteBatch {
+		if cap(buf) <= MaxWriteBatch {
 			*bp = buf[:0]
 			writeBufPool.Put(bp)
 		}
@@ -178,7 +179,7 @@ func (w *FrameWriter) Run() {
 		}
 		// An occasional oversized frame must not pin its buffer for the
 		// connection's lifetime.
-		if cap(buf) > maxWriteBatch {
+		if cap(buf) > MaxWriteBatch {
 			buf = make([]byte, 0, 4096)
 		}
 	}
@@ -205,14 +206,14 @@ func (w *FrameWriter) writev(vec [][]byte, hdr []byte, b *DeliverBatch) ([][]byt
 }
 
 // flush encodes f and the frames queued behind it into buf, until the
-// queue is empty or buf holds maxWriteBatch bytes, and writes them with
+// queue is empty or buf holds MaxWriteBatch bytes, and writes them with
 // one call — on an encode error, the frames that did encode.
 func (w *FrameWriter) flush(buf []byte, f Frame, pushes *pushMerge) ([]byte, error) {
 	frames := FrameCount(f)
 	buf, err := pushes.append(buf[:0], f)
 	Release(f)
 coalesce:
-	for err == nil && len(buf) < maxWriteBatch {
+	for err == nil && len(buf) < MaxWriteBatch {
 		select {
 		case f = <-w.out:
 			frames += FrameCount(f)
