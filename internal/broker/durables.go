@@ -28,7 +28,7 @@ type durableState struct {
 	// active is written under both the topic shard's lock and mu;
 	// holding either is enough to read it.
 	mu      sync.Mutex
-	active  *subscription // nil while disconnected
+	active  *subscription // nil while buffering; set by goLive
 	backlog []storedMsg
 	gone    bool // destroyed by unsubscribe; a stale route must not store
 
@@ -44,8 +44,9 @@ type durableState struct {
 // on a topic change, moves to the new topic's shard. It fails when the
 // durable name is already active on another subscription (JMS allows one
 // active consumer per durable subscription). The caller holds durableMu
-// and, on success, sets d.active under the topic shard's lock — until
-// then the durable keeps buffering, so no message is lost in between.
+// and, on success, hands the durable to goLive under the topic shard's
+// lock — until then the durable keeps buffering, so no message is lost
+// in between.
 func (b *Broker) attachDurable(sub *subscription) (*durableState, bool) {
 	d := b.durables[sub.durableName]
 	if d == nil {
@@ -126,19 +127,55 @@ func (b *Broker) unindexDurable(sh *shard, d *durableState) {
 	sh.dropIfIdle(t)
 }
 
+// goLive attaches sub to the durable d: it replays the backlog to sub
+// in rounds, and once a round finds the backlog empty under d.mu it
+// makes sub the active consumer in that same hold. A publish that read
+// the buffering route while the attach runs still lands in the backlog
+// and goes out in the next round, so the replay keeps publish order and
+// loses nothing. The caller holds durableMu and the topic shard's lock,
+// and republishes the route after. Each round is swapped out under the
+// leaf lock and delivered after releasing it: deliverTo takes sub.mu,
+// and leaf locks never nest.
+func (b *Broker) goLive(d *durableState, sub *subscription) {
+	for {
+		d.mu.Lock()
+		backlog := d.backlog
+		d.backlog = nil
+		if len(backlog) == 0 {
+			d.active = sub
+			d.mu.Unlock()
+			return
+		}
+		d.mu.Unlock()
+		if j := b.loadJournal(); j != nil {
+			j.DurableFlushed(d.name)
+		}
+		for _, sm := range backlog {
+			b.env.Free(sm.cost)
+			b.deliverTo(sub, sm.msg)
+		}
+	}
+}
+
 // storeDurable buffers a message for a disconnected durable subscriber,
 // under the durable's leaf lock (the snapshot publish path stores with
 // no shard lock held). The re-checks guard the RCU races: a consumer
-// that attached after the caller's route was built owns delivery now, a
-// recreate that moved the durable to another topic must not receive a
-// stale old-topic message, and a destroyed durable's backlog would never
-// be freed.
+// that went live after the caller's route was built takes the message
+// as a live delivery, a recreate that moved the durable to another
+// topic must not receive a stale old-topic message, and a destroyed
+// durable's backlog would never be freed.
 func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.active != nil || d.gone || d.topic != m.Dest.Name {
+	if d.gone || d.topic != m.Dest.Name {
+		d.mu.Unlock()
 		return
 	}
+	if sub := d.active; sub != nil {
+		d.mu.Unlock()
+		b.deliverCost(sub, m, cost)
+		return
+	}
+	defer d.mu.Unlock()
 	if b.cfg.MaxDurableBacklog > 0 && len(d.backlog) >= b.cfg.MaxDurableBacklog {
 		b.stats.droppedBacklog.Add(1)
 		return

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"testing"
 
 	"gridmon/internal/message"
@@ -85,5 +86,70 @@ func TestStaleRouteSkipsDestroyedDurable(t *testing.T) {
 
 	if used := env.heap.Used(); used != 0 {
 		t.Fatalf("heap holds %d bytes after a stale-route publish to a destroyed durable, want 0", used)
+	}
+}
+
+// TestDurableAttachWindowPublish: a publish that lands while a durable
+// re-attaches — here from the interest callback, which fires inside the
+// attach — is delivered, in order between the backlog and later
+// publishes.
+func TestDurableAttachWindowPublish(t *testing.T) {
+	b, env := newBroker(t, 0)
+	topic := message.Topic("power")
+	mustOpen(t, b, 1) // publisher
+	mustOpen(t, b, 2)
+	b.OnFrame(2, wire.Subscribe{SubID: 1, Dest: topic, Durable: true, DurableName: "d1"})
+	b.OnConnClose(2)
+	publishOn(b, 1, "buffered", topic, nil)
+
+	fired := false
+	b.SetInterestFunc(func(name string, add bool) {
+		if add && name == topic.Name && !fired {
+			fired = true
+			publishOn(b, 1, "window", topic, nil)
+		}
+	})
+	mustOpen(t, b, 3)
+	b.OnFrame(3, wire.Subscribe{SubID: 1, Dest: topic, Durable: true, DurableName: "d1"})
+	if !fired {
+		t.Fatal("the interest callback did not fire during the attach")
+	}
+	publishOn(b, 1, "after", topic, nil)
+
+	var got []string
+	for _, d := range env.deliveries(3) {
+		got = append(got, d.Msg.ID)
+	}
+	if want := []string{"buffered", "window", "after"}; !slices.Equal(got, want) {
+		t.Fatalf("re-attached durable got %v (%d of 3), want %v", got, len(got), want)
+	}
+}
+
+// TestStaleRouteDeliversToLiveDurable: a publish still holding a route
+// from while a durable buffered, routed after the durable went live,
+// reaches the live consumer instead of vanishing.
+func TestStaleRouteDeliversToLiveDurable(t *testing.T) {
+	b, env := newBroker(t, 0)
+	topic := message.Topic("t")
+	mustOpen(t, b, 1)
+	b.OnFrame(1, wire.Subscribe{SubID: 1, Dest: topic, Durable: true, DurableName: "d1"})
+	b.OnConnClose(1)
+
+	sh := b.shardFor(topic.Name)
+	stale := sh.snap.Load().topics[topic.Name].route.Load()
+
+	mustOpen(t, b, 2)
+	b.OnFrame(2, wire.Subscribe{SubID: 2, Dest: topic, Durable: true, DurableName: "d1"})
+
+	m := message.NewText("late")
+	m.Dest = topic
+	m = m.Freeze()
+	plan := b.getFanPlan()
+	b.routeMatchIndexed(stale, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead, plan)
+	b.execFanPlan(plan, m, 0)
+	b.putFanPlan(plan)
+
+	if got := env.deliveries(2); len(got) != 1 || got[0].Msg != m {
+		t.Fatalf("live durable got %d deliveries of the stale-route publish, want 1", len(got))
 	}
 }

@@ -189,11 +189,6 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 	sub.shard = sh
 	b.lockShard(sh)
 	defer sh.mu.Unlock()
-	if d != nil {
-		d.mu.Lock()
-		d.active = sub
-		d.mu.Unlock()
-	}
 	t := sh.topic(v.Dest.Name)
 	wasEmpty := t.subs == 0
 	t.add(sub)
@@ -206,33 +201,12 @@ func (b *Broker) subscribeTopic(c *conn, sub *subscription, v wire.Subscribe) {
 		if t.subs == 0 {
 			b.notifyInterest(t.name, false)
 		}
-		if d != nil {
-			d.mu.Lock()
-			d.active = nil
-			d.mu.Unlock()
-		}
 		sh.dropIfIdle(t)
 		b.refreshTopicRoute(sh, v.Dest.Name)
 		return
 	}
 	if d != nil {
-		// Deliver the backlog the durable buffered while disconnected.
-		// The backlog is swapped out under the durable's leaf lock and
-		// delivered after releasing it: deliverTo takes sub.mu, and leaf
-		// locks never nest.
-		d.mu.Lock()
-		backlog := d.backlog
-		d.backlog = nil
-		d.mu.Unlock()
-		if len(backlog) > 0 {
-			if j := b.loadJournal(); j != nil {
-				j.DurableFlushed(d.name)
-			}
-		}
-		for _, sm := range backlog {
-			b.env.Free(sm.cost)
-			b.deliverTo(sub, sm.msg)
-		}
+		b.goLive(d, sub)
 	}
 	b.refreshTopicRoute(sh, v.Dest.Name)
 	b.env.Send(c.id, wire.SubOK{SubID: v.SubID})

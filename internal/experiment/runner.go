@@ -195,9 +195,8 @@ func RunNarada(cfg NaradaConfig) NaradaResult {
 			m := gridgen.MonitoringMessage(genID, seq)
 			for i := 1; i < k; i++ {
 				extra := gridgen.MonitoringMessage(genID, seq*int64(k)+int64(i))
-				for _, name := range extra.MapNames() {
-					v, _ := extra.MapGet(name)
-					m.MapSet(fmt.Sprintf("%s_%d", name, i), v)
+				for _, e := range extra.MapEntries() {
+					m.MapSet(fmt.Sprintf("%s_%d", e.Name, i), e.Val)
 				}
 			}
 			return m

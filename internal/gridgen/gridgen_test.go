@@ -13,9 +13,8 @@ import (
 func TestMonitoringMessageFieldMix(t *testing.T) {
 	m := MonitoringMessage(42, 7)
 	counts := map[message.Kind]int{}
-	for _, name := range m.MapNames() {
-		v, _ := m.MapGet(name)
-		counts[v.Kind()]++
+	for _, e := range m.MapEntries() {
+		counts[e.Val.Kind()]++
 	}
 	// The paper: two integer, five float, two long, three double, four
 	// string values.

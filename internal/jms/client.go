@@ -357,23 +357,31 @@ func (c *Connection) Unsubscribe(subID int64) error {
 // NON_PERSISTENT semantics).
 func (c *Connection) Publish(m *message.Message) error {
 	seq := atomic.AddInt64(&c.nextSeq, 1)
-	c.stamp(m, seq)
-	return c.send(wire.Publish{Seq: seq, Msg: m})
+	return c.send(wire.Publish{Seq: seq, Msg: c.stamp(m, seq)})
 }
 
 // PublishSync sends a message and waits for the broker's acknowledgement
 // (PERSISTENT-style confirmation).
 func (c *Connection) PublishSync(m *message.Message) error {
 	seq := atomic.AddInt64(&c.nextSeq, 1)
-	c.stamp(m, seq)
-	return c.request(waitKey{waitPubAck, seq}, wire.Publish{Seq: seq, Msg: m})
+	return c.request(waitKey{waitPubAck, seq}, wire.Publish{Seq: seq, Msg: c.stamp(m, seq)})
 }
 
-func (c *Connection) stamp(m *message.Message, seq int64) {
+// stamp sets the send Timestamp, and an ID when m has none, returning
+// the message to send. A frozen message — one this client received — is
+// read-only and its cached encoding holds the old header, so it is
+// cloned and the clone gets a new ID as well: a republished message is a
+// new message.
+func (c *Connection) stamp(m *message.Message, seq int64) *message.Message {
+	if m.Frozen() {
+		m = m.Clone()
+		m.ID = ""
+	}
 	m.Timestamp = time.Now().UnixNano()
 	if m.ID == "" {
 		m.ID = fmt.Sprintf("ID:%p/%d", c, seq)
 	}
+	return m
 }
 
 // Ping round-trips a liveness probe.

@@ -363,3 +363,58 @@ func TestCloseWaitsForTeardown(t *testing.T) {
 		t.Fatalf("%d connections still open in the broker after Close", n)
 	}
 }
+
+// TestTCPRepublishReceivedMessage: a received message is frozen, and
+// publishing it again sends a clone with a new ID and Timestamp rather
+// than the bytes it arrived in; the received message stays as it was.
+func TestTCPRepublishReceivedMessage(t *testing.T) {
+	s := startServer(t, ServerConfig{})
+	sub := dial(t, s, "sub")
+	pub := dial(t, s, "pub")
+	var mu sync.Mutex
+	var got []*message.Message
+	if _, err := sub.Subscribe(message.Topic("power"), "", func(m *message.Message) {
+		mu.Lock()
+		got = append(got, m)
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	received := func() []*message.Message {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*message.Message(nil), got...)
+	}
+
+	m := message.NewMap()
+	m.ID = "ID:original"
+	m.Dest = message.Topic("power")
+	m.MapSet("power", message.Double(1.5))
+	if err := pub.PublishSync(m); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(received()) == 1 })
+	first := received()[0]
+	if !first.Frozen() {
+		t.Fatal("received message is not frozen")
+	}
+	id, ts := first.ID, first.Timestamp
+	time.Sleep(time.Millisecond) // a later send time on any clock
+	if err := pub.PublishSync(first); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(received()) == 2 })
+	second := received()[1]
+	if second.ID == id || second.ID == "" {
+		t.Fatalf("republished message ID = %q, want a new one (was %q)", second.ID, id)
+	}
+	if second.Timestamp <= ts {
+		t.Fatalf("republished Timestamp %d, want after %d", second.Timestamp, ts)
+	}
+	if v, _ := second.MapGet("power"); !v.Equal(message.Double(1.5)) {
+		t.Fatalf("republished payload power = %v", v)
+	}
+	if first.ID != id || first.Timestamp != ts {
+		t.Fatal("republishing changed the received message")
+	}
+}

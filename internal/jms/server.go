@@ -46,6 +46,12 @@
 // wire.MaxWriteBatch bytes), merging consecutive acks of one
 // subscription into one Ack frame and writing them all in one write. An
 // ack still goes only after the listener for its message has returned.
+//
+// A listener gets each message frozen: received messages are read-only,
+// as in JMS, and their fields are views of the bytes they arrived in.
+// Publishing a received message (Publish or PublishSync) sends a clone
+// stamped with a new ID and Timestamp; the received message is left as
+// it was.
 package jms
 
 import (

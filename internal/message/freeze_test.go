@@ -105,7 +105,7 @@ func TestConcurrentFrozenReads(t *testing.T) {
 	var wg sync.WaitGroup
 	encode := func(msg *Message) []byte {
 		// Stand-in for the wire codec: derive bytes from message state.
-		return append([]byte(nil), byte(msg.BodyKind()), byte(len(msg.PropertyNames())))
+		return append([]byte(nil), byte(msg.BodyKind()), byte(len(msg.Properties())))
 	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

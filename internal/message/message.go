@@ -2,7 +2,8 @@ package message
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -126,6 +127,12 @@ func (b BodyKind) String() string {
 // copying per delivery. Clone produces an independent mutable copy for
 // the rare paths that genuinely need one (e.g. expanding a payload
 // before re-publishing).
+//
+// A message decoded off the wire arrives frozen, so a received message
+// is read-only, as JMS makes it. Its strings and byte payloads are views
+// of the one buffer it was decoded from, and that buffer doubles as its
+// cached encoding: holding any field view (a string value, the bytes
+// body) keeps the whole buffer alive.
 type Message struct {
 	// Standard JMS headers.
 	ID            string // JMSMessageID
@@ -139,24 +146,129 @@ type Message struct {
 	Redelivered   bool
 	Mode          DeliveryMode
 
-	propNames []string // insertion order, for deterministic encoding
-	props     map[string]Value
+	props table // user properties, in insertion order
 
 	bodyKind BodyKind
 	text     string
 	bytes    []byte
 	stream   []Value
-	mapNames []string
-	mapVals  map[string]Value
+	body     table // MapMessage entries, in insertion order
 
 	// Sealed state. encSize caches EncodedSize at freeze time; encOnce /
 	// enc cache the wire codec's message encoding, filled at most once by
 	// the first transport that marshals the frozen message (concurrent
-	// connection writers may race to it, hence the Once).
+	// connection writers may race to it, hence the Once). FreezeEncoded
+	// sets enc before the message is shared and points encOnce at
+	// doneOnce, so readers never write.
 	frozen  bool
 	encSize int
 	encOnce *sync.Once
 	enc     []byte
+}
+
+// Entry is one named value of a property table or a map body.
+type Entry struct {
+	Name string
+	Val  Value
+}
+
+// indexAbove is the entry count above which a table keeps a name index;
+// up to it, a linear scan of the entries is cheaper than hashing.
+const indexAbove = 32
+
+// table is an insertion-ordered set of named values. idx maps a name to
+// its position and exists only once the table has grown past indexAbove
+// entries, by set or by fromList; a frozen message never builds one.
+type table struct {
+	list []Entry
+	idx  map[string]int32
+}
+
+func (t *table) find(name string) int {
+	if t.idx != nil {
+		if i, ok := t.idx[name]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range t.list {
+		if t.list[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+func (t *table) get(name string) (Value, bool) {
+	if i := t.find(name); i >= 0 {
+		return t.list[i].Val, true
+	}
+	return Value{}, false
+}
+
+// set overwrites name's value in place, or appends name. It reports
+// whether name was new.
+func (t *table) set(name string, v Value) bool {
+	if i := t.find(name); i >= 0 {
+		t.list[i].Val = v
+		return false
+	}
+	t.list = append(t.list, Entry{Name: name, Val: v})
+	switch {
+	case t.idx != nil:
+		t.idx[name] = int32(len(t.list) - 1)
+	case len(t.list) > indexAbove:
+		t.idx = make(map[string]int32, len(t.list))
+		for i, e := range t.list {
+			t.idx[e.Name] = int32(i)
+		}
+	}
+	return true
+}
+
+// fromList builds a table on list, in place: a repeated name keeps its
+// first position and takes its last value, as a sequence of set calls
+// would leave it. It reports whether any name repeated. The table's
+// capacity ends at len(list), so a later set never writes past it.
+func fromList(list []Entry) (t table, repeated bool) {
+	t.list = list[:0:len(list)]
+	if len(list) > indexAbove {
+		t.idx = make(map[string]int32, len(list))
+	}
+	// set writes at most at the index being read, so the walk is safe.
+	for _, e := range list {
+		if !t.set(e.Name, e.Val) {
+			repeated = true
+		}
+	}
+	return t, repeated
+}
+
+func (t table) clone() table {
+	return table{list: slices.Clone(t.list), idx: maps.Clone(t.idx)}
+}
+
+// equal reports whether both tables hold the same names and values,
+// ignoring order.
+func (t *table) equal(o *table) bool {
+	if len(t.list) != len(o.list) {
+		return false
+	}
+	for _, e := range t.list {
+		ov, ok := o.get(e.Name)
+		if !ok || !e.Val.Equal(ov) {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *table) encodedSize() int {
+	n := 4 // entry count
+	for _, e := range t.list {
+		n += 4 + len(e.Name) + e.Val.EncodedSize()
+	}
+	return n
 }
 
 // New returns an empty Message with JMS defaults (priority 4,
@@ -176,7 +288,6 @@ func NewText(text string) *Message {
 func NewMap() *Message {
 	m := New()
 	m.bodyKind = MapBody
-	m.mapVals = make(map[string]Value)
 	return m
 }
 
@@ -201,7 +312,9 @@ func (m *Message) BodyKind() BodyKind { return m.bodyKind }
 // Exported header fields (ID, Priority, Dest, ...) and the backing array
 // of a payload passed to SetBytes cannot be guarded this way — not
 // mutating those after Publish is part of the publisher contract and is
-// not enforced at runtime.
+// not enforced at runtime. The same holds for a received message, which
+// the codec hands over frozen: it is read-only, and its byte payloads
+// are views of its cached encoding. To change and resend one, Clone it.
 //
 // Freeze itself is not safe for concurrent use — the single broker event
 // loop freezes before any sharing — but once frozen the message is safe
@@ -210,6 +323,29 @@ func (m *Message) Freeze() *Message {
 	if !m.frozen {
 		m.encSize = m.EncodedSize()
 		m.encOnce = new(sync.Once)
+		m.frozen = true
+	}
+	return m
+}
+
+// doneOnce is the already-run Once of every message frozen with an
+// adopted encoding: CachedEncoding's Do on it never calls encode.
+var doneOnce = func() *sync.Once {
+	o := new(sync.Once)
+	o.Do(func() {})
+	return o
+}()
+
+// FreezeEncoded is Freeze for a message decoded from enc, which becomes
+// its cached encoding without a re-encode. enc must be exactly what the
+// codec would produce for m; the codec calls this only for an input that
+// re-encodes to itself. Like Freeze, it must run before m is shared.
+// Freezing a frozen message is a no-op.
+func (m *Message) FreezeEncoded(enc []byte) *Message {
+	if !m.frozen {
+		m.encSize = len(enc)
+		m.enc = enc
+		m.encOnce = doneOnce
 		m.frozen = true
 	}
 	return m
@@ -281,23 +417,33 @@ func (m *Message) Stream() []Value { return m.stream }
 // overwrites it in place.
 func (m *Message) SetProperty(name string, v Value) {
 	m.mustBeMutable("SetProperty")
-	if m.props == nil {
-		m.props = make(map[string]Value)
-	}
-	if _, ok := m.props[name]; !ok {
-		m.propNames = append(m.propNames, name)
-	}
-	m.props[name] = v
+	m.props.set(name, v)
 }
 
 // Property returns a user property and whether it exists.
-func (m *Message) Property(name string) (Value, bool) {
-	v, ok := m.props[name]
-	return v, ok
-}
+func (m *Message) Property(name string) (Value, bool) { return m.props.get(name) }
 
-// PropertyNames returns property names in insertion order.
-func (m *Message) PropertyNames() []string { return m.propNames }
+// Properties returns the user properties in insertion order. The slice
+// belongs to the message: callers must not modify it.
+func (m *Message) Properties() []Entry { return m.props.list }
+
+// SetEntries replaces the property table with props and, for a
+// MapMessage, the map body with body, taking both slices over (they may
+// be adjacent parts of one array). Within each, a
+// repeated name keeps its first position and takes its last value, as
+// repeated SetProperty/MapSet calls would leave it. It reports whether
+// any name repeated. This is the codec's bulk path; it panics on a
+// frozen message, or when body is non-empty and m is not a MapMessage.
+func (m *Message) SetEntries(props, body []Entry) (repeated bool) {
+	m.mustBeMutable("SetEntries")
+	if len(body) > 0 && m.bodyKind != MapBody {
+		panic(fmt.Sprintf("message: map entries on %v", m.bodyKind))
+	}
+	var r1, r2 bool
+	m.props, r1 = fromList(props)
+	m.body, r2 = fromList(body)
+	return r1 || r2
+}
 
 // HeaderField resolves the JMS header pseudo-properties that message
 // selectors may reference (JMSPriority, JMSTimestamp, JMSMessageID,
@@ -342,23 +488,18 @@ func (m *Message) MapSet(name string, v Value) {
 	if m.bodyKind != MapBody {
 		panic(fmt.Sprintf("message: MapSet on %v", m.bodyKind))
 	}
-	if _, ok := m.mapVals[name]; !ok {
-		m.mapNames = append(m.mapNames, name)
-	}
-	m.mapVals[name] = v
+	m.body.set(name, v)
 }
 
 // MapGet returns a named value from a MapMessage body.
-func (m *Message) MapGet(name string) (Value, bool) {
-	v, ok := m.mapVals[name]
-	return v, ok
-}
+func (m *Message) MapGet(name string) (Value, bool) { return m.body.get(name) }
 
-// MapNames returns MapMessage entry names in insertion order.
-func (m *Message) MapNames() []string { return m.mapNames }
+// MapEntries returns the MapMessage entries in insertion order. The
+// slice belongs to the message: callers must not modify it.
+func (m *Message) MapEntries() []Entry { return m.body.list }
 
 // MapLen reports the number of entries in a MapMessage body.
-func (m *Message) MapLen() int { return len(m.mapVals) }
+func (m *Message) MapLen() int { return len(m.body.list) }
 
 // Clone returns a deep, mutable copy. Since frozen messages are fanned
 // out by reference, cloning is reserved for the paths that truly need a
@@ -371,20 +512,8 @@ func (m *Message) Clone() *Message {
 	c.encSize = 0
 	c.encOnce = nil
 	c.enc = nil
-	if m.props != nil {
-		c.props = make(map[string]Value, len(m.props))
-		for k, v := range m.props {
-			c.props[k] = v
-		}
-		c.propNames = append([]string(nil), m.propNames...)
-	}
-	if m.mapVals != nil {
-		c.mapVals = make(map[string]Value, len(m.mapVals))
-		for k, v := range m.mapVals {
-			c.mapVals[k] = v
-		}
-		c.mapNames = append([]string(nil), m.mapNames...)
-	}
+	c.props = m.props.clone()
+	c.body = m.body.clone()
 	if m.bytes != nil {
 		c.bytes = append([]byte(nil), m.bytes...)
 	}
@@ -410,20 +539,14 @@ func (m *Message) EncodedSize() int {
 		1 + 4 + len(m.ReplyTo.Name) +
 		4 + len(m.Type) +
 		1 + 1 // redelivered, mode
-	n += 4 // property count
-	for _, name := range m.propNames {
-		n += 4 + len(name) + m.props[name].EncodedSize()
-	}
+	n += m.props.encodedSize()
 	switch m.bodyKind {
 	case TextBody:
 		n += 4 + len(m.text)
 	case BytesBody, ObjectBody:
 		n += 4 + len(m.bytes)
 	case MapBody:
-		n += 4
-		for _, name := range m.mapNames {
-			n += 4 + len(name) + m.mapVals[name].EncodedSize()
-		}
+		n += m.body.encodedSize()
 	case StreamBody:
 		n += 4
 		for _, v := range m.stream {
@@ -446,20 +569,8 @@ func (m *Message) Equal(o *Message) bool {
 		m.bodyKind != o.bodyKind || m.text != o.text {
 		return false
 	}
-	if len(m.props) != len(o.props) || len(m.mapVals) != len(o.mapVals) {
+	if !m.props.equal(&o.props) || !m.body.equal(&o.body) {
 		return false
-	}
-	for k, v := range m.props {
-		ov, ok := o.props[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	for k, v := range m.mapVals {
-		ov, ok := o.mapVals[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
 	}
 	if len(m.bytes) != len(o.bytes) {
 		return false
@@ -482,7 +593,5 @@ func (m *Message) Equal(o *Message) bool {
 
 // String renders a compact debug form.
 func (m *Message) String() string {
-	keys := append([]string(nil), m.propNames...)
-	sort.Strings(keys)
-	return fmt.Sprintf("%v{id=%s dest=%v props=%d body=%dB}", m.bodyKind, m.ID, m.Dest, len(keys), m.EncodedSize())
+	return fmt.Sprintf("%v{id=%s dest=%v props=%d body=%dB}", m.bodyKind, m.ID, m.Dest, len(m.props.list), m.EncodedSize())
 }

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -108,9 +110,9 @@ func TestProperties(t *testing.T) {
 	if _, ok := m.Property("nope"); ok {
 		t.Fatal("missing property found")
 	}
-	names := m.PropertyNames()
-	if len(names) != 2 || names[0] != "id" || names[1] != "site" {
-		t.Fatalf("names = %v", names)
+	props := m.Properties()
+	if len(props) != 2 || props[0].Name != "id" || props[1].Name != "site" {
+		t.Fatalf("properties = %v", props)
 	}
 }
 
@@ -178,9 +180,9 @@ func TestMapBody(t *testing.T) {
 	if _, ok := m.MapGet("absent"); ok {
 		t.Fatal("absent map entry found")
 	}
-	names := m.MapNames()
-	if names[0] != "id" || names[len(names)-1] != "operator" {
-		t.Fatalf("map order: %v", names)
+	es := m.MapEntries()
+	if es[0].Name != "id" || es[len(es)-1].Name != "operator" {
+		t.Fatalf("map order: %v", es)
 	}
 }
 
@@ -265,5 +267,61 @@ func TestMessageStringer(t *testing.T) {
 	s := m.String()
 	if !strings.Contains(s, "MapMessage") || !strings.Contains(s, "ID:9") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestLargeTablesMatchGoMap: past indexAbove entries the map body and
+// the property table switch to an index; lookups, overwrites, length and
+// first-insertion order must still match a Go map and an order slice.
+func TestLargeTablesMatchGoMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m := NewMap()
+	refMap, refProps := map[string]int32{}, map[string]int32{}
+	var mapOrder, propOrder []string
+	for i := range 2000 {
+		name := fmt.Sprintf("n%d", rng.Intn(3*indexAbove))
+		v := int32(i)
+		if rng.Intn(2) == 0 {
+			if _, ok := refMap[name]; !ok {
+				mapOrder = append(mapOrder, name)
+			}
+			refMap[name] = v
+			m.MapSet(name, Int(v))
+		} else {
+			if _, ok := refProps[name]; !ok {
+				propOrder = append(propOrder, name)
+			}
+			refProps[name] = v
+			m.SetProperty(name, Int(v))
+		}
+		probe := fmt.Sprintf("n%d", rng.Intn(4*indexAbove))
+		got, ok := m.MapGet(probe)
+		want, wantOK := refMap[probe]
+		if ok != wantOK || (ok && !got.Equal(Int(want))) {
+			t.Fatalf("op %d: MapGet(%s) = %v,%v, want %d,%v", i, probe, got, ok, want, wantOK)
+		}
+		got, ok = m.Property(probe)
+		want, wantOK = refProps[probe]
+		if ok != wantOK || (ok && !got.Equal(Int(want))) {
+			t.Fatalf("op %d: Property(%s) = %v,%v, want %d,%v", i, probe, got, ok, want, wantOK)
+		}
+	}
+	if m.MapLen() != len(refMap) || len(m.Properties()) != len(refProps) {
+		t.Fatalf("lengths %d/%d, want %d/%d", m.MapLen(), len(m.Properties()), len(refMap), len(refProps))
+	}
+	for i, e := range m.MapEntries() {
+		if e.Name != mapOrder[i] || !e.Val.Equal(Int(refMap[e.Name])) {
+			t.Fatalf("map entry %d = %v, want %s=%d", i, e, mapOrder[i], refMap[mapOrder[i]])
+		}
+	}
+	for i, e := range m.Properties() {
+		if e.Name != propOrder[i] {
+			t.Fatalf("property %d = %s, want %s", i, e.Name, propOrder[i])
+		}
+	}
+	c := m.Clone()
+	c.MapSet(mapOrder[0], Int(-1))
+	if v, _ := m.MapGet(mapOrder[0]); !v.Equal(Int(refMap[mapOrder[0]])) {
+		t.Fatal("MapSet on a clone of an indexed map changed the original")
 	}
 }

@@ -4,6 +4,13 @@
 // sample (two int, five float, two long, three double and four string
 // values) in a JMS MapMessage, so the model here is faithful to the JMS
 // spec where the paper exercises it.
+//
+// A message's properties and map entries are each one insertion-ordered
+// slice of Entry, scanned by name; a table past 32 entries adds a name
+// index. Received messages are read-only: the wire codec decodes a
+// message into one private copy of its bytes and hands it over frozen,
+// with every string and byte payload a view of that copy. A field view
+// therefore retains the whole message buffer for as long as it is held.
 package message
 
 import (

@@ -226,10 +226,9 @@ func TriplePayload(m *message.Message) *message.Message {
 	if m.BodyKind() != message.MapBody {
 		return out
 	}
-	for _, name := range m.MapNames() {
-		v, _ := m.MapGet(name)
-		out.MapSet(name+"_2", v)
-		out.MapSet(name+"_3", v)
+	for _, e := range m.MapEntries() {
+		out.MapSet(e.Name+"_2", e.Val)
+		out.MapSet(e.Name+"_3", e.Val)
 	}
 	return out
 }

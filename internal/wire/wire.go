@@ -17,6 +17,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"gridmon/internal/message"
 )
@@ -278,10 +279,17 @@ func (w *writer) bool(b bool) {
 	}
 }
 
+// reader decodes from buf. By default str copies out of buf; with view
+// set it returns a view of buf instead, for a buf that the decoded value
+// then owns (a message's private copy of its bytes).
+// nonCanonical records a bool byte other than 0 or 1, which decodes as
+// true but does not re-encode to itself.
 type reader struct {
-	buf []byte
-	off int
-	err error
+	buf          []byte
+	off          int
+	err          error
+	view         bool
+	nonCanonical bool
 }
 
 func (r *reader) fail() {
@@ -316,55 +324,71 @@ func (r *reader) u64() uint64 {
 	r.off += 8
 	return v
 }
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
-}
-func (r *reader) rbytes() []byte {
+
+// span consumes a u32 length and that many bytes, returning them as a
+// capped sub-slice of buf.
+func (r *reader) span() []byte {
 	n := int(r.u32())
 	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
 		r.fail()
 		return nil
 	}
-	b := append([]byte(nil), r.buf[r.off:r.off+n]...)
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
-func (r *reader) bool() bool { return r.u8() != 0 }
+func (r *reader) str() string {
+	b := r.span()
+	if !r.view {
+		return string(b)
+	}
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+func (r *reader) bool() bool {
+	v := r.u8()
+	if v > 1 {
+		r.nonCanonical = true
+	}
+	return v != 0
+}
 
+// count reads a u32 element count whose elements take at least size
+// bytes each, failing when the rest of buf cannot hold that many: a count
+// never sizes an allocation beyond the input.
+func (r *reader) count(size int) int {
+	n := int(r.u32())
+	if r.err == nil && (n < 0 || n > (len(r.buf)-r.off)/size) {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// writeValue writes a value's stored bits: a float goes out as the
+// float32 it holds, never through a float64 conversion that would quiet
+// a signalling NaN.
 func writeValue(w *writer, v message.Value) {
-	w.u8(uint8(v.Kind()))
-	switch v.Kind() {
+	kind, num, str := v.Raw()
+	w.u8(uint8(kind))
+	switch kind {
 	case message.KindNull:
 	case message.KindBool:
-		b, _ := v.AsBool()
-		w.bool(b)
+		w.bool(num != 0)
 	case message.KindByte:
-		n, _ := v.AsLong()
-		w.u8(uint8(int8(n)))
+		w.u8(uint8(num))
 	case message.KindShort:
-		n, _ := v.AsLong()
-		w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(int16(n)))
-	case message.KindInt:
-		n, _ := v.AsLong()
-		w.u32(uint32(int32(n)))
-	case message.KindLong:
-		n, _ := v.AsLong()
-		w.u64(uint64(n))
-	case message.KindFloat:
-		f, _ := v.AsDouble()
-		w.u32(math.Float32bits(float32(f)))
-	case message.KindDouble:
-		f, _ := v.AsDouble()
-		w.u64(math.Float64bits(f))
+		w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(num))
+	case message.KindInt, message.KindFloat:
+		w.u32(uint32(num))
+	case message.KindLong, message.KindDouble:
+		w.u64(num)
 	case message.KindString:
-		w.str(v.AsString())
+		w.str(str)
 	case message.KindBytes:
 		b, _ := v.AsBytes()
 		w.bytes(b)
@@ -399,7 +423,7 @@ func readValue(r *reader) message.Value {
 	case message.KindString:
 		return message.String(r.str())
 	case message.KindBytes:
-		return message.Bytes(r.rbytes())
+		return message.Bytes(r.span())
 	}
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: bad value kind %d", ErrBadMessage, kind)
@@ -418,11 +442,12 @@ func readDest(r *reader) message.Destination {
 }
 
 // writeMessage appends the codec form of m to the writer. Frozen
-// messages splice in their cached encoding, computed at most once per
-// message, so fanning one publish out to N subscribers costs one encode
-// plus N memcpys; the spliced bytes are exactly what writeMessageFields
-// would produce. Unfrozen messages (client-side publishes, unit tests)
-// are encoded field by field as before.
+// messages splice in their cached encoding, so fanning one publish out
+// to N subscribers costs N memcpys: a decoded message adopted the bytes
+// it arrived in as that encoding, and any other frozen message encodes
+// once, on first use. The spliced bytes are exactly what
+// writeMessageFields would produce. Unfrozen messages (client-side
+// publishes, unit tests) are encoded field by field.
 func writeMessage(w *writer, m *message.Message) {
 	if m.Frozen() {
 		w.buf = append(w.buf, m.CachedEncoding(encodeMessage)...)
@@ -451,26 +476,14 @@ func writeMessageFields(w *writer, m *message.Message) {
 	w.str(m.Type)
 	w.bool(m.Redelivered)
 	w.u8(uint8(m.Mode))
-	names := m.PropertyNames()
-	w.u32(uint32(len(names)))
-	for _, name := range names {
-		w.str(name)
-		v, _ := m.Property(name)
-		writeValue(w, v)
-	}
+	writeEntries(w, m.Properties())
 	switch m.BodyKind() {
 	case message.TextBody:
 		w.str(m.Text())
 	case message.BytesBody, message.ObjectBody:
 		w.bytes(m.BytesPayload())
 	case message.MapBody:
-		mn := m.MapNames()
-		w.u32(uint32(len(mn)))
-		for _, name := range mn {
-			w.str(name)
-			v, _ := m.MapGet(name)
-			writeValue(w, v)
-		}
+		writeEntries(w, m.MapEntries())
 	case message.StreamBody:
 		vs := m.Stream()
 		w.u32(uint32(len(vs)))
@@ -480,18 +493,61 @@ func writeMessageFields(w *writer, m *message.Message) {
 	}
 }
 
+func writeEntries(w *writer, es []message.Entry) {
+	w.u32(uint32(len(es)))
+	for _, e := range es {
+		w.str(e.Name)
+		writeValue(w, e.Val)
+	}
+}
+
+// minEntry and minValue are the fewest bytes a property or map entry
+// (name length, value kind) and a stream value (kind) take on the wire.
+const (
+	minEntry = 4 + 1
+	minValue = 1
+)
+
+// readMessage decodes the message that makes up the rest of r's buffer.
+// It copies those bytes once; every string of the message is a view of
+// the copy, and byte payloads are capped sub-slices of it. The message
+// comes back frozen. When the bytes re-encode to themselves — every bool
+// byte is 0 or 1 and no name repeats in the property table or the map
+// body — the copy becomes the message's cached encoding, so the broker
+// sends out the bytes it received. Otherwise the message re-encodes on
+// first use, as a locally built one does.
 func readMessage(r *reader) *message.Message {
+	if r.err != nil {
+		return nil
+	}
+	mr := &reader{buf: append([]byte(nil), r.buf[r.off:]...), view: true}
+	m, canonical := decodeMessage(mr)
+	r.off += mr.off
+	if mr.err != nil {
+		r.err = mr.err
+		return nil
+	}
+	if !canonical {
+		return m.Freeze()
+	}
+	return m.FreezeEncoded(mr.buf[:mr.off:mr.off])
+}
+
+// decodeMessage reads one message's fields, unfrozen, and reports
+// whether its bytes are canonical (they re-encode to themselves).
+func decodeMessage(r *reader) (*message.Message, bool) {
 	bodyKind := message.BodyKind(r.u8())
-	m := message.New()
+	var m *message.Message
 	switch bodyKind {
 	case message.MapBody:
 		m = message.NewMap()
 	case message.EmptyBody, message.TextBody, message.BytesBody, message.StreamBody, message.ObjectBody:
+		m = message.New()
 	default:
 		if r.err == nil {
 			r.err = fmt.Errorf("%w: bad body kind %d", ErrBadMessage, bodyKind)
 		}
-		return m
+		return nil, false
 	}
 	m.ID = r.str()
 	m.Dest = readDest(r)
@@ -503,31 +559,53 @@ func readMessage(r *reader) *message.Message {
 	m.Type = r.str()
 	m.Redelivered = r.bool()
 	m.Mode = message.DeliveryMode(r.u8())
-	nprops := int(r.u32())
-	for i := 0; i < nprops && r.err == nil; i++ {
-		name := r.str()
-		m.SetProperty(name, readValue(r))
+	// The property table and the map body share one entries array; a
+	// first pass over the properties reaches the map's entry count.
+	np := r.count(minEntry)
+	propsAt := r.off
+	for i := 0; i < np && r.err == nil; i++ {
+		r.span()
+		readValue(r)
 	}
+	nb := 0
+	if bodyKind == message.MapBody {
+		nb = r.count(minEntry)
+	}
+	bodyAt := r.off
+	if r.err != nil {
+		return m, false
+	}
+	ents := make([]message.Entry, np+nb)
+	r.off = propsAt
+	readEntries(r, ents[:np])
+	r.off = bodyAt
 	switch bodyKind {
 	case message.TextBody:
 		m.SetText(r.str())
 	case message.BytesBody:
-		m.SetBytes(r.rbytes())
+		m.SetBytes(r.span())
 	case message.ObjectBody:
-		m.SetObject(r.rbytes())
+		m.SetObject(r.span())
 	case message.MapBody:
-		n := int(r.u32())
-		for i := 0; i < n && r.err == nil; i++ {
-			name := r.str()
-			m.MapSet(name, readValue(r))
-		}
+		readEntries(r, ents[np:])
 	case message.StreamBody:
-		n := int(r.u32())
+		n := r.count(minValue)
 		for i := 0; i < n && r.err == nil; i++ {
 			m.StreamAppend(readValue(r))
 		}
 	}
-	return m
+	if r.err != nil {
+		return m, false
+	}
+	repeated := m.SetEntries(ents[:np], ents[np:])
+	return m, !repeated && !r.nonCanonical
+}
+
+func readEntries(r *reader, es []message.Entry) {
+	for i := range es {
+		es[i].Name = r.str()
+		es[i].Val = readValue(r)
+	}
 }
 
 // MarshalMessage appends the standalone codec form of m to dst — the
@@ -899,10 +977,10 @@ const readAhead = 16 << 10
 // read-ahead buffer: a single read takes whatever the stream has ready,
 // so a burst of frames costs one read, not two per frame. Frames are
 // decoded straight out of the buffer, which is safe because Unmarshal
-// copies every variable-length field (strings, byte payloads) out of its
-// input. A frame larger than the buffer grows it once its length has
-// passed the MaxFrameSize check; a buffer grown past 64 KiB is dropped
-// once drained. Read returns io.EOF only at a frame boundary and
+// keeps nothing that points into its input: a message copies its bytes
+// once, and every other variable-length field is copied out. A frame
+// larger than the buffer grows it once its length has passed the
+// MaxFrameSize check; a buffer grown past 64 KiB is dropped once drained. Read returns io.EOF only at a frame boundary and
 // io.ErrUnexpectedEOF when the stream ends mid-frame.
 //
 // Once a FrameReader has read from a stream, it owns the stream: bytes
