@@ -80,9 +80,17 @@ type queuedFrame struct {
 type testNet struct {
 	members map[string]*Member
 	envs    map[string]*memEnv
+	// publishers holds the connections publish has opened, so one
+	// connection can publish any number of times.
+	publishers map[pubConn]bool
 
 	mu    sync.Mutex
 	queue []queuedFrame
+}
+
+type pubConn struct {
+	brokerID string
+	conn     broker.ConnID
 }
 
 // sender returns the LinkSender carrying frames from `from` to `to`.
@@ -117,8 +125,8 @@ func (tn *testNet) link(a, b string) {
 
 // build creates n brokers in the given mode and links them per the link
 // list.
-func build(t *testing.T, mode RoutingMode, links [][2]string, ids ...string) *testNet {
-	t.Helper()
+func build(tb testing.TB, mode RoutingMode, links [][2]string, ids ...string) *testNet {
+	tb.Helper()
 	tn := &testNet{members: make(map[string]*Member), envs: make(map[string]*memEnv)}
 	for _, id := range ids {
 		env := newMemEnv()
@@ -131,26 +139,68 @@ func build(t *testing.T, mode RoutingMode, links [][2]string, ids ...string) *te
 	return tn
 }
 
-func openAndSubscribe(t *testing.T, tn *testNet, brokerID string, conn broker.ConnID, topic string) {
-	t.Helper()
+func openAndSubscribe(tb testing.TB, tn *testNet, brokerID string, conn broker.ConnID, topic string) {
+	tb.Helper()
 	b := tn.members[brokerID].Broker()
 	if err := b.OnConnOpen(conn); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	b.OnFrame(conn, wire.Subscribe{SubID: 1, Dest: message.Topic(topic)})
 	tn.pump()
 }
 
-func publish(t *testing.T, tn *testNet, brokerID string, conn broker.ConnID, topic string) {
-	t.Helper()
+// publish sends one message to topic from conn on brokerID, opening the
+// connection on its first publish, and pumps the network to quiescence.
+func publish(tb testing.TB, tn *testNet, brokerID string, conn broker.ConnID, topic string) {
+	tb.Helper()
 	b := tn.members[brokerID].Broker()
-	if err := b.OnConnOpen(conn); err != nil {
-		t.Fatal(err)
+	if pc := (pubConn{brokerID, conn}); !tn.publishers[pc] {
+		if err := b.OnConnOpen(conn); err != nil {
+			tb.Fatal(err)
+		}
+		if tn.publishers == nil {
+			tn.publishers = make(map[pubConn]bool)
+		}
+		tn.publishers[pc] = true
 	}
 	m := message.NewText("x")
 	m.Dest = message.Topic(topic)
 	b.OnFrame(conn, wire.Publish{Seq: 1, Msg: m})
 	tn.pump()
+}
+
+// ackAll acknowledges every delivery recorded since its last call, as a
+// live subscriber would, and drops every recorded frame, so pending
+// state and the record stay flat across publishes. It returns the
+// number of deliveries acked.
+func ackAll(tn *testNet) int {
+	acked := 0
+	for id, env := range tn.envs {
+		env.mu.Lock()
+		sent := env.sent
+		env.sent = make(map[broker.ConnID][]wire.Frame)
+		env.mu.Unlock()
+		b := tn.members[id].Broker()
+		for c, frames := range sent {
+			for _, f := range frames {
+				if d, ok := f.(*wire.Deliver); ok {
+					b.OnFrame(c, wire.Ack{SubID: d.SubID, Tags: []int64{d.Tag}})
+					acked++
+				}
+			}
+		}
+	}
+	return acked
+}
+
+// forwardCounts sums the network's forwarded and pruned frames.
+func forwardCounts(tn *testNet) (forwarded, pruned uint64) {
+	for _, m := range tn.members {
+		s, _, p := m.Stats()
+		forwarded += s
+		pruned += p
+	}
+	return forwarded, pruned
 }
 
 func TestBroadcastReachesRemoteSubscriber(t *testing.T) {
@@ -200,6 +250,86 @@ func TestTreeRoutingPrunes(t *testing.T) {
 	}
 }
 
+var (
+	star4     = [][2]string{{"hub", "l1"}, {"hub", "l2"}, {"hub", "l3"}}
+	star4IDs  = []string{"hub", "l1", "l2", "l3"}
+	chain3    = [][2]string{{"b1", "b2"}, {"b2", "b3"}}
+	chain3IDs = []string{"b1", "b2", "b3"}
+)
+
+// forwardCases drive one topic published at pubAt to quiescence, with
+// one subscriber at each broker in subAt, and give the forwarded and
+// pruned frames each publish costs. TestBroadcastFloodsUninterestedPeers
+// and TestTreeRoutingPrunes pin the star with one subscribed leaf.
+var forwardCases = []struct {
+	name              string
+	mode              RoutingMode
+	links             [][2]string
+	ids, subAt        []string
+	pubAt             string
+	forwarded, pruned uint64
+}{
+	// Chatter on a topic nobody watches: broadcast still pays a forward
+	// per leaf, tree routing none.
+	{"star4/unwatched/broadcast", RoutingBroadcast, star4, star4IDs, nil, "hub", 3, 0},
+	{"star4/unwatched/tree", RoutingTree, star4, star4IDs, nil, "hub", 0, 3},
+	// Publisher and subscriber at opposite ends of the experiment chain:
+	// every message transits the middle broker in both modes.
+	{"chain3/far-sub/broadcast", RoutingBroadcast, chain3, chain3IDs, []string{"b3"}, "b1", 2, 0},
+	{"chain3/far-sub/tree", RoutingTree, chain3, chain3IDs, []string{"b3"}, "b1", 2, 0},
+}
+
+func TestForwardCountsPerPublish(t *testing.T) {
+	const publishes = 3
+	for _, tc := range forwardCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := build(t, tc.mode, tc.links, tc.ids...)
+			for _, id := range tc.subAt {
+				openAndSubscribe(t, tn, id, 10, "power")
+			}
+			for i := 0; i < publishes; i++ {
+				publish(t, tn, tc.pubAt, 20, "power")
+				if got := ackAll(tn); got != len(tc.subAt) {
+					t.Fatalf("publish %d: %d deliveries, want %d", i, got, len(tc.subAt))
+				}
+			}
+			for id, m := range tn.members {
+				if n := m.Broker().PendingCount(); n != 0 {
+					t.Fatalf("broker %s: %d deliveries pending after acks", id, n)
+				}
+			}
+			fwd, pruned := forwardCounts(tn)
+			if fwd != publishes*tc.forwarded || pruned != publishes*tc.pruned {
+				t.Fatalf("per publish: %d forwarded, %d pruned; want %d, %d",
+					fwd/publishes, pruned/publishes, tc.forwarded, tc.pruned)
+			}
+		})
+	}
+}
+
+// BenchmarkDBNForward times one publish to quiescence, every remote
+// delivery and its ack included, per forwardCases row.
+func BenchmarkDBNForward(b *testing.B) {
+	for _, tc := range forwardCases {
+		b.Run(tc.name, func(b *testing.B) {
+			tn := build(b, tc.mode, tc.links, tc.ids...)
+			for _, id := range tc.subAt {
+				openAndSubscribe(b, tn, id, 10, "power")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				publish(b, tn, tc.pubAt, 20, "power")
+				ackAll(tn)
+			}
+			b.StopTimer()
+			fwd, pruned := forwardCounts(tn)
+			b.ReportMetric(float64(fwd)/float64(b.N), "forwards/op")
+			b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
+		})
+	}
+}
+
 func TestTreeRoutingMultiHop(t *testing.T) {
 	// Chain b1-b2-b3: subscriber at b3, publisher at b1. Interest must
 	// propagate through b2 and the message must transit b2.
@@ -243,10 +373,7 @@ func TestInterestWithdrawal(t *testing.T) {
 	// Drop the subscriber: interest withdraws, next publish is pruned.
 	tn.members["b2"].Broker().OnConnClose(10)
 	tn.pump()
-	m := message.NewText("x")
-	m.Dest = message.Topic("power")
-	tn.members["b1"].Broker().OnFrame(20, wire.Publish{Seq: 2, Msg: m})
-	tn.pump()
+	publish(t, tn, "b1", 20, "power")
 	sent2, _, pruned := tn.members["b1"].Stats()
 	if sent2 != 1 || pruned != 1 {
 		t.Fatalf("after withdrawal: sent=%d pruned=%d", sent2, pruned)
@@ -335,10 +462,7 @@ func TestRemovePeerWithdrawsInterest(t *testing.T) {
 	if tn.members["b2"].HasPeer("b3") {
 		t.Fatal("peer still registered after RemovePeer")
 	}
-	m := message.NewText("x")
-	m.Dest = message.Topic("power")
-	tn.members["b1"].Broker().OnFrame(20, wire.Publish{Seq: 2, Msg: m})
-	tn.pump()
+	publish(t, tn, "b1", 20, "power")
 	sent2, _, pruned1 := tn.members["b1"].Stats()
 	if sent2 != 1 || pruned1 != 1 {
 		t.Fatalf("after peer removal: sent=%d pruned=%d", sent2, pruned1)

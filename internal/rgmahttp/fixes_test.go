@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gridmon/internal/wire"
 )
 
 // TestHTTPCreateTableRecreate pins the transport-level contract of the
@@ -121,5 +123,41 @@ func TestClientRetentionRounding(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("invalid retention still sent %d extra requests", calls-1)
+	}
+}
+
+// TestHTTPOversizedBodyRejected: a request body longer than
+// wire.MaxFrameSize, the binary port's frame cap, is answered 413
+// without reaching the core, and the server keeps serving.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	s, c := startServer(t)
+	if err := c.CreateTable(createSQL); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.CreatePrimaryProducer("generator", 30*time.Second, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.StatsSnapshot()
+
+	body := fmt.Sprintf(`{"producer":%d,"sql":"INSERT INTO generator (genid, seq, power, site) VALUES (1, 1, 1.0, '%s')"}`,
+		p.ID, strings.Repeat("x", wire.MaxFrameSize))
+	resp, err := c.http.Post(c.base+"/producer/insert", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if after := s.StatsSnapshot(); after != before {
+		t.Fatalf("oversized body changed the core's counters: %+v, want %+v", after, before)
+	}
+
+	if err := p.Insert("INSERT INTO generator (genid, seq, power, site) VALUES (2, 1, 1.0, 'a')"); err != nil {
+		t.Fatalf("insert after the oversized body: %v", err)
+	}
+	if got := s.StatsSnapshot().Inserts; got != before.Inserts+1 {
+		t.Fatalf("inserts = %d, want %d", got, before.Inserts+1)
 	}
 }

@@ -183,10 +183,18 @@ func writeCoreErr(w http.ResponseWriter, err error) {
 	writeErr(w, statusFor(err), err)
 }
 
+// decode reads a JSON request body of at most wire.MaxFrameSize bytes,
+// the cap the binary port puts on every frame; a longer body is
+// answered 413 before any of it reaches the core.
 func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
 	var v T
-	if err := json.NewDecoder(r.Body).Decode(&v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("rgmahttp: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrameSize)).Decode(&v); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("rgmahttp: bad request body: %w", err))
 		return v, false
 	}
 	return v, true
