@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"gridmon/internal/rgmabin"
+	"gridmon/internal/rgmacore"
 	"gridmon/internal/rgmahttp"
 	"gridmon/internal/rgmawal"
 	"gridmon/internal/wal"
@@ -76,7 +77,8 @@ func main() {
 	if *pprofOn {
 		runtime.SetMutexProfileFraction(5)
 	}
-	srv := rgmahttp.NewServerWith(rgmahttp.Config{Shards: *shards, Pprof: *pprofOn})
+	core := rgmacore.New(rgmacore.Config{Shards: *shards})
+	srv := rgmahttp.NewServer(core, rgmahttp.Config{Pprof: *pprofOn})
 
 	// With -data-dir, recover the core before either port serves: the
 	// core is quiescent until ListenAndServe below.
@@ -86,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("rgmad: %v", err)
 		}
-		p, info, err := rgmawal.Open(fsys, wal.Options{Fsync: *fsync}, srv.Core())
+		p, info, err := rgmawal.Open(fsys, wal.Options{Fsync: *fsync}, core)
 		if err != nil {
 			log.Fatalf("rgmad: wal: %v", err)
 		}
@@ -100,11 +102,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("rgmad: %v", err)
 	}
-	log.Printf("rgmad listening on %s (%d shards)", addr, srv.NumShards())
+	log.Printf("rgmad listening on %s (%d shards)", addr, core.NumShards())
 
 	var binSrv *rgmabin.Server
 	if *listenBin != "" {
-		binSrv = rgmabin.NewServer(srv.Core(), rgmabin.Config{})
+		binSrv = rgmabin.NewServer(core, rgmabin.Config{})
 		if pers != nil {
 			binSrv.SetWALStats(pers.Stats)
 		}

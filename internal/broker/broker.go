@@ -166,9 +166,6 @@ type Config struct {
 	// MemPerPendingOverhead is the per-pending-delivery bookkeeping cost
 	// added to the message's encoded size.
 	MemPerPendingOverhead int64
-	// MaxPendingPerSub bounds unacknowledged deliveries per subscription;
-	// 0 means unbounded (memory still applies).
-	MaxPendingPerSub int
 	// MaxQueueBacklog bounds messages stored on a queue with no
 	// consumers; 0 means unbounded (memory still applies).
 	MaxQueueBacklog int
@@ -198,7 +195,6 @@ func DefaultConfig(id string) Config {
 	return Config{
 		ID:                    id,
 		MemPerPendingOverhead: 200,
-		MaxPendingPerSub:      0,
 		MaxQueueBacklog:       100000,
 		MaxDurableBacklog:     100000,
 	}

@@ -142,11 +142,6 @@ func (b *Broker) deliverRun(r *fanRun, m *message.Message, cost int64) {
 			sub.mu.Unlock()
 			continue
 		}
-		if b.cfg.MaxPendingPerSub > 0 && len(sub.pending) >= b.cfg.MaxPendingPerSub {
-			sub.mu.Unlock()
-			b.stats.droppedBacklog.Add(1)
-			continue
-		}
 		if err := b.env.Alloc(cost); err != nil {
 			sub.mu.Unlock()
 			b.stats.droppedOOM.Add(1)

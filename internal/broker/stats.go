@@ -22,7 +22,7 @@ type Stats struct {
 	SelectorRejected uint64 // deliveries suppressed by selectors
 	Expired          uint64
 	DroppedOOM       uint64 // deliveries dropped because memory ran out
-	DroppedBacklog   uint64 // stored messages dropped at backlog caps
+	DroppedBacklog   uint64 // messages dropped at the queue and durable backlog caps
 	ForwardedOut     uint64 // messages forwarded to peer brokers
 	ForwardedIn      uint64 // messages received from peer brokers
 	RefusedConns     uint64
@@ -165,10 +165,6 @@ func (b *Broker) deliverCost(sub *subscription, m *message.Message, cost int64) 
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if sub.detached {
-		return
-	}
-	if b.cfg.MaxPendingPerSub > 0 && len(sub.pending) >= b.cfg.MaxPendingPerSub {
-		b.stats.droppedBacklog.Add(1)
 		return
 	}
 	if err := b.env.Alloc(cost); err != nil {

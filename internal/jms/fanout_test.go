@@ -148,25 +148,38 @@ func TestBatchPoolExactlyOnceUnderDrop(t *testing.T) {
 
 // TestFanoutChurnOverTCP races a wide fan-out with subscribers joining
 // and leaving mid-publish and a stalled consumer being dropped from a
-// batched run, under -race in CI. The assertion is convergence: the
-// surviving subscriber keeps receiving, and the pool balances.
+// batched run, under -race in CI. The keeper alone holds more
+// subscriptions than the batching threshold, so every publish is
+// batched. The publisher waits for the keeper to drain each publish
+// before the next: the server paces PublishSync by its own fan-out, not
+// by any reader, so an unpaced publisher outruns a keeper that must read
+// 70 × 16 KiB per publish through a 4-frame queue, and the slow-consumer
+// policy rightly drops it. Paced, the keeper receives every delivery,
+// and the stalled client is the one slow-consumer drop.
 func TestFanoutChurnOverTCP(t *testing.T) {
 	gets0, puts0 := wire.DeliverBatchPoolCounters()
 
+	const keeperSubs, stalledSubs, publishes = 70, 40, 120
 	s := startServer(t, ServerConfig{WriteBuffer: 4})
 	pub := dial(t, s, "pub")
 	keeper := dial(t, s, "keeper")
 
 	var got atomic.Int64
-	for i := 0; i < 40; i++ {
+	drained := make(chan struct{}, 1)
+	for i := 0; i < keeperSubs; i++ {
 		if _, err := keeper.Subscribe(message.Topic("churn"), "", func(m *message.Message) {
-			got.Add(1)
+			if got.Add(1)%keeperSubs == 0 {
+				select {
+				case drained <- struct{}{}:
+				default:
+				}
+			}
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = newStalledClient(t, s, 40, "churn")
-	waitFor(t, func() bool { return s.Broker().TopicSubscribers("churn") == 80 })
+	_ = newStalledClient(t, s, stalledSubs, "churn")
+	waitFor(t, func() bool { return s.Broker().TopicSubscribers("churn") == keeperSubs+stalledSubs })
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -185,21 +198,36 @@ func TestFanoutChurnOverTCP(t *testing.T) {
 		}
 	}()
 	payload := make([]byte, 16<<10)
-	go func() { // publisher: every publish is over the threshold
+	go func() { // publisher, paced by the keeper
 		defer wg.Done()
-		for i := 0; i < 120; i++ {
+		for i := 0; i < publishes; i++ {
 			m := message.NewText(string(payload))
 			m.Dest = message.Topic("churn")
 			if err := pub.PublishSync(m); err != nil {
+				t.Errorf("publish %d: %v", i, err)
+				return
+			}
+			select {
+			case <-drained:
+			case <-time.After(5 * time.Second):
+				t.Errorf("keeper did not drain publish %d: got %d deliveries, %d slow-consumer drops",
+					i, got.Load(), s.EgressStats().SlowConsumerDrops)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-
-	if n := got.Load(); n == 0 {
-		t.Fatal("surviving subscriber received nothing")
+	if t.Failed() {
+		return
 	}
+
+	if n := got.Load(); n != keeperSubs*publishes {
+		t.Fatalf("keeper received %d deliveries, want %d", n, keeperSubs*publishes)
+	}
+	if d := s.EgressStats().SlowConsumerDrops; d != 1 {
+		t.Fatalf("slow-consumer drops = %d, want 1 (the stalled client)", d)
+	}
+	waitFor(t, func() bool { return s.Stats().Connections == 2 }) // pub + keeper
 	waitFor(t, func() bool {
 		gets1, puts1 := wire.DeliverBatchPoolCounters()
 		return gets1-gets0 == puts1-puts0

@@ -13,7 +13,7 @@ import (
 // --- mediation index correctness ---
 
 // refRegistry is the seed's registry: one flat map, mediation by full
-// linear scan. The sharded registry must mediate to exactly the same
+// linear scan. The indexed registry must mediate to exactly the same
 // producer sets through every register/unregister sequence.
 type refRegistry struct {
 	nextID    int64
@@ -41,13 +41,12 @@ func equalFold(a, b string) bool { return tableKey(a) == tableKey(b) }
 
 // TestMediationMatchesLinearScan pins that the by-table index returns
 // the same mediation results as the full-registry scan it replaced,
-// over randomized register/unregister sequences, kinds and shard
-// counts (including the degenerate single shard).
+// over randomized register/unregister sequences and kinds.
 func TestMediationMatchesLinearScan(t *testing.T) {
 	tables := []string{"generator", "Generator", "turbine", "grid_load", "SUBSTATION", "x"}
-	for _, shards := range []int{1, 2, 8, 16} {
-		rng := rand.New(rand.NewSource(int64(1000 + shards)))
-		r := NewRegistrySharded(shards)
+	for _, seed := range []int64{1001, 1002, 1008, 1016} {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRegistry()
 		ref := &refRegistry{producers: make(map[int64]ProducerEntry)}
 		var live []int64
 		for op := 0; op < 2000; op++ {
@@ -67,7 +66,7 @@ func TestMediationMatchesLinearScan(t *testing.T) {
 			id := r.RegisterProducer(e)
 			refID := ref.register(e)
 			if id != refID {
-				t.Fatalf("shards=%d: sharded ID %d, reference ID %d — single-caller ID sequence diverged", shards, id, refID)
+				t.Fatalf("seed=%d: ID %d, reference ID %d — ID sequence diverged", seed, id, refID)
 			}
 			live = append(live, id)
 		}
@@ -78,13 +77,13 @@ func TestMediationMatchesLinearScan(t *testing.T) {
 				sortEntries(got)
 				sortEntries(want)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("shards=%d ProducersFor(%q, %v):\n got %v\nwant %v", shards, table, kind, got, want)
+					t.Fatalf("seed=%d ProducersFor(%q, %v):\n got %v\nwant %v", seed, table, kind, got, want)
 				}
 			}
 		}
 		gotP, _ := r.Counts()
 		if gotP != len(ref.producers) {
-			t.Fatalf("shards=%d: Counts %d, reference %d", shards, gotP, len(ref.producers))
+			t.Fatalf("seed=%d: Counts %d, reference %d", seed, gotP, len(ref.producers))
 		}
 	}
 }
@@ -116,97 +115,7 @@ func TestMediationOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestRegistryShardedVsSerialEquivalence replays one randomized op
-// sequence against a single-shard and a many-shard registry: every
-// mediation result and count along the way must be identical — shards
-// are lock domains, not a behaviour change.
-func TestRegistryShardedVsSerialEquivalence(t *testing.T) {
-	tables := []string{"generator", "turbine", "grid_load", "relay", "meter"}
-	run := func(shards int) string {
-		rng := rand.New(rand.NewSource(99))
-		r := NewRegistrySharded(shards)
-		var transcript []string
-		var live []int64
-		for op := 0; op < 1500; op++ {
-			switch {
-			case len(live) > 0 && rng.Intn(5) == 0:
-				i := rng.Intn(len(live))
-				r.UnregisterProducer(live[i])
-				live = append(live[:i], live[i+1:]...)
-			case rng.Intn(5) == 1:
-				r.RegisterConsumer(ConsumerEntry{Table: tables[rng.Intn(len(tables))]})
-			default:
-				id := r.RegisterProducer(ProducerEntry{
-					Kind:  ProducerKind(1 + rng.Intn(2)),
-					Table: tables[rng.Intn(len(tables))],
-				})
-				live = append(live, id)
-			}
-			if op%37 == 0 {
-				entries := r.ProducersFor(tables[rng.Intn(len(tables))], ProducerKind(rng.Intn(3)))
-				p, c := r.Counts()
-				transcript = append(transcript, fmt.Sprint(entries, p, c))
-			}
-		}
-		return fmt.Sprint(transcript)
-	}
-	serial := run(1)
-	for _, shards := range []int{4, 16, 64} {
-		if got := run(shards); got != serial {
-			t.Fatalf("shards=%d transcript diverges from single-shard run", shards)
-		}
-	}
-}
-
 // --- -race stress ---
-
-// TestRegistryConcurrentStress hammers one registry from many
-// goroutines: registrations, unregistrations, mediation sweeps and
-// count reads across more tables than shards. Run under -race.
-func TestRegistryConcurrentStress(t *testing.T) {
-	r := NewRegistrySharded(8)
-	const workers = 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			var mine []int64
-			for op := 0; op < 800; op++ {
-				table := fmt.Sprintf("table%d", rng.Intn(24))
-				switch {
-				case len(mine) > 0 && rng.Intn(3) == 0:
-					id := mine[len(mine)-1]
-					mine = mine[:len(mine)-1]
-					r.UnregisterProducer(id)
-				case rng.Intn(4) == 0:
-					r.ProducersFor(table, ProducerKind(rng.Intn(3)))
-				case rng.Intn(7) == 0:
-					r.Counts()
-				default:
-					mine = append(mine, r.RegisterProducer(ProducerEntry{
-						Kind:  ProducerKind(1 + rng.Intn(2)),
-						Table: table,
-					}))
-				}
-			}
-			for _, id := range mine {
-				r.UnregisterProducer(id)
-			}
-		}(w)
-	}
-	wg.Wait()
-	p, _ := r.Counts()
-	if p != 0 {
-		t.Fatalf("producers left after teardown: %d", p)
-	}
-	for i := 0; i < 24; i++ {
-		if got := r.ProducersFor(fmt.Sprintf("table%d", i), 0); len(got) != 0 {
-			t.Fatalf("table%d still mediates %d producers after teardown", i, len(got))
-		}
-	}
-}
 
 // TestTupleStoreConcurrentStress drives one store from parallel
 // inserters, queriers and retention sweeps. Run under -race.

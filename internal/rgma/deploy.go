@@ -412,7 +412,7 @@ func (p *PrimaryProducer) Close() {
 	p.res.closed = true
 	p.svc.node.Heap.Free(p.d.costs.HeapPerProducer)
 	if p.res.regID != 0 {
-		p.d.registry.UnregisterProducerFrom(p.res.table.Name, p.res.regID)
+		p.d.registry.UnregisterProducer(p.res.regID)
 		delete(p.svc.resources, p.res.regID)
 	}
 }
@@ -536,7 +536,7 @@ func (c *Consumer) Close() {
 	c.res.closed = true
 	c.svc.node.Heap.Free(c.d.costs.HeapPerConsumer)
 	if c.res.regID != 0 {
-		c.d.registry.UnregisterConsumerFrom(c.res.table, c.res.regID)
+		c.d.registry.UnregisterConsumer(c.res.regID)
 		delete(c.svc.resources, c.res.regID)
 	}
 }
@@ -671,7 +671,7 @@ func (sp *SecondaryProducer) Close() {
 	sp.res.closed = true
 	sp.res.svc.node.Heap.Free(sp.heap)
 	if sp.res.regID != 0 {
-		sp.d.registry.UnregisterProducerFrom(sp.res.table.Name, sp.res.regID)
+		sp.d.registry.UnregisterProducer(sp.res.regID)
 		delete(sp.res.svc.resources, sp.res.regID)
 	}
 	sp.cons.Close()

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"gridmon/internal/shardhash"
 	"gridmon/internal/sqlmini"
 )
 
@@ -44,178 +41,80 @@ type ConsumerEntry struct {
 	Service int // consumer-service index hosting the resource
 }
 
-// registryShard is one lock domain of the registry. A table's records
-// all live on the shard its (lowercased) name hashes to, so mediation
-// for one table never contends with registrations on another.
-type registryShard struct {
-	mu        sync.RWMutex
+// Registry is the R-GMA registry's core logic: producer/consumer records
+// and table-based mediation. Like simproc.Heap it is single-goroutine:
+// the deterministic simulation kernel's event loop is its only caller,
+// and the deployment layer charges CPU and network costs around calls.
+// IDs are assigned in registration order and every per-table order is
+// registration order, so mediation is deterministic.
+type Registry struct {
+	nextID    int64
 	producers map[int64]ProducerEntry
 	consumers map[int64]ConsumerEntry
 	// producersByTable indexes producer IDs by lowercased table name in
 	// registration order, so ProducersFor is an index lookup instead of
-	// a full-registry scan — and, unlike the old map range, its result
-	// order is deterministic.
+	// a full-registry scan, with a deterministic result order.
 	producersByTable map[string][]int64
 }
 
-// Registry is the R-GMA registry's core logic: producer/consumer records
-// and table-based mediation. State is partitioned into lock-domain
-// shards keyed by table-name hash; the shards are lock domains, not
-// worker goroutines, so a single caller observes bit-identical behaviour
-// for any shard count (IDs are assigned from one atomic counter, and
-// every per-table order is registration order). All methods are
-// shard-safe: they may be called from any goroutine. The deployment
-// layer charges CPU and network costs around calls.
-type Registry struct {
-	nextID    atomic.Int64
-	shards    []*registryShard
-	producerN atomic.Int64
-	consumerN atomic.Int64
-}
-
-// DefaultRegistryShards is the shard count NewRegistry uses.
-const DefaultRegistryShards = 16
-
-// NewRegistry returns an empty registry with the default shard count.
-func NewRegistry() *Registry { return NewRegistrySharded(DefaultRegistryShards) }
-
-// NewRegistrySharded returns an empty registry partitioned into n lock
-// domains (n < 1 is treated as 1).
-func NewRegistrySharded(n int) *Registry {
-	if n < 1 {
-		n = 1
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{
+		producers:        make(map[int64]ProducerEntry),
+		consumers:        make(map[int64]ConsumerEntry),
+		producersByTable: make(map[string][]int64),
 	}
-	r := &Registry{shards: make([]*registryShard, n)}
-	for i := range r.shards {
-		r.shards[i] = &registryShard{
-			producers:        make(map[int64]ProducerEntry),
-			consumers:        make(map[int64]ConsumerEntry),
-			producersByTable: make(map[string][]int64),
-		}
-	}
-	return r
 }
 
 // tableKey normalises a table name for indexing (SQL table matching in
 // mediation is case-insensitive, as the old EqualFold scan behaved).
 func tableKey(table string) string { return strings.ToLower(table) }
 
-// shardFor returns the lock domain owning a table's records (routed by
-// the repo-wide shard hash).
-func (r *Registry) shardFor(table string) *registryShard {
-	if len(r.shards) == 1 {
-		return r.shards[0]
-	}
-	return r.shards[shardhash.FNV1a(tableKey(table))%uint32(len(r.shards))]
-}
-
-// NumShards reports the registry's lock-domain count. Shard-safe.
-func (r *Registry) NumShards() int { return len(r.shards) }
-
 // RegisterProducer records a producer and returns its assigned ID.
-// Shard-safe.
 func (r *Registry) RegisterProducer(e ProducerEntry) int64 {
-	e.ID = r.nextID.Add(1)
-	sh := r.shardFor(e.Table)
+	r.nextID++
+	e.ID = r.nextID
 	key := tableKey(e.Table)
-	sh.mu.Lock()
-	sh.producers[e.ID] = e
-	sh.producersByTable[key] = append(sh.producersByTable[key], e.ID)
-	sh.mu.Unlock()
-	r.producerN.Add(1)
+	r.producers[e.ID] = e
+	r.producersByTable[key] = append(r.producersByTable[key], e.ID)
 	return e.ID
 }
 
 // RegisterConsumer records a consumer and returns its assigned ID.
-// Shard-safe.
 func (r *Registry) RegisterConsumer(e ConsumerEntry) int64 {
-	e.ID = r.nextID.Add(1)
-	sh := r.shardFor(e.Table)
-	sh.mu.Lock()
-	sh.consumers[e.ID] = e
-	sh.mu.Unlock()
-	r.consumerN.Add(1)
+	r.nextID++
+	e.ID = r.nextID
+	r.consumers[e.ID] = e
 	return e.ID
 }
 
-// UnregisterProducerFrom removes a producer record whose table is
-// known, locking only the table's shard. Every caller that created the
-// registration knows the table; prefer this over UnregisterProducer.
-// Shard-safe.
-func (r *Registry) UnregisterProducerFrom(table string, id int64) {
-	r.unregisterProducer(r.shardFor(table), id)
-}
-
-// UnregisterProducer removes a producer record by ID alone. The ID does
-// not name the owning shard, so the shards are probed in turn; records
-// are id-unique, so at most one shard holds it. Shard-safe.
+// UnregisterProducer removes a producer record; an unknown ID is a
+// no-op.
 func (r *Registry) UnregisterProducer(id int64) {
-	for _, sh := range r.shards {
-		if r.unregisterProducer(sh, id) {
-			return
-		}
-	}
-}
-
-func (r *Registry) unregisterProducer(sh *registryShard, id int64) bool {
-	sh.mu.Lock()
-	e, ok := sh.producers[id]
+	e, ok := r.producers[id]
 	if !ok {
-		sh.mu.Unlock()
-		return false
+		return
 	}
-	delete(sh.producers, id)
+	delete(r.producers, id)
 	key := tableKey(e.Table)
-	ids := sh.producersByTable[key]
+	ids := r.producersByTable[key]
 	if i := slices.Index(ids, id); i >= 0 {
-		sh.producersByTable[key] = slices.Delete(ids, i, i+1)
-	}
-	sh.mu.Unlock()
-	r.producerN.Add(-1)
-	return true
-}
-
-// UnregisterConsumerFrom removes a consumer record whose table is
-// known, locking only the table's shard. Shard-safe.
-func (r *Registry) UnregisterConsumerFrom(table string, id int64) {
-	r.unregisterConsumer(r.shardFor(table), id)
-}
-
-// UnregisterConsumer removes a consumer record by ID alone (probing the
-// shards, as UnregisterProducer does). Shard-safe.
-func (r *Registry) UnregisterConsumer(id int64) {
-	for _, sh := range r.shards {
-		if r.unregisterConsumer(sh, id) {
-			return
-		}
+		r.producersByTable[key] = slices.Delete(ids, i, i+1)
 	}
 }
 
-func (r *Registry) unregisterConsumer(sh *registryShard, id int64) bool {
-	sh.mu.Lock()
-	if _, ok := sh.consumers[id]; !ok {
-		sh.mu.Unlock()
-		return false
-	}
-	delete(sh.consumers, id)
-	sh.mu.Unlock()
-	r.consumerN.Add(-1)
-	return true
-}
+// UnregisterConsumer removes a consumer record; an unknown ID is a
+// no-op.
+func (r *Registry) UnregisterConsumer(id int64) { delete(r.consumers, id) }
 
 // ProducersFor mediates a consumer query: all producers of the named
 // table, restricted to the given kind (0 means any), in registration
-// order. The lookup reads only the table's shard and only the table's
-// own index entry — mediation cost no longer grows with the number of
-// producers on other tables. Shard-safe.
+// order. The lookup reads only the table's own index entry, so its cost
+// does not grow with the number of producers on other tables.
 func (r *Registry) ProducersFor(table string, kind ProducerKind) []ProducerEntry {
-	sh := r.shardFor(table)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ids := sh.producersByTable[tableKey(table)]
 	var out []ProducerEntry
-	for _, id := range ids {
-		e := sh.producers[id]
+	for _, id := range r.producersByTable[tableKey(table)] {
+		e := r.producers[id]
 		if kind == 0 || e.Kind == kind {
 			out = append(out, e)
 		}
@@ -223,11 +122,9 @@ func (r *Registry) ProducersFor(table string, kind ProducerKind) []ProducerEntry
 	return out
 }
 
-// Counts reports registered producer and consumer record counts from
-// atomic counters; it takes no locks and is safe during concurrent
-// registration sweeps. Shard-safe.
+// Counts reports registered producer and consumer record counts.
 func (r *Registry) Counts() (producers, consumers int) {
-	return int(r.producerN.Load()), int(r.consumerN.Load())
+	return len(r.producers), len(r.consumers)
 }
 
 // QueryType is the R-GMA consumer query flavour.

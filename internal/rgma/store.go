@@ -17,20 +17,16 @@
 //
 // The package has two halves with different thread-safety contracts.
 //
-// Shard-safe (callable from any goroutine): Registry — state partitioned
-// into lock-domain shards keyed by table-name hash, counts atomic — and
-// TupleStore, whose retention sweeps, inserts, queries and stats are
-// guarded internally (stats are atomic counters). Shards are lock
-// domains, not worker goroutines: a single caller observes bit-identical
-// behaviour for any shard count, which keeps the simulated experiment
-// figures byte-identical.
+// Shard-safe (callable from any goroutine): TupleStore, whose retention
+// sweeps, inserts, queries and stats are guarded internally (stats are
+// atomic counters).
 //
-// Serial-only: Deployment and everything reached through it
+// Serial-only: Registry, Deployment and everything reached through it
 // (ProducerService, ConsumerService, PrimaryProducer, Consumer,
 // Subscriber, SecondaryProducer). These run inside the deterministic
 // simulation kernel, whose event loop is the only caller; they take no
-// locks of their own. The concurrent HTTP binding lives in
-// internal/rgmahttp and composes the shard-safe half only.
+// locks of their own. The live daemons' service core, internal/rgmacore,
+// composes the shard-safe half only.
 package rgma
 
 import (

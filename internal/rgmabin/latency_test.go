@@ -41,7 +41,7 @@ func measureInsertDeliverLatency(t *testing.T, transport string, n int, gap, pol
 	var insert func(sql string) error
 	switch transport {
 	case "http":
-		s := rgmahttp.NewServerWith(rgmahttp.Config{Shards: 2})
+		s := rgmahttp.NewServer(rgmacore.New(rgmacore.Config{Shards: 2}), rgmahttp.Config{})
 		addr, err := s.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

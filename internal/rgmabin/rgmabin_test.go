@@ -210,13 +210,14 @@ func asServerError(err error, out **rgmabin.ServerError) bool {
 // and producer created over HTTP feed a push consumer on the binary
 // port, the deployment cmd/rgmad runs.
 func TestBinSharedCoreWithHTTP(t *testing.T) {
-	hs := rgmahttp.NewServerWith(rgmahttp.Config{Shards: 2})
+	core := rgmacore.New(rgmacore.Config{Shards: 2})
+	hs := rgmahttp.NewServer(core, rgmahttp.Config{})
 	haddr, err := hs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = hs.Close() })
-	bs := rgmabin.NewServer(hs.Core(), rgmabin.Config{})
+	bs := rgmabin.NewServer(core, rgmabin.Config{})
 	baddr, err := bs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +303,7 @@ func TestTransportEquivalence(t *testing.T) {
 	historyQ := "SELECT * FROM generator"
 
 	// HTTP: poll-driven continuous consumer.
-	hs := rgmahttp.NewServerWith(rgmahttp.Config{Shards: 2})
+	hs := rgmahttp.NewServer(rgmacore.New(rgmacore.Config{Shards: 2}), rgmahttp.Config{})
 	haddr, err := hs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,10 @@
 // wrap — internal/rgmahttp (JSON request/response, the gLite servlet
 // baseline) and internal/rgmabin (persistent-connection binary framing
 // with server-push continuous queries). It composes the shard-safe half
-// of internal/rgma (Registry, TupleStore) with internal/sqlmini parsing
-// and compiled WHERE predicates.
+// of internal/rgma (TupleStore) with internal/sqlmini parsing and
+// compiled WHERE predicates. The resource shards are the one record of
+// every producer and consumer: the core routes through its own table
+// indexes and needs no registry mediation.
 //
 // # Concurrency
 //
@@ -14,9 +16,9 @@
 // shards (schema plus the per-table continuous-consumer and producer
 // indexes, keyed by table-name hash) and resource shards
 // (producer/consumer handles keyed by resource id) — plus a per-consumer
-// buffer lock and the internally locked rgma.TupleStore and
-// rgma.Registry. Producers inserting into different producer resources
-// and consumers popping different consumers proceed fully in parallel.
+// buffer lock and the internally locked rgma.TupleStore. Producers
+// inserting into different producer resources and consumers popping
+// different consumers proceed fully in parallel.
 //
 // The hot read paths are lock-free: Insert's continuous-consumer scan
 // and Pop's latest/history producer gather read a copy-on-write
@@ -49,7 +51,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,8 +98,8 @@ type Config struct {
 	// only contention.
 	Shards int
 	// MaxBuffered caps each buffered continuous consumer's undrained
-	// tuples; when full the oldest tuple is dropped and counted. 0 means
-	// DefaultMaxBuffered; negative means unlimited (the seed behaviour).
+	// tuples; when full the oldest tuple is dropped and counted. A value
+	// <= 0 means DefaultMaxBuffered.
 	MaxBuffered int
 }
 
@@ -106,7 +107,6 @@ type Config struct {
 type Core struct {
 	tables      []*tableShard // table-name-hash lock domains
 	res         []*resShard   // resource-id lock domains
-	registry    *rgma.Registry
 	nextID      atomic.Int64
 	maxBuffered int
 
@@ -271,15 +271,13 @@ func New(cfg Config) *Core {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	maxBuffered := cfg.MaxBuffered
-	if maxBuffered == 0 {
-		maxBuffered = DefaultMaxBuffered
+	if cfg.MaxBuffered <= 0 {
+		cfg.MaxBuffered = DefaultMaxBuffered
 	}
 	c := &Core{
 		tables:      make([]*tableShard, cfg.Shards),
 		res:         make([]*resShard, cfg.Shards),
-		registry:    rgma.NewRegistrySharded(cfg.Shards),
-		maxBuffered: maxBuffered,
+		maxBuffered: cfg.MaxBuffered,
 		start:       time.Now(),
 	}
 	c.clock = func() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
@@ -299,18 +297,11 @@ func New(cfg Config) *Core {
 // NumShards reports the lock-domain count per shard family.
 func (c *Core) NumShards() int { return len(c.tables) }
 
-// TableShardOf reports which table shard a name routes to. Load-test
-// topologies and benchmarks use it to spread (or concentrate) tables
-// across lock domains, as broker.ShardOf does for destinations.
-func (c *Core) TableShardOf(name string) int {
-	if len(c.tables) == 1 {
-		return 0
-	}
-	return int(shardhash.FNV1a(name) % uint32(len(c.tables)))
-}
-
 func (c *Core) tableShardFor(table string) *tableShard {
-	return c.tables[c.TableShardOf(table)]
+	if len(c.tables) == 1 {
+		return c.tables[0]
+	}
+	return c.tables[shardhash.FNV1a(table)%uint32(len(c.tables))]
 }
 
 func (c *Core) resShardFor(id int64) *resShard {
@@ -324,8 +315,17 @@ func (c *Core) resShardFor(id int64) *resShard {
 // this domain.
 func (c *Core) Now() sim.Time { return c.clock() }
 
-// RegistryCounts reports registered producer and consumer records.
-func (c *Core) RegistryCounts() (producers, consumers int) { return c.registry.Counts() }
+// RegistryCounts reports live producer and consumer resources, counted
+// in the resource shards under their read locks.
+func (c *Core) RegistryCounts() (producers, consumers int) {
+	for _, rs := range c.res {
+		rs.mu.RLock()
+		producers += len(rs.producers)
+		consumers += len(rs.consumers)
+		rs.mu.RUnlock()
+	}
+	return producers, consumers
+}
 
 // --- resources ---
 
@@ -333,7 +333,6 @@ func (c *Core) RegistryCounts() (producers, consumers int) { return c.registry.C
 // plus the amortized-sweep bookkeeping.
 type Producer struct {
 	id        int64
-	regID     int64
 	tableName string
 	table     *sqlmini.Table
 	store     *rgma.TupleStore
@@ -376,7 +375,6 @@ type Sink func(consumerID int64, t *Streamed)
 // Consumer is one consumer resource.
 type Consumer struct {
 	id        int64
-	regID     int64
 	query     sqlmini.Select
 	rawQuery  string           // original SELECT text, journaled for replay
 	prog      *sqlmini.Program // query.Where compiled against table
@@ -414,7 +412,7 @@ func (cn *Consumer) Dropped() uint64 {
 // dropping the oldest buffered tuple when the cap is reached.
 func (cn *Consumer) push(t PopTuple, max int, coreDropped *atomic.Uint64) {
 	cn.mu.Lock()
-	if max <= 0 || len(cn.buf) < max {
+	if len(cn.buf) < max {
 		cn.buf = append(cn.buf, t)
 	} else {
 		cn.buf[cn.ringAt] = t
@@ -561,7 +559,6 @@ func (c *Core) addProducer(id int64, table string, latestRetention, historyReten
 	if p.sweepInterval <= 0 {
 		p.sweepInterval = 1
 	}
-	p.regID = c.registry.RegisterProducer(rgma.ProducerEntry{Kind: rgma.PrimaryKind, Table: table})
 	rs := c.resShardFor(p.id)
 	rs.mu.Lock()
 	rs.producers[p.id] = p
@@ -604,7 +601,6 @@ func (c *Core) closeProducer(id int64, journal bool) error {
 	if !exists {
 		return fmt.Errorf("%w: no such producer %d", ErrNotFound, id)
 	}
-	c.registry.UnregisterProducerFrom(p.tableName, p.regID)
 	ts := c.tableShardFor(p.tableName)
 	ts.mu.Lock()
 	r := ts.routes[p.tableName]
@@ -799,7 +795,6 @@ func (c *Core) addConsumer(id int64, query string, qtype rgma.QueryType, sink Si
 		qtype:     qtype,
 		sink:      sink,
 	}
-	cn.regID = c.registry.RegisterConsumer(rgma.ConsumerEntry{Table: sel.Table})
 	rs := c.resShardFor(cn.id)
 	rs.mu.Lock()
 	rs.consumers[cn.id] = cn
@@ -893,7 +888,6 @@ func (c *Core) closeConsumer(id int64, journal bool) error {
 	if !exists {
 		return fmt.Errorf("%w: no such consumer %d", ErrNotFound, id)
 	}
-	c.registry.UnregisterConsumerFrom(cn.tableName, cn.regID)
 	if cn.qtype == rgma.ContinuousQuery {
 		ts := c.tableShardFor(cn.tableName)
 		ts.mu.Lock()
@@ -931,7 +925,7 @@ type Stats struct {
 
 // StatsSnapshot reads the counters; safe from any goroutine.
 func (c *Core) StatsSnapshot() Stats {
-	p, cn := c.registry.Counts()
+	p, cn := c.RegistryCounts()
 	return Stats{
 		Producers:      p,
 		Consumers:      cn,
@@ -964,9 +958,3 @@ func RetentionSeconds(d time.Duration) (int, error) {
 // to the sim.Time domain the stores work in (0 stays 0, selecting the
 // server defaults).
 func RetentionFromSeconds(sec uint32) sim.Time { return sim.Time(sec) * sim.Second }
-
-// QueryTypeName is the transport token for a query type (inverse of
-// ParseQueryType).
-func QueryTypeName(q rgma.QueryType) string {
-	return strings.ToLower(q.String())
-}

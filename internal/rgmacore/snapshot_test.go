@@ -43,11 +43,11 @@ func distinctWhere(rng *rand.Rand, table string) string {
 // types, and many distinct continuous consumers on one hot table),
 // inserts, pops — through the core and the oracle from a single
 // goroutine, comparing every pop result with the oracle's prediction as
-// it happens. Any index mutation missing its refreshSnap, any consumer
-// the matching index wrongly skips, and any consumer a patch or
-// compaction misnumbers shows up as a pop divergence. Every seed runs at
-// the production compaction threshold and again compacting on every
-// close.
+// it happens and the live resource counts after every op. Any index
+// mutation missing its refreshSnap, any consumer the matching index
+// wrongly skips, and any consumer a patch or compaction misnumbers shows
+// up as a pop divergence. Every seed runs at the production compaction
+// threshold and again compacting on every close.
 func TestCoreOracleRandomized(t *testing.T) {
 	t.Run("production", coreOracleSeeds)
 	t.Run("compact-every-close", func(t *testing.T) {
@@ -154,6 +154,9 @@ func coreOracleSeeds(t *testing.T) {
 					t.Fatalf("seed %d op %d: insert: %v", seed, op, err)
 				}
 				orc.insert(id, stmt, now)
+			}
+			if p, cn := c.RegistryCounts(); p != len(producers) || cn != len(consumers) {
+				t.Fatalf("seed %d op %d: RegistryCounts = %d/%d, want %d/%d", seed, op, p, cn, len(producers), len(consumers))
 			}
 		}
 	}

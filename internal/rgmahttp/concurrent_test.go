@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"gridmon/internal/rgmacore"
 	"gridmon/internal/sqlmini"
 )
 
-func startServerWith(t *testing.T, cfg Config) (*Server, *Client) {
+func startServerWith(t *testing.T, cfg rgmacore.Config) (*Server, *Client) {
 	t.Helper()
-	s := NewServerWith(cfg)
+	s := NewServer(rgmacore.New(cfg), Config{})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func startServerWith(t *testing.T, cfg Config) (*Server, *Client) {
 // unobservable.
 func TestHTTPShardCountEquivalence(t *testing.T) {
 	tables := []string{"generator", "turbine", "relay", "meter", "feeder", "substation"}
-	run := func(cfg Config) string {
+	run := func(cfg rgmacore.Config) string {
 		rng := rand.New(rand.NewSource(4242))
 		_, c := startServerWith(t, cfg)
 		var transcript []string
@@ -146,8 +147,8 @@ func TestHTTPShardCountEquivalence(t *testing.T) {
 			pn, cn, st.Inserts, st.Pops, st.TuplesStreamed, st.TuplesPopped)
 		return fmt.Sprint(transcript)
 	}
-	one := run(Config{Shards: 1})
-	for _, cfg := range []Config{{Shards: 8}, {Shards: 32}} {
+	one := run(rgmacore.Config{Shards: 1})
+	for _, cfg := range []rgmacore.Config{{Shards: 8}, {Shards: 32}} {
 		if got := run(cfg); got != one {
 			t.Fatalf("shards=%d transcript diverges from shards=1:\nshards=1: %.2000s\nshards=%d: %.2000s", cfg.Shards, one, cfg.Shards, got)
 		}
@@ -160,7 +161,7 @@ func TestHTTPShardCountEquivalence(t *testing.T) {
 // continuous consumer exactly once, with the race detector watching the
 // whole service stack.
 func TestHTTPConcurrentInsertPopStress(t *testing.T) {
-	s, c := startServerWith(t, Config{Shards: 8})
+	s, c := startServerWith(t, rgmacore.Config{Shards: 8})
 	const nTables = 8
 	const insertsPerTable = 120
 	var tables []string
@@ -281,7 +282,7 @@ func TestHTTPConcurrentInsertPopStress(t *testing.T) {
 // TestHTTPStatsAndClose exercises the stats endpoint and consumer-close
 // registry bookkeeping (the seed leaked consumer registrations).
 func TestHTTPStatsAndClose(t *testing.T) {
-	_, c := startServerWith(t, Config{Shards: 4})
+	_, c := startServerWith(t, rgmacore.Config{Shards: 4})
 	if err := c.CreateTable("CREATE TABLE g (id INTEGER PRIMARY KEY, v DOUBLE PRECISION)"); err != nil {
 		t.Fatal(err)
 	}

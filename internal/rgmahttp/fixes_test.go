@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gridmon/internal/rgmacore"
 	"gridmon/internal/wire"
 )
 
@@ -51,13 +52,7 @@ func TestHTTPCreateTableRecreate(t *testing.T) {
 // TestHTTPStatsTuplesDropped: the consumer buffer cap surfaces its drop
 // counter in /stats.
 func TestHTTPStatsTuplesDropped(t *testing.T) {
-	s := NewServerWith(Config{Shards: 2, MaxBuffered: 5})
-	addr, err := s.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	c := NewClient(addr)
+	_, c := startServerWith(t, rgmacore.Config{Shards: 2, MaxBuffered: 5})
 	if err := c.CreateTable(createSQL); err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,10 @@
 // transport the original gLite implementation used (Java servlets on
 // Tomcat). It is a thin JSON binding over the transport-neutral
 // rgmacore.Core — the same core internal/rgmabin drives over persistent
-// binary connections — and reuses the registry, tuple-store and SQL
-// components the simulator validates: producers POST SQL INSERT
-// statements, consumers create continuous/latest/history queries and
-// poll with GET, exactly like the paper's subscriber polling its
-// consumer every 100 ms.
+// binary connections — and reuses the tuple-store and SQL components the
+// simulator validates: producers POST SQL INSERT statements, consumers
+// create continuous/latest/history queries and poll with GET, exactly
+// like the paper's subscriber polling its consumer every 100 ms.
 //
 // # Concurrency
 //
@@ -50,13 +49,6 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// Shards is the lock-domain count for the core's table and resource
-	// shard families (0 = GOMAXPROCS). Shard counts do not change
-	// behaviour, only contention.
-	Shards int
-	// MaxBuffered caps each continuous consumer's undrained tuples
-	// (0 = rgmacore.DefaultMaxBuffered, negative = unlimited).
-	MaxBuffered int
 	// Pprof mounts net/http/pprof's handlers under /debug/pprof/ on the
 	// server's mux (cmd/rgmad -pprof). Combined with
 	// runtime.SetMutexProfileFraction this is how lock contention is
@@ -76,31 +68,11 @@ type Server struct {
 	binEgress atomic.Pointer[func() wire.EgressStats]
 }
 
-// NewServer constructs an unstarted server with the default sharded
-// configuration.
-func NewServer() *Server { return NewServerWith(Config{}) }
-
-// NewServerWith constructs an unstarted server with an explicit
-// configuration.
-func NewServerWith(cfg Config) *Server {
-	return &Server{
-		cfg:  cfg,
-		core: rgmacore.New(rgmacore.Config{Shards: cfg.Shards, MaxBuffered: cfg.MaxBuffered}),
-	}
+// NewServer constructs an unstarted server over a service core, which
+// other bindings (cmd/rgmad also serves rgmabin on it) may share.
+func NewServer(core *rgmacore.Core, cfg Config) *Server {
+	return &Server{cfg: cfg, core: core}
 }
-
-// Core exposes the transport-neutral service core, so a second binding
-// (cmd/rgmad serves rgmabin on another port) can share this server's
-// tables and resources.
-func (s *Server) Core() *rgmacore.Core { return s.core }
-
-// NumShards reports the core's lock-domain count per shard family.
-func (s *Server) NumShards() int { return s.core.NumShards() }
-
-// TableShardOf reports which table shard a name routes to. Load-test
-// topologies and benchmarks use it to spread (or concentrate) tables
-// across lock domains, as broker.ShardOf does for destinations.
-func (s *Server) TableShardOf(name string) int { return s.core.TableShardOf(name) }
 
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler {

@@ -6,18 +6,13 @@ import (
 	"time"
 
 	"gridmon/internal/rgma"
+	"gridmon/internal/rgmacore"
 	"gridmon/internal/sqlmini"
 )
 
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	s := NewServer()
-	addr, err := s.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	return s, NewClient(addr)
+	return startServerWith(t, rgmacore.Config{})
 }
 
 const createSQL = `CREATE TABLE generator (
