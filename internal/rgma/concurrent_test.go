@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"gridmon/internal/selector"
 	"gridmon/internal/sim"
+	"gridmon/internal/sqlmini"
 )
 
 // --- mediation index correctness ---
@@ -170,7 +172,7 @@ func TestLatestDeterministicOrder(t *testing.T) {
 	star, _ := ParseQuery("SELECT * FROM generator")
 	var prev string
 	for trial := 0; trial < 4; trial++ {
-		out := s.Latest(0, star)
+		out := s.LatestCompiled(0, star.Compiled(tab))
 		var ids string
 		for _, tu := range out {
 			ids += tu.Row[0].String() + ","
@@ -186,7 +188,8 @@ func TestLatestDeterministicOrder(t *testing.T) {
 }
 
 // TestStoreCompiledMatchesInterpreted cross-checks the store's compiled
-// query path against the interpreted one on the same store state.
+// query path against the predicate engine's reference evaluator, applied
+// to the store's unfiltered answer, on the same store state.
 func TestStoreCompiledMatchesInterpreted(t *testing.T) {
 	tab := MonitoringTable()
 	s := NewTupleStore(tab, sim.Minute, 2*sim.Minute)
@@ -205,11 +208,23 @@ func TestStoreCompiledMatchesInterpreted(t *testing.T) {
 		}
 		prog := sel.Compiled(tab)
 		now := 30 * sim.Second
-		if got, want := fmt.Sprint(s.HistoryCompiled(now, prog)), fmt.Sprint(s.History(now, sel)); got != want {
+		if got, want := fmt.Sprint(s.HistoryCompiled(now, prog)), fmt.Sprint(oracleFilter(tab, sel, s.HistoryCompiled(now, nil))); got != want {
 			t.Fatalf("%s: compiled history differs\n got %s\nwant %s", q, got, want)
 		}
-		if got, want := fmt.Sprint(s.LatestCompiled(now, prog)), fmt.Sprint(s.Latest(now, sel)); got != want {
+		if got, want := fmt.Sprint(s.LatestCompiled(now, prog)), fmt.Sprint(oracleFilter(tab, sel, s.LatestCompiled(now, nil))); got != want {
 			t.Fatalf("%s: compiled latest differs\n got %s\nwant %s", q, got, want)
 		}
 	}
+}
+
+// oracleFilter keeps the tuples the predicate engine's reference
+// evaluator accepts for the query.
+func oracleFilter(tab *sqlmini.Table, sel sqlmini.Select, ts []Tuple) []Tuple {
+	var out []Tuple
+	for _, t := range ts {
+		if sel.Where.EvalInterpreted(&sqlmini.RowSource{Table: tab, Row: t.Row}) == selector.TriTrue {
+			out = append(out, t)
+		}
+	}
+	return out
 }

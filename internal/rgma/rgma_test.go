@@ -20,10 +20,10 @@ func TestTupleStoreLatestAndHistory(t *testing.T) {
 	s.Insert(Tuple{Row: MonitoringRow(1, 1), InsertedAt: 0})
 	s.Insert(Tuple{Row: MonitoringRow(1, 2), InsertedAt: 10 * sim.Second})
 	s.Insert(Tuple{Row: MonitoringRow(2, 1), InsertedAt: 10 * sim.Second})
-	if got := len(s.History(15*sim.Second, star)); got != 3 {
+	if got := len(s.HistoryCompiled(15*sim.Second, star.Compiled(tab))); got != 3 {
 		t.Fatalf("history = %d, want 3", got)
 	}
-	latest := s.Latest(15*sim.Second, star)
+	latest := s.LatestCompiled(15*sim.Second, star.Compiled(tab))
 	if len(latest) != 2 {
 		t.Fatalf("latest = %d, want 2 (one per genid)", len(latest))
 	}
@@ -40,14 +40,14 @@ func TestTupleStoreRetention(t *testing.T) {
 	star, _ := ParseQuery("SELECT * FROM generator")
 	s.Insert(Tuple{Row: MonitoringRow(1, 1), InsertedAt: 0})
 	// At 40s the latest (30s) has expired but history (60s) remains.
-	if got := len(s.Latest(40*sim.Second, star)); got != 0 {
+	if got := len(s.LatestCompiled(40*sim.Second, star.Compiled(tab))); got != 0 {
 		t.Fatalf("latest after 40s = %d", got)
 	}
-	if got := len(s.History(40*sim.Second, star)); got != 1 {
+	if got := len(s.HistoryCompiled(40*sim.Second, star.Compiled(tab))); got != 1 {
 		t.Fatalf("history after 40s = %d", got)
 	}
 	// At 90s history has expired too.
-	if got := len(s.History(90*sim.Second, star)); got != 0 {
+	if got := len(s.HistoryCompiled(90*sim.Second, star.Compiled(tab))); got != 0 {
 		t.Fatalf("history after 90s = %d", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestTupleStoreQueryFilter(t *testing.T) {
 		s.Insert(Tuple{Row: MonitoringRow(i, 1), InsertedAt: 0})
 	}
 	q, _ := ParseQuery("SELECT * FROM generator WHERE genid < 3")
-	if got := len(s.History(0, q)); got != 3 {
+	if got := len(s.HistoryCompiled(0, q.Compiled(tab))); got != 3 {
 		t.Fatalf("filtered history = %d, want 3", got)
 	}
 }
@@ -523,7 +523,7 @@ func TestPropertyLatestUnique(t *testing.T) {
 		for i, id := range ids {
 			s.Insert(Tuple{Row: MonitoringRow(int(id%10), int64(i)), InsertedAt: sim.Time(i)})
 		}
-		latest := s.Latest(sim.Time(len(ids)), star)
+		latest := s.LatestCompiled(sim.Time(len(ids)), star.Compiled(tab))
 		seen := map[string]bool{}
 		for _, tu := range latest {
 			k := tu.Row[0].String()

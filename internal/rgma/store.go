@@ -149,36 +149,20 @@ func (s *TupleStore) purgeLocked(now sim.Time) {
 	}
 }
 
-// History returns retained history tuples matching the query, via the
-// interpreted predicate path.
-func (s *TupleStore) History(now sim.Time, sel sqlmini.Select) []Tuple {
-	return s.historyWith(now, func(r sqlmini.Row) bool { return sqlmini.Matches(s.table, sel, r) })
-}
-
 // HistoryCompiled returns retained history tuples accepted by a
 // compiled predicate program (nil matches every row). The program must
 // have been compiled against this store's schema.
 func (s *TupleStore) HistoryCompiled(now sim.Time, p *sqlmini.Program) []Tuple {
-	return s.historyWith(now, p.Matches)
-}
-
-func (s *TupleStore) historyWith(now sim.Time, match func(sqlmini.Row) bool) []Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.purgeLocked(now)
 	var out []Tuple
 	for _, t := range s.history {
-		if match(t.Row) {
+		if p.Matches(t.Row) {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-// Latest returns the retained latest tuple per primary key matching the
-// query, via the interpreted predicate path, in primary-key order.
-func (s *TupleStore) Latest(now sim.Time, sel sqlmini.Select) []Tuple {
-	return s.latestWith(now, func(r sqlmini.Row) bool { return sqlmini.Matches(s.table, sel, r) })
 }
 
 // LatestCompiled returns the retained latest tuples accepted by a
@@ -186,10 +170,6 @@ func (s *TupleStore) Latest(now sim.Time, sel sqlmini.Select) []Tuple {
 // order. The program must have been compiled against this store's
 // schema.
 func (s *TupleStore) LatestCompiled(now sim.Time, p *sqlmini.Program) []Tuple {
-	return s.latestWith(now, p.Matches)
-}
-
-func (s *TupleStore) latestWith(now sim.Time, match func(sqlmini.Row) bool) []Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.purgeLocked(now)
@@ -200,7 +180,7 @@ func (s *TupleStore) latestWith(now sim.Time, match func(sqlmini.Row) bool) []Tu
 	sort.Strings(keys)
 	var out []Tuple
 	for _, k := range keys {
-		if t := s.latest[k]; match(t.Row) {
+		if t := s.latest[k]; p.Matches(t.Row) {
 			out = append(out, t)
 		}
 	}

@@ -680,17 +680,7 @@ func (c *Core) Insert(producerID int64, sqlText string) error {
 // struct so handing &sc.probe to the index costs no allocation.
 type rowScratch struct {
 	buf   []int32
-	probe rowProbe
-}
-
-// rowProbe adapts a table row to the index's attribute-probe interface.
-type rowProbe struct {
-	tab *sqlmini.Table
-	row sqlmini.Row
-}
-
-func (p *rowProbe) ProbeAttr(attr string) (predindex.Value, bool) {
-	return sqlmini.ProbeValue(p.tab, p.row, attr)
+	probe sqlmini.RowSource
 }
 
 // streamInsert fans one inserted tuple out to the live continuous
@@ -724,8 +714,8 @@ func (c *Core) streamInsert(r *tableRoute, p *Producer, row sqlmini.Row, tuple r
 	if sc == nil {
 		sc = &rowScratch{}
 	}
-	sc.probe.tab = p.table
-	sc.probe.row = row
+	sc.probe.Table = p.table
+	sc.probe.Row = row
 	cands := r.idx.Candidates(&sc.probe, sc.buf[:0])
 	for _, ci := range cands {
 		if cn := r.continuous[ci]; cn.prog.Matches(row) {
@@ -738,8 +728,8 @@ func (c *Core) streamInsert(r *tableRoute, p *Producer, row sqlmini.Row, tuple r
 	if skipped := r.live - len(cands); skipped > 0 {
 		c.matchConsumersSkip.Add(uint64(skipped))
 	}
-	sc.probe.tab = nil
-	sc.probe.row = nil
+	sc.probe.Table = nil
+	sc.probe.Row = nil
 	sc.buf = cands[:0]
 	c.rowScratches.Put(sc)
 }
@@ -789,7 +779,7 @@ func (c *Core) addConsumer(id int64, query string, qtype rgma.QueryType, sink Si
 		query:     sel,
 		rawQuery:  query,
 		prog:      sel.Compiled(tab),
-		matchKey:  sqlmini.RequiredKey(sel.Where),
+		matchKey:  sel.Where.RequiredKey(),
 		table:     tab,
 		tableName: sel.Table,
 		qtype:     qtype,

@@ -4,15 +4,17 @@ import (
 	"slices"
 
 	"gridmon/internal/rgma"
+	"gridmon/internal/selector"
 	"gridmon/internal/sim"
 	"gridmon/internal/sqlmini"
 )
 
 // oracleCore is the deliberately naive reference the randomized storms
 // compare the Core against: producers and consumers in two plain slices
-// (registration order), and for every inserted row the tree-walking
-// sqlmini.Matches (Expr.Eval, not the compiled Program) per consumer —
-// no shards, no snapshot, no matching index. It predicts each buffered
+// (registration order), and for every inserted row the predicate
+// engine's tree-walking reference (EvalInterpreted over a RowSource,
+// resolving names per evaluation, not the compiled Program) per
+// consumer — no shards, no snapshot, no matching index. It predicts each buffered
 // continuous consumer's ordered tuple stream, and gathers latest/history
 // pops by walking the producer slice, so a table index the Core forgot
 // to republish shows up as a pop divergence.
@@ -96,11 +98,16 @@ func (o *oracleCore) insert(producerID int64, sqlText string, now sim.Time) {
 		tuple := rgma.Tuple{Row: row, SentAt: now, InsertedAt: now}
 		p.store.Insert(tuple)
 		for _, cn := range o.consumers {
-			if cn.qtype == rgma.ContinuousQuery && cn.table == p.table && sqlmini.Matches(cn.table, cn.sel, row) {
+			if cn.qtype == rgma.ContinuousQuery && cn.table == p.table && cn.accepts(row) {
 				cn.buf = append(cn.buf, toPop(tuple))
 			}
 		}
 	}
+}
+
+// accepts is the reference verdict of the consumer's WHERE on a row.
+func (cn *oracleConsumer) accepts(row sqlmini.Row) bool {
+	return cn.sel.Where.EvalInterpreted(&sqlmini.RowSource{Table: cn.table, Row: row}) == selector.TriTrue
 }
 
 // pop predicts what Core.Pop returns for the consumer.
@@ -120,12 +127,14 @@ func (o *oracleCore) pop(consumerID int64, now sim.Time) []PopTuple {
 			}
 			var tuples []rgma.Tuple
 			if cn.qtype == rgma.LatestQuery {
-				tuples = p.store.Latest(now, cn.sel)
+				tuples = p.store.LatestCompiled(now, nil)
 			} else {
-				tuples = p.store.History(now, cn.sel)
+				tuples = p.store.HistoryCompiled(now, nil)
 			}
 			for _, t := range tuples {
-				out = append(out, toPop(t))
+				if cn.accepts(t.Row) {
+					out = append(out, toPop(t))
+				}
 			}
 		}
 	}

@@ -14,7 +14,9 @@
 // handling runs on the HTTP server's connection goroutines and scales
 // with them; see the rgmacore package comment for the lock families and
 // the ordering contract. Consumer WHERE predicates are compiled once at
-// create time (sqlmini.Program) and evaluated on the insert fast path.
+// create time by the predicate engine JMS selectors also use
+// (internal/selector, through sqlmini.Program, column names resolved to
+// row indexes) and evaluated on the insert fast path.
 //
 // Endpoints (all JSON):
 //

@@ -1,19 +1,29 @@
 package selector
 
-import "gridmon/internal/message"
+import (
+	"strings"
+
+	"gridmon/internal/message"
+)
 
 // This file implements the selector compilation pass. Parse builds an AST
 // (eval.go) and then flattens it into a Program: a compact instruction
-// slice executed by a small stack machine over unboxed vals, with no
+// slice executed by a small stack machine over unboxed Values, with no
 // per-node interface dispatch. The compiler performs two optimisations on
 // the way down:
 //
-//   - constant folding: literal-only subtrees are evaluated once at
-//     compile time and emitted as a single constant push;
-//   - property-slot pre-resolution: identifier names are resolved against
-//     the JMS header schema at compile time, so evaluating JMSPriority or
-//     JMSTimestamp against a *message.Message is a direct field load
-//     instead of a string switch per message.
+//   - constant folding: subtrees whose verdict no input can change
+//     (literal-only subtrees, comparisons with NULL, names the field
+//     layout lacks, AND with a FALSE side, OR with a TRUE side) are
+//     evaluated once at compile time and emitted as a single constant
+//     push;
+//   - name pre-resolution: every name is resolved once, at compile time.
+//     A message program resolves the JMS header names to header slots,
+//     so evaluating JMSPriority against a *message.Message is a direct
+//     field load instead of a string switch per message, and every other
+//     name to a property lookup. A CompileFields program resolves names
+//     through its caller's Columns (for an R-GMA table, column name to
+//     row index), and evaluating it loads a field by that index.
 //
 // The compiled evaluator is semantically bit-identical to the interpreted
 // one (EvalInterpreted), including three-valued NULL propagation and the
@@ -26,7 +36,7 @@ type opcode uint8
 
 const (
 	opConst    opcode = iota // push consts[a]
-	opField                  // push the value of field slots[a]
+	opField                  // push the value of field a
 	opNot                    // pop v; push NOT triOf(v)
 	opAnd                    // pop r, l; push triOf(l) AND triOf(r)
 	opOr                     // pop r, l; push triOf(l) OR triOf(r)
@@ -40,16 +50,15 @@ const (
 	opDivOp                  // pop r, l; push l/r
 	opNeg                    // pop v; push -v
 	opBetween                // pop hi, lo, v; push BETWEEN verdict; not flag honoured
-	opIn                     // push IN verdict for slots[b] against inSets[a]
-	opLike                   // push LIKE verdict for slots[b] against matchers[a]
-	opIsNull                 // push IS NULL verdict for slots[b] (raw field access)
+	opIn                     // push IN verdict for field b against inSets[a]
+	opLike                   // push LIKE verdict for field b against matchers[a]
+	opIsNull                 // push IS NULL verdict for field b
 
 	// Fused forms for the dominant selector shapes: they skip the operand
 	// pushes entirely.
-	opCmpFC     // push slots[a] CMP consts[b]; aux is the cmpCode
-	opCmpCF     // push consts[b] CMP slots[a]; aux is the cmpCode
-	opCmpFF     // push slots[a] CMP slots[b]; aux is the cmpCode
-	opBetweenIC // push slots[a] BETWEEN consts[b] AND consts[b+1]; not flag honoured
+	opCmpFC     // push field a CMP consts[b]; aux is the cmpCode
+	opCmpFF     // push field a CMP field b; aux is the cmpCode
+	opBetweenIC // push field a BETWEEN consts[b] AND consts[b+1]; not flag honoured
 )
 
 // cmpCode is a pre-resolved comparison operator.
@@ -64,6 +73,10 @@ const (
 	cmpGE
 	cmpBad // unrecognised operator string: always UNKNOWN, like cmpOrdered
 )
+
+// mirror maps each comparison to the one that holds with its operands
+// swapped.
+var mirror = [...]cmpCode{cmpEQ: cmpEQ, cmpNE: cmpNE, cmpLT: cmpGT, cmpLE: cmpGE, cmpGT: cmpLT, cmpGE: cmpLE, cmpBad: cmpBad}
 
 func cmpCodeOf(op string) cmpCode {
 	switch op {
@@ -134,11 +147,12 @@ type ins struct {
 // Program is the compiled form of a selector.
 type Program struct {
 	ins      []ins
-	consts   []val
-	slots    []fieldSlot
+	consts   []Value
+	slots    []fieldSlot // a message program's names; the field indexes index it
 	inSets   [][]string
 	matchers []*likeMatcher
 	maxStack int
+	ordStr   bool // the SQL dialect: strings are ordered
 
 	// fc short-circuits the instruction loop for single-comparison
 	// programs ("id < 10000" and friends), the dominant selector shape in
@@ -146,26 +160,21 @@ type Program struct {
 	fc *fastCmp
 }
 
-// fastCmp is a pre-decoded `field OP constant` (or `constant OP field`)
-// comparison.
+// fastCmp is a pre-decoded `field OP constant` comparison.
 type fastCmp struct {
-	slot      int32
-	code      cmpCode
-	c         val
-	fieldLeft bool
+	slot int32
+	code cmpCode
+	c    Value
 }
 
-// triOf classifies a runtime value as a boolean condition, with the same
-// rules litExpr.evalBool and identExpr.evalBool apply: booleans are their
-// value, NULL is UNKNOWN, anything else is FALSE.
-func triOf(v val) Tri {
+// triOf classifies a runtime value as a boolean condition: booleans are
+// their value, NULL and unselectable values are UNKNOWN, anything else is
+// FALSE.
+func triOf(v Value) Tri {
 	switch v.kind {
 	case vBool:
-		if v.b {
-			return TriTrue
-		}
-		return TriFalse
-	case vNull:
+		return boolTri(v.i != 0)
+	case vNull, vOpaque:
 		return TriUnknown
 	}
 	return TriFalse
@@ -175,19 +184,17 @@ func triOf(v val) Tri {
 
 type compiler struct {
 	p     *Program
-	depth int // current stack depth during emission
+	depth int     // current stack depth during emission
+	cols  Columns // a CompileFields program's layout; nil for a message program
 }
 
-func compileProgram(root expr) *Program {
-	c := &compiler{p: &Program{}}
+func compileProgram(root expr, ordStr bool, cols Columns) *Program {
+	c := &compiler{p: &Program{ordStr: ordStr}, cols: cols}
 	c.compileBool(root)
 	p := c.p
 	if len(p.ins) == 1 {
-		switch p.ins[0].op {
-		case opCmpFC:
-			p.fc = &fastCmp{slot: p.ins[0].a, code: cmpCode(p.ins[0].aux), c: p.consts[p.ins[0].b], fieldLeft: true}
-		case opCmpCF:
-			p.fc = &fastCmp{slot: p.ins[0].a, code: cmpCode(p.ins[0].aux), c: p.consts[p.ins[0].b]}
+		if in := p.ins[0]; in.op == opCmpFC {
+			p.fc = &fastCmp{slot: in.a, code: cmpCode(in.aux), c: p.consts[in.b]}
 		}
 	}
 	return p
@@ -202,7 +209,7 @@ func (c *compiler) emit(i ins, delta int) int {
 	return len(c.p.ins) - 1
 }
 
-func (c *compiler) constIdx(v val) int32 {
+func (c *compiler) constIdx(v Value) int32 {
 	for i, cv := range c.p.consts {
 		if cv == v {
 			return int32(i)
@@ -212,7 +219,11 @@ func (c *compiler) constIdx(v val) int32 {
 	return int32(len(c.p.consts) - 1)
 }
 
+// slotIdx resolves a name to the field index the program loads.
 func (c *compiler) slotIdx(name string) int32 {
+	if c.cols != nil {
+		return int32(c.cols.ColIndex(name))
+	}
 	for i, s := range c.p.slots {
 		if s.name == name {
 			return int32(i)
@@ -247,52 +258,88 @@ func isConst(e expr) bool {
 	return false
 }
 
-// boolCtxTri evaluates a constant subtree as a boolean condition, with the
-// interpreter's rule that arithmetic in boolean position is FALSE.
-func boolCtxTri(e expr) Tri {
-	switch e.(type) {
-	case *arithExpr, *negExpr:
-		return TriFalse
+// fold returns the verdict of a subtree used as a condition when no input
+// can change it. cols is a CompileFields layout, which reads a name it
+// lacks as NULL; nil lacks no name.
+// Arithmetic as a condition is FALSE without evaluating its operands,
+// exactly as the interpreter decides. Folding skips operands the
+// interpreter would evaluate, which is unobservable: evaluation has no
+// side effects.
+func fold(e expr, cols Columns) (Tri, bool) {
+	absent := func(name string) bool { return cols != nil && cols.ColIndex(name) < 0 }
+	isNull := func(x expr) bool {
+		if id, ok := x.(*identExpr); ok {
+			return absent(id.name)
+		}
+		return isConst(x) && x.evalVal(nil).kind == vNull
 	}
-	return e.evalBool(nil)
+	switch v := e.(type) {
+	case *arithExpr, *negExpr:
+		return TriFalse, true
+	case *identExpr:
+		if isNull(v) {
+			return TriUnknown, true
+		}
+	case *isNullExpr:
+		if absent(v.ident) {
+			return boolTri(!v.not), true
+		}
+	case *cmpExpr:
+		if isNull(v.l) || isNull(v.r) {
+			return TriUnknown, true
+		}
+	case *notExpr:
+		if t, ok := fold(v.inner, cols); ok {
+			return triNot(t), true
+		}
+	case *andExpr:
+		lt, lok := fold(v.l, cols)
+		rt, rok := fold(v.r, cols)
+		if lok && lt == TriFalse || rok && rt == TriFalse {
+			return TriFalse, true
+		}
+		if lok && rok {
+			return triAnd(lt, rt), true
+		}
+	case *orExpr:
+		lt, lok := fold(v.l, cols)
+		rt, rok := fold(v.r, cols)
+		if lok && lt == TriTrue || rok && rt == TriTrue {
+			return TriTrue, true
+		}
+		if lok && rok {
+			return triOr(lt, rt), true
+		}
+	}
+	if isConst(e) {
+		return e.evalBool(nil), true
+	}
+	return 0, false
 }
 
 // compileBool emits code whose final stack value, classified through
-// triOf, equals node.evalBool. Constant subtrees fold to one push.
+// triOf, equals node.evalBool. Foldable subtrees compile to one push.
 func (c *compiler) compileBool(e expr) {
-	// Arithmetic in boolean position is FALSE without evaluating its
-	// operands, exactly as arithExpr/negExpr.evalBool behave.
-	switch e.(type) {
-	case *arithExpr, *negExpr:
-		c.emit(ins{op: opConst, a: c.constIdx(boolVal(false))}, 1)
-		return
-	}
-	if isConst(e) {
-		c.emit(ins{op: opConst, a: c.constIdx(triToVal(e.evalBool(nil)))}, 1)
+	if t, ok := fold(e, c.cols); ok {
+		c.emit(ins{op: opConst, a: c.constIdx(triToVal(t))}, 1)
 		return
 	}
 	switch v := e.(type) {
-	case *litExpr:
-		c.emit(ins{op: opConst, a: c.constIdx(v.v)}, 1)
 	case *identExpr:
 		c.emit(ins{op: opField, a: c.slotIdx(v.name)}, 1)
 	case *notExpr:
 		c.compileBool(v.inner)
 		c.emit(ins{op: opNot}, 0)
 	case *andExpr:
-		// A constant left operand folds: FALSE short-circuits the whole
-		// conjunction (the interpreter never evaluates the right side
-		// either); otherwise the constant combines with the right side
+		// A folded side is TRUE or UNKNOWN here (FALSE folded the whole
+		// node). TRUE is the identity and vanishes; UNKNOWN combines
 		// without a jump.
-		if isConst(v.l) {
-			lt := boolCtxTri(v.l)
-			if lt == TriFalse {
-				c.emit(ins{op: opConst, a: c.constIdx(boolVal(false))}, 1)
-				return
-			}
-			c.emit(ins{op: opConst, a: c.constIdx(triToVal(lt))}, 1)
-			c.compileBool(v.r)
-			c.emit(ins{op: opAnd}, -1)
+		if lt, ok := fold(v.l, c.cols); ok {
+			c.combine(lt, v.r, opAnd)
+			return
+		}
+		if rt, ok := fold(v.r, c.cols); ok {
+			c.combine(rt, v.l, opAnd)
 			return
 		}
 		// Short-circuit: a FALSE left operand jumps over the right side
@@ -304,15 +351,12 @@ func (c *compiler) compileBool(e expr) {
 		c.emit(ins{op: opAnd}, -1)
 		c.p.ins[j].a = int32(len(c.p.ins))
 	case *orExpr:
-		if isConst(v.l) {
-			lt := boolCtxTri(v.l)
-			if lt == TriTrue {
-				c.emit(ins{op: opConst, a: c.constIdx(boolVal(true))}, 1)
-				return
-			}
-			c.emit(ins{op: opConst, a: c.constIdx(triToVal(lt))}, 1)
-			c.compileBool(v.r)
-			c.emit(ins{op: opOr}, -1)
+		if lt, ok := fold(v.l, c.cols); ok {
+			c.combine(lt, v.r, opOr)
+			return
+		}
+		if rt, ok := fold(v.r, c.cols); ok {
+			c.combine(rt, v.l, opOr)
 			return
 		}
 		c.compileBool(v.l)
@@ -328,7 +372,8 @@ func (c *compiler) compileBool(e expr) {
 		case lIdent && isConst(v.r):
 			c.emit(ins{op: opCmpFC, aux: code, a: c.slotIdx(li.name), b: c.constIdx(v.r.evalVal(nil))}, 1)
 		case isConst(v.l) && rIdent:
-			c.emit(ins{op: opCmpCF, aux: code, a: c.slotIdx(ri.name), b: c.constIdx(v.l.evalVal(nil))}, 1)
+			// `constant OP field` is `field OP' constant`, OP mirrored.
+			c.emit(ins{op: opCmpFC, aux: uint8(mirror[code]), a: c.slotIdx(ri.name), b: c.constIdx(v.l.evalVal(nil))}, 1)
 		case lIdent && rIdent:
 			c.emit(ins{op: opCmpFF, aux: code, a: c.slotIdx(li.name), b: c.slotIdx(ri.name)}, 1)
 		default:
@@ -359,6 +404,19 @@ func (c *compiler) compileBool(e expr) {
 	default:
 		panic("selector: compileBool of unknown node")
 	}
+}
+
+// combine emits a connective with one folded side t, which is not the
+// side that decides it (that folded the whole node): the identity (TRUE
+// for AND, FALSE for OR) vanishes, UNKNOWN combines without a jump.
+func (c *compiler) combine(t Tri, other expr, op opcode) {
+	if t != TriUnknown {
+		c.compileBool(other)
+		return
+	}
+	c.emit(ins{op: opConst, a: c.constIdx(NullValue())}, 1)
+	c.compileBool(other)
+	c.emit(ins{op: op}, -1)
 }
 
 // compileVal emits code whose final stack value equals node.evalVal.
@@ -400,46 +458,70 @@ func (c *compiler) compileVal(e expr) {
 
 // --- evaluator ---
 
-// loadField resolves one field slot to a runtime value. For
-// *message.Message sources, pre-resolved headers skip the per-message
-// string switch; other Source implementations fall back to SelectorField.
-func (p *Program) loadField(m *message.Message, src Source, idx int32) val {
-	s := &p.slots[idx]
+// Columns is a field layout a predicate compiles against: ColIndex maps a
+// name to the index a Fields source holds it at, or to a negative index
+// for a name the layout lacks. *sqlmini.Table is one.
+type Columns interface {
+	ColIndex(name string) int
+}
+
+// Fields is a source of field values for a program compiled by
+// CompileFields: Field(i) returns the value at the index ColIndex gave
+// for a name, and NULL for an index outside the source.
+type Fields interface {
+	Field(i int) Value
+}
+
+// msgFields is a message source as a message program's Fields: a field
+// index names one of the program's slots.
+type msgFields struct {
+	p   *Program
+	m   *message.Message // src as a *message.Message, or nil
+	src Source
+}
+
+// Field resolves one slot to a runtime value. For *message.Message
+// sources, pre-resolved headers skip the per-message string switch; other
+// Source implementations fall back to SelectorField.
+func (f msgFields) Field(idx int) Value {
+	s, m := &f.p.slots[idx], f.m
 	if m == nil {
-		mv, ok := src.SelectorField(s.name)
+		mv, ok := f.src.SelectorField(s.name)
 		if !ok {
-			return nullVal()
+			return NullValue()
 		}
 		return fromMessage(mv)
 	}
 	switch s.hdr {
 	case hdrPriority:
-		return longVal(int64(m.Priority))
+		return LongValue(int64(m.Priority))
 	case hdrTimestamp:
-		return longVal(m.Timestamp)
+		return LongValue(m.Timestamp)
 	case hdrMessageID:
-		return stringVal(m.ID)
+		return StringValue(m.ID)
 	case hdrCorrelationID:
-		return stringVal(m.CorrelationID)
+		return StringValue(m.CorrelationID)
 	case hdrType:
-		return stringVal(m.Type)
+		return StringValue(m.Type)
 	case hdrDeliveryMode:
 		if m.Mode == message.Persistent {
-			return stringVal("PERSISTENT")
+			return StringValue("PERSISTENT")
 		}
-		return stringVal("NON_PERSISTENT")
+		return StringValue("NON_PERSISTENT")
 	case hdrRedelivered:
-		return boolVal(m.Redelivered)
+		return boolValue(m.Redelivered)
 	}
 	mv, ok := m.Property(s.name)
 	if !ok {
-		return nullVal()
+		return NullValue()
 	}
 	return fromMessage(mv)
 }
 
-// cmpVals replicates cmpExpr.evalBool over two already-evaluated operands.
-func cmpVals(code cmpCode, lv, rv val) Tri {
+// cmpVals replicates cmpExpr.evalBool over two already-evaluated operands;
+// ordStr orders strings, as the SQL dialect does. The right operand is
+// passed by reference so that every argument travels in registers.
+func cmpVals(code cmpCode, lv Value, rv *Value, ordStr bool) Tri {
 	if lv.kind == vNull || rv.kind == vNull {
 		return TriUnknown
 	}
@@ -457,14 +539,17 @@ func cmpVals(code cmpCode, lv, rv val) Tri {
 		case cmpNE:
 			return boolTri(lv.s != rv.s)
 		}
+		if ordStr {
+			return cmpCoded(code, strings.Compare(lv.s, rv.s), true)
+		}
 		return TriUnknown
 	}
 	if lv.kind == vBool && rv.kind == vBool {
 		switch code {
 		case cmpEQ:
-			return boolTri(lv.b == rv.b)
+			return boolTri(lv.i == rv.i)
 		case cmpNE:
-			return boolTri(lv.b != rv.b)
+			return boolTri(lv.i != rv.i)
 		}
 		return TriUnknown
 	}
@@ -490,40 +575,40 @@ func cmpCoded(code cmpCode, c int, ordered bool) Tri {
 	return TriUnknown
 }
 
-func arithVals(op opcode, lv, rv val) val {
+func arithVals(op opcode, lv, rv Value) Value {
 	if !lv.isNumeric() || !rv.isNumeric() {
-		return nullVal()
+		return NullValue()
 	}
 	if lv.kind == vLong && rv.kind == vLong {
 		switch op {
 		case opAdd:
-			return longVal(lv.i + rv.i)
+			return LongValue(lv.i + rv.i)
 		case opSub:
-			return longVal(lv.i - rv.i)
+			return LongValue(lv.i - rv.i)
 		case opMul:
-			return longVal(lv.i * rv.i)
+			return LongValue(lv.i * rv.i)
 		case opDivOp:
 			if rv.i == 0 {
-				return nullVal()
+				return NullValue()
 			}
-			return longVal(lv.i / rv.i)
+			return LongValue(lv.i / rv.i)
 		}
 	}
 	a, b := lv.asDouble(), rv.asDouble()
 	switch op {
 	case opAdd:
-		return doubleVal(a + b)
+		return DoubleValue(a + b)
 	case opSub:
-		return doubleVal(a - b)
+		return DoubleValue(a - b)
 	case opMul:
-		return doubleVal(a * b)
+		return DoubleValue(a * b)
 	case opDivOp:
-		return doubleVal(a / b)
+		return DoubleValue(a / b)
 	}
-	return nullVal()
+	return NullValue()
 }
 
-func betweenVals(not bool, v, lo, hi val) Tri {
+func betweenVals(not bool, v, lo, hi Value) Tri {
 	if v.kind == vNull || lo.kind == vNull || hi.kind == vNull {
 		return TriUnknown
 	}
@@ -542,27 +627,39 @@ func betweenVals(not bool, v, lo, hi val) Tri {
 	return boolTri(in)
 }
 
-// Eval runs the compiled program against a message source and returns the
-// three-valued verdict. A nil or empty program matches every message.
+// Eval runs a message program (Selector.Compiled) against a message
+// source and returns the three-valued verdict. A nil or empty program
+// matches every message.
 func (p *Program) Eval(src Source) Tri {
+	m, _ := src.(*message.Message)
+	return EvalFields(p, msgFields{p: p, m: m, src: src})
+}
+
+// EvalFields runs a program against its field source and returns the
+// three-valued verdict. A nil or empty program is TRUE for every source.
+// It allocates nothing unless the program's stack outgrows 16 values.
+func EvalFields[F Fields](p *Program, f F) Tri {
 	if p == nil || len(p.ins) == 0 {
 		return TriTrue
 	}
-	m, _ := src.(*message.Message)
 	if p.fc != nil {
-		v := p.loadField(m, src, p.fc.slot)
-		if p.fc.fieldLeft {
-			return cmpVals(p.fc.code, v, p.fc.c)
-		}
-		return cmpVals(p.fc.code, p.fc.c, v)
+		return cmpVals(p.fc.code, f.Field(int(p.fc.slot)), &p.fc.c, p.ordStr)
 	}
-	var arr [16]val
-	var stack []val
-	if p.maxStack <= len(arr) {
-		stack = arr[:]
-	} else {
-		stack = make([]val, p.maxStack)
+	// The value stack lives in this frame, sized so that the usual
+	// shallow program zeroes little of it.
+	if p.maxStack <= 4 {
+		var stack [4]Value
+		return run(p, f, stack[:])
 	}
+	if p.maxStack <= 16 {
+		var stack [16]Value
+		return run(p, f, stack[:])
+	}
+	return run(p, f, make([]Value, p.maxStack))
+}
+
+// run executes p's instructions over a value stack of at least maxStack.
+func run[F Fields](p *Program, f F, stack []Value) Tri {
 	sp := 0
 	code := p.ins
 	for pc := 0; pc < len(code); pc++ {
@@ -572,7 +669,7 @@ func (p *Program) Eval(src Source) Tri {
 			stack[sp] = p.consts[in.a]
 			sp++
 		case opField:
-			stack[sp] = p.loadField(m, src, in.a)
+			stack[sp] = f.Field(int(in.a))
 			sp++
 		case opNot:
 			stack[sp-1] = triToVal(triNot(triOf(stack[sp-1])))
@@ -594,7 +691,7 @@ func (p *Program) Eval(src Source) Tri {
 			stack[sp-1] = triToVal(triOf(stack[sp-1]))
 		case opCmp:
 			sp--
-			stack[sp-1] = triToVal(cmpVals(cmpCode(in.a), stack[sp-1], stack[sp]))
+			stack[sp-1] = triToVal(cmpVals(cmpCode(in.a), stack[sp-1], &stack[sp], p.ordStr))
 		case opAdd, opSub, opMul, opDivOp:
 			sp--
 			stack[sp-1] = arithVals(in.op, stack[sp-1], stack[sp])
@@ -602,17 +699,17 @@ func (p *Program) Eval(src Source) Tri {
 			v := stack[sp-1]
 			switch v.kind {
 			case vLong:
-				stack[sp-1] = longVal(-v.i)
+				stack[sp-1] = LongValue(-v.i)
 			case vDouble:
-				stack[sp-1] = doubleVal(-v.f)
+				stack[sp-1] = DoubleValue(-v.f())
 			default:
-				stack[sp-1] = nullVal()
+				stack[sp-1] = NullValue()
 			}
 		case opBetween:
 			sp -= 2
 			stack[sp-1] = triToVal(betweenVals(in.not, stack[sp-1], stack[sp], stack[sp+1]))
 		case opIn:
-			v := p.loadField(m, src, in.b)
+			v := f.Field(int(in.b))
 			var t Tri
 			if v.kind != vString {
 				t = TriUnknown
@@ -632,7 +729,7 @@ func (p *Program) Eval(src Source) Tri {
 			stack[sp] = triToVal(t)
 			sp++
 		case opLike:
-			v := p.loadField(m, src, in.b)
+			v := f.Field(int(in.b))
 			var t Tri
 			if v.kind != vString {
 				t = TriUnknown
@@ -646,28 +743,19 @@ func (p *Program) Eval(src Source) Tri {
 			stack[sp] = triToVal(t)
 			sp++
 		case opCmpFC:
-			v := p.loadField(m, src, in.a)
-			stack[sp] = triToVal(cmpVals(cmpCode(in.aux), v, p.consts[in.b]))
-			sp++
-		case opCmpCF:
-			v := p.loadField(m, src, in.a)
-			stack[sp] = triToVal(cmpVals(cmpCode(in.aux), p.consts[in.b], v))
+			stack[sp] = triToVal(cmpVals(cmpCode(in.aux), f.Field(int(in.a)), &p.consts[in.b], p.ordStr))
 			sp++
 		case opCmpFF:
-			l := p.loadField(m, src, in.a)
-			r := p.loadField(m, src, in.b)
-			stack[sp] = triToVal(cmpVals(cmpCode(in.aux), l, r))
+			r := f.Field(int(in.b))
+			stack[sp] = triToVal(cmpVals(cmpCode(in.aux), f.Field(int(in.a)), &r, p.ordStr))
 			sp++
 		case opBetweenIC:
-			v := p.loadField(m, src, in.a)
+			v := f.Field(int(in.a))
 			stack[sp] = triToVal(betweenVals(in.not, v, p.consts[in.b], p.consts[in.b+1]))
 			sp++
 		case opIsNull:
-			// IS NULL must see the raw property (a Bytes value is
-			// non-null even though it is not selectable), so it goes
-			// through SelectorField rather than the val domain.
-			mv, ok := src.SelectorField(p.slots[in.b].name)
-			isNull := !ok || mv.IsNull()
+			// An unselectable value (vOpaque) is present: not NULL.
+			isNull := f.Field(int(in.b)).kind == vNull
 			if in.not {
 				isNull = !isNull
 			}
@@ -682,9 +770,9 @@ func (p *Program) Eval(src Source) Tri {
 // FALSE and UNKNOWN both reject, per JMS).
 func (p *Program) Matches(src Source) bool { return p.Eval(src) == TriTrue }
 
-// ConstVerdict reports whether the program's verdict is independent of the
-// message, and if so what it is. The broker uses this to place
-// always-true selectors on the no-evaluation fast path.
+// ConstVerdict reports whether the program's verdict is independent of its
+// input, and if so what it is. The broker uses this to place always-true
+// selectors on the no-evaluation fast path.
 func (p *Program) ConstVerdict() (Tri, bool) {
 	if p == nil || len(p.ins) == 0 {
 		return TriTrue, true

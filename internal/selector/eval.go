@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"gridmon/internal/message"
 	"gridmon/internal/predindex"
@@ -61,7 +62,7 @@ func triOr(a, b Tri) Tri {
 }
 
 // vkind is the runtime value domain of the evaluator.
-type vkind uint8
+type vkind uint
 
 const (
 	vNull vkind = iota
@@ -69,52 +70,68 @@ const (
 	vLong
 	vDouble
 	vString
+	// vOpaque is a present value the language cannot select (a JMS
+	// Bytes property): IS NULL is FALSE, every other use is UNKNOWN.
+	vOpaque
 )
 
-type val struct {
+// Value is one field value in the engine's domain: NULL, a boolean, a
+// 64-bit integer, a double or a string. A Fields source returns its
+// fields as Values.
+//
+// A Value is three words, so the compiler keeps one in registers where
+// it can instead of copying it through memory.
+type Value struct {
 	kind vkind
-	b    bool
-	i    int64
-	f    float64
+	i    int64 // an integer, a boolean as 0 or 1, or a double's IEEE bits
 	s    string
 }
 
-func nullVal() val            { return val{} }
-func boolVal(b bool) val      { return val{kind: vBool, b: b} }
-func longVal(i int64) val     { return val{kind: vLong, i: i} }
-func doubleVal(f float64) val { return val{kind: vDouble, f: f} }
-func stringVal(s string) val  { return val{kind: vString, s: s} }
+// NullValue, LongValue, DoubleValue and StringValue construct Values.
+func NullValue() Value            { return Value{} }
+func LongValue(i int64) Value     { return Value{kind: vLong, i: i} }
+func DoubleValue(f float64) Value { return Value{kind: vDouble, i: int64(math.Float64bits(f))} }
+func StringValue(s string) Value  { return Value{kind: vString, s: s} }
 
-func (v val) isNumeric() bool { return v.kind == vLong || v.kind == vDouble }
+func boolValue(b bool) Value {
+	if b {
+		return Value{kind: vBool, i: 1}
+	}
+	return Value{kind: vBool}
+}
 
-func (v val) asDouble() float64 {
+func (v Value) isNumeric() bool { return v.kind == vLong || v.kind == vDouble }
+
+func (v Value) f() float64 { return math.Float64frombits(uint64(v.i)) }
+
+func (v Value) asDouble() float64 {
 	if v.kind == vLong {
 		return float64(v.i)
 	}
-	return v.f
+	return v.f()
 }
 
 // fromMessage maps a typed JMS property value into the evaluator domain.
 // It reads the raw payload (sign-extended integer bits, IEEE float bits)
 // directly rather than going through the checked As* conversions.
-func fromMessage(mv message.Value) val {
+func fromMessage(mv message.Value) Value {
 	kind, num, str := mv.Raw()
 	switch kind {
 	case message.KindNull:
-		return nullVal()
+		return NullValue()
 	case message.KindBool:
-		return boolVal(num != 0)
+		return boolValue(num != 0)
 	case message.KindByte, message.KindShort, message.KindInt, message.KindLong:
-		return longVal(int64(num))
+		return LongValue(int64(num))
 	case message.KindFloat:
-		return doubleVal(float64(math.Float32frombits(uint32(num))))
+		return DoubleValue(float64(math.Float32frombits(uint32(num))))
 	case message.KindDouble:
-		return doubleVal(math.Float64frombits(num))
+		return DoubleValue(math.Float64frombits(num))
 	case message.KindString:
-		return stringVal(str)
+		return StringValue(str)
 	}
-	// Bytes values are not selectable in JMS; treat as null.
-	return nullVal()
+	// Bytes values are present but not selectable in JMS.
+	return Value{kind: vOpaque}
 }
 
 // Source supplies identifier values during evaluation. *message.Message
@@ -127,61 +144,38 @@ type expr interface {
 	// evalBool evaluates the node as a boolean condition.
 	evalBool(src Source) Tri
 	// evalVal evaluates the node as a value (for arithmetic operands).
-	evalVal(src Source) val
+	evalVal(src Source) Value
 	// nodes reports the AST size under this node (for cost accounting).
 	nodes() int
 }
 
 // --- leaves ---
 
-type litExpr struct{ v val }
+type litExpr struct{ v Value }
 
-func (e *litExpr) evalVal(Source) val { return e.v }
-func (e *litExpr) evalBool(Source) Tri {
-	if e.v.kind == vBool {
-		if e.v.b {
-			return TriTrue
-		}
-		return TriFalse
-	}
-	if e.v.kind == vNull {
-		return TriUnknown
-	}
-	return TriFalse // non-boolean literal used as condition never matches
-}
-func (e *litExpr) nodes() int { return 1 }
+func (e *litExpr) evalVal(Source) Value { return e.v }
+func (e *litExpr) evalBool(Source) Tri  { return triOf(e.v) }
+func (e *litExpr) nodes() int           { return 1 }
 
 type identExpr struct{ name string }
 
-func (e *identExpr) evalVal(src Source) val {
+func (e *identExpr) evalVal(src Source) Value {
 	mv, ok := src.SelectorField(e.name)
 	if !ok {
-		return nullVal()
+		return NullValue()
 	}
 	return fromMessage(mv)
 }
-func (e *identExpr) evalBool(src Source) Tri {
-	v := e.evalVal(src)
-	switch v.kind {
-	case vBool:
-		if v.b {
-			return TriTrue
-		}
-		return TriFalse
-	case vNull:
-		return TriUnknown
-	}
-	return TriFalse
-}
-func (e *identExpr) nodes() int { return 1 }
+func (e *identExpr) evalBool(src Source) Tri { return triOf(e.evalVal(src)) }
+func (e *identExpr) nodes() int              { return 1 }
 
 // --- boolean combinators ---
 
 type notExpr struct{ inner expr }
 
-func (e *notExpr) evalBool(src Source) Tri { return triNot(e.inner.evalBool(src)) }
-func (e *notExpr) evalVal(src Source) val  { return triToVal(e.evalBool(src)) }
-func (e *notExpr) nodes() int              { return 1 + e.inner.nodes() }
+func (e *notExpr) evalBool(src Source) Tri  { return triNot(e.inner.evalBool(src)) }
+func (e *notExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *notExpr) nodes() int               { return 1 + e.inner.nodes() }
 
 type andExpr struct{ l, r expr }
 
@@ -192,8 +186,8 @@ func (e *andExpr) evalBool(src Source) Tri {
 	}
 	return triAnd(lv, e.r.evalBool(src))
 }
-func (e *andExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *andExpr) nodes() int             { return 1 + e.l.nodes() + e.r.nodes() }
+func (e *andExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *andExpr) nodes() int               { return 1 + e.l.nodes() + e.r.nodes() }
 
 type orExpr struct{ l, r expr }
 
@@ -204,14 +198,14 @@ func (e *orExpr) evalBool(src Source) Tri {
 	}
 	return triOr(lv, e.r.evalBool(src))
 }
-func (e *orExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *orExpr) nodes() int             { return 1 + e.l.nodes() + e.r.nodes() }
+func (e *orExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *orExpr) nodes() int               { return 1 + e.l.nodes() + e.r.nodes() }
 
-func triToVal(t Tri) val {
+func triToVal(t Tri) Value {
 	if t == TriUnknown {
-		return nullVal()
+		return NullValue()
 	}
-	return boolVal(t == TriTrue)
+	return boolValue(t == TriTrue)
 }
 
 // --- comparisons ---
@@ -219,6 +213,8 @@ func triToVal(t Tri) val {
 type cmpExpr struct {
 	op   string
 	l, r expr
+	// ordStr orders strings (SQL); JMS compares strings only with = and <>.
+	ordStr bool
 }
 
 func (e *cmpExpr) evalBool(src Source) Tri {
@@ -234,7 +230,8 @@ func (e *cmpExpr) evalBool(src Source) Tri {
 		c, ordered := compareFloat(lv.asDouble(), rv.asDouble())
 		return cmpOrdered(e.op, c, ordered)
 	}
-	// String and boolean support only equality operators (JMS §3.8.1.2).
+	// JMS compares strings and booleans only for equality (§3.8.1.2);
+	// SQL orders strings too.
 	if lv.kind == vString && rv.kind == vString {
 		switch e.op {
 		case "=":
@@ -242,22 +239,25 @@ func (e *cmpExpr) evalBool(src Source) Tri {
 		case "<>":
 			return boolTri(lv.s != rv.s)
 		}
+		if e.ordStr {
+			return cmpOrdered(e.op, strings.Compare(lv.s, rv.s), true)
+		}
 		return TriUnknown
 	}
 	if lv.kind == vBool && rv.kind == vBool {
 		switch e.op {
 		case "=":
-			return boolTri(lv.b == rv.b)
+			return boolTri(lv.i == rv.i)
 		case "<>":
-			return boolTri(lv.b != rv.b)
+			return boolTri(lv.i != rv.i)
 		}
 		return TriUnknown
 	}
 	// Incompatible types.
 	return TriUnknown
 }
-func (e *cmpExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *cmpExpr) nodes() int             { return 1 + e.l.nodes() + e.r.nodes() }
+func (e *cmpExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *cmpExpr) nodes() int               { return 1 + e.l.nodes() + e.r.nodes() }
 
 func boolTri(b bool) Tri {
 	if b {
@@ -318,53 +318,53 @@ type arithExpr struct {
 	l, r expr
 }
 
-func (e *arithExpr) evalVal(src Source) val {
+func (e *arithExpr) evalVal(src Source) Value {
 	lv, rv := e.l.evalVal(src), e.r.evalVal(src)
 	if !lv.isNumeric() || !rv.isNumeric() {
-		return nullVal()
+		return NullValue()
 	}
 	if lv.kind == vLong && rv.kind == vLong {
 		switch e.op {
 		case '+':
-			return longVal(lv.i + rv.i)
+			return LongValue(lv.i + rv.i)
 		case '-':
-			return longVal(lv.i - rv.i)
+			return LongValue(lv.i - rv.i)
 		case '*':
-			return longVal(lv.i * rv.i)
+			return LongValue(lv.i * rv.i)
 		case '/':
 			if rv.i == 0 {
-				return nullVal()
+				return NullValue()
 			}
-			return longVal(lv.i / rv.i)
+			return LongValue(lv.i / rv.i)
 		}
 	}
 	a, b := lv.asDouble(), rv.asDouble()
 	switch e.op {
 	case '+':
-		return doubleVal(a + b)
+		return DoubleValue(a + b)
 	case '-':
-		return doubleVal(a - b)
+		return DoubleValue(a - b)
 	case '*':
-		return doubleVal(a * b)
+		return DoubleValue(a * b)
 	case '/':
-		return doubleVal(a / b) // IEEE semantics, as in Java
+		return DoubleValue(a / b) // IEEE semantics, as in Java
 	}
-	return nullVal()
+	return NullValue()
 }
 func (e *arithExpr) evalBool(src Source) Tri { return TriFalse }
 func (e *arithExpr) nodes() int              { return 1 + e.l.nodes() + e.r.nodes() }
 
 type negExpr struct{ inner expr }
 
-func (e *negExpr) evalVal(src Source) val {
+func (e *negExpr) evalVal(src Source) Value {
 	v := e.inner.evalVal(src)
 	switch v.kind {
 	case vLong:
-		return longVal(-v.i)
+		return LongValue(-v.i)
 	case vDouble:
-		return doubleVal(-v.f)
+		return DoubleValue(-v.f())
 	}
-	return nullVal()
+	return NullValue()
 }
 func (e *negExpr) evalBool(Source) Tri { return TriFalse }
 func (e *negExpr) nodes() int          { return 1 + e.inner.nodes() }
@@ -395,8 +395,8 @@ func (e *betweenExpr) evalBool(src Source) Tri {
 	}
 	return boolTri(in)
 }
-func (e *betweenExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *betweenExpr) nodes() int             { return 1 + e.e.nodes() + e.lo.nodes() + e.hi.nodes() }
+func (e *betweenExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *betweenExpr) nodes() int               { return 1 + e.e.nodes() + e.lo.nodes() + e.hi.nodes() }
 
 type inExpr struct {
 	not   bool
@@ -425,8 +425,8 @@ func (e *inExpr) evalBool(src Source) Tri {
 	}
 	return boolTri(found)
 }
-func (e *inExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *inExpr) nodes() int             { return 1 + len(e.set) }
+func (e *inExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *inExpr) nodes() int               { return 1 + len(e.set) }
 
 type likeExpr struct {
 	not     bool
@@ -449,8 +449,8 @@ func (e *likeExpr) evalBool(src Source) Tri {
 	}
 	return boolTri(m)
 }
-func (e *likeExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *likeExpr) nodes() int             { return 2 }
+func (e *likeExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *likeExpr) nodes() int               { return 2 }
 
 type isNullExpr struct {
 	not   bool
@@ -465,8 +465,8 @@ func (e *isNullExpr) evalBool(src Source) Tri {
 	}
 	return boolTri(isNull)
 }
-func (e *isNullExpr) evalVal(src Source) val { return triToVal(e.evalBool(src)) }
-func (e *isNullExpr) nodes() int             { return 2 }
+func (e *isNullExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
+func (e *isNullExpr) nodes() int               { return 2 }
 
 // --- LIKE pattern compilation ---
 
@@ -550,43 +550,95 @@ func (m *likeMatcher) match(s string) bool {
 
 // --- public API ---
 
-// Selector is a compiled JMS message selector. Parse builds the AST and
-// immediately flattens it into a Program (see compile.go); Matches and
-// Eval run the compiled form, while EvalInterpreted retains the
-// tree-walking evaluator for conformance cross-checking.
+// Selector is a parsed predicate in one dialect. Parse builds the AST
+// and, for a JMS selector, immediately flattens it into a message Program
+// (see compile.go) that Matches and Eval run; CompileFields compiles it
+// against another field layout, and EvalInterpreted retains the
+// tree-walking evaluator as the reference both compiled forms are checked
+// against.
 type Selector struct {
-	src  string
-	root expr
-	prog *Program
-	key  predindex.Key // required-conjunct key for the matching index
+	src     string
+	root    expr
+	dialect Dialect
+	prog    *Program
+	key     predindex.Key // required-conjunct key for the matching index
 }
 
-// Parse compiles a selector expression. An empty (or all-whitespace)
+// Dialect selects the language rules a predicate is parsed under. The two
+// share one grammar and one three-valued semantics.
+type Dialect uint8
+
+const (
+	// JMS is the JMS 1.1 message-selector language (§3.8.1): strings
+	// compare only with = and <>, and a name starting with JMS must be
+	// one of the selectable headers.
+	JMS Dialect = iota
+	// SQL is the WHERE clause R-GMA accepts: a tree of `name op
+	// [±]literal` and `name IS [NOT] NULL` under AND, OR, NOT and
+	// parentheses. Strings are ordered, names are case-insensitive (the
+	// parser folds them to lower case), and an empty predicate is an
+	// error.
+	SQL
+)
+
+// Parse parses a JMS selector expression. An empty (or all-whitespace)
 // selector returns a Selector that matches every message, mirroring a JMS
 // consumer created without a selector.
-func Parse(src string) (*Selector, error) {
-	trimmed := false
-	for i := 0; i < len(src); i++ {
-		if src[i] != ' ' && src[i] != '\t' && src[i] != '\n' && src[i] != '\r' {
-			trimmed = true
-			break
+func Parse(src string) (*Selector, error) { return ParseDialect(src, JMS) }
+
+// ParseDialect parses a predicate under dialect d.
+func ParseDialect(src string, d Dialect) (*Selector, error) {
+	if strings.TrimLeft(src, " \t\n\r") == "" {
+		if d == SQL {
+			return nil, &Error{Pos: len(src), Msg: "empty predicate", Expr: src}
 		}
-	}
-	if !trimmed {
 		return &Selector{src: src}, nil
 	}
-	p, err := newParser(src)
-	if err != nil {
+	p := parser{lex: lexer{src: src, sql: d == SQL}, sql: d == SQL}
+	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	root, err2 := p.parseOr()
-	if err2 != nil {
-		return nil, err2
+	root, err := p.parseOr()
+	if err != nil {
+		return nil, err
 	}
 	if p.tok.kind != tokEOF {
 		return nil, &Error{Pos: p.tok.pos, Msg: fmt.Sprintf("unexpected trailing token %q", p.tok.text), Expr: src}
 	}
-	return &Selector{src: src, root: root, prog: compileProgram(root), key: extractKey(root)}, nil
+	if d == SQL && !sqlShape(root) {
+		return nil, &Error{Msg: "a WHERE clause allows only `column op [±]literal`, `column IS [NOT] NULL`, AND, OR, NOT and parentheses", Expr: src}
+	}
+	s := &Selector{src: src, root: root, dialect: d, key: extractKey(root)}
+	if d == JMS {
+		s.prog = compileProgram(root, false, nil)
+	}
+	return s, nil
+}
+
+// sqlShape reports whether a tree stays inside the SQL dialect's shape.
+func sqlShape(e expr) bool {
+	switch v := e.(type) {
+	case *andExpr:
+		return sqlShape(v.l) && sqlShape(v.r)
+	case *orExpr:
+		return sqlShape(v.l) && sqlShape(v.r)
+	case *notExpr:
+		return sqlShape(v.inner)
+	case *isNullExpr:
+		return true
+	case *cmpExpr:
+		if _, ok := v.l.(*identExpr); !ok {
+			return false
+		}
+		r := v.r
+		if n, ok := r.(*negExpr); ok {
+			lit, ok := n.inner.(*litExpr)
+			return ok && lit.v.isNumeric()
+		}
+		lit, ok := r.(*litExpr)
+		return ok && lit.v.kind != vBool
+	}
+	return false
 }
 
 // MustParse is Parse that panics on error, for tests and constants.
@@ -626,13 +678,27 @@ func (s *Selector) EvalInterpreted(src Source) Tri {
 	return s.root.evalBool(src)
 }
 
-// Compiled returns the selector's compiled program (nil only for the
-// match-everything empty selector).
+// Compiled returns the selector's compiled message program: nil for the
+// match-everything empty selector, and for the SQL dialect, which
+// compiles against rows (CompileFields) and evaluates messages only
+// through the interpreter.
 func (s *Selector) Compiled() *Program {
 	if s == nil {
 		return nil
 	}
 	return s.prog
+}
+
+// CompileFields compiles the selector against a field layout, for
+// EvalFields. cols resolves each name here, never during evaluation. A
+// name the layout lacks reads as NULL, so the comparisons and IS NULL
+// tests on it fold to constants. The nil selector compiles to the nil
+// program, TRUE for every source.
+func (s *Selector) CompileFields(cols Columns) *Program {
+	if s == nil || s.root == nil {
+		return nil
+	}
+	return compileProgram(s.root, s.dialect == SQL, cols)
 }
 
 // AlwaysTrue reports whether the selector accepts every message: the empty
@@ -642,8 +708,8 @@ func (s *Selector) AlwaysTrue() bool {
 	if s == nil || s.root == nil {
 		return true
 	}
-	t, const_ := s.prog.ConstVerdict()
-	return const_ && t == TriTrue
+	t, ok := fold(s.root, nil)
+	return ok && t == TriTrue
 }
 
 // Complexity reports the AST node count, used by the simulation's CPU cost

@@ -29,6 +29,8 @@ var (
 //     closed so float rounding can never exclude a true match.
 //   - ordering on a non-numeric constant: JMS strings and booleans
 //     support only equality, the comparison is always UNKNOWN → Never.
+//     The SQL dialect orders strings, which the index does not model →
+//     Residual.
 //   - any comparison against a NULL constant: always UNKNOWN → Never.
 //   - `=` or an ordering against a NaN constant (`0.0/0.0` folds to
 //     one): IEEE says NaN compares false to everything, so the
@@ -41,9 +43,13 @@ var (
 //     OR via predindex.Or (must admit both sides).
 //   - NOT, LIKE, IS [NOT] NULL, identifier-vs-identifier comparisons,
 //     `<>`: Residual (scanned linearly).
-//   - constant subtrees: TRUE → Residual (always a candidate — the
-//     broker's fast path catches these before the index anyway),
-//     FALSE/UNKNOWN → Never.
+//   - subtrees that fold to a constant (see fold): TRUE → Residual
+//     (always a candidate — the broker's fast path catches these before
+//     the index anyway), FALSE/UNKNOWN → Never.
+//
+// The SQL dialect folds names to lower case at parse time, so its keys
+// name lower-case attributes: `Host = 'x'` and `host = 'y'` share one
+// per-attribute plan, and a probe must resolve names case-insensitively.
 
 // RequiredKey returns the selector's extracted key, computed once at
 // Parse time. The zero selector (match-everything) is Residual.
@@ -54,22 +60,29 @@ func (s *Selector) RequiredKey() predindex.Key {
 	return s.key
 }
 
-// ProbeValue resolves one identifier of a message source into the
-// canonical predindex value domain, for probing a matching index built
-// over selector keys. ok=false means NULL, absent, or a Bytes value —
-// none of which any Eq/Range conjunct can accept.
+// ProbeValue resolves one identifier of a source (a message, or a table
+// row seen by name) into the canonical predindex value domain, for
+// probing a matching index built over selector keys. ok=false means NULL,
+// absent, or a Bytes value — none of which any Eq/Range conjunct can
+// accept.
 func ProbeValue(src Source, name string) (predindex.Value, bool) {
 	mv, ok := src.SelectorField(name)
 	if !ok {
 		return predindex.Value{}, false
 	}
-	switch v := fromMessage(mv); v.kind {
+	return fromMessage(mv).Probe()
+}
+
+// Probe returns v in the canonical predindex value domain; ok=false for
+// NULL and unselectable values.
+func (v Value) Probe() (predindex.Value, bool) {
+	switch v.kind {
 	case vBool:
-		return predindex.Boolean(v.b), true
+		return predindex.Boolean(v.i != 0), true
 	case vLong:
 		return predindex.Num(float64(v.i)), true
 	case vDouble:
-		return predindex.Num(v.f), true
+		return predindex.Num(v.f()), true
 	case vString:
 		return predindex.Str(v.s), true
 	}
@@ -80,14 +93,8 @@ func extractKey(e expr) predindex.Key {
 	if e == nil {
 		return predindex.ResidualKey()
 	}
-	// Arithmetic in boolean position is constant FALSE (never TRUE)
-	// without evaluating operands, exactly as compileBool treats it.
-	switch e.(type) {
-	case *arithExpr, *negExpr:
-		return predindex.NeverKey()
-	}
-	if isConst(e) {
-		if boolCtxTri(e) == TriTrue {
+	if t, ok := fold(e, nil); ok {
+		if t == TriTrue {
 			return predindex.ResidualKey()
 		}
 		return predindex.NeverKey() // constant FALSE or UNKNOWN
@@ -120,7 +127,7 @@ func extractKey(e expr) predindex.Key {
 
 func extractCmp(v *cmpExpr) predindex.Key {
 	var attr string
-	var c val
+	var c Value
 	var fieldLeft bool
 	li, lIdent := v.l.(*identExpr)
 	ri, rIdent := v.r.(*identExpr)
@@ -142,20 +149,23 @@ func extractCmp(v *cmpExpr) predindex.Key {
 		case vLong:
 			return predindex.EqKey(attr, predindex.Num(float64(c.i)))
 		case vDouble:
-			if c.f != c.f {
+			if c.f() != c.f() {
 				// `attr = NaN` is FALSE for every input (IEEE: NaN equals
 				// nothing, cmpOrdered agrees) — and a NaN bucket could
 				// never be probed anyway.
 				return predindex.NeverKey()
 			}
-			return predindex.EqKey(attr, predindex.Num(c.f))
+			return predindex.EqKey(attr, predindex.Num(c.f()))
 		case vString:
 			return predindex.EqKey(attr, predindex.Str(c.s))
 		case vBool:
-			return predindex.EqKey(attr, predindex.Boolean(c.b))
+			return predindex.EqKey(attr, predindex.Boolean(c.i != 0))
 		}
 		return predindex.ResidualKey()
 	case "<", "<=", ">", ">=":
+		if c.kind == vString && v.ordStr {
+			return predindex.ResidualKey()
+		}
 		if !c.isNumeric() {
 			// Ordering exists only between numerics in JMS; with a
 			// string/bool constant the comparison is always UNKNOWN.

@@ -1,19 +1,38 @@
-// Package selector implements the JMS 1.1 message-selector language, the
-// SQL-92 conditional-expression subset that brokers evaluate against
-// message headers and properties. The paper's subscribers attach the
-// selector "id<10000" to every subscription — one that filters nothing but
-// "simulates real uses", i.e. charges the broker the evaluation cost — so
-// a faithful reproduction needs a real parser and evaluator, not a stub.
+// Package selector is the repository's one predicate engine: the SQL-92
+// conditional-expression language under three-valued logic that both of
+// the paper's middlewares filter with. NaradaBrokering evaluates it as a
+// JMS 1.1 message selector against message headers and properties; R-GMA
+// evaluates it as the WHERE clause of a SELECT against table rows. The
+// paper's subscribers attach the selector "id<10000" to every
+// subscription — one that filters nothing but "simulates real uses", i.e.
+// charges the broker the evaluation cost — so a faithful reproduction
+// needs a real parser and evaluator, not a stub.
 //
 // Supported grammar (per JMS §3.8.1): AND/OR/NOT with three-valued logic,
 // comparison operators on numeric and string/bool operands, arithmetic
 // (+ - * /), BETWEEN, IN, LIKE (with ESCAPE), IS [NOT] NULL, parentheses,
-// numeric/string/boolean literals, and identifiers resolved against the
-// message at evaluation time.
+// numeric/string/boolean literals, and identifiers.
+//
+// The caller picks a Dialect at parse time. JMS is the selector language
+// above. SQL is R-GMA's WHERE clause: the subset of comparisons of a
+// column with a literal and IS [NOT] NULL tests under AND, OR and NOT, in
+// which strings are ordered and names are case-insensitive.
+//
+// Names resolve once, at compile time. Parse compiles a JMS selector
+// into a message program, which reads the JMS headers through
+// pre-resolved slots and everything else as a property. CompileFields
+// compiles a predicate of either dialect against another field layout,
+// given as Columns (for a table, column name to row index), and
+// EvalFields runs that program against a Fields source with no name
+// lookup and no allocation. EvalInterpreted walks the tree instead,
+// resolving every name on every evaluation: it is the reference the
+// compiled programs are tested against. RequiredKey and ProbeValue serve
+// the content-based matching index (internal/predindex) for both.
 package selector
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -48,14 +67,26 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("selector: %s at offset %d in %q", e.Msg, e.Pos, e.Expr)
 }
 
-var keywords = map[string]bool{
-	"AND": true, "OR": true, "NOT": true, "BETWEEN": true, "LIKE": true,
-	"IN": true, "IS": true, "NULL": true, "ESCAPE": true, "TRUE": true, "FALSE": true,
+var keywords = [...]string{"AND", "OR", "NOT", "BETWEEN", "LIKE", "IN", "IS", "NULL", "ESCAPE", "TRUE", "FALSE"}
+
+// keyword returns the keyword word spells in any letter case, or "".
+func keyword(word string) string {
+	for _, kw := range keywords {
+		if len(kw) == len(word) && strings.EqualFold(kw, word) {
+			return kw
+		}
+	}
+	return ""
 }
+
+// IsKeyword reports whether name, in any letter case, is a reserved word
+// of the language, which a predicate cannot use as a name.
+func IsKeyword(name string) bool { return keyword(name) != "" }
 
 type lexer struct {
 	src string
 	pos int
+	sql bool // the SQL dialect: '$' is not an identifier character
 }
 
 func isIdentStart(c byte) bool {
@@ -87,14 +118,13 @@ func (l *lexer) next() (token, *Error) {
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
-	case isIdentStart(c):
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
+	case isIdentStart(c) && !(l.sql && c == '$'):
+		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) && !(l.sql && l.src[l.pos] == '$') {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
-			return token{kind: tokKeyword, text: up, pos: start}, nil
+		if kw := keyword(word); kw != "" {
+			return token{kind: tokKeyword, text: kw, pos: start}, nil
 		}
 		return token{kind: tokIdent, text: word, pos: start}, nil
 
@@ -159,14 +189,14 @@ func (l *lexer) number(start int) (token, *Error) {
 	}
 	text := l.src[start:l.pos]
 	if isFloat {
-		var f float64
-		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
 			return token{}, l.errf(start, "bad float literal %q", text)
 		}
 		return token{kind: tokFloat, text: text, fval: f, pos: start}, nil
 	}
-	var n int64
-	if _, err := fmt.Sscanf(text, "%d", &n); err != nil {
+	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
 		return token{}, l.errf(start, "bad integer literal %q", text)
 	}
 	return token{kind: tokInt, text: text, ival: n, pos: start}, nil

@@ -20,43 +20,23 @@ import (
 //	term       := unary (('*'|'/') unary)*
 //	unary      := ['-'|'+'] primary
 //	primary    := literal | identifier | '(' orExpr ')'
+//
+// The SQL dialect narrows three places the tree cannot show: a sign must
+// stand directly before a literal, a parenthesised expression must be a
+// condition, and '$' is not an identifier character.
 type parser struct {
-	lex  *lexer
-	tok  token
-	peek *token
-}
-
-func newParser(src string) (*parser, *Error) {
-	p := &parser{lex: &lexer{src: src}}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	lex lexer
+	tok token
+	sql bool
 }
 
 func (p *parser) advance() *Error {
-	if p.peek != nil {
-		p.tok = *p.peek
-		p.peek = nil
-		return nil
-	}
 	t, err := p.lex.next()
 	if err != nil {
 		return err
 	}
 	p.tok = t
 	return nil
-}
-
-func (p *parser) peekTok() (token, *Error) {
-	if p.peek == nil {
-		t, err := p.lex.next()
-		if err != nil {
-			return token{}, err
-		}
-		p.peek = &t
-	}
-	return *p.peek, nil
 }
 
 func (p *parser) errf(format string, args ...any) *Error {
@@ -161,7 +141,7 @@ func (p *parser) parseComparison() (expr, *Error) {
 		if err != nil {
 			return nil, err
 		}
-		return &cmpExpr{op: op, l: left, r: right}, nil
+		return &cmpExpr{op: op, l: left, r: right, ordStr: p.sql}, nil
 
 	case p.isKeyword("BETWEEN"):
 		if err := p.advance(); err != nil {
@@ -323,44 +303,45 @@ func (p *parser) parseTerm() (expr, *Error) {
 }
 
 func (p *parser) parseUnary() (expr, *Error) {
-	if p.isOp("-") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &negExpr{inner}, nil
+	if !p.isOp("-") && !p.isOp("+") {
+		return p.parsePrimary()
 	}
-	if p.isOp("+") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.parseUnary()
+	neg := p.tok.text == "-"
+	if err := p.advance(); err != nil {
+		return nil, err
 	}
-	return p.parsePrimary()
+	if p.sql && p.tok.kind != tokInt && p.tok.kind != tokFloat && p.tok.kind != tokString && p.tok.kind != tokKeyword {
+		return nil, p.errf("a sign must precede a literal")
+	}
+	inner, err := p.parseUnary()
+	if err != nil || !neg {
+		return inner, err
+	}
+	return &negExpr{inner}, nil
 }
 
 func (p *parser) parsePrimary() (expr, *Error) {
 	switch {
 	case p.tok.kind == tokInt:
-		e := &litExpr{v: longVal(p.tok.ival)}
+		e := &litExpr{v: LongValue(p.tok.ival)}
 		return e, p.advance()
 	case p.tok.kind == tokFloat:
-		e := &litExpr{v: doubleVal(p.tok.fval)}
+		e := &litExpr{v: DoubleValue(p.tok.fval)}
 		return e, p.advance()
 	case p.tok.kind == tokString:
-		e := &litExpr{v: stringVal(p.tok.text)}
+		e := &litExpr{v: StringValue(p.tok.text)}
 		return e, p.advance()
 	case p.isKeyword("TRUE"):
-		return &litExpr{v: boolVal(true)}, p.advance()
+		return &litExpr{v: boolValue(true)}, p.advance()
 	case p.isKeyword("FALSE"):
-		return &litExpr{v: boolVal(false)}, p.advance()
+		return &litExpr{v: boolValue(false)}, p.advance()
 	case p.isKeyword("NULL"):
-		return &litExpr{v: nullVal()}, p.advance()
+		return &litExpr{v: NullValue()}, p.advance()
 	case p.tok.kind == tokIdent:
 		name := p.tok.text
+		if p.sql {
+			return &identExpr{name: strings.ToLower(name)}, p.advance()
+		}
 		if strings.HasPrefix(name, "JMSX") || !strings.HasPrefix(name, "JMS") || isAllowedJMSHeader(name) {
 			e := &identExpr{name: name}
 			return e, p.advance()
@@ -373,6 +354,12 @@ func (p *parser) parsePrimary() (expr, *Error) {
 		inner, err := p.parseOr()
 		if err != nil {
 			return nil, err
+		}
+		if p.sql {
+			switch inner.(type) {
+			case *identExpr, *litExpr, *arithExpr, *negExpr:
+				return nil, p.errf("a parenthesised expression must be a condition")
+			}
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err

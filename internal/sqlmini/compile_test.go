@@ -5,13 +5,31 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"gridmon/internal/predindex"
+	"gridmon/internal/selector"
 )
 
 // The conformance suite: every predicate is evaluated by both the
-// interpreted Expr.Eval path and the compiled Program against the same
+// predicate engine's tree-walking reference (EvalInterpreted over a
+// RowSource, resolving names per evaluation) and the compiled Program
+// (names resolved to row indexes at compile time) against the same
 // rows, and the three-valued verdicts must be identical — the same
-// contract internal/selector enforces between EvalInterpreted and
-// Compiled.
+// contract internal/selector enforces for JMS messages.
+
+// interpreted is the reference verdict of a SELECT's WHERE on a row.
+func interpreted(tab *Table, sel Select, row Row) int {
+	return sqlTri(sel.Where.EvalInterpreted(&RowSource{Table: tab, Row: row}))
+}
+
+// matches reports whether the reference evaluator accepts the row.
+func matches(tab *Table, sel Select, row Row) bool { return interpreted(tab, sel, row) == 1 }
+
+// constVerdict reports a compiled program's row-independent verdict.
+func constVerdict(p *Program) (int, bool) {
+	t, ok := (*selector.Program)(p).ConstVerdict()
+	return sqlTri(t), ok
+}
 
 func confTable() *Table {
 	return &Table{Name: "t", Columns: []Column{
@@ -40,7 +58,7 @@ func assertConformance(t *testing.T, tab *Table, where string, rows []Row) {
 	sel := mustSelect(t, where)
 	prog := sel.Compiled(tab)
 	for ri, row := range rows {
-		want := sel.Where.Eval(tab, row)
+		want := interpreted(tab, sel, row)
 		got := prog.Eval(row)
 		if got != want {
 			t.Errorf("WHERE %s row %d (%v): compiled %d, interpreted %d", where, ri, row, got, want)
@@ -48,8 +66,8 @@ func assertConformance(t *testing.T, tab *Table, where string, rows []Row) {
 		if prog.Matches(row) != (want == 1) {
 			t.Errorf("WHERE %s row %d: Matches disagrees with verdict %d", where, ri, want)
 		}
-		if Matches(tab, sel, row) != prog.Matches(row) {
-			t.Errorf("WHERE %s row %d: package Matches disagrees with compiled", where, ri)
+		if matches(tab, sel, row) != prog.Matches(row) {
+			t.Errorf("WHERE %s row %d: reference match disagrees with compiled", where, ri)
 		}
 	}
 }
@@ -66,6 +84,7 @@ func confRows() []Row {
 		{IntV(100), IntV(100), FloatV(100), FloatV(100), StringV("100"), StringV("100")},
 		{IntV(7), IntV(3)}, // short row: x, y, s, u read as missing
 		{FloatV(math.NaN()), IntV(3), FloatV(math.NaN()), FloatV(2), StringV("n"), Null()}, // IEEE unordered
+		{IntV(1<<53 + 1), IntV(1 << 53), FloatV(1 << 53), Null(), Null(), Null()},          // integers compare exactly past 2^53
 		{},
 	}
 }
@@ -161,7 +180,7 @@ func TestCompiledNullThreeValued(t *testing.T) {
 		sel := mustSelect(t, c.where)
 		prog := sel.Compiled(tab)
 		for ri, row := range rows {
-			want := sel.Where.Eval(tab, row)
+			want := interpreted(tab, sel, row)
 			got := prog.Eval(row)
 			if got != want {
 				t.Errorf("WHERE %s row %d: compiled %d, interpreted %d", c.where, ri, got, want)
@@ -247,7 +266,7 @@ func TestCompiledConformanceRandomized(t *testing.T) {
 		prog := sel.Compiled(tab)
 		for j := 0; j < 8; j++ {
 			row := randRow(rng, len(tab.Columns))
-			want := sel.Where.Eval(tab, row)
+			want := interpreted(tab, sel, row)
 			got := prog.Eval(row)
 			if got != want {
 				t.Fatalf("seed case %d: WHERE %s over %v: compiled %d, interpreted %d", i, where, row, got, want)
@@ -267,15 +286,15 @@ func TestCompiledNilAndConstVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := star.(Select).Compiled(tab)
-	if v, ok := p.ConstVerdict(); !ok || v != 1 {
+	if v, ok := constVerdict(p); !ok || v != 1 {
 		t.Fatalf("no-predicate ConstVerdict = %d, %v", v, ok)
 	}
 	folded := mustSelect(t, "ghost = 5").Compiled(tab)
-	if v, ok := folded.ConstVerdict(); !ok || v != -1 {
+	if v, ok := constVerdict(folded); !ok || v != -1 {
 		t.Fatalf("folded ConstVerdict = %d, %v", v, ok)
 	}
 	varying := mustSelect(t, "a = 5").Compiled(tab)
-	if _, ok := varying.ConstVerdict(); ok {
+	if _, ok := constVerdict(varying); ok {
 		t.Fatal("varying predicate reported const")
 	}
 }
@@ -294,52 +313,19 @@ func TestCompiledFoldsConstantSubtrees(t *testing.T) {
 		"NOT ghost = 5",
 	} {
 		p := mustSelect(t, where).Compiled(tab)
-		if len(p.ins) != 1 || p.ins[0].op != opTri {
-			t.Errorf("WHERE %s compiled to %d instructions, want 1 constant", where, len(p.ins))
+		if _, ok := constVerdict(p); !ok {
+			t.Errorf("WHERE %s did not compile to one constant", where)
 		}
 	}
 	// AND with a folded FALSE side folds even when the other side varies.
 	p := mustSelect(t, "a = 1 AND ghost IS NOT NULL").Compiled(tab)
-	if v, ok := p.ConstVerdict(); !ok || v != 0 {
+	if v, ok := constVerdict(p); !ok || v != 0 {
 		t.Errorf("AND-with-folded-FALSE = (%d, %v), want constant FALSE", v, ok)
 	}
 	// OR with a folded TRUE side folds likewise.
 	p = mustSelect(t, "a = 1 OR ghost IS NULL").Compiled(tab)
-	if v, ok := p.ConstVerdict(); !ok || v != 1 {
+	if v, ok := constVerdict(p); !ok || v != 1 {
 		t.Errorf("OR-with-folded-TRUE = (%d, %v), want constant TRUE", v, ok)
-	}
-}
-
-// A foreign Expr implementation (not produced by Parse) must still
-// evaluate through the compiled program, via the interpreter fallback.
-type oddRowExpr struct{}
-
-func (oddRowExpr) Eval(t *Table, row Row) int {
-	if len(row) == 0 || row[0].Kind != VInt {
-		return -1
-	}
-	if row[0].Int%2 != 0 {
-		return 1
-	}
-	return 0
-}
-func (oddRowExpr) String() string { return "odd(row)" }
-
-func TestCompiledForeignExprFallback(t *testing.T) {
-	tab := confTable()
-	p := Compile(tab, oddRowExpr{})
-	for _, row := range []Row{{IntV(3)}, {IntV(4)}, {Null()}, {}} {
-		if got, want := p.Eval(row), (oddRowExpr{}).Eval(tab, row); got != want {
-			t.Fatalf("fallback Eval(%v) = %d, want %d", row, got, want)
-		}
-	}
-	// And combined under a native connective.
-	combined := Compile(tab, &andNode{oddRowExpr{}, &cmpNode{col: "a", op: ">", lit: IntV(0)}})
-	for _, row := range []Row{{IntV(3)}, {IntV(4)}, {IntV(-3)}} {
-		want := (&andNode{oddRowExpr{}, &cmpNode{col: "a", op: ">", lit: IntV(0)}}).Eval(tab, row)
-		if got := combined.Eval(row); got != want {
-			t.Fatalf("combined fallback Eval(%v) = %d, want %d", row, got, want)
-		}
 	}
 }
 
@@ -376,7 +362,7 @@ func BenchmarkWhereInterpretedSimple(b *testing.B) {
 	r := Row{IntV(7)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !Matches(tab, s, r) {
+		if !matches(tab, s, r) {
 			b.Fatal("no match")
 		}
 	}
@@ -407,11 +393,51 @@ func TestCompiledNaNUnordered(t *testing.T) {
 	}
 	for _, c := range cases {
 		sel := mustSelect(t, c.where)
-		if got := sel.Where.Eval(tab, nanRow); got != c.want {
+		if got := interpreted(tab, sel, nanRow); got != c.want {
 			t.Errorf("interpreted WHERE %s on NaN row = %d, want %d", c.where, got, c.want)
 		}
 		if got := sel.Compiled(tab).Eval(nanRow); got != c.want {
 			t.Errorf("compiled WHERE %s on NaN row = %d, want %d", c.where, got, c.want)
+		}
+	}
+}
+
+// TestCompiledIntegersCompareExactly pins that two integers compare
+// exactly: float64 promotion would call 2^53+1 equal to 2^53. The
+// matching index keys numbers by float64, a superset of the exact
+// matches.
+func TestCompiledIntegersCompareExactly(t *testing.T) {
+	tab := confTable()
+	row := Row{IntV(1<<53 + 1)}
+	for where, want := range map[string]int{
+		"a = 9007199254740992":  0,
+		"a > 9007199254740992":  1,
+		"a <> 9007199254740992": 1,
+		"a = 9007199254740993":  1,
+	} {
+		sel := mustSelect(t, where)
+		if got := sel.Compiled(tab).Eval(row); got != want {
+			t.Errorf("compiled WHERE %s = %d, want %d", where, got, want)
+		}
+		if got := interpreted(tab, sel, row); got != want {
+			t.Errorf("interpreted WHERE %s = %d, want %d", where, got, want)
+		}
+		ix := predindex.Build([]predindex.Key{sel.Where.RequiredKey()})
+		if want == 1 && len(ix.Candidates(&RowSource{Table: tab, Row: row}, nil)) != 1 {
+			t.Errorf("WHERE %s matches but is not an index candidate", where)
+		}
+	}
+}
+
+// TestCompiledEvalAllocatesNothing pins that a compiled program reads a
+// row through the indexes bound at compile time, allocating nothing.
+func TestCompiledEvalAllocatesNothing(t *testing.T) {
+	tab := confTable()
+	row := confRows()[0]
+	for _, where := range []string{"a < 10", "s = 'aberdeen' AND (x > 1 OR NOT b IS NULL)"} {
+		p := mustSelect(t, where).Compiled(tab)
+		if allocs := testing.AllocsPerRun(100, func() { p.Eval(row) }); allocs != 0 {
+			t.Errorf("WHERE %s: %v allocations per Eval", where, allocs)
 		}
 	}
 }

@@ -8,17 +8,6 @@ import (
 	"gridmon/internal/predindex"
 )
 
-// testRowProbe adapts a row to the index probe interface, as
-// rgmacore's insert path does.
-type testRowProbe struct {
-	tab *Table
-	row Row
-}
-
-func (p *testRowProbe) ProbeAttr(attr string) (predindex.Value, bool) {
-	return ProbeValue(p.tab, p.row, attr)
-}
-
 // TestRequiredKeySupersetRandomized is the randomized superset-property
 // suite over WHERE extraction: 4000 generated predicates (the same
 // generator the compile conformance suite fuzzes with — comparisons
@@ -40,19 +29,19 @@ func TestRequiredKeySupersetRandomized(t *testing.T) {
 			wheres[i] = randPredicate(rng, 3)
 			sel := mustSelect(t, wheres[i])
 			progs[i] = sel.Compiled(tab)
-			keys[i] = RequiredKey(sel.Where)
+			keys[i] = sel.Where.RequiredKey()
 		}
 		ix := predindex.Build(keys)
 		skipped += ix.NumNever()
-		probe := &testRowProbe{tab: tab}
+		probe := &RowSource{Table: tab}
 		var buf []int32
 		for trial := 0; trial < 25; trial++ {
-			probe.row = randRow(rng, len(tab.Columns))
+			probe.Row = randRow(rng, len(tab.Columns))
 			buf = ix.Candidates(probe, buf[:0])
 			for seq, prog := range progs {
-				if prog.Matches(probe.row) && !slices.Contains(buf, int32(seq)) {
+				if prog.Matches(probe.Row) && !slices.Contains(buf, int32(seq)) {
 					t.Fatalf("batch %d: WHERE %s matches row %v but is not a candidate (key %+v, candidates %v)",
-						b, wheres[seq], probe.row, keys[seq], buf)
+						b, wheres[seq], probe.Row, keys[seq], buf)
 				}
 			}
 		}
@@ -88,7 +77,7 @@ func TestRequiredKeyShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		sel := mustSelect(t, c.where)
-		if k := RequiredKey(sel.Where); k.Kind != c.kind {
+		if k := sel.Where.RequiredKey(); k.Kind != c.kind {
 			t.Errorf("RequiredKey(%q).Kind = %v, want %v", c.where, k.Kind, c.kind)
 		}
 	}
@@ -98,20 +87,20 @@ func TestRequiredKeyShapes(t *testing.T) {
 // resolution, NULL and missing cells reported as absent.
 func TestProbeValueColumns(t *testing.T) {
 	tab := confTable()
-	row := Row{IntV(7), Null(), FloatV(1.5)}
-	if v, ok := ProbeValue(tab, row, "A"); !ok || v != predindex.Num(7) {
+	probe := &RowSource{Table: tab, Row: Row{IntV(7), Null(), FloatV(1.5)}}
+	if v, ok := probe.ProbeAttr("A"); !ok || v != predindex.Num(7) {
 		t.Fatalf("ProbeValue(A) = %v, %v", v, ok)
 	}
-	if _, ok := ProbeValue(tab, row, "b"); ok {
+	if _, ok := probe.ProbeAttr("b"); ok {
 		t.Fatal("NULL cell must probe as absent")
 	}
-	if _, ok := ProbeValue(tab, row, "s"); ok {
+	if _, ok := probe.ProbeAttr("s"); ok {
 		t.Fatal("cell beyond short row must probe as absent")
 	}
-	if _, ok := ProbeValue(tab, row, "ghost"); ok {
+	if _, ok := probe.ProbeAttr("ghost"); ok {
 		t.Fatal("unknown column must probe as absent")
 	}
-	if v, ok := ProbeValue(tab, row, "x"); !ok || v != predindex.Num(1.5) {
+	if v, ok := probe.ProbeAttr("x"); !ok || v != predindex.Num(1.5) {
 		t.Fatalf("ProbeValue(x) = %v, %v", v, ok)
 	}
 }

@@ -3,15 +3,16 @@
 // predicates. The paper's producers publish monitoring tuples with SQL
 // INSERT statements and consumers pose continuous/latest/history SELECT
 // queries; R-GMA's content-based filtering is exactly WHERE-predicate
-// evaluation, so this package provides the parser, the type system and
-// the predicate evaluator the rgma package builds on.
+// evaluation. This package provides the statement parser and the type
+// system the rgma package builds on.
 //
-// Predicates evaluate two ways: the tree-walking Expr.Eval interpreter
-// (the reference baseline) and compiled Programs (Select.Compiled /
-// Compile) with column slots pre-resolved against the schema, constant
-// subtrees folded and comparisons fused — the same pattern
-// internal/selector applies to JMS selectors, proven equivalent by the
-// conformance suite in compile_test.go.
+// A WHERE clause is not parsed here: Parse hands its text to the
+// predicate engine the JMS selectors use (internal/selector), in that
+// engine's SQL dialect, and Select.Where holds the result.
+// Select.Compiled compiles it against a table, resolving each column name
+// to its row index once; the program's Eval reads row[index] directly.
+// RowSource shows a row by name, for the engine's tree-walking reference
+// evaluator and its matching-index probe.
 //
 // Everything in the package is shard-safe in the read direction: parsed
 // statements, Tables, Rows and compiled Programs are immutable after
@@ -24,6 +25,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"gridmon/internal/message"
+	"gridmon/internal/predindex"
+	"gridmon/internal/selector"
 )
 
 // ColType enumerates supported column types (the subset R-GMA's schema
@@ -207,6 +212,55 @@ func (v Value) Equal(o Value) bool { return v == o }
 // Row is one tuple.
 type Row []Value
 
+// Field returns column i as a predicate-engine value (NULL outside the
+// row), so a compiled Program reads a row with no name lookup.
+func (r Row) Field(i int) selector.Value {
+	if uint(i) < uint(len(r)) {
+		switch v := &r[i]; v.Kind {
+		case VInt:
+			return selector.LongValue(v.Int)
+		case VFloat:
+			return selector.DoubleValue(v.F)
+		case VString:
+			return selector.StringValue(v.Str)
+		}
+	}
+	return selector.NullValue()
+}
+
+// RowSource shows a row by name: each name resolves through the table's
+// case-insensitive ColIndex on every call, and a column the table lacks
+// or the row does not reach is absent. It is the predicate engine's
+// Source for the reference evaluator (Where.EvalInterpreted) and the
+// matching-index probe.
+type RowSource struct {
+	Table *Table
+	Row   Row
+}
+
+// SelectorField implements selector.Source.
+func (s *RowSource) SelectorField(name string) (message.Value, bool) {
+	i := s.Table.ColIndex(name)
+	if i < 0 || i >= len(s.Row) {
+		return message.Value{}, false
+	}
+	switch v := s.Row[i]; v.Kind {
+	case VInt:
+		return message.Long(v.Int), true
+	case VFloat:
+		return message.Double(v.F), true
+	case VString:
+		return message.String(v.Str), true
+	}
+	return message.Null(), true
+}
+
+// ProbeAttr resolves one attribute of a matching index built over WHERE
+// keys (Where.RequiredKey) against the row.
+func (s *RowSource) ProbeAttr(attr string) (predindex.Value, bool) {
+	return s.Row.Field(s.Table.ColIndex(attr)).Probe()
+}
+
 // Stmt is a parsed statement.
 type Stmt interface{ stmt() }
 
@@ -226,19 +280,12 @@ type Insert struct {
 type Select struct {
 	Columns []string // nil means *
 	Table   string
-	Where   Expr // nil means no predicate
+	Where   *selector.Selector // SQL dialect; nil means no predicate
 }
 
 func (CreateTable) stmt() {}
 func (Insert) stmt()      {}
 func (Select) stmt()      {}
-
-// Expr is a WHERE predicate node.
-type Expr interface {
-	// Eval returns SQL three-valued logic: 1 true, 0 false, -1 unknown.
-	Eval(schema *Table, row Row) int
-	String() string
-}
 
 // ErrSyntax wraps all parse failures.
 var ErrSyntax = errors.New("sqlmini: syntax error")
@@ -466,6 +513,10 @@ func (p *sqlParser) parseCreate() (Stmt, error) {
 	}
 	seen := map[string]bool{}
 	for _, c := range t.Columns {
+		if selector.IsKeyword(c.Name) {
+			// A WHERE clause could never name it.
+			return nil, fmt.Errorf("%w: column name %q is a reserved word", ErrSyntax, c.Name)
+		}
 		lc := strings.ToLower(c.Name)
 		if seen[lc] {
 			return nil, fmt.Errorf("%w: duplicate column %q", ErrSyntax, c.Name)
@@ -668,257 +719,58 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 	}
 	sel.Table = name
 	if p.keyword() == "WHERE" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseOr()
+		// The rest of the statement is the predicate.
+		base := p.lex.pos
+		where, err := selector.ParseDialect(p.lex.src[base:], selector.SQL)
 		if err != nil {
-			return nil, err
+			var se *selector.Error
+			if errors.As(err, &se) {
+				return nil, p.lex.errf(base+se.Pos, "%s", se.Msg)
+			}
+			return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
 		}
-		sel.Where = e
+		sel.Where = where
+		p.lex.pos = len(p.lex.src)
+		p.tok = sqlToken{pos: p.lex.pos}
 	}
 	return sel, nil
 }
 
-// --- predicate expressions ---
+// Program is a SELECT's WHERE predicate compiled against one table's
+// schema: each column name is resolved to its row index once, at compile
+// time. A nil Program matches every row. Programs are immutable and safe
+// for concurrent use.
+type Program selector.Program
 
-func (p *sqlParser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.keyword() == "OR" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &orNode{left, right}
-	}
-	return left, nil
+// Compiled compiles the SELECT's WHERE predicate against a schema. The
+// returned program is valid only for rows of that schema.
+func (sel Select) Compiled(t *Table) *Program {
+	return (*Program)(sel.Where.CompileFields(t))
 }
 
-func (p *sqlParser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.keyword() == "AND" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &andNode{left, right}
-	}
-	return left, nil
+// Eval runs the program against a row and returns the SQL three-valued
+// verdict: 1 true, 0 false, -1 unknown.
+func (p *Program) Eval(row Row) int {
+	return sqlTri(selector.EvalFields((*selector.Program)(p), row))
 }
 
-func (p *sqlParser) parseNot() (Expr, error) {
-	if p.keyword() == "NOT" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &notNode{inner}, nil
-	}
-	return p.parsePredicate()
-}
-
-func (p *sqlParser) parsePredicate() (Expr, error) {
-	if p.tok.kind == 'p' && p.tok.text == "(" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return inner, nil
-	}
-	col, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if p.keyword() == "IS" {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		not := false
-		if p.keyword() == "NOT" {
-			not = true
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return &isNullNode{col: col, not: not}, nil
-	}
-	if p.tok.kind != 'p' || !isSQLCmp(p.tok.text) {
-		return nil, p.errf("expected comparison operator, found %q", p.tok.text)
-	}
-	op := p.tok.text
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	lit, err := p.parseLiteral()
-	if err != nil {
-		return nil, err
-	}
-	return &cmpNode{col: col, op: op, lit: lit}, nil
-}
-
-func isSQLCmp(s string) bool {
-	switch s {
-	case "=", "<>", "<", "<=", ">", ">=":
-		return true
-	}
-	return false
-}
-
-type cmpNode struct {
-	col string
-	op  string
-	lit Value
-}
-
-func (n *cmpNode) Eval(schema *Table, row Row) int {
-	i := schema.ColIndex(n.col)
-	if i < 0 || i >= len(row) {
-		return -1
-	}
-	v := row[i]
-	if v.IsNull() || n.lit.IsNull() {
-		return -1
-	}
-	var c int
-	switch {
-	case v.Kind == VString && n.lit.Kind == VString:
-		c = strings.Compare(v.Str, n.lit.Str)
-	case v.Kind != VString && n.lit.Kind != VString:
-		a, b := v.AsFloat(), n.lit.AsFloat()
-		if a != a || b != b {
-			// IEEE unordered (NaN operand): only <> holds. The matching
-			// index agrees — a NaN value hits no Eq bucket and no
-			// interval, and <> extracts Residual.
-			if n.op == "<>" {
-				return 1
-			}
-			return 0
-		}
-		switch {
-		case a < b:
-			c = -1
-		case a > b:
-			c = 1
-		}
-	default:
-		return -1 // type mismatch
-	}
-	ok := false
-	switch n.op {
-	case "=":
-		ok = c == 0
-	case "<>":
-		ok = c != 0
-	case "<":
-		ok = c < 0
-	case "<=":
-		ok = c <= 0
-	case ">":
-		ok = c > 0
-	case ">=":
-		ok = c >= 0
-	}
-	if ok {
+// sqlTri maps the engine's three-valued verdict to 1 true, 0 false,
+// -1 unknown.
+func sqlTri(t selector.Tri) int {
+	switch t {
+	case selector.TriTrue:
 		return 1
-	}
-	return 0
-}
-
-func (n *cmpNode) String() string { return fmt.Sprintf("%s %s %s", n.col, n.op, n.lit) }
-
-type isNullNode struct {
-	col string
-	not bool
-}
-
-func (n *isNullNode) Eval(schema *Table, row Row) int {
-	i := schema.ColIndex(n.col)
-	isNull := i < 0 || i >= len(row) || row[i].IsNull()
-	if isNull != n.not {
-		return 1
-	}
-	return 0
-}
-
-func (n *isNullNode) String() string {
-	if n.not {
-		return n.col + " IS NOT NULL"
-	}
-	return n.col + " IS NULL"
-}
-
-type andNode struct{ l, r Expr }
-
-func (n *andNode) Eval(s *Table, row Row) int {
-	a := n.l.Eval(s, row)
-	if a == 0 {
-		return 0
-	}
-	b := n.r.Eval(s, row)
-	if b == 0 {
-		return 0
-	}
-	if a == 1 && b == 1 {
-		return 1
-	}
-	return -1
-}
-func (n *andNode) String() string { return "(" + n.l.String() + " AND " + n.r.String() + ")" }
-
-type orNode struct{ l, r Expr }
-
-func (n *orNode) Eval(s *Table, row Row) int {
-	a := n.l.Eval(s, row)
-	if a == 1 {
-		return 1
-	}
-	b := n.r.Eval(s, row)
-	if b == 1 {
-		return 1
-	}
-	if a == 0 && b == 0 {
+	case selector.TriFalse:
 		return 0
 	}
 	return -1
 }
-func (n *orNode) String() string { return "(" + n.l.String() + " OR " + n.r.String() + ")" }
 
-type notNode struct{ inner Expr }
-
-func (n *notNode) Eval(s *Table, row Row) int {
-	switch n.inner.Eval(s, row) {
-	case 1:
-		return 0
-	case 0:
-		return 1
-	}
-	return -1
+// Matches reports whether the program accepts the row (TRUE verdict;
+// FALSE and UNKNOWN both reject, per SQL WHERE semantics).
+func (p *Program) Matches(row Row) bool {
+	return selector.EvalFields((*selector.Program)(p), row) == selector.TriTrue
 }
-func (n *notNode) String() string { return "NOT " + n.inner.String() }
 
 // --- helpers used by the rgma engine ---
 
@@ -993,15 +845,6 @@ func Project(t *Table, sel Select, row Row) (Row, error) {
 		out[i] = row[idx]
 	}
 	return out, nil
-}
-
-// Matches reports whether a row satisfies a SELECT's WHERE clause
-// (true when there is no predicate; SQL semantics: only TRUE matches).
-func Matches(t *Table, sel Select, row Row) bool {
-	if sel.Where == nil {
-		return true
-	}
-	return sel.Where.Eval(t, row) == 1
 }
 
 // FormatInsert renders an INSERT statement for a table and row, the form

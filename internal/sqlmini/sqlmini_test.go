@@ -170,7 +170,7 @@ func TestWhereEvaluation(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := sel(t, "SELECT * FROM generator WHERE "+c.where)
-		if got := Matches(tab, s, r); got != c.want {
+		if got := matches(tab, s, r); got != c.want {
 			t.Errorf("WHERE %s = %v, want %v", c.where, got, c.want)
 		}
 	}
@@ -182,13 +182,13 @@ func TestWhereNullThreeValued(t *testing.T) {
 	// NULL comparisons are unknown -> no match; NOT unknown stays unknown.
 	for _, where := range []string{"seq = 1", "seq <> 1", "NOT seq = 1", "seq < 5 AND genid = 7"} {
 		s := sel(t, "SELECT * FROM generator WHERE "+where)
-		if Matches(tab, s, r) {
+		if matches(tab, s, r) {
 			t.Errorf("WHERE %s matched a NULL row", where)
 		}
 	}
 	// Unknown OR true = true.
 	s := sel(t, "SELECT * FROM generator WHERE seq = 1 OR genid = 7")
-	if !Matches(tab, s, r) {
+	if !matches(tab, s, r) {
 		t.Error("unknown OR true should match")
 	}
 }
@@ -197,11 +197,11 @@ func TestTypeMismatchUnknown(t *testing.T) {
 	tab := paperTable(t)
 	r := row(t, tab, 7, 1.5, "aberdeen")
 	s := sel(t, "SELECT * FROM generator WHERE site = 5")
-	if Matches(tab, s, r) {
+	if matches(tab, s, r) {
 		t.Error("string/number mismatch matched")
 	}
 	s2 := sel(t, "SELECT * FROM generator WHERE nosuchcol = 5")
-	if Matches(tab, s2, r) {
+	if matches(tab, s2, r) {
 		t.Error("missing column matched")
 	}
 }
@@ -342,7 +342,7 @@ func TestPropertyWhereThreshold(t *testing.T) {
 	tab := &Table{Name: "t", Columns: []Column{{Name: "x", Type: TInteger}}}
 	s := sel(t, "SELECT * FROM t WHERE x < 100")
 	f := func(x int16) bool {
-		return Matches(tab, s, Row{IntV(int64(x))}) == (int64(x) < 100)
+		return matches(tab, s, Row{IntV(int64(x))}) == (int64(x) < 100)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func BenchmarkWhereEval(b *testing.B) {
 	r := Row{IntV(7), StringV("aberdeen")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !Matches(tab, s, r) {
+		if !matches(tab, s, r) {
 			b.Fatal("no match")
 		}
 	}
@@ -424,5 +424,46 @@ func TestInsertSQLRoundTrip(t *testing.T) {
 		if !slices.Equal(got, row) {
 			t.Errorf("round-trip changed row\nsql:  %s\ngot:  %v\nwant: %v", sql, got, row)
 		}
+	}
+}
+
+// TestWhereLanguage pins the WHERE language R-GMA accepts: comparisons
+// of a column with a literal (one optional sign before a number) and
+// IS [NOT] NULL tests, under AND, OR, NOT and parentheses.
+func TestWhereLanguage(t *testing.T) {
+	for _, where := range []string{
+		"a = 1", "A = 1", "a = -1", "a = +1", "a = -1.5e3", "a = 1.e5", "a = .5",
+		"a = +'x'", "a = +NULL", "a <> NULL", "JMSType = 'x'", "_a = 007",
+		"a = 1 AND (b < 2 OR NOT c IS NOT NULL)", "((a = 1))", "a = 'it''s'",
+	} {
+		if _, err := Parse("SELECT * FROM t WHERE " + where); err != nil {
+			t.Errorf("WHERE %s rejected: %v", where, err)
+		}
+	}
+	for _, where := range []string{
+		"(a) = 1", "a = (1)", "a = -(1)", "(a = 1", "+a = 1", "-a = 1", "a = - -1",
+		"a = +-1", "a = -'x'", "a = -NULL", "a = TRUE", "a = b", "1 = a", "a$ = 1",
+		"a = 1 + 2", "a BETWEEN 1 AND 2", "a IN ('x')", "a LIKE 'x'", "NOT a",
+		"TRUE", "a IS NULL IS NULL", "a = 1e", "a = 99999999999999999999", "   ",
+	} {
+		if _, err := Parse("SELECT * FROM t WHERE " + where); err == nil {
+			t.Errorf("WHERE %s accepted", where)
+		} else if !errors.Is(err, ErrSyntax) {
+			t.Errorf("WHERE %s error not ErrSyntax: %v", where, err)
+		}
+	}
+}
+
+// TestCreateTableRejectsKeywordColumns: a column named by a reserved word
+// of the WHERE language could never be filtered, so CREATE TABLE refuses
+// it.
+func TestCreateTableRejectsKeywordColumns(t *testing.T) {
+	for _, kw := range []string{"not", "AND", "Or", "is", "null", "true", "false", "like", "in", "between", "escape"} {
+		if _, err := Parse("CREATE TABLE t (a INTEGER, " + kw + " INTEGER)"); !errors.Is(err, ErrSyntax) {
+			t.Errorf("column %q: err = %v, want ErrSyntax", kw, err)
+		}
+	}
+	if _, err := Parse("CREATE TABLE t (notes INTEGER, isle INTEGER)"); err != nil {
+		t.Errorf("columns merely starting with a keyword rejected: %v", err)
 	}
 }
