@@ -1,5 +1,5 @@
 // Command rgmad serves the R-GMA virtual database over two transports
-// that share one sharded core: HTTP (the request/response binding the
+// that share one core: HTTP (the request/response binding the
 // original gLite implementation used, consumers poll) and a persistent
 // binary protocol on a second port (producers pipeline batched INSERT
 // frames, continuous consumers receive tuples by server push).
@@ -9,14 +9,13 @@
 //
 // Usage:
 //
-//	rgmad [-listen :8088] [-listen-bin :8089] [-shards 0] [-stats 1m]
+//	rgmad [-listen :8088] [-listen-bin :8089] [-stats 1m]
 //	      [-data-dir DIR] [-fsync] [-pprof]
 //
-// The service core is sharded across the CPUs (inserts into different
-// producers and pops on different consumers run in parallel), and the
-// insert/pop read paths are lock-free: they route through a
-// copy-on-write snapshot of the per-table indexes instead of taking the
-// table shard's lock. -shards pins the lock-domain count, as on naradad.
+// Inserts into different producers and pops on different consumers run
+// in parallel on the transports' goroutines, and the insert/pop read
+// paths are lock-free: they route through a copy-on-write snapshot of
+// the per-table indexes instead of taking the core's table lock.
 // -pprof mounts net/http/pprof under /debug/pprof/ on the HTTP port and
 // enables mutex profiling, so lock contention can be measured on a live
 // daemon (see README "Concurrency architecture").
@@ -67,7 +66,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":8088", "HTTP listen address")
 	listenBin := flag.String("listen-bin", ":8089", "binary transport listen address (empty disables)")
-	shards := flag.Int("shards", 0, "lock-domain shard count (0 = one per CPU)")
 	statsEvery := flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
 	dataDir := flag.String("data-dir", "", "persist schemas, producers and tuples to a write-ahead log under this directory (empty = memory-only)")
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit (durable against power loss, not just crashes)")
@@ -77,7 +75,7 @@ func main() {
 	if *pprofOn {
 		runtime.SetMutexProfileFraction(5)
 	}
-	core := rgmacore.New(rgmacore.Config{Shards: *shards})
+	core := rgmacore.New(rgmacore.Config{})
 	srv := rgmahttp.NewServer(core, rgmahttp.Config{Pprof: *pprofOn})
 
 	// With -data-dir, recover the core before either port serves: the
@@ -102,7 +100,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("rgmad: %v", err)
 	}
-	log.Printf("rgmad listening on %s (%d shards)", addr, core.NumShards())
+	log.Printf("rgmad listening on %s", addr)
 
 	var binSrv *rgmabin.Server
 	if *listenBin != "" {

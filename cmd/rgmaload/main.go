@@ -1,8 +1,8 @@
 // Command rgmaload load-tests a live rgmad server, the R-GMA
 // counterpart of gridpub's load-test mode: parallel producer
 // connections publish SQL INSERTs at a controlled per-connection rate,
-// spread across several tables so the inserts land on different table
-// shards, while optional continuous consumers observe the stream.
+// spread across several tables, while optional continuous consumers
+// observe the stream.
 //
 // Usage:
 //
@@ -29,9 +29,12 @@
 // It reports the aggregate insert throughput achieved, the
 // p50/p95/p99/max latency of the acknowledged operations (each HTTP
 // insert request; each pipelined batch flush on bin) and, when
-// consumers run, the tuples they observed. Every latency sample is kept
-// (8 bytes each) and the percentiles are nearest-rank over all of them,
-// as metrics.RTT computes the paper's figures. Drive rgmad once with
+// consumers run, the tuples they observed. In a bounded run consumer i
+// must observe every insert into its table (count × the producers
+// writing load{i mod tables}); a run whose consumers miss tuples exits
+// 1 with "observed X of Y". Every latency sample is kept (8 bytes
+// each) and the percentiles are nearest-rank over all of them, as
+// metrics.RTT computes the paper's figures. Drive rgmad once with
 // -transport http and once with bin to measure the push transport's
 // gain on your hardware.
 package main
@@ -50,6 +53,10 @@ import (
 	"gridmon/internal/rgmahttp"
 	"gridmon/internal/sqlmini"
 )
+
+// pushGrace bounds how long a bounded bin run waits, after the last
+// insert ack, for its push consumers' tuples still in flight.
+const pushGrace = 5 * time.Second
 
 // producerSession is one worker's handle on the server, whichever
 // transport carries it. flush pushes out any partial batch (a no-op
@@ -87,7 +94,7 @@ func main() {
 	var (
 		createTable   func(sql string) error
 		newProducer   func(w int, table string, rec *metrics.RTT) (producerSession, error)
-		startConsumer func(i int, popped *atomic.Int64) (stop func(), err error)
+		startConsumer func(i int, seen *atomic.Int64, want int64) (stop func(deadline time.Time), err error)
 		serverStats   func()
 	)
 	switch *transport {
@@ -112,7 +119,7 @@ func main() {
 				close: p.Close,
 			}, nil
 		}
-		startConsumer = func(i int, popped *atomic.Int64) (func(), error) {
+		startConsumer = func(i int, seen *atomic.Int64, _ int64) (func(time.Time), error) {
 			cons, err := c.CreateConsumer(fmt.Sprintf("SELECT * FROM %s", tableName(i)), "continuous")
 			if err != nil {
 				return nil, err
@@ -129,7 +136,7 @@ func main() {
 					case <-done:
 						// Final drain so late inserts are counted.
 						if tuples, err := cons.Pop(); err == nil {
-							popped.Add(int64(len(tuples)))
+							seen.Add(int64(len(tuples)))
 						}
 						return
 					case <-tick.C:
@@ -138,11 +145,11 @@ func main() {
 							log.Printf("rgmaload: pop: %v", err)
 							return
 						}
-						popped.Add(int64(len(tuples)))
+						seen.Add(int64(len(tuples)))
 					}
 				}
 			}()
-			return func() { close(done); <-finished }, nil
+			return func(time.Time) { close(done); <-finished }, nil
 		}
 		serverStats = func() {
 			if st, err := c.Stats(); err == nil {
@@ -198,19 +205,21 @@ func main() {
 				},
 			}, nil
 		}
-		startConsumer = func(i int, popped *atomic.Int64) (func(), error) {
+		startConsumer = func(i int, seen *atomic.Int64, want int64) (func(time.Time), error) {
 			// Push-fed: the server delivers tuples as they are
 			// inserted; the callback just counts them.
 			cons, err := control.CreateConsumer(
 				fmt.Sprintf("SELECT * FROM %s", tableName(i)), "continuous",
-				func(tuples []rgmabin.PoppedTuple) { popped.Add(int64(len(tuples))) })
+				func(tuples []rgmabin.PoppedTuple) { seen.Add(int64(len(tuples))) })
 			if err != nil {
 				return nil, err
 			}
-			return func() {
-				// Grace period: pushes still in flight after the last
-				// insert ack should be counted before we unsubscribe.
-				time.Sleep(200 * time.Millisecond)
+			return func(deadline time.Time) {
+				// Pushes still in flight after the last insert ack are
+				// counted before we unsubscribe.
+				for seen.Load() < want && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
 				_ = cons.Close()
 			}, nil
 		}
@@ -232,10 +241,22 @@ func main() {
 		}
 	}
 
-	var popped atomic.Int64
-	stops := make([]func(), 0, *consumers)
+	// Consumer i watches tableName(i), which every producer w with the
+	// same w mod tables writes count times.
+	wants := make([]int64, *consumers)
+	var want int64
+	for i := range wants {
+		for w := 0; w < *conns; w++ {
+			if w%*tables == i%*tables {
+				wants[i] += int64(*count)
+			}
+		}
+		want += wants[i]
+	}
+	seen := make([]atomic.Int64, *consumers)
+	stops := make([]func(time.Time), 0, *consumers)
 	for i := 0; i < *consumers; i++ {
-		stop, err := startConsumer(i, &popped)
+		stop, err := startConsumer(i, &seen[i], wants[i])
 		if err != nil {
 			log.Fatalf("rgmaload: create consumer: %v", err)
 		}
@@ -295,8 +316,13 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	for _, stop := range stops {
-		stop()
+	deadline := time.Now().Add(pushGrace)
+	var observed int64
+	short := false // some consumer saw fewer tuples than its table got
+	for i, stop := range stops {
+		stop(deadline)
+		observed += seen[i].Load()
+		short = short || seen[i].Load() < wants[i]
 	}
 
 	n := sent.Load()
@@ -313,17 +339,26 @@ func main() {
 	log.Printf("rgmaload: %s latency: n=%d p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms", op,
 		all.Count(), all.Percentile(50), all.Percentile(95), all.Percentile(99), all.Max())
 	if *consumers > 0 {
-		log.Printf("rgmaload: %d consumers observed %d tuples", *consumers, popped.Load())
+		log.Printf("rgmaload: %d consumers observed %d tuples", *consumers, observed)
 	}
 	if failed.Load() > 0 {
 		log.Printf("rgmaload: %d connections failed (producer create or mid-run insert)", failed.Load())
 	}
 	serverStats()
-	// A bounded run that lost inserts must not look like a clean one to
-	// scripts: exit non-zero unless every planned insert was sent and
-	// every batch flushed.
+	// A bounded run that lost inserts or tuples must not look like a
+	// clean one to scripts: exit non-zero unless every planned insert
+	// was sent, every batch flushed and every consumer saw its table's
+	// inserts.
+	lost := false
 	if failed.Load() > 0 || (*count > 0 && n != int64(*conns)*int64(*count)) {
 		log.Printf("rgmaload: sent %d of %d planned inserts", n, int64(*conns)*int64(*count))
+		lost = true
+	}
+	if short {
+		log.Printf("rgmaload: consumers observed %d of %d tuples", observed, want)
+		lost = true
+	}
+	if lost {
 		os.Exit(1)
 	}
 }

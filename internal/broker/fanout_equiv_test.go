@@ -182,7 +182,7 @@ func TestFanoutEquivalenceRandomized(t *testing.T) {
 // bounces subscriber connections mid-fan-out — the detached-subscription
 // skip path and the
 // batch-released-by-the-broker path (a run whose every delivery died)
-// run constantly. Every delivery allocation must balance: SharedHeap
+// run constantly. Every delivery allocation must balance: simproc.Heap
 // panics on unbalanced frees, the counting DeliverBatch pool panics on
 // a double release, and -race (CI) checks the locking.
 func TestFanoutParallelChurnStress(t *testing.T) {

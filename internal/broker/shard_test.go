@@ -274,11 +274,11 @@ func TestShardedSerialEquivalenceRandomized(t *testing.T) {
 }
 
 // raceEnv is a concurrency-safe Env: atomic memory accounting
-// (simproc.SharedHeap, which panics on unbalanced frees) and per-conn
+// (simproc.Heap, which panics on unbalanced frees) and per-conn
 // delivery records behind per-conn locks.
 type raceEnv struct {
-	heap   *simproc.SharedHeap
-	native *simproc.SharedHeap
+	heap   *simproc.Heap
+	native *simproc.Heap
 
 	mu   sync.Mutex
 	recs map[ConnID]*deliveryRec
@@ -294,8 +294,8 @@ type deliveryRec struct {
 
 func newRaceEnv() *raceEnv {
 	return &raceEnv{
-		heap:   simproc.NewSharedHeap("race-heap", 0, 0),
-		native: simproc.NewSharedHeap("race-native", 0, 0),
+		heap:   simproc.NewHeap("race-heap", 0, 0),
+		native: simproc.NewHeap("race-native", 0, 0),
 		recs:   make(map[ConnID]*deliveryRec),
 	}
 }
@@ -367,7 +367,7 @@ func (e *raceEnv) drainAcks(b *Broker, c ConnID) {
 // (per-connection frame serialization is the transport contract); the
 // destinations are shared, so goroutines meet on every shard. Afterwards
 // a sequential sweep releases queue and durable backlogs and the heap
-// must balance to zero — SharedHeap panics on any unbalanced free, and
+// must balance to zero — simproc.Heap panics on any unbalanced free, and
 // -race (CI) checks the locking.
 func TestConcurrentShardStress(t *testing.T) {
 	const workers = 16

@@ -111,8 +111,8 @@ type Server struct {
 	member  *brokernet.Member
 	routing brokernet.RoutingMode
 
-	native *simproc.SharedHeap
-	heap   *simproc.SharedHeap
+	native *simproc.Heap
+	heap   *simproc.Heap
 
 	egress wire.EgressMeters
 }
@@ -153,8 +153,8 @@ func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.B
 		cfg:     cfg,
 		ln:      ln,
 		writers: make(map[broker.ConnID]*wire.FrameWriter),
-		native:  simproc.NewSharedHeap("server-native", cfg.MaxConnMemory, 0),
-		heap:    simproc.NewSharedHeap("server-heap", 0, 0),
+		native:  simproc.NewHeap("server-native", cfg.MaxConnMemory, 0),
+		heap:    simproc.NewHeap("server-heap", 0, 0),
 	}
 	s.b = broker.New((*serverEnv)(s), cfg.Broker)
 	if restore != nil {
@@ -472,7 +472,7 @@ func (s *Server) dropConn(id broker.ConnID, w *wire.FrameWriter, notify bool) {
 
 // serverEnv implements broker.Env. All methods are safe for concurrent
 // use: frame queues are per-connection FrameWriters behind the writers
-// mutex, memory accounting is atomic (simproc.SharedHeap).
+// mutex, memory accounting is atomic (simproc.Heap).
 type serverEnv Server
 
 func (e *serverEnv) Now() int64 { return time.Now().UnixNano() }

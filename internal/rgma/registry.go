@@ -42,9 +42,9 @@ type ConsumerEntry struct {
 }
 
 // Registry is the R-GMA registry's core logic: producer/consumer records
-// and table-based mediation. Like simproc.Heap it is single-goroutine:
-// the deterministic simulation kernel's event loop is its only caller,
-// and the deployment layer charges CPU and network costs around calls.
+// and table-based mediation. It is single-goroutine: the deterministic
+// simulation kernel's event loop is its only caller, and the deployment
+// layer charges CPU and network costs around calls.
 // IDs are assigned in registration order and every per-table order is
 // registration order, so mediation is deterministic.
 type Registry struct {

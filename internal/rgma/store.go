@@ -17,16 +17,16 @@
 //
 // The package has two halves with different thread-safety contracts.
 //
-// Shard-safe (callable from any goroutine): TupleStore, whose retention
-// sweeps, inserts, queries and stats are guarded internally (stats are
-// atomic counters).
+// Concurrency-safe (callable from any goroutine): TupleStore, whose
+// retention sweeps, inserts, queries and stats are guarded internally
+// (stats are atomic counters).
 //
 // Serial-only: Registry, Deployment and everything reached through it
 // (ProducerService, ConsumerService, PrimaryProducer, Consumer,
 // Subscriber, SecondaryProducer). These run inside the deterministic
 // simulation kernel, whose event loop is the only caller; they take no
 // locks of their own. The live daemons' service core, internal/rgmacore,
-// composes the shard-safe half only.
+// composes the concurrency-safe half only.
 package rgma
 
 import (
@@ -54,7 +54,7 @@ type Tuple struct {
 // primary key retained for the latest retention period, as configured by
 // the paper's tests (30 s latest, 1 min history).
 //
-// A TupleStore is shard-safe: Insert, Purge, the query methods and
+// A TupleStore is concurrency-safe: Insert, Purge, the query methods and
 // Stats may be called from any goroutine (a mutex guards the row state;
 // counters are atomic). With a single caller the lock is uncontended
 // and behaviour is identical to the pre-concurrency store, except that
@@ -242,7 +242,7 @@ type StoreStats struct {
 	Latest  int    // currently retained latest rows
 }
 
-// Stats snapshots the store's counters. Shard-safe.
+// Stats snapshots the store's counters. Safe from any goroutine.
 func (s *TupleStore) Stats() StoreStats {
 	s.mu.Lock()
 	h, l := len(s.history), len(s.latest)

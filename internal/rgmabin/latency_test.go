@@ -41,7 +41,7 @@ func measureInsertDeliverLatency(t *testing.T, transport string, n int, gap, pol
 	var insert func(sql string) error
 	switch transport {
 	case "http":
-		s := rgmahttp.NewServer(rgmacore.New(rgmacore.Config{Shards: 2}), rgmahttp.Config{})
+		s := rgmahttp.NewServer(rgmacore.New(rgmacore.Config{}), rgmahttp.Config{})
 		addr, err := s.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +82,7 @@ func measureInsertDeliverLatency(t *testing.T, transport string, n int, gap, pol
 		}
 		insert = p.Insert
 	case "bin":
-		_, addr := startBin(t, rgmacore.Config{Shards: 2})
+		_, addr := startBin(t, rgmacore.Config{})
 		cc, pc := dial(t, addr), dial(t, addr)
 		if err := cc.CreateTable(createSQL); err != nil {
 			t.Fatal(err)

@@ -23,12 +23,12 @@
 // # Concurrency and ordering
 //
 // Each connection has one reader goroutine (which executes requests
-// against the shard-safe core inline) and one wire.FrameWriter, the
+// against the concurrency-safe core inline) and one wire.FrameWriter, the
 // coalescing writer internal/jms runs too, which merges queue-adjacent
 // pushes for one consumer into one RGMATuples frame. Requests on one
 // connection are executed in arrival order; pushes for one consumer
-// arrive in the producer's insert order (the core fans out under the
-// table shard's read lock and the writer preserves queue order). A push
+// arrive in the producer's insert order (the core fans out on the
+// inserting goroutine and the writer preserves queue order). A push
 // may overtake the RGMAOK of the consumer-create that subscribed it; the
 // client buffers such early tuples and replays them in order.
 //
@@ -224,8 +224,8 @@ type serverConn struct {
 	consumers map[int64]struct{}
 }
 
-// send enqueues a frame without blocking (core fan-out calls it under a
-// table shard's read lock). A full queue means the peer is not draining
+// send enqueues a frame without blocking (core fan-out calls it on the
+// inserting goroutine). A full queue means the peer is not draining
 // its socket: close it, and the reader goroutine tears down.
 func (c *serverConn) send(f wire.Frame) {
 	if c.w.TrySend(f) == wire.SendFull {

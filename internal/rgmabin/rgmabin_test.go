@@ -82,7 +82,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // inserts on one connection arrive at a continuous consumer on another,
 // filtered by its WHERE predicate, in insert order, with no polling.
 func TestBinPushContinuous(t *testing.T) {
-	_, addr := startBin(t, rgmacore.Config{Shards: 4})
+	_, addr := startBin(t, rgmacore.Config{})
 	prodConn, consConn := dial(t, addr), dial(t, addr)
 
 	if err := prodConn.CreateTable(createSQL); err != nil {
@@ -128,7 +128,7 @@ func TestBinPushContinuous(t *testing.T) {
 // TestBinLatestAndHistory: request/response queries over the binary
 // transport.
 func TestBinLatestAndHistory(t *testing.T) {
-	_, addr := startBin(t, rgmacore.Config{Shards: 2})
+	_, addr := startBin(t, rgmacore.Config{})
 	c := dial(t, addr)
 	if err := c.CreateTable(createSQL); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestBinLatestAndHistory(t *testing.T) {
 
 // TestBinErrors: server-side failures surface as typed ServerErrors.
 func TestBinErrors(t *testing.T) {
-	_, addr := startBin(t, rgmacore.Config{Shards: 1})
+	_, addr := startBin(t, rgmacore.Config{})
 	c := dial(t, addr)
 
 	_, err := c.CreatePrimaryProducer("nosuch", time.Second, time.Second)
@@ -210,7 +210,7 @@ func asServerError(err error, out **rgmabin.ServerError) bool {
 // and producer created over HTTP feed a push consumer on the binary
 // port, the deployment cmd/rgmad runs.
 func TestBinSharedCoreWithHTTP(t *testing.T) {
-	core := rgmacore.New(rgmacore.Config{Shards: 2})
+	core := rgmacore.New(rgmacore.Config{})
 	hs := rgmahttp.NewServer(core, rgmahttp.Config{})
 	haddr, err := hs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -250,7 +250,7 @@ func TestBinSharedCoreWithHTTP(t *testing.T) {
 // and consumers are released in the core, so crashed clients do not
 // strand push sinks in the fan-out index.
 func TestBinConnTeardownReleasesResources(t *testing.T) {
-	s, addr := startBin(t, rgmacore.Config{Shards: 2})
+	s, addr := startBin(t, rgmacore.Config{})
 	c := dial(t, addr)
 	if err := c.CreateTable(createSQL); err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestTransportEquivalence(t *testing.T) {
 	historyQ := "SELECT * FROM generator"
 
 	// HTTP: poll-driven continuous consumer.
-	hs := rgmahttp.NewServer(rgmacore.New(rgmacore.Config{Shards: 2}), rgmahttp.Config{})
+	hs := rgmahttp.NewServer(rgmacore.New(rgmacore.Config{}), rgmahttp.Config{})
 	haddr, err := hs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestTransportEquivalence(t *testing.T) {
 	}
 
 	// Binary: push-driven continuous consumer, same workload.
-	_, baddr := startBin(t, rgmacore.Config{Shards: 2})
+	_, baddr := startBin(t, rgmacore.Config{})
 	bc := dial(t, baddr)
 	if err := bc.CreateTable(createSQL); err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestBinConcurrentPushInsertStress(t *testing.T) {
 		consumers       = 3
 		matchingPerCons = totalInserts / 2 // seq is 0-based: seq < total/2
 	)
-	s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{Shards: 4}),
+	s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{}),
 		rgmabin.Config{WriteBuffer: 8 * totalInserts})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -521,7 +521,7 @@ func TestBinConcurrentPushInsertStress(t *testing.T) {
 // every insert of the producer beside it is acknowledged, and the
 // dropped connection's consumers are released in the core.
 func TestBinSlowConsumerDropCountedOnce(t *testing.T) {
-	core := rgmacore.New(rgmacore.Config{Shards: 2})
+	core := rgmacore.New(rgmacore.Config{})
 	s := rgmabin.NewServer(core, rgmabin.Config{WriteBuffer: 4})
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -654,7 +654,7 @@ func TestBinStats(t *testing.T) {
 // persister can dump it straight away.
 func TestCloseWaitsForTeardown(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{Shards: 4}), rgmabin.Config{})
+		s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{}), rgmabin.Config{})
 		addr, err := s.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -1,31 +1,32 @@
 // Package rgmacore is the transport-neutral R-GMA service core: the
-// sharded schema/resource state machine that both real-network bindings
-// wrap — internal/rgmahttp (JSON request/response, the gLite servlet
-// baseline) and internal/rgmabin (persistent-connection binary framing
-// with server-push continuous queries). It composes the shard-safe half
+// schema/resource state machine that both real-network bindings wrap —
+// internal/rgmahttp (JSON request/response, the gLite servlet baseline)
+// and internal/rgmabin (persistent-connection binary framing with
+// server-push continuous queries). It composes the concurrency-safe half
 // of internal/rgma (TupleStore) with internal/sqlmini parsing and
-// compiled WHERE predicates. The resource shards are the one record of
+// compiled WHERE predicates. The resource domain is the one record of
 // every producer and consumer: the core routes through its own table
 // indexes and needs no registry mediation.
 //
 // # Concurrency
 //
-// Everything here is shard-safe: state is partitioned into lock
-// domains, not handed to worker goroutines, so calls run on whatever
-// transport goroutine made them. Two shard families exist — table
-// shards (schema plus the per-table continuous-consumer and producer
-// indexes, keyed by table-name hash) and resource shards
-// (producer/consumer handles keyed by resource id) — plus a per-consumer
-// buffer lock and the internally locked rgma.TupleStore. Producers
-// inserting into different producer resources and consumers popping
-// different consumers proceed fully in parallel.
+// State is guarded by locks, not handed to worker goroutines, so calls
+// run on whatever transport goroutine made them. Two lock domains exist
+// — the table domain (schemas plus the per-table continuous-consumer
+// and producer indexes) and the resource domain (producer/consumer
+// handles keyed by resource id) — plus a per-consumer buffer lock and
+// the internally locked rgma.TupleStore. They stay separate so that a
+// CreateTable, which journals under the table lock, never stalls the
+// resource lookup every Insert makes. Inserts read-lock the resource
+// domain only, so producers inserting into different producer resources
+// and consumers popping different consumers proceed in parallel.
 //
 // The hot read paths are lock-free: Insert's continuous-consumer scan
 // and Pop's latest/history producer gather read a copy-on-write
-// snapshot of the table shard's indexes published through an atomic
+// snapshot of the table domain's indexes published through an atomic
 // pointer (tableSnap), so inserts into the *same* table never serialize
-// on the shard lock either. Index mutations (create/close
-// producer/consumer) take the shard's write lock and republish the
+// on the table lock either. Index mutations (create/close
+// producer/consumer) take the table write lock and republish the
 // snapshot before releasing it.
 //
 // Ordering: a producer whose inserts are issued sequentially (each call
@@ -49,7 +50,6 @@ package rgmacore
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,7 +57,6 @@ import (
 
 	"gridmon/internal/predindex"
 	"gridmon/internal/rgma"
-	"gridmon/internal/shardhash"
 	"gridmon/internal/sim"
 	"gridmon/internal/sqlmini"
 )
@@ -93,10 +92,6 @@ const insertsPerSweep = 64
 
 // Config tunes a Core.
 type Config struct {
-	// Shards is the lock-domain count for the table and resource shard
-	// families (0 = GOMAXPROCS). Shard counts do not change behaviour,
-	// only contention.
-	Shards int
 	// MaxBuffered caps each buffered continuous consumer's undrained
 	// tuples; when full the oldest tuple is dropped and counted. A value
 	// <= 0 means DefaultMaxBuffered.
@@ -105,8 +100,8 @@ type Config struct {
 
 // Core is the shared R-GMA service state.
 type Core struct {
-	tables      []*tableShard // table-name-hash lock domains
-	res         []*resShard   // resource-id lock domains
+	tab         tableDomain // schemas and per-table indexes
+	res         resDomain   // producer and consumer handles by id
 	nextID      atomic.Int64
 	maxBuffered int
 
@@ -135,11 +130,11 @@ type Core struct {
 	clock func() sim.Time
 }
 
-// tableShard owns everything about the tables that hash to it: the
-// schema entry, the table's continuous consumers (the insert-time
-// streaming index) and its producers (the latest/history gather index),
-// both in registration order.
-type tableShard struct {
+// tableDomain owns everything about the tables: each schema entry, each
+// table's continuous consumers (the insert-time streaming index) and its
+// producers (the latest/history gather index), both in registration
+// order.
+type tableDomain struct {
 	mu     sync.RWMutex
 	tables map[string]*sqlmini.Table
 	// routes holds the writer's copy of each table's read-path state,
@@ -148,7 +143,7 @@ type tableShard struct {
 
 	// snap is the copy-on-write snapshot of the read-path state,
 	// published through an atomic pointer so Insert's consumer scan and
-	// Pop's producer gather run with no shard lock at all (the broker's
+	// Pop's producer gather run with no table lock at all (the broker's
 	// snapshot.go pattern). Stored only under mu (write lock); loaded
 	// without it.
 	snap atomic.Pointer[tableSnap]
@@ -162,7 +157,7 @@ type tableShard struct {
 // every close.
 var compactAt = func(live int) int { return max(8, live) }
 
-// tableSnap is one shard's published read-path state: per table, an
+// tableSnap is the published read-path state: per table, an
 // immutable route. Tables with neither producers nor continuous
 // consumers are absent.
 type tableSnap struct {
@@ -170,7 +165,7 @@ type tableSnap struct {
 }
 
 // tableRoute is one table's read-path state. A published tableRoute is
-// immutable; the writer's copy in tableShard.routes shares its frozen
+// immutable; the writer's copy in tableDomain.routes shares its frozen
 // producers slice and its index with the published ones, and patches
 // only its continuous slice in place — which is why publishing clones
 // that slice.
@@ -190,11 +185,11 @@ type tableRoute struct {
 
 // route returns the writer's copy of a table's route, creating it on
 // first use. Write lock held.
-func (ts *tableShard) route(table string) *tableRoute {
-	r := ts.routes[table]
+func (d *tableDomain) route(table string) *tableRoute {
+	r := d.routes[table]
 	if r == nil {
 		r = &tableRoute{}
-		ts.routes[table] = r
+		d.routes[table] = r
 	}
 	return r
 }
@@ -230,15 +225,15 @@ func (r *tableRoute) removeContinuous(cn *Consumer) {
 	r.continuous = live
 }
 
-// refreshSnap republishes the shard's snapshot after a mutation of one
+// refreshSnap republishes the table snapshot after a mutation of one
 // table's route: the map is copied, untouched tables share their routes
 // with the previous generation, and the mutated table's route is
 // published as a copy whose continuous slice is cloned from the
 // writer's. Write lock held — that is what single-files snapshot
 // writers.
-func (c *Core) refreshSnap(ts *tableShard, table string) {
+func (d *tableDomain) refreshSnap(table string) {
 	var cur map[string]*tableRoute
-	if snap := ts.snap.Load(); snap != nil {
+	if snap := d.snap.Load(); snap != nil {
 		cur = snap.routes
 	}
 	next := &tableSnap{routes: make(map[string]*tableRoute, len(cur)+1)}
@@ -247,20 +242,20 @@ func (c *Core) refreshSnap(ts *tableShard, table string) {
 			next.routes[k] = v
 		}
 	}
-	if r := ts.routes[table]; r != nil {
+	if r := d.routes[table]; r != nil {
 		if r.live == 0 && len(r.producers) == 0 {
-			delete(ts.routes, table)
+			delete(d.routes, table)
 		} else {
 			pub := *r
 			pub.continuous = slices.Clone(r.continuous)
 			next.routes[table] = &pub
 		}
 	}
-	ts.snap.Store(next)
+	d.snap.Store(next)
 }
 
-// resShard owns the resource handles whose ids hash to it.
-type resShard struct {
+// resDomain owns the producer and consumer handles by resource id.
+type resDomain struct {
 	mu        sync.RWMutex
 	producers map[int64]*Producer
 	consumers map[int64]*Consumer
@@ -268,47 +263,23 @@ type resShard struct {
 
 // New constructs a Core.
 func New(cfg Config) *Core {
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	if cfg.MaxBuffered <= 0 {
 		cfg.MaxBuffered = DefaultMaxBuffered
 	}
 	c := &Core{
-		tables:      make([]*tableShard, cfg.Shards),
-		res:         make([]*resShard, cfg.Shards),
+		tab: tableDomain{
+			tables: make(map[string]*sqlmini.Table),
+			routes: make(map[string]*tableRoute),
+		},
+		res: resDomain{
+			producers: make(map[int64]*Producer),
+			consumers: make(map[int64]*Consumer),
+		},
 		maxBuffered: cfg.MaxBuffered,
 		start:       time.Now(),
 	}
 	c.clock = func() sim.Time { return sim.Time(time.Since(c.start).Nanoseconds()) }
-	for i := 0; i < cfg.Shards; i++ {
-		c.tables[i] = &tableShard{
-			tables: make(map[string]*sqlmini.Table),
-			routes: make(map[string]*tableRoute),
-		}
-		c.res[i] = &resShard{
-			producers: make(map[int64]*Producer),
-			consumers: make(map[int64]*Consumer),
-		}
-	}
 	return c
-}
-
-// NumShards reports the lock-domain count per shard family.
-func (c *Core) NumShards() int { return len(c.tables) }
-
-func (c *Core) tableShardFor(table string) *tableShard {
-	if len(c.tables) == 1 {
-		return c.tables[0]
-	}
-	return c.tables[shardhash.FNV1a(table)%uint32(len(c.tables))]
-}
-
-func (c *Core) resShardFor(id int64) *resShard {
-	if len(c.res) == 1 {
-		return c.res[0]
-	}
-	return c.res[uint64(id)%uint64(len(c.res))]
 }
 
 // Now returns the core's clock reading; TupleStore retention works in
@@ -316,15 +287,11 @@ func (c *Core) resShardFor(id int64) *resShard {
 func (c *Core) Now() sim.Time { return c.clock() }
 
 // RegistryCounts reports live producer and consumer resources, counted
-// in the resource shards under their read locks.
+// in the resource domain under its read lock.
 func (c *Core) RegistryCounts() (producers, consumers int) {
-	for _, rs := range c.res {
-		rs.mu.RLock()
-		producers += len(rs.producers)
-		consumers += len(rs.consumers)
-		rs.mu.RUnlock()
-	}
-	return producers, consumers
+	c.res.mu.RLock()
+	defer c.res.mu.RUnlock()
+	return len(c.res.producers), len(c.res.consumers)
 }
 
 // --- resources ---
@@ -386,7 +353,7 @@ type Consumer struct {
 	sink Sink // non-nil: push-fed; nil: buffered
 
 	// seq is a continuous consumer's matching-index seq in its table's
-	// route; guarded by the table shard's write lock.
+	// route; guarded by the table write lock.
 	seq int32
 
 	// Buffered-delivery state: a bounded ring. Until the cap is reached
@@ -501,16 +468,15 @@ func (c *Core) createTable(sql string, journal bool) (string, error) {
 		return "", fmt.Errorf("rgma: expected CREATE TABLE")
 	}
 	name := ct.Table.Name
-	ts := c.tableShardFor(name)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if old, ok := ts.tables[name]; ok {
+	c.tab.mu.Lock()
+	defer c.tab.mu.Unlock()
+	if old, ok := c.tab.tables[name]; ok {
 		if sameSchema(old, &ct.Table) {
 			return name, nil
 		}
 		return "", fmt.Errorf("%w: table %q already exists with a different schema", ErrConflict, name)
 	}
-	ts.tables[name] = &ct.Table
+	c.tab.tables[name] = &ct.Table
 	if journal {
 		if j := c.loadJournal(); j != nil {
 			// The canonical rendering, not the client's text: replay must
@@ -540,10 +506,9 @@ func (c *Core) addProducer(id int64, table string, latestRetention, historyReten
 	if historyRetention <= 0 {
 		historyRetention = DefaultHistoryRetention
 	}
-	ts := c.tableShardFor(table)
-	ts.mu.RLock()
-	tab, exists := ts.tables[table]
-	ts.mu.RUnlock()
+	c.tab.mu.RLock()
+	tab, exists := c.tab.tables[table]
+	c.tab.mu.RUnlock()
 	if !exists {
 		return nil, fmt.Errorf("%w: no such table %q", ErrNotFound, table)
 	}
@@ -559,15 +524,14 @@ func (c *Core) addProducer(id int64, table string, latestRetention, historyReten
 	if p.sweepInterval <= 0 {
 		p.sweepInterval = 1
 	}
-	rs := c.resShardFor(p.id)
-	rs.mu.Lock()
-	rs.producers[p.id] = p
-	rs.mu.Unlock()
-	ts.mu.Lock()
-	r := ts.route(table)
+	c.res.mu.Lock()
+	c.res.producers[p.id] = p
+	c.res.mu.Unlock()
+	c.tab.mu.Lock()
+	r := c.tab.route(table)
 	r.producers = append(slices.Clip(r.producers), p)
-	c.refreshSnap(ts, table)
-	ts.mu.Unlock()
+	c.tab.refreshSnap(table)
+	c.tab.mu.Unlock()
 	if journal {
 		if j := c.loadJournal(); j != nil {
 			j.ProducerCreated(p.id, table, latestRetention, historyRetention)
@@ -578,10 +542,9 @@ func (c *Core) addProducer(id int64, table string, latestRetention, historyReten
 
 // LookupProducer resolves a producer resource id.
 func (c *Core) LookupProducer(id int64) (*Producer, bool) {
-	sh := c.resShardFor(id)
-	sh.mu.RLock()
-	p, ok := sh.producers[id]
-	sh.mu.RUnlock()
+	c.res.mu.RLock()
+	p, ok := c.res.producers[id]
+	c.res.mu.RUnlock()
 	return p, ok
 }
 
@@ -591,22 +554,20 @@ func (c *Core) CloseProducer(id int64) error {
 }
 
 func (c *Core) closeProducer(id int64, journal bool) error {
-	rs := c.resShardFor(id)
-	rs.mu.Lock()
-	p, exists := rs.producers[id]
+	c.res.mu.Lock()
+	p, exists := c.res.producers[id]
 	if exists {
-		delete(rs.producers, id)
+		delete(c.res.producers, id)
 	}
-	rs.mu.Unlock()
+	c.res.mu.Unlock()
 	if !exists {
 		return fmt.Errorf("%w: no such producer %d", ErrNotFound, id)
 	}
-	ts := c.tableShardFor(p.tableName)
-	ts.mu.Lock()
-	r := ts.routes[p.tableName]
+	c.tab.mu.Lock()
+	r := c.tab.routes[p.tableName]
 	r.producers = removeHandle(slices.Clone(r.producers), p)
-	c.refreshSnap(ts, p.tableName)
-	ts.mu.Unlock()
+	c.tab.refreshSnap(p.tableName)
+	c.tab.mu.Unlock()
 	if journal {
 		if j := c.loadJournal(); j != nil {
 			j.ProducerClosed(id)
@@ -660,14 +621,14 @@ func (c *Core) Insert(producerID int64, sqlText string) error {
 	p.maybeSweep(now)
 	// Stream to matching continuous consumers immediately (the network
 	// bindings do not model the gLite streaming delay; the simulator
-	// covers that behaviour). The table shard's index narrows the scan
+	// covers that behaviour). The table route's index narrows the scan
 	// to this table's continuous consumers; the compiled predicate
 	// decides per consumer; the one Streamed value is shared across all
-	// of them. The consumer list comes from the shard's copy-on-write
-	// snapshot — no shard lock is taken, so concurrent inserts into one
-	// table never serialize here (sinks are non-blocking and the
-	// buffered ring has its own lock).
-	if snap := c.tableShardFor(p.tableName).snap.Load(); snap != nil {
+	// of them. The consumer list comes from the copy-on-write snapshot —
+	// no table lock is taken, so concurrent inserts into one table never
+	// serialize here (sinks are non-blocking and the buffered ring has
+	// its own lock).
+	if snap := c.tab.snap.Load(); snap != nil {
 		if r := snap.routes[p.tableName]; r != nil && r.live > 0 {
 			c.streamInsert(r, p, row, tuple)
 		}
@@ -688,7 +649,7 @@ type rowScratch struct {
 // by snapshot immutability.
 //
 // Consumers in r are registered against p's table by construction:
-// addConsumer files each consumer under its table name, the shard
+// addConsumer files each consumer under its table name, the table
 // snapshot keys consumer lists by that same name, and CreateTable never
 // replaces a live *Table (identical re-creates no-op, conflicting ones
 // error), so cn.table == p.table holds for every entry and is not
@@ -767,10 +728,9 @@ func (c *Core) addConsumer(id int64, query string, qtype rgma.QueryType, sink Si
 	if sink != nil && qtype != rgma.ContinuousQuery {
 		return nil, fmt.Errorf("rgma: %v queries are request/response, not push-fed", qtype)
 	}
-	ts := c.tableShardFor(sel.Table)
-	ts.mu.RLock()
-	tab, exists := ts.tables[sel.Table]
-	ts.mu.RUnlock()
+	c.tab.mu.RLock()
+	tab, exists := c.tab.tables[sel.Table]
+	c.tab.mu.RUnlock()
 	if !exists {
 		return nil, fmt.Errorf("%w: no such table %q", ErrNotFound, sel.Table)
 	}
@@ -785,15 +745,14 @@ func (c *Core) addConsumer(id int64, query string, qtype rgma.QueryType, sink Si
 		qtype:     qtype,
 		sink:      sink,
 	}
-	rs := c.resShardFor(cn.id)
-	rs.mu.Lock()
-	rs.consumers[cn.id] = cn
-	rs.mu.Unlock()
+	c.res.mu.Lock()
+	c.res.consumers[cn.id] = cn
+	c.res.mu.Unlock()
 	if qtype == rgma.ContinuousQuery {
-		ts.mu.Lock()
-		ts.route(sel.Table).addContinuous(cn)
-		c.refreshSnap(ts, sel.Table)
-		ts.mu.Unlock()
+		c.tab.mu.Lock()
+		c.tab.route(sel.Table).addContinuous(cn)
+		c.tab.refreshSnap(sel.Table)
+		c.tab.mu.Unlock()
 	}
 	if journal && sink == nil {
 		// Push-fed consumers are bound to a live transport connection —
@@ -808,16 +767,15 @@ func (c *Core) addConsumer(id int64, query string, qtype rgma.QueryType, sink Si
 
 // LookupConsumer resolves a consumer resource id.
 func (c *Core) LookupConsumer(id int64) (*Consumer, bool) {
-	sh := c.resShardFor(id)
-	sh.mu.RLock()
-	cn, ok := sh.consumers[id]
-	sh.mu.RUnlock()
+	c.res.mu.RLock()
+	cn, ok := c.res.consumers[id]
+	c.res.mu.RUnlock()
 	return cn, ok
 }
 
 // Pop reads a consumer: a buffered continuous consumer's queued stream,
 // or a latest/history gather over the table's producers (registration
-// order, via the table shard's index). Push-fed consumers are refused —
+// order, via the table's index). Push-fed consumers are refused —
 // their tuples travel through the sink.
 func (c *Core) Pop(consumerID int64) ([]PopTuple, error) {
 	cn, exists := c.LookupConsumer(consumerID)
@@ -836,7 +794,7 @@ func (c *Core) Pop(consumerID int64) ([]PopTuple, error) {
 		// The gather list comes from the snapshot; each store locks
 		// internally.
 		var producers []*Producer
-		if snap := c.tableShardFor(cn.tableName).snap.Load(); snap != nil {
+		if snap := c.tab.snap.Load(); snap != nil {
 			if r := snap.routes[cn.tableName]; r != nil {
 				producers = r.producers
 			}
@@ -868,22 +826,20 @@ func (c *Core) CloseConsumer(id int64) error {
 }
 
 func (c *Core) closeConsumer(id int64, journal bool) error {
-	rs := c.resShardFor(id)
-	rs.mu.Lock()
-	cn, exists := rs.consumers[id]
+	c.res.mu.Lock()
+	cn, exists := c.res.consumers[id]
 	if exists {
-		delete(rs.consumers, id)
+		delete(c.res.consumers, id)
 	}
-	rs.mu.Unlock()
+	c.res.mu.Unlock()
 	if !exists {
 		return fmt.Errorf("%w: no such consumer %d", ErrNotFound, id)
 	}
 	if cn.qtype == rgma.ContinuousQuery {
-		ts := c.tableShardFor(cn.tableName)
-		ts.mu.Lock()
-		ts.routes[cn.tableName].removeContinuous(cn)
-		c.refreshSnap(ts, cn.tableName)
-		ts.mu.Unlock()
+		c.tab.mu.Lock()
+		c.tab.routes[cn.tableName].removeContinuous(cn)
+		c.tab.refreshSnap(cn.tableName)
+		c.tab.mu.Unlock()
 	}
 	if journal && cn.sink == nil {
 		if j := c.loadJournal(); j != nil {

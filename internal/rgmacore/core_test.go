@@ -26,7 +26,7 @@ func mustCreateTable(t *testing.T, c *Core, sql string) {
 // resources created after it. Pre-fix, the second CreateTable replaced
 // the schema object and this consumer never received the insert.
 func TestCreateTableRecreateKeepsStreams(t *testing.T) {
-	c := New(Config{Shards: 4})
+	c := New(Config{})
 	mustCreateTable(t, c, testTableSQL)
 
 	// Consumer created against the original schema object.
@@ -66,7 +66,7 @@ func TestCreateTableRecreateKeepsStreams(t *testing.T) {
 // TestCreateTableConflictingSchema: a re-create with a different schema
 // must be refused (ErrConflict), not silently replace the table.
 func TestCreateTableConflictingSchema(t *testing.T) {
-	c := New(Config{Shards: 4})
+	c := New(Config{})
 	mustCreateTable(t, c, testTableSQL)
 	_, err := c.CreateTable("CREATE TABLE g (genid INTEGER PRIMARY KEY, power DOUBLE PRECISION)")
 	if !errors.Is(err, ErrConflict) {
@@ -90,7 +90,7 @@ func TestCreateTableConflictingSchema(t *testing.T) {
 // callers of TupleStore.Purge — so history grew without bound under the
 // paper's primary workload. The insert path must now sweep (amortized).
 func TestInsertPathRetentionSweep(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	now := sim.Time(0)
 	c.clock = func() sim.Time { return now }
 	mustCreateTable(t, c, testTableSQL)
@@ -125,7 +125,7 @@ func TestInsertPathRetentionSweep(t *testing.T) {
 // consumer buffer: an abandoned continuous consumer must hold at most
 // MaxBuffered tuples, dropping the oldest, with the drops counted.
 func TestConsumerBufferCap(t *testing.T) {
-	c := New(Config{Shards: 2, MaxBuffered: 10})
+	c := New(Config{MaxBuffered: 10})
 	mustCreateTable(t, c, testTableSQL)
 	cn, err := c.CreateConsumer("SELECT * FROM g", rgma.ContinuousQuery, nil)
 	if err != nil {
@@ -197,7 +197,7 @@ func TestRetentionSeconds(t *testing.T) {
 // push-fed; popping them is a conflict, and the sink sees every tuple
 // with the shared encode-once payload.
 func TestPushFedConsumerRefusesPop(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	mustCreateTable(t, c, testTableSQL)
 	var got [][]byte
 	sink := func(id int64, st *Streamed) {

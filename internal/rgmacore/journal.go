@@ -199,33 +199,29 @@ type PersistentState struct {
 // quiescence (see above).
 func (c *Core) DumpPersistent() PersistentState {
 	var st PersistentState
-	for _, ts := range c.tables {
-		ts.mu.RLock()
-		for _, tab := range ts.tables {
-			st.Tables = append(st.Tables, tab.CreateSQL())
-		}
-		ts.mu.RUnlock()
+	c.tab.mu.RLock()
+	for _, tab := range c.tab.tables {
+		st.Tables = append(st.Tables, tab.CreateSQL())
 	}
+	c.tab.mu.RUnlock()
 	sort.Strings(st.Tables)
-	for _, rs := range c.res {
-		rs.mu.RLock()
-		for _, p := range rs.producers {
-			st.Producers = append(st.Producers, ProducerDump{
-				ID:               p.id,
-				Table:            p.tableName,
-				LatestRetention:  p.latestRetention,
-				HistoryRetention: p.historyRetention,
-				Tuples:           p.store.Dump(),
-			})
-		}
-		for _, cn := range rs.consumers {
-			if cn.sink != nil {
-				continue
-			}
-			st.Consumers = append(st.Consumers, ConsumerDump{ID: cn.id, Query: cn.rawQuery, Type: cn.qtype})
-		}
-		rs.mu.RUnlock()
+	c.res.mu.RLock()
+	for _, p := range c.res.producers {
+		st.Producers = append(st.Producers, ProducerDump{
+			ID:               p.id,
+			Table:            p.tableName,
+			LatestRetention:  p.latestRetention,
+			HistoryRetention: p.historyRetention,
+			Tuples:           p.store.Dump(),
+		})
 	}
+	for _, cn := range c.res.consumers {
+		if cn.sink != nil {
+			continue
+		}
+		st.Consumers = append(st.Consumers, ConsumerDump{ID: cn.id, Query: cn.rawQuery, Type: cn.qtype})
+	}
+	c.res.mu.RUnlock()
 	sort.Slice(st.Producers, func(i, j int) bool { return st.Producers[i].ID < st.Producers[j].ID })
 	sort.Slice(st.Consumers, func(i, j int) bool { return st.Consumers[i].ID < st.Consumers[j].ID })
 	return st

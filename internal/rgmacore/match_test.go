@@ -18,7 +18,7 @@ import (
 // only the candidate consumers (here exactly one) and skips the rest.
 func TestCoreMatchIndexMeters(t *testing.T) {
 	const consumers = 64
-	c := New(Config{Shards: 2})
+	c := New(Config{})
 	mustCreateTable(t, c, "CREATE TABLE hot (genid INTEGER PRIMARY KEY, site CHAR(20))")
 	p, err := c.CreateProducer("hot", sim.Second, sim.Second)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestCoreMatchIndexMeters(t *testing.T) {
 // producers registered under one table name therefore always share one
 // table identity.
 func TestTableIdentityPinned(t *testing.T) {
-	c := New(Config{Shards: 2})
+	c := New(Config{})
 	const ddl = "CREATE TABLE pin (genid INTEGER PRIMARY KEY, seq INTEGER)"
 	t1, err := c.CreateTable(ddl)
 	if err != nil {

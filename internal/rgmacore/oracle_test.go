@@ -14,7 +14,7 @@ import (
 // (registration order), and for every inserted row the predicate
 // engine's tree-walking reference (EvalInterpreted over a RowSource,
 // resolving names per evaluation, not the compiled Program) per
-// consumer — no shards, no snapshot, no matching index. It predicts each buffered
+// consumer — no lock domains, no snapshot, no matching index. It predicts each buffered
 // continuous consumer's ordered tuple stream, and gathers latest/history
 // pops by walking the producer slice, so a table index the Core forgot
 // to republish shows up as a pop divergence.

@@ -68,7 +68,7 @@ func coreOracleSeeds(t *testing.T) {
 
 	for seed := int64(1); seed <= 5; seed++ {
 		var now sim.Time
-		c := New(Config{Shards: 4})
+		c := New(Config{})
 		c.clock = func() sim.Time { return now }
 		orc := newOracleCore()
 		for _, tab := range tables {
@@ -197,7 +197,7 @@ func coreChurnStorm(t *testing.T) {
 		"SELECT * FROM %s WHERE seq >= 50",
 	}
 
-	c := New(Config{Shards: 4})
+	c := New(Config{})
 	c.clock = func() sim.Time { return 0 }
 	orc := newOracleCore()
 	for _, tab := range tables {
@@ -363,7 +363,7 @@ func coreChurnStorm(t *testing.T) {
 func TestConsumerChurnAllocsFlat(t *testing.T) {
 	const churn = "SELECT * FROM hot WHERE seq = -1"
 	perPair := func(n int) float64 {
-		c := New(Config{Shards: 1})
+		c := New(Config{})
 		mustCreateTable(t, c, "CREATE TABLE hot (genid INTEGER PRIMARY KEY, seq INTEGER)")
 		for k := 0; k < n; k++ {
 			if _, err := c.CreateConsumer(fmt.Sprintf("SELECT * FROM hot WHERE seq = %d", k), rgma.ContinuousQuery, nil); err != nil {

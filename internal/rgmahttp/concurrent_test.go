@@ -2,9 +2,6 @@ package rgmahttp
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -24,144 +21,13 @@ func startServerWith(t *testing.T, cfg rgmacore.Config) (*Server, *Client) {
 	return s, NewClient(addr)
 }
 
-// TestHTTPShardCountEquivalence replays one randomized single-threaded
-// op sequence against servers at several shard counts. At every count
-// each continuous pop must carry exactly the inserts a naive prediction
-// says it should (same table, id under the consumer's bound, insert
-// order — the rgmacore oracle's rule, restated over the HTTP client),
-// and the full response transcript — resource ids, pop payloads,
-// registry counts and traffic stats — must be identical across counts.
-// Shards are lock domains; with a single caller the shard count is
-// unobservable.
-func TestHTTPShardCountEquivalence(t *testing.T) {
-	tables := []string{"generator", "turbine", "relay", "meter", "feeder", "substation"}
-	run := func(cfg rgmacore.Config) string {
-		rng := rand.New(rand.NewSource(4242))
-		_, c := startServerWith(t, cfg)
-		var transcript []string
-		logf := func(format string, args ...any) {
-			transcript = append(transcript, fmt.Sprintf(format, args...))
-		}
-		for _, tab := range tables {
-			if err := c.CreateTable(fmt.Sprintf(
-				"CREATE TABLE %s (id INTEGER PRIMARY KEY, seq INTEGER, load DOUBLE PRECISION, site CHAR(20))", tab)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var producers []*RemoteProducer
-		var producerTable []string
-		var consumers []*RemoteConsumer
-		// Per continuous consumer: its predicate and the seq column
-		// (unique per insert) of every tuple its next pop should carry.
-		// Latest/history consumers are not predicted.
-		type contSpec struct {
-			table string
-			bound int // id < bound; -1 = no WHERE
-			seqs  []string
-		}
-		continuous := map[int64]*contSpec{}
-		for op := 0; op < 600; op++ {
-			tab := tables[rng.Intn(len(tables))]
-			switch r := rng.Intn(10); {
-			case r == 0:
-				p, err := c.CreatePrimaryProducer(tab, 30*time.Second, time.Minute)
-				if err != nil {
-					t.Fatal(err)
-				}
-				producers = append(producers, p)
-				producerTable = append(producerTable, tab)
-				logf("producer %d", p.ID)
-			case r == 1:
-				qtype := []string{"continuous", "latest", "history"}[rng.Intn(3)]
-				where, bound := "", -1
-				if rng.Intn(2) == 0 {
-					bound = rng.Intn(40)
-					where = fmt.Sprintf(" WHERE id < %d", bound)
-				}
-				cons, err := c.CreateConsumer("SELECT * FROM "+tab+where, qtype)
-				if err != nil {
-					t.Fatal(err)
-				}
-				consumers = append(consumers, cons)
-				if qtype == "continuous" {
-					continuous[cons.ID] = &contSpec{table: tab, bound: bound}
-				}
-				logf("consumer %d %s", cons.ID, qtype)
-			case r == 2 && len(consumers) > 0:
-				cons := consumers[rng.Intn(len(consumers))]
-				tuples, err := cons.Pop()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// InsertedAt is wall-clock and differs between servers;
-				// compare rows only.
-				var rows, seqs []string
-				for _, tu := range tuples {
-					rows = append(rows, fmt.Sprint(tu.Row))
-					seqs = append(seqs, tu.Row[1])
-				}
-				logf("pop %d -> %v", cons.ID, rows)
-				if spec := continuous[cons.ID]; spec != nil {
-					if !slices.Equal(seqs, spec.seqs) {
-						t.Fatalf("%+v op %d: consumer %d popped seqs %v, predicted %v", cfg, op, cons.ID, seqs, spec.seqs)
-					}
-					spec.seqs = nil
-				}
-			case r == 3 && len(producers) > 4:
-				i := rng.Intn(len(producers))
-				p := producers[i]
-				producers = append(producers[:i], producers[i+1:]...)
-				producerTable = append(producerTable[:i], producerTable[i+1:]...)
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
-				logf("closed producer %d", p.ID)
-			default:
-				if len(producers) == 0 {
-					continue
-				}
-				i := rng.Intn(len(producers))
-				p := producers[i]
-				id := rng.Intn(50)
-				sql := fmt.Sprintf("INSERT INTO %s (id, seq, load, site) VALUES (%d, %d, %.1f, 'site-%d')",
-					producerTable[i], id, op, rng.Float64()*100, rng.Intn(9))
-				if err := p.Insert(sql); err != nil {
-					t.Fatal(err)
-				}
-				for _, spec := range continuous {
-					if spec.table == producerTable[i] && (spec.bound < 0 || id < spec.bound) {
-						spec.seqs = append(spec.seqs, strconv.Itoa(op))
-					}
-				}
-			}
-		}
-		pn, cn, err := c.RegistryCounts()
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		logf("registry %d/%d inserts=%d pops=%d streamed=%d popped=%d",
-			pn, cn, st.Inserts, st.Pops, st.TuplesStreamed, st.TuplesPopped)
-		return fmt.Sprint(transcript)
-	}
-	one := run(rgmacore.Config{Shards: 1})
-	for _, cfg := range []rgmacore.Config{{Shards: 8}, {Shards: 32}} {
-		if got := run(cfg); got != one {
-			t.Fatalf("shards=%d transcript diverges from shards=1:\nshards=1: %.2000s\nshards=%d: %.2000s", cfg.Shards, one, cfg.Shards, got)
-		}
-	}
-}
-
 // TestHTTPConcurrentInsertPopStress is the acceptance stress: parallel
-// producers insert while consumers pop concurrently across at least 8
-// table shards, over real HTTP. Every matching tuple must reach the
+// producers insert while consumers pop concurrently across 8 tables,
+// over real HTTP. Every matching tuple must reach the
 // continuous consumer exactly once, with the race detector watching the
 // whole service stack.
 func TestHTTPConcurrentInsertPopStress(t *testing.T) {
-	s, c := startServerWith(t, rgmacore.Config{Shards: 8})
+	s, c := startServerWith(t, rgmacore.Config{})
 	const nTables = 8
 	const insertsPerTable = 120
 	var tables []string
@@ -282,7 +148,7 @@ func TestHTTPConcurrentInsertPopStress(t *testing.T) {
 // TestHTTPStatsAndClose exercises the stats endpoint and consumer-close
 // registry bookkeeping (the seed leaked consumer registrations).
 func TestHTTPStatsAndClose(t *testing.T) {
-	_, c := startServerWith(t, rgmacore.Config{Shards: 4})
+	_, c := startServerWith(t, rgmacore.Config{})
 	if err := c.CreateTable("CREATE TABLE g (id INTEGER PRIMARY KEY, v DOUBLE PRECISION)"); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +167,7 @@ func TestHTTPStatsAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Producers != 1 || st.Consumers != 1 || st.Inserts != 1 || st.TuplesStreamed != 1 || st.Shards != 4 {
+	if st.Producers != 1 || st.Consumers != 1 || st.Inserts != 1 || st.TuplesStreamed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if err := cons.Close(); err != nil {

@@ -52,7 +52,7 @@ func TestHTTPCreateTableRecreate(t *testing.T) {
 // TestHTTPStatsTuplesDropped: the consumer buffer cap surfaces its drop
 // counter in /stats.
 func TestHTTPStatsTuplesDropped(t *testing.T) {
-	_, c := startServerWith(t, rgmacore.Config{Shards: 2, MaxBuffered: 5})
+	_, c := startServerWith(t, rgmacore.Config{MaxBuffered: 5})
 	if err := c.CreateTable(createSQL); err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,14 @@
 //
 // # Concurrency
 //
-// All shared state lives in the core, which is sharded the way the
-// broker core is (lock domains, not worker goroutines), so request
-// handling runs on the HTTP server's connection goroutines and scales
-// with them; see the rgmacore package comment for the lock families and
-// the ordering contract. Consumer WHERE predicates are compiled once at
-// create time by the predicate engine JMS selectors also use
-// (internal/selector, through sqlmini.Program, column names resolved to
-// row indexes) and evaluated on the insert fast path.
+// All shared state lives in the core, which guards it with locks rather
+// than worker goroutines, so request handling runs on the HTTP server's
+// connection goroutines and scales with them; see the rgmacore package
+// comment for the two lock domains and the ordering contract. Consumer
+// WHERE predicates are compiled once at create time by the predicate
+// engine JMS selectors also use (internal/selector, through
+// sqlmini.Program, column names resolved to row indexes) and evaluated
+// on the insert fast path.
 //
 // Endpoints (all JSON):
 //
@@ -303,7 +303,6 @@ type Stats struct {
 	TuplesStreamed uint64 `json:"tuplesStreamed"`
 	TuplesPopped   uint64 `json:"tuplesPopped"`
 	TuplesDropped  uint64 `json:"tuplesDropped"`
-	Shards         int    `json:"shards"`
 
 	// WAL is present only when the server persists to a write-ahead
 	// log (cmd/rgmad -data-dir).
@@ -345,7 +344,6 @@ func (s *Server) StatsSnapshot() Stats {
 		TuplesStreamed: cs.TuplesStreamed,
 		TuplesPopped:   cs.TuplesPopped,
 		TuplesDropped:  cs.TuplesDropped,
-		Shards:         s.core.NumShards(),
 	}
 	if f := s.walStats.Load(); f != nil {
 		ws := (*f)()

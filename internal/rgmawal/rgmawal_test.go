@@ -16,7 +16,7 @@ import (
 const tableSQL = "CREATE TABLE generator (genid INTEGER PRIMARY KEY, power DOUBLE PRECISION, site CHAR(20))"
 
 func newCore() *rgmacore.Core {
-	return rgmacore.New(rgmacore.Config{Shards: 4})
+	return rgmacore.New(rgmacore.Config{})
 }
 
 func insert(t *testing.T, c *rgmacore.Core, producerID int64, genid int, power float64, site string) {

@@ -145,8 +145,6 @@ type expr interface {
 	evalBool(src Source) Tri
 	// evalVal evaluates the node as a value (for arithmetic operands).
 	evalVal(src Source) Value
-	// nodes reports the AST size under this node (for cost accounting).
-	nodes() int
 }
 
 // --- leaves ---
@@ -155,7 +153,6 @@ type litExpr struct{ v Value }
 
 func (e *litExpr) evalVal(Source) Value { return e.v }
 func (e *litExpr) evalBool(Source) Tri  { return triOf(e.v) }
-func (e *litExpr) nodes() int           { return 1 }
 
 type identExpr struct{ name string }
 
@@ -167,7 +164,6 @@ func (e *identExpr) evalVal(src Source) Value {
 	return fromMessage(mv)
 }
 func (e *identExpr) evalBool(src Source) Tri { return triOf(e.evalVal(src)) }
-func (e *identExpr) nodes() int              { return 1 }
 
 // --- boolean combinators ---
 
@@ -175,7 +171,6 @@ type notExpr struct{ inner expr }
 
 func (e *notExpr) evalBool(src Source) Tri  { return triNot(e.inner.evalBool(src)) }
 func (e *notExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *notExpr) nodes() int               { return 1 + e.inner.nodes() }
 
 type andExpr struct{ l, r expr }
 
@@ -187,7 +182,6 @@ func (e *andExpr) evalBool(src Source) Tri {
 	return triAnd(lv, e.r.evalBool(src))
 }
 func (e *andExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *andExpr) nodes() int               { return 1 + e.l.nodes() + e.r.nodes() }
 
 type orExpr struct{ l, r expr }
 
@@ -199,7 +193,6 @@ func (e *orExpr) evalBool(src Source) Tri {
 	return triOr(lv, e.r.evalBool(src))
 }
 func (e *orExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *orExpr) nodes() int               { return 1 + e.l.nodes() + e.r.nodes() }
 
 func triToVal(t Tri) Value {
 	if t == TriUnknown {
@@ -257,7 +250,6 @@ func (e *cmpExpr) evalBool(src Source) Tri {
 	return TriUnknown
 }
 func (e *cmpExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *cmpExpr) nodes() int               { return 1 + e.l.nodes() + e.r.nodes() }
 
 func boolTri(b bool) Tri {
 	if b {
@@ -352,7 +344,6 @@ func (e *arithExpr) evalVal(src Source) Value {
 	return NullValue()
 }
 func (e *arithExpr) evalBool(src Source) Tri { return TriFalse }
-func (e *arithExpr) nodes() int              { return 1 + e.l.nodes() + e.r.nodes() }
 
 type negExpr struct{ inner expr }
 
@@ -367,7 +358,6 @@ func (e *negExpr) evalVal(src Source) Value {
 	return NullValue()
 }
 func (e *negExpr) evalBool(Source) Tri { return TriFalse }
-func (e *negExpr) nodes() int          { return 1 + e.inner.nodes() }
 
 // --- BETWEEN / IN / LIKE / IS NULL ---
 
@@ -396,7 +386,6 @@ func (e *betweenExpr) evalBool(src Source) Tri {
 	return boolTri(in)
 }
 func (e *betweenExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *betweenExpr) nodes() int               { return 1 + e.e.nodes() + e.lo.nodes() + e.hi.nodes() }
 
 type inExpr struct {
 	not   bool
@@ -426,7 +415,6 @@ func (e *inExpr) evalBool(src Source) Tri {
 	return boolTri(found)
 }
 func (e *inExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *inExpr) nodes() int               { return 1 + len(e.set) }
 
 type likeExpr struct {
 	not     bool
@@ -450,7 +438,6 @@ func (e *likeExpr) evalBool(src Source) Tri {
 	return boolTri(m)
 }
 func (e *likeExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *likeExpr) nodes() int               { return 2 }
 
 type isNullExpr struct {
 	not   bool
@@ -466,7 +453,6 @@ func (e *isNullExpr) evalBool(src Source) Tri {
 	return boolTri(isNull)
 }
 func (e *isNullExpr) evalVal(src Source) Value { return triToVal(e.evalBool(src)) }
-func (e *isNullExpr) nodes() int               { return 2 }
 
 // --- LIKE pattern compilation ---
 
@@ -710,15 +696,6 @@ func (s *Selector) AlwaysTrue() bool {
 	}
 	t, ok := fold(s.root, nil)
 	return ok && t == TriTrue
-}
-
-// Complexity reports the AST node count, used by the simulation's CPU cost
-// model to charge selector evaluation time.
-func (s *Selector) Complexity() int {
-	if s == nil || s.root == nil {
-		return 0
-	}
-	return s.root.nodes()
 }
 
 // String returns the original selector text.

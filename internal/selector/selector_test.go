@@ -267,12 +267,9 @@ func TestEmptySelectorMatchesAll(t *testing.T) {
 		if !s.Matches(msg()) {
 			t.Fatalf("empty selector %q rejected message", src)
 		}
-		if s.Complexity() != 0 {
-			t.Fatal("empty selector has complexity")
-		}
 	}
 	var nilSel *Selector
-	if !nilSel.Matches(msg()) || nilSel.Eval(msg()) != TriTrue || nilSel.String() != "" || nilSel.Complexity() != 0 {
+	if !nilSel.Matches(msg()) || nilSel.Eval(msg()) != TriTrue || nilSel.String() != "" {
 		t.Fatal("nil selector misbehaves")
 	}
 }
@@ -365,14 +362,6 @@ func TestNumericLiterals(t *testing.T) {
 		if got := evalOn(t, expr); got != TriTrue {
 			t.Errorf("%q = %v, want true", expr, got)
 		}
-	}
-}
-
-func TestComplexity(t *testing.T) {
-	a := MustParse("id < 10000")
-	b := MustParse("id < 10000 AND site LIKE 'aber%' AND power BETWEEN 1 AND 2")
-	if a.Complexity() <= 0 || b.Complexity() <= a.Complexity() {
-		t.Fatalf("complexities: %d vs %d", a.Complexity(), b.Complexity())
 	}
 }
 

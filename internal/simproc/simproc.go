@@ -14,6 +14,7 @@ package simproc
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"gridmon/internal/sim"
 )
@@ -130,66 +131,92 @@ func (c *CPU) Utilization(since sim.Time) float64 {
 
 // Heap models a bounded memory allocator with peak tracking. Sizes are in
 // bytes. The zero value is unusable; construct with NewHeap.
+//
+// Alloc and Free are lock-free (CAS on the usage counter), so one heap
+// serves both the single-goroutine simulator and bindings that account
+// memory from many goroutines at once — the TCP broker charges delivery
+// memory from every connection and admission from the accept loop
+// concurrently.
 type Heap struct {
 	name  string
 	limit int64
-	used  int64
 	base  int64 // resident baseline (middleware itself), reported in Used
-	peak  int64
-	fails uint64
+	used  atomic.Int64
+	peak  atomic.Int64
+	fails atomic.Uint64
 }
 
 // NewHeap returns a heap with the given byte limit (0 means unlimited) and
 // a resident baseline that is counted against the limit immediately.
 func NewHeap(name string, limit, baseline int64) *Heap {
-	h := &Heap{name: name, limit: limit, base: baseline, used: baseline, peak: baseline}
+	h := &Heap{name: name, limit: limit, base: baseline}
+	h.used.Store(baseline)
+	h.peak.Store(baseline)
 	return h
 }
 
 // Alloc reserves n bytes. It fails with ErrOutOfMemory when the limit would
-// be exceeded, leaving usage unchanged.
+// be exceeded, leaving usage unchanged. The limit check and the
+// reservation are one atomic step, so concurrent allocators can never
+// jointly overshoot the limit.
 func (h *Heap) Alloc(n int64) error {
 	if n < 0 {
 		panic("simproc: negative allocation")
 	}
-	if h.limit > 0 && h.used+n > h.limit {
-		h.fails++
-		return fmt.Errorf("%w: %s: %d + %d > limit %d", ErrOutOfMemory, h.name, h.used, n, h.limit)
+	if h.limit <= 0 {
+		// Unlimited heap: no limit check to make atomic, so a plain
+		// add avoids the CAS retry loop on the delivery hot path.
+		h.raisePeak(h.used.Add(n))
+		return nil
 	}
-	h.used += n
-	if h.used > h.peak {
-		h.peak = h.used
+	for {
+		cur := h.used.Load()
+		if cur+n > h.limit {
+			h.fails.Add(1)
+			return fmt.Errorf("%w: %s: %d + %d > limit %d", ErrOutOfMemory, h.name, cur, n, h.limit)
+		}
+		if h.used.CompareAndSwap(cur, cur+n) {
+			h.raisePeak(cur + n)
+			return nil
+		}
 	}
-	return nil
+}
+
+func (h *Heap) raisePeak(used int64) {
+	for {
+		p := h.peak.Load()
+		if used <= p || h.peak.CompareAndSwap(p, used) {
+			return
+		}
+	}
 }
 
 // Free releases n bytes. Freeing below the resident baseline panics: it
-// indicates unbalanced accounting in a model.
+// indicates unbalanced accounting in a model or binding.
 func (h *Heap) Free(n int64) {
 	if n < 0 {
 		panic("simproc: negative free")
 	}
-	h.used -= n
-	if h.used < h.base {
-		panic(fmt.Sprintf("simproc: heap %s freed below baseline (%d < %d)", h.name, h.used, h.base))
+	if after := h.used.Add(-n); after < h.base {
+		panic(fmt.Sprintf("simproc: heap %s freed below baseline (%d < %d)", h.name, after, h.base))
 	}
 }
 
 // Used reports current usage including the baseline.
-func (h *Heap) Used() int64 { return h.used }
+func (h *Heap) Used() int64 { return h.used.Load() }
 
 // Peak reports the highest usage observed.
-func (h *Heap) Peak() int64 { return h.peak }
+func (h *Heap) Peak() int64 { return h.peak.Load() }
 
 // Limit reports the configured limit (0 = unlimited).
 func (h *Heap) Limit() int64 { return h.limit }
 
 // Failures reports how many allocations were refused.
-func (h *Heap) Failures() uint64 { return h.fails }
+func (h *Heap) Failures() uint64 { return h.fails.Load() }
 
 // Consumption reports peak minus baseline — the paper's "memory
 // consumption ... difference between peak and bottom values".
-func (h *Heap) Consumption() int64 { return h.peak - h.base }
+func (h *Heap) Consumption() int64 { return h.peak.Load() - h.base }
 
 // Sample is one vmstat-style observation.
 type Sample struct {

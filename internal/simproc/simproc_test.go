@@ -2,6 +2,7 @@ package simproc
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +151,37 @@ func TestHeapNegativePanics(t *testing.T) {
 		}
 	}()
 	h.Free(-1)
+}
+
+// TestSharedHeapConcurrentNeverOvershoots hammers one heap, shared by
+// many goroutines, with Alloc/Free and checks the atomic limit
+// invariant: no interleaving may push usage past the limit, and
+// balanced alloc/free pairs must return usage exactly to the baseline.
+func TestSharedHeapConcurrentNeverOvershoots(t *testing.T) {
+	const limit, workers, rounds = 1000, 8, 2000
+	h := NewHeap("t", limit, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(n int64) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := h.Alloc(n); err == nil {
+					if u := h.Used(); u > limit {
+						t.Errorf("used %d exceeds limit %d", u, limit)
+					}
+					h.Free(n)
+				}
+			}
+		}(int64(50 + 10*w))
+	}
+	wg.Wait()
+	if h.Used() != 0 {
+		t.Fatalf("unbalanced accounting: used=%d", h.Used())
+	}
+	if h.Peak() > limit {
+		t.Fatalf("peak %d exceeds limit %d", h.Peak(), limit)
+	}
 }
 
 func TestSamplerIdleFractions(t *testing.T) {
