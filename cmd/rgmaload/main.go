@@ -207,11 +207,18 @@ func main() {
 		}
 		startConsumer = func(i int, seen *atomic.Int64, want int64) (func(time.Time), error) {
 			// Push-fed: the server delivers tuples as they are
-			// inserted; the callback just counts them.
-			cons, err := control.CreateConsumer(
+			// inserted; the callback just counts them. Each consumer
+			// has its own connection, so the server's slow-consumer
+			// policy sees one stream per socket, as a real consumer's.
+			cc, err := rgmabin.Dial(*server)
+			if err != nil {
+				return nil, err
+			}
+			cons, err := cc.CreateConsumer(
 				fmt.Sprintf("SELECT * FROM %s", tableName(i)), "continuous",
 				func(tuples []rgmabin.PoppedTuple) { seen.Add(int64(len(tuples))) })
 			if err != nil {
+				_ = cc.Close()
 				return nil, err
 			}
 			return func(deadline time.Time) {
@@ -221,6 +228,7 @@ func main() {
 					time.Sleep(time.Millisecond)
 				}
 				_ = cons.Close()
+				_ = cc.Close()
 			}, nil
 		}
 		serverStats = func() {} // stats endpoint is HTTP-only

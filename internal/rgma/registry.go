@@ -149,7 +149,8 @@ func (q QueryType) String() string {
 	return "query(?)"
 }
 
-// ParseQuery parses and validates a consumer's SELECT statement.
+// ParseQuery parses and validates a consumer's SELECT statement. A
+// consumer receives whole tuples, so a column list is refused.
 func ParseQuery(src string) (sqlmini.Select, error) {
 	st, err := sqlmini.Parse(src)
 	if err != nil {
@@ -158,6 +159,9 @@ func ParseQuery(src string) (sqlmini.Select, error) {
 	sel, ok := st.(sqlmini.Select)
 	if !ok {
 		return sqlmini.Select{}, fmt.Errorf("rgma: consumer query must be SELECT, got %T", st)
+	}
+	if sel.Columns != nil {
+		return sqlmini.Select{}, fmt.Errorf("rgma: only SELECT * is served, not a column list")
 	}
 	return sel, nil
 }

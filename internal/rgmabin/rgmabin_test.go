@@ -196,6 +196,10 @@ func TestBinErrors(t *testing.T) {
 	if _, err := c.CreatePrimaryProducer("generator", 0, time.Second); err == nil {
 		t.Fatal("zero retention accepted")
 	}
+	_, err = c.CreateConsumer("SELECT genid FROM generator", "latest", nil)
+	if !asServerError(err, &se) || se.Code != rgmabin.CodeBadRequest {
+		t.Fatalf("consumer with a SELECT list: %v, want CodeBadRequest", err)
+	}
 }
 
 func asServerError(err error, out **rgmabin.ServerError) bool {

@@ -3,6 +3,7 @@ package rgmacore
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +191,21 @@ func TestRetentionSeconds(t *testing.T) {
 		if tc.ok != (err == nil) || got != tc.want {
 			t.Errorf("RetentionSeconds(%v) = %d, %v; want %d, ok=%v", tc.d, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// TestSelectListRefused: a consumer receives whole tuples, so a SELECT
+// list, which nothing would apply, is refused and installs nothing.
+func TestSelectListRefused(t *testing.T) {
+	c := New(Config{})
+	mustCreateTable(t, c, testTableSQL)
+	for _, q := range []string{"SELECT genid FROM g", "SELECT nosuch FROM g", "SELECT genid, site FROM g WHERE genid = 1"} {
+		if _, err := c.CreateConsumer(q, rgma.ContinuousQuery, nil); err == nil || !strings.Contains(err.Error(), "only SELECT *") {
+			t.Errorf("CreateConsumer(%q) = %v, want the SELECT * refusal", q, err)
+		}
+	}
+	if _, n := c.RegistryCounts(); n != 0 {
+		t.Fatalf("%d consumers installed", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package selector
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 
@@ -574,29 +573,42 @@ func Parse(src string) (*Selector, error) { return ParseDialect(src, JMS) }
 
 // ParseDialect parses a predicate under dialect d.
 func ParseDialect(src string, d Dialect) (*Selector, error) {
-	if strings.TrimLeft(src, " \t\n\r") == "" {
-		if d == SQL {
-			return nil, &Error{Pos: len(src), Msg: "empty predicate", Expr: src}
+	p := NewScanner(src, d)
+	s, err := p.Predicate()
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Predicate parses the rest of the input, after the current token (all
+// of it on a new Scanner), as a predicate in the scanner's dialect; that
+// rest is the selector's text.
+func (p *Scanner) Predicate() (*Selector, *Error) {
+	base := p.lex.pos
+	src := p.lex.src[base:]
+	if err := p.Next(); err != nil {
+		return nil, err
+	}
+	if p.Tok.Kind == TokEOF {
+		if p.sql {
+			return nil, p.Errorf("empty predicate")
 		}
 		return &Selector{src: src}, nil
-	}
-	p := parser{lex: lexer{src: src, sql: d == SQL}, sql: d == SQL}
-	if err := p.advance(); err != nil {
-		return nil, err
 	}
 	root, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind != tokEOF {
-		return nil, &Error{Pos: p.tok.pos, Msg: fmt.Sprintf("unexpected trailing token %q", p.tok.text), Expr: src}
+	if p.Tok.Kind != TokEOF {
+		return nil, p.Errorf("unexpected trailing token %q", p.Tok.Text)
 	}
-	if d == SQL && !sqlShape(root) {
-		return nil, &Error{Msg: "a WHERE clause allows only `column op [±]literal`, `column IS [NOT] NULL`, AND, OR, NOT and parentheses", Expr: src}
+	if p.sql && !sqlShape(root) {
+		return nil, &Error{Pos: base, Msg: "a WHERE clause allows only `column op [±]literal`, `column IS [NOT] NULL`, AND, OR, NOT and parentheses", Expr: p.lex.src}
 	}
-	s := &Selector{src: src, root: root, dialect: d, key: extractKey(root)}
-	if d == JMS {
-		s.prog = compileProgram(root, false, nil)
+	s := &Selector{src: src, root: root, dialect: SQL, key: extractKey(root)}
+	if !p.sql {
+		s.dialect, s.prog = JMS, compileProgram(root, false, nil)
 	}
 	return s, nil
 }

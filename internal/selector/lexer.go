@@ -18,6 +18,11 @@
 // column with a literal and IS [NOT] NULL tests under AND, OR and NOT, in
 // which strings are ordered and names are case-insensitive.
 //
+// The SQL dialect's tokens are also R-GMA's statement tokens: sqlmini
+// reads CREATE TABLE, INSERT and SELECT … FROM with a Scanner and hands
+// it over at WHERE, so one lexer, one literal grammar, one error shape
+// and one reserved-word rule serve both middlewares' languages.
+//
 // Names resolve once, at compile time. Parse compiles a JMS selector
 // into a message program, which reads the JMS headers through
 // pre-resolved slots and everything else as a property. CompileFields
@@ -36,27 +41,31 @@ import (
 	"strings"
 )
 
-type tokenKind uint8
+// TokenKind classifies a Token.
+type TokenKind uint8
 
+// Token kinds.
 const (
-	tokEOF tokenKind = iota
-	tokIdent
-	tokInt
-	tokFloat
-	tokString
-	tokOp      // punctuation operators: = <> < <= > >= + - * / ( ) ,
-	tokKeyword // AND OR NOT BETWEEN LIKE IN IS NULL ESCAPE TRUE FALSE
+	TokEOF TokenKind = iota
+	TokIdent
+	TokInt
+	TokFloat
+	TokString
+	TokOp      // punctuation operators: = <> < <= > >= + - * / ( ) ,
+	TokKeyword // AND OR NOT BETWEEN LIKE IN IS NULL ESCAPE TRUE FALSE
 )
 
-type token struct {
-	kind tokenKind
-	text string // uppercase for keywords, verbatim otherwise
-	pos  int
-	ival int64
-	fval float64
+// Token is one token of the language: a Scanner's current token.
+type Token struct {
+	Kind  TokenKind
+	Text  string  // upper case for a keyword, a string literal's value, verbatim otherwise
+	Pos   int     // byte offset in the scanned text
+	Int   int64   // a TokInt's value
+	Float float64 // a TokFloat's value
 }
 
-// Error describes a selector parse failure with its byte offset.
+// Error describes a parse failure with its byte offset in the scanned
+// text, Expr.
 type Error struct {
 	Pos  int
 	Msg  string
@@ -72,16 +81,12 @@ var keywords = [...]string{"AND", "OR", "NOT", "BETWEEN", "LIKE", "IN", "IS", "N
 // keyword returns the keyword word spells in any letter case, or "".
 func keyword(word string) string {
 	for _, kw := range keywords {
-		if len(kw) == len(word) && strings.EqualFold(kw, word) {
+		if len(kw) == len(word) && kw[0] == word[0]&^0x20 && strings.EqualFold(kw, word) {
 			return kw
 		}
 	}
 	return ""
 }
-
-// IsKeyword reports whether name, in any letter case, is a reserved word
-// of the language, which a predicate cannot use as a name.
-func IsKeyword(name string) bool { return keyword(name) != "" }
 
 type lexer struct {
 	src string
@@ -103,7 +108,7 @@ func (l *lexer) errf(pos int, format string, args ...any) *Error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...), Expr: l.src}
 }
 
-func (l *lexer) next() (token, *Error) {
+func (l *lexer) next() (Token, *Error) {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
@@ -113,7 +118,7 @@ func (l *lexer) next() (token, *Error) {
 		break
 	}
 	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
+		return Token{Kind: TokEOF, Pos: l.pos}, nil
 	}
 	start := l.pos
 	c := l.src[l.pos]
@@ -124,9 +129,9 @@ func (l *lexer) next() (token, *Error) {
 		}
 		word := l.src[start:l.pos]
 		if kw := keyword(word); kw != "" {
-			return token{kind: tokKeyword, text: kw, pos: start}, nil
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
-		return token{kind: tokIdent, text: word, pos: start}, nil
+		return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 
 	case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 		return l.number(start)
@@ -138,26 +143,26 @@ func (l *lexer) next() (token, *Error) {
 		l.pos++
 		if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
 			l.pos++
-			return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
+			return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 		}
-		return token{kind: tokOp, text: "<", pos: start}, nil
+		return Token{Kind: TokOp, Text: "<", Pos: start}, nil
 
 	case c == '>':
 		l.pos++
 		if l.pos < len(l.src) && l.src[l.pos] == '=' {
 			l.pos++
-			return token{kind: tokOp, text: ">=", pos: start}, nil
+			return Token{Kind: TokOp, Text: ">=", Pos: start}, nil
 		}
-		return token{kind: tokOp, text: ">", pos: start}, nil
+		return Token{Kind: TokOp, Text: ">", Pos: start}, nil
 
 	case c == '=' || c == '+' || c == '-' || c == '*' || c == '/' || c == '(' || c == ')' || c == ',':
 		l.pos++
-		return token{kind: tokOp, text: string(c), pos: start}, nil
+		return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start}, nil
 	}
-	return token{}, l.errf(start, "unexpected character %q", string(c))
+	return Token{}, l.errf(start, "unexpected character %q", string(c))
 }
 
-func (l *lexer) number(start int) (token, *Error) {
+func (l *lexer) number(start int) (Token, *Error) {
 	isFloat := false
 	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 		l.pos++
@@ -184,40 +189,37 @@ func (l *lexer) number(start int) (token, *Error) {
 			// Not an exponent after all ("10e" would be invalid; JMS
 			// identifiers cannot start mid-number, so reject).
 			l.pos = mark
-			return token{}, l.errf(mark, "malformed exponent")
+			return Token{}, l.errf(mark, "malformed exponent")
 		}
 	}
 	text := l.src[start:l.pos]
 	if isFloat {
 		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return token{}, l.errf(start, "bad float literal %q", text)
+			return Token{}, l.errf(start, "bad float literal %q", text)
 		}
-		return token{kind: tokFloat, text: text, fval: f, pos: start}, nil
+		return Token{Kind: TokFloat, Text: text, Float: f, Pos: start}, nil
 	}
 	n, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {
-		return token{}, l.errf(start, "bad integer literal %q", text)
+		return Token{}, l.errf(start, "bad integer literal %q", text)
 	}
-	return token{kind: tokInt, text: text, ival: n, pos: start}, nil
+	return Token{Kind: TokInt, Text: text, Int: n, Pos: start}, nil
 }
 
-func (l *lexer) stringLit(start int) (token, *Error) {
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'') // '' escapes a quote, per SQL
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return token{kind: tokString, text: sb.String(), pos: start}, nil
+func (l *lexer) stringLit(start int) (Token, *Error) {
+	for i := start + 1; i < len(l.src); i++ {
+		if l.src[i] != '\'' {
+			continue
 		}
-		sb.WriteByte(c)
-		l.pos++
+		if i+1 < len(l.src) && l.src[i+1] == '\'' {
+			i++ // '' escapes a quote, per SQL
+			continue
+		}
+		l.pos = i + 1
+		// A copy: a row that keeps the value does not keep the statement.
+		text := strings.Clone(strings.ReplaceAll(l.src[start+1:i], "''", "'"))
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	}
-	return token{}, l.errf(start, "unterminated string literal")
+	return Token{}, l.errf(start, "unterminated string literal")
 }

@@ -5,7 +5,8 @@ import (
 	"strings"
 )
 
-// Parser: recursive descent over the JMS selector grammar.
+// Scanner is the predicate parser: recursive descent over the JMS
+// selector grammar, reading its input one token at a time.
 //
 //	orExpr     := andExpr (OR andExpr)*
 //	andExpr    := notExpr (AND notExpr)*
@@ -24,54 +25,68 @@ import (
 // The SQL dialect narrows three places the tree cannot show: a sign must
 // stand directly before a literal, a parenthesised expression must be a
 // condition, and '$' is not an identifier character.
-type parser struct {
+//
+// A caller can parse a statement around a predicate with the same
+// tokens: sqlmini reads an R-GMA statement's CREATE TABLE, INSERT and
+// SELECT … FROM through Next in the SQL dialect, and at WHERE calls
+// Predicate, which parses the rest of the stream. Offsets, in tokens and
+// errors, point into the whole input.
+type Scanner struct {
+	Tok Token // the current token; Next reads the first
 	lex lexer
-	tok token
 	sql bool
 }
 
-func (p *parser) advance() *Error {
+// NewScanner returns a Scanner over src in dialect d, before its first
+// token.
+func NewScanner(src string, d Dialect) Scanner {
+	return Scanner{lex: lexer{src: src, sql: d == SQL}, sql: d == SQL}
+}
+
+// Next reads the next token into Tok.
+func (p *Scanner) Next() *Error {
 	t, err := p.lex.next()
 	if err != nil {
 		return err
 	}
-	p.tok = t
+	p.Tok = t
 	return nil
 }
 
-func (p *parser) errf(format string, args ...any) *Error {
-	return &Error{Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...), Expr: p.lex.src}
+// Errorf returns an error at the current token.
+func (p *Scanner) Errorf(format string, args ...any) *Error {
+	return &Error{Pos: p.Tok.Pos, Msg: fmt.Sprintf(format, args...), Expr: p.lex.src}
 }
 
-func (p *parser) isKeyword(kw string) bool {
-	return p.tok.kind == tokKeyword && p.tok.text == kw
+func (p *Scanner) isKeyword(kw string) bool {
+	return p.Tok.Kind == TokKeyword && p.Tok.Text == kw
 }
 
-func (p *parser) isOp(op string) bool {
-	return p.tok.kind == tokOp && p.tok.text == op
+func (p *Scanner) isOp(op string) bool {
+	return p.Tok.Kind == TokOp && p.Tok.Text == op
 }
 
-func (p *parser) expectOp(op string) *Error {
+func (p *Scanner) expectOp(op string) *Error {
 	if !p.isOp(op) {
-		return p.errf("expected %q, found %q", op, p.tok.text)
+		return p.Errorf("expected %q, found %q", op, p.Tok.Text)
 	}
-	return p.advance()
+	return p.Next()
 }
 
-func (p *parser) expectKeyword(kw string) *Error {
+func (p *Scanner) expectKeyword(kw string) *Error {
 	if !p.isKeyword(kw) {
-		return p.errf("expected %s, found %q", kw, p.tok.text)
+		return p.Errorf("expected %s, found %q", kw, p.Tok.Text)
 	}
-	return p.advance()
+	return p.Next()
 }
 
-func (p *parser) parseOr() (expr, *Error) {
+func (p *Scanner) parseOr() (expr, *Error) {
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
 	for p.isKeyword("OR") {
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		right, err := p.parseAnd()
@@ -83,13 +98,13 @@ func (p *parser) parseOr() (expr, *Error) {
 	return left, nil
 }
 
-func (p *parser) parseAnd() (expr, *Error) {
+func (p *Scanner) parseAnd() (expr, *Error) {
 	left, err := p.parseNot()
 	if err != nil {
 		return nil, err
 	}
 	for p.isKeyword("AND") {
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		right, err := p.parseNot()
@@ -101,9 +116,9 @@ func (p *parser) parseAnd() (expr, *Error) {
 	return left, nil
 }
 
-func (p *parser) parseNot() (expr, *Error) {
+func (p *Scanner) parseNot() (expr, *Error) {
 	if p.isKeyword("NOT") {
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		inner, err := p.parseNot()
@@ -115,7 +130,7 @@ func (p *parser) parseNot() (expr, *Error) {
 	return p.parseComparison()
 }
 
-func (p *parser) parseComparison() (expr, *Error) {
+func (p *Scanner) parseComparison() (expr, *Error) {
 	left, err := p.parseArith()
 	if err != nil {
 		return nil, err
@@ -123,18 +138,18 @@ func (p *parser) parseComparison() (expr, *Error) {
 	neg := false
 	if p.isKeyword("NOT") {
 		// NOT here must introduce BETWEEN / IN / LIKE.
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		neg = true
 	}
 	switch {
-	case p.tok.kind == tokOp && isCmpOp(p.tok.text):
+	case p.Tok.Kind == TokOp && isCmpOp(p.Tok.Text):
 		if neg {
-			return nil, p.errf("NOT before comparison operator")
+			return nil, p.Errorf("NOT before comparison operator")
 		}
-		op := p.tok.text
-		if err := p.advance(); err != nil {
+		op := p.Tok.Text
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		right, err := p.parseArith()
@@ -144,7 +159,7 @@ func (p *parser) parseComparison() (expr, *Error) {
 		return &cmpExpr{op: op, l: left, r: right, ordStr: p.sql}, nil
 
 	case p.isKeyword("BETWEEN"):
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		lo, err := p.parseArith()
@@ -163,9 +178,9 @@ func (p *parser) parseComparison() (expr, *Error) {
 	case p.isKeyword("IN"):
 		id, ok := left.(*identExpr)
 		if !ok {
-			return nil, p.errf("IN requires an identifier on the left")
+			return nil, p.Errorf("IN requires an identifier on the left")
 		}
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		if err := p.expectOp("("); err != nil {
@@ -173,15 +188,15 @@ func (p *parser) parseComparison() (expr, *Error) {
 		}
 		var set []string
 		for {
-			if p.tok.kind != tokString {
-				return nil, p.errf("IN list requires string literals")
+			if p.Tok.Kind != TokString {
+				return nil, p.Errorf("IN list requires string literals")
 			}
-			set = append(set, p.tok.text)
-			if err := p.advance(); err != nil {
+			set = append(set, p.Tok.Text)
+			if err := p.Next(); err != nil {
 				return nil, err
 			}
 			if p.isOp(",") {
-				if err := p.advance(); err != nil {
+				if err := p.Next(); err != nil {
 					return nil, err
 				}
 				continue
@@ -196,52 +211,52 @@ func (p *parser) parseComparison() (expr, *Error) {
 	case p.isKeyword("LIKE"):
 		id, ok := left.(*identExpr)
 		if !ok {
-			return nil, p.errf("LIKE requires an identifier on the left")
+			return nil, p.Errorf("LIKE requires an identifier on the left")
 		}
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tokString {
-			return nil, p.errf("LIKE requires a string pattern")
+		if p.Tok.Kind != TokString {
+			return nil, p.Errorf("LIKE requires a string pattern")
 		}
-		pattern := p.tok.text
-		if err := p.advance(); err != nil {
+		pattern := p.Tok.Text
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		escape := byte(0)
 		if p.isKeyword("ESCAPE") {
-			if err := p.advance(); err != nil {
+			if err := p.Next(); err != nil {
 				return nil, err
 			}
-			if p.tok.kind != tokString || len(p.tok.text) != 1 {
-				return nil, p.errf("ESCAPE requires a single-character string")
+			if p.Tok.Kind != TokString || len(p.Tok.Text) != 1 {
+				return nil, p.Errorf("ESCAPE requires a single-character string")
 			}
-			escape = p.tok.text[0]
-			if err := p.advance(); err != nil {
+			escape = p.Tok.Text[0]
+			if err := p.Next(); err != nil {
 				return nil, err
 			}
 		}
 		m, err2 := compileLike(pattern, escape)
 		if err2 != nil {
-			return nil, p.errf("%s", err2.Error())
+			return nil, p.Errorf("%s", err2.Error())
 		}
 		return &likeExpr{not: neg, ident: id.name, matcher: m, pattern: pattern}, nil
 
 	case p.isKeyword("IS"):
 		if neg {
-			return nil, p.errf("NOT before IS")
+			return nil, p.Errorf("NOT before IS")
 		}
 		id, ok := left.(*identExpr)
 		if !ok {
-			return nil, p.errf("IS NULL requires an identifier on the left")
+			return nil, p.Errorf("IS NULL requires an identifier on the left")
 		}
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		isNot := false
 		if p.isKeyword("NOT") {
 			isNot = true
-			if err := p.advance(); err != nil {
+			if err := p.Next(); err != nil {
 				return nil, err
 			}
 		}
@@ -251,7 +266,7 @@ func (p *parser) parseComparison() (expr, *Error) {
 		return &isNullExpr{not: isNot, ident: id.name}, nil
 	}
 	if neg {
-		return nil, p.errf("dangling NOT")
+		return nil, p.Errorf("dangling NOT")
 	}
 	return left, nil
 }
@@ -264,14 +279,14 @@ func isCmpOp(s string) bool {
 	return false
 }
 
-func (p *parser) parseArith() (expr, *Error) {
+func (p *Scanner) parseArith() (expr, *Error) {
 	left, err := p.parseTerm()
 	if err != nil {
 		return nil, err
 	}
 	for p.isOp("+") || p.isOp("-") {
-		op := p.tok.text
-		if err := p.advance(); err != nil {
+		op := p.Tok.Text
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		right, err := p.parseTerm()
@@ -283,14 +298,14 @@ func (p *parser) parseArith() (expr, *Error) {
 	return left, nil
 }
 
-func (p *parser) parseTerm() (expr, *Error) {
+func (p *Scanner) parseTerm() (expr, *Error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for p.isOp("*") || p.isOp("/") {
-		op := p.tok.text
-		if err := p.advance(); err != nil {
+		op := p.Tok.Text
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		right, err := p.parseUnary()
@@ -302,16 +317,16 @@ func (p *parser) parseTerm() (expr, *Error) {
 	return left, nil
 }
 
-func (p *parser) parseUnary() (expr, *Error) {
+func (p *Scanner) parseUnary() (expr, *Error) {
 	if !p.isOp("-") && !p.isOp("+") {
 		return p.parsePrimary()
 	}
-	neg := p.tok.text == "-"
-	if err := p.advance(); err != nil {
+	neg := p.Tok.Text == "-"
+	if err := p.Next(); err != nil {
 		return nil, err
 	}
-	if p.sql && p.tok.kind != tokInt && p.tok.kind != tokFloat && p.tok.kind != tokString && p.tok.kind != tokKeyword {
-		return nil, p.errf("a sign must precede a literal")
+	if p.sql && p.Tok.Kind != TokInt && p.Tok.Kind != TokFloat && p.Tok.Kind != TokString && p.Tok.Kind != TokKeyword {
+		return nil, p.Errorf("a sign must precede a literal")
 	}
 	inner, err := p.parseUnary()
 	if err != nil || !neg {
@@ -320,35 +335,35 @@ func (p *parser) parseUnary() (expr, *Error) {
 	return &negExpr{inner}, nil
 }
 
-func (p *parser) parsePrimary() (expr, *Error) {
+func (p *Scanner) parsePrimary() (expr, *Error) {
 	switch {
-	case p.tok.kind == tokInt:
-		e := &litExpr{v: LongValue(p.tok.ival)}
-		return e, p.advance()
-	case p.tok.kind == tokFloat:
-		e := &litExpr{v: DoubleValue(p.tok.fval)}
-		return e, p.advance()
-	case p.tok.kind == tokString:
-		e := &litExpr{v: StringValue(p.tok.text)}
-		return e, p.advance()
+	case p.Tok.Kind == TokInt:
+		e := &litExpr{v: LongValue(p.Tok.Int)}
+		return e, p.Next()
+	case p.Tok.Kind == TokFloat:
+		e := &litExpr{v: DoubleValue(p.Tok.Float)}
+		return e, p.Next()
+	case p.Tok.Kind == TokString:
+		e := &litExpr{v: StringValue(p.Tok.Text)}
+		return e, p.Next()
 	case p.isKeyword("TRUE"):
-		return &litExpr{v: boolValue(true)}, p.advance()
+		return &litExpr{v: boolValue(true)}, p.Next()
 	case p.isKeyword("FALSE"):
-		return &litExpr{v: boolValue(false)}, p.advance()
+		return &litExpr{v: boolValue(false)}, p.Next()
 	case p.isKeyword("NULL"):
-		return &litExpr{v: NullValue()}, p.advance()
-	case p.tok.kind == tokIdent:
-		name := p.tok.text
+		return &litExpr{v: NullValue()}, p.Next()
+	case p.Tok.Kind == TokIdent:
+		name := p.Tok.Text
 		if p.sql {
-			return &identExpr{name: strings.ToLower(name)}, p.advance()
+			return &identExpr{name: strings.ToLower(name)}, p.Next()
 		}
 		if strings.HasPrefix(name, "JMSX") || !strings.HasPrefix(name, "JMS") || isAllowedJMSHeader(name) {
 			e := &identExpr{name: name}
-			return e, p.advance()
+			return e, p.Next()
 		}
-		return nil, p.errf("header %s is not selectable", name)
+		return nil, p.Errorf("header %s is not selectable", name)
 	case p.isOp("("):
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		inner, err := p.parseOr()
@@ -358,7 +373,7 @@ func (p *parser) parsePrimary() (expr, *Error) {
 		if p.sql {
 			switch inner.(type) {
 			case *identExpr, *litExpr, *arithExpr, *negExpr:
-				return nil, p.errf("a parenthesised expression must be a condition")
+				return nil, p.Errorf("a parenthesised expression must be a condition")
 			}
 		}
 		if err := p.expectOp(")"); err != nil {
@@ -366,7 +381,7 @@ func (p *parser) parsePrimary() (expr, *Error) {
 		}
 		return inner, nil
 	}
-	return nil, p.errf("unexpected token %q", p.tok.text)
+	return nil, p.Errorf("unexpected token %q", p.Tok.Text)
 }
 
 // isAllowedJMSHeader lists the headers JMS permits in selectors (§3.8.1.1:

@@ -3,12 +3,16 @@
 // predicates. The paper's producers publish monitoring tuples with SQL
 // INSERT statements and consumers pose continuous/latest/history SELECT
 // queries; R-GMA's content-based filtering is exactly WHERE-predicate
-// evaluation. This package provides the statement parser and the type
+// evaluation. This package provides the statement grammar and the type
 // system the rgma package builds on.
 //
-// A WHERE clause is not parsed here: Parse hands its text to the
-// predicate engine the JMS selectors use (internal/selector), in that
-// engine's SQL dialect, and Select.Where holds the result.
+// It has no lexer of its own: Parse reads a statement with the tokens of
+// the predicate engine the JMS selectors use (internal/selector), in
+// that engine's SQL dialect, and at WHERE the engine's parser goes on
+// from the same token; Select.Where holds the result. A reserved word of
+// the WHERE language is therefore no name anywhere in a statement, and
+// every parse error is the engine's *selector.Error, offset into the
+// whole statement.
 // Select.Compiled compiles it against a table, resolving each column name
 // to its row index once; the program's Eval reads row[index] directly.
 // RowSource shows a row by name, for the engine's tree-walking reference
@@ -184,14 +188,6 @@ func StringV(s string) Value { return Value{Kind: VString, Str: s} }
 // IsNull reports SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == VNull }
 
-// AsFloat promotes numerics.
-func (v Value) AsFloat() float64 {
-	if v.Kind == VInt {
-		return float64(v.Int)
-	}
-	return v.F
-}
-
 // String renders a SQL literal form.
 func (v Value) String() string {
 	switch v.Kind {
@@ -290,176 +286,66 @@ func (Select) stmt()      {}
 // ErrSyntax wraps all parse failures.
 var ErrSyntax = errors.New("sqlmini: syntax error")
 
-// --- lexer ---
+// parser reads a statement from the predicate engine's tokens, in its
+// SQL dialect, and at WHERE hands the same token stream to the
+// predicate parser.
+type parser struct{ selector.Scanner }
 
-type sqlToken struct {
-	kind byte // 'i' ident/keyword (upper), 'n' number, 's' string, 'p' punct, 0 EOF
-	text string
-	ival int64
-	fval float64
-	isF  bool
-	pos  int
+func (p *parser) isOp(s string) bool {
+	return p.Tok.Kind == selector.TokOp && p.Tok.Text == s
 }
 
-type sqlLexer struct {
-	src string
-	pos int
-}
-
-func (l *sqlLexer) errf(pos int, format string, args ...any) error {
-	return fmt.Errorf("%w: %s at offset %d in %q", ErrSyntax, fmt.Sprintf(format, args...), pos, l.src)
-}
-
-func (l *sqlLexer) next() (sqlToken, error) {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			l.pos++
-			continue
-		}
-		break
-	}
-	if l.pos >= len(l.src) {
-		return sqlToken{pos: l.pos}, nil
-	}
-	start := l.pos
-	c := l.src[l.pos]
-	switch {
-	case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
-		for l.pos < len(l.src) {
-			c := l.src[l.pos]
-			if c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') {
-				l.pos++
-				continue
-			}
-			break
-		}
-		return sqlToken{kind: 'i', text: l.src[start:l.pos], pos: start}, nil
-	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
-		isF := false
-		for l.pos < len(l.src) {
-			c := l.src[l.pos]
-			if c >= '0' && c <= '9' {
-				l.pos++
-			} else if c == '.' && !isF {
-				isF = true
-				l.pos++
-			} else if (c == 'e' || c == 'E') && l.pos+1 < len(l.src) {
-				isF = true
-				l.pos++
-				if l.src[l.pos] == '+' || l.src[l.pos] == '-' {
-					l.pos++
-				}
-			} else {
-				break
-			}
-		}
-		text := l.src[start:l.pos]
-		if isF {
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return sqlToken{}, l.errf(start, "bad number %q", text)
-			}
-			return sqlToken{kind: 'n', text: text, fval: f, isF: true, pos: start}, nil
-		}
-		n, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return sqlToken{}, l.errf(start, "bad number %q", text)
-		}
-		return sqlToken{kind: 'n', text: text, ival: n, pos: start}, nil
-	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for l.pos < len(l.src) {
-			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return sqlToken{kind: 's', text: sb.String(), pos: start}, nil
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
-		}
-		return sqlToken{}, l.errf(start, "unterminated string")
-	case c == '<':
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
-			l.pos++
-		}
-		return sqlToken{kind: 'p', text: l.src[start:l.pos], pos: start}, nil
-	case c == '>':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-		}
-		return sqlToken{kind: 'p', text: l.src[start:l.pos], pos: start}, nil
-	case strings.ContainsRune("=(),*+-/", rune(c)):
-		l.pos++
-		return sqlToken{kind: 'p', text: string(c), pos: start}, nil
-	}
-	return sqlToken{}, l.errf(start, "unexpected character %q", string(c))
-}
-
-// --- parser ---
-
-type sqlParser struct {
-	lex *sqlLexer
-	tok sqlToken
-}
-
-func (p *sqlParser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
-
-func (p *sqlParser) errf(format string, args ...any) error {
-	return p.lex.errf(p.tok.pos, format, args...)
-}
-
-func (p *sqlParser) keyword() string {
-	if p.tok.kind == 'i' {
-		return strings.ToUpper(p.tok.text)
+// keyword returns the current name token in upper case, or "". A
+// statement keyword is a name to the predicate engine.
+func (p *parser) keyword() string {
+	if p.Tok.Kind == selector.TokIdent {
+		return strings.ToUpper(p.Tok.Text)
 	}
 	return ""
 }
 
-func (p *sqlParser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) *selector.Error {
 	if p.keyword() != kw {
-		return p.errf("expected %s, found %q", kw, p.tok.text)
+		return p.Errorf("expected %s, found %q", kw, p.Tok.Text)
 	}
-	return p.advance()
+	return p.Next()
 }
 
-func (p *sqlParser) expectPunct(s string) error {
-	if p.tok.kind != 'p' || p.tok.text != s {
-		return p.errf("expected %q, found %q", s, p.tok.text)
+func (p *parser) expectPunct(s string) *selector.Error {
+	if !p.isOp(s) {
+		return p.Errorf("expected %q, found %q", s, p.Tok.Text)
 	}
-	return p.advance()
+	return p.Next()
 }
 
-func (p *sqlParser) ident() (string, error) {
-	if p.tok.kind != 'i' {
-		return "", p.errf("expected identifier, found %q", p.tok.text)
+// ident reads a name. A reserved word of the WHERE language is not one,
+// so no table or column can be named that a WHERE clause could not name.
+func (p *parser) ident() (string, *selector.Error) {
+	if p.Tok.Kind != selector.TokIdent {
+		return "", p.Errorf("expected identifier, found %q", p.Tok.Text)
 	}
-	name := p.tok.text
-	return name, p.advance()
+	name := p.Tok.Text
+	return name, p.Next()
 }
 
-// Parse parses one SQL statement.
+// Parse parses one SQL statement. An error is a *selector.Error whose
+// offset points into src, wrapped so that errors.Is(err, ErrSyntax)
+// holds.
 func Parse(src string) (Stmt, error) {
-	p := &sqlParser{lex: &sqlLexer{src: src}}
-	if err := p.advance(); err != nil {
+	p := parser{selector.NewScanner(src, selector.SQL)}
+	s, err := p.statement()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrSyntax, err)
+	}
+	return s, nil
+}
+
+func (p *parser) statement() (Stmt, *selector.Error) {
+	if err := p.Next(); err != nil {
 		return nil, err
 	}
 	var s Stmt
-	var err error
+	var err *selector.Error
 	switch p.keyword() {
 	case "CREATE":
 		s, err = p.parseCreate()
@@ -468,19 +354,19 @@ func Parse(src string) (Stmt, error) {
 	case "SELECT":
 		s, err = p.parseSelect()
 	default:
-		return nil, p.errf("expected CREATE, INSERT or SELECT")
+		return nil, p.Errorf("expected CREATE, INSERT or SELECT")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind != 0 {
-		return nil, p.errf("trailing input %q", p.tok.text)
+	if p.Tok.Kind != selector.TokEOF {
+		return nil, p.Errorf("trailing input %q", p.Tok.Text)
 	}
 	return s, nil
 }
 
-func (p *sqlParser) parseCreate() (Stmt, error) {
-	if err := p.advance(); err != nil { // CREATE
+func (p *parser) parseCreate() (Stmt, *selector.Error) {
+	if err := p.Next(); err != nil { // CREATE
 		return nil, err
 	}
 	if err := p.expectKeyword("TABLE"); err != nil {
@@ -495,38 +381,28 @@ func (p *sqlParser) parseCreate() (Stmt, error) {
 	}
 	t := Table{Name: name}
 	for {
+		if p.Tok.Kind == selector.TokIdent && t.ColIndex(p.Tok.Text) >= 0 {
+			return nil, p.Errorf("duplicate column %q", p.Tok.Text)
+		}
 		col, err := p.parseColumn()
 		if err != nil {
 			return nil, err
 		}
 		t.Columns = append(t.Columns, col)
-		if p.tok.kind == 'p' && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
+		if !p.isOp(",") {
+			break
 		}
-		break
+		if err := p.Next(); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	for _, c := range t.Columns {
-		if selector.IsKeyword(c.Name) {
-			// A WHERE clause could never name it.
-			return nil, fmt.Errorf("%w: column name %q is a reserved word", ErrSyntax, c.Name)
-		}
-		lc := strings.ToLower(c.Name)
-		if seen[lc] {
-			return nil, fmt.Errorf("%w: duplicate column %q", ErrSyntax, c.Name)
-		}
-		seen[lc] = true
-	}
 	return CreateTable{Table: t}, nil
 }
 
-func (p *sqlParser) parseColumn() (Column, error) {
+func (p *parser) parseColumn() (Column, *selector.Error) {
 	name, err := p.ident()
 	if err != nil {
 		return Column{}, err
@@ -539,11 +415,11 @@ func (p *sqlParser) parseColumn() (Column, error) {
 		col.Type = TReal
 	case "DOUBLE":
 		col.Type = TDouble
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return Column{}, err
 		}
 		if p.keyword() != "PRECISION" {
-			return Column{}, p.errf("expected PRECISION after DOUBLE")
+			return Column{}, p.Errorf("expected PRECISION after DOUBLE")
 		}
 	case "CHAR", "VARCHAR":
 		if p.keyword() == "CHAR" {
@@ -551,17 +427,17 @@ func (p *sqlParser) parseColumn() (Column, error) {
 		} else {
 			col.Type = TVarchar
 		}
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return Column{}, err
 		}
 		if err := p.expectPunct("("); err != nil {
 			return Column{}, err
 		}
-		if p.tok.kind != 'n' || p.tok.isF {
-			return Column{}, p.errf("expected length")
+		if p.Tok.Kind != selector.TokInt {
+			return Column{}, p.Errorf("expected length")
 		}
-		col.Len = int(p.tok.ival)
-		if err := p.advance(); err != nil {
+		col.Len = int(p.Tok.Int)
+		if err := p.Next(); err != nil {
 			return Column{}, err
 		}
 		if err := p.expectPunct(")"); err != nil {
@@ -569,14 +445,14 @@ func (p *sqlParser) parseColumn() (Column, error) {
 		}
 		goto modifiers
 	default:
-		return Column{}, p.errf("unknown column type %q", p.tok.text)
+		return Column{}, p.Errorf("unknown column type %q", p.Tok.Text)
 	}
-	if err := p.advance(); err != nil {
+	if err := p.Next(); err != nil {
 		return Column{}, err
 	}
 modifiers:
 	if p.keyword() == "PRIMARY" {
-		if err := p.advance(); err != nil {
+		if err := p.Next(); err != nil {
 			return Column{}, err
 		}
 		if err := p.expectKeyword("KEY"); err != nil {
@@ -587,8 +463,8 @@ modifiers:
 	return col, nil
 }
 
-func (p *sqlParser) parseInsert() (Stmt, error) {
-	if err := p.advance(); err != nil { // INSERT
+func (p *parser) parseInsert() (Stmt, *selector.Error) {
+	if err := p.Next(); err != nil { // INSERT
 		return nil, err
 	}
 	if err := p.expectKeyword("INTO"); err != nil {
@@ -599,8 +475,8 @@ func (p *sqlParser) parseInsert() (Stmt, error) {
 		return nil, err
 	}
 	ins := Insert{Table: name}
-	if p.tok.kind == 'p' && p.tok.text == "(" {
-		if err := p.advance(); err != nil {
+	if p.isOp("(") {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 		for {
@@ -609,13 +485,12 @@ func (p *sqlParser) parseInsert() (Stmt, error) {
 				return nil, err
 			}
 			ins.Columns = append(ins.Columns, col)
-			if p.tok.kind == 'p' && p.tok.text == "," {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
+			if !p.isOp(",") {
+				break
 			}
-			break
+			if err := p.Next(); err != nil {
+				return nil, err
+			}
 		}
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
@@ -627,71 +502,74 @@ func (p *sqlParser) parseInsert() (Stmt, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
+	ins.Values = make([]Value, 0, len(ins.Columns))
 	for {
 		v, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
 		ins.Values = append(ins.Values, v)
-		if p.tok.kind == 'p' && p.tok.text == "," {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
+		if !p.isOp(",") {
+			break
 		}
-		break
+		if err := p.Next(); err != nil {
+			return nil, err
+		}
+	}
+	if p.isOp(")") && len(ins.Columns) > 0 && len(ins.Columns) != len(ins.Values) {
+		return nil, p.Errorf("%d columns but %d values", len(ins.Columns), len(ins.Values))
 	}
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
-	if len(ins.Columns) > 0 && len(ins.Columns) != len(ins.Values) {
-		return nil, fmt.Errorf("%w: %d columns but %d values", ErrSyntax, len(ins.Columns), len(ins.Values))
-	}
 	return ins, nil
 }
 
-func (p *sqlParser) parseLiteral() (Value, error) {
+func (p *parser) parseLiteral() (Value, *selector.Error) {
 	neg := false
-	if p.tok.kind == 'p' && (p.tok.text == "-" || p.tok.text == "+") {
-		neg = p.tok.text == "-"
-		if err := p.advance(); err != nil {
+	if p.isOp("-") || p.isOp("+") {
+		neg = p.Tok.Text == "-"
+		if err := p.Next(); err != nil {
 			return Value{}, err
 		}
 	}
-	switch {
-	case p.tok.kind == 'n' && p.tok.isF:
-		v := p.tok.fval
+	switch p.Tok.Kind {
+	case selector.TokFloat:
+		v := p.Tok.Float
 		if neg {
 			v = -v
 		}
-		return FloatV(v), p.advance()
-	case p.tok.kind == 'n':
-		v := p.tok.ival
+		return FloatV(v), p.Next()
+	case selector.TokInt:
+		v := p.Tok.Int
 		if neg {
 			v = -v
 		}
-		return IntV(v), p.advance()
-	case p.tok.kind == 's':
+		return IntV(v), p.Next()
+	case selector.TokString:
 		if neg {
-			return Value{}, p.errf("negated string")
+			return Value{}, p.Errorf("negated string")
 		}
-		return StringV(p.tok.text), p.advance()
-	case p.keyword() == "NULL":
+		return StringV(p.Tok.Text), p.Next()
+	case selector.TokKeyword:
+		if p.Tok.Text != "NULL" {
+			break
+		}
 		if neg {
-			return Value{}, p.errf("negated NULL")
+			return Value{}, p.Errorf("negated NULL")
 		}
-		return Null(), p.advance()
+		return Null(), p.Next()
 	}
-	return Value{}, p.errf("expected literal, found %q", p.tok.text)
+	return Value{}, p.Errorf("expected literal, found %q", p.Tok.Text)
 }
 
-func (p *sqlParser) parseSelect() (Stmt, error) {
-	if err := p.advance(); err != nil { // SELECT
+func (p *parser) parseSelect() (Stmt, *selector.Error) {
+	if err := p.Next(); err != nil { // SELECT
 		return nil, err
 	}
 	sel := Select{}
-	if p.tok.kind == 'p' && p.tok.text == "*" {
-		if err := p.advance(); err != nil {
+	if p.isOp("*") {
+		if err := p.Next(); err != nil {
 			return nil, err
 		}
 	} else {
@@ -701,13 +579,12 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 				return nil, err
 			}
 			sel.Columns = append(sel.Columns, col)
-			if p.tok.kind == 'p' && p.tok.text == "," {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
+			if !p.isOp(",") {
+				break
 			}
-			break
+			if err := p.Next(); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
@@ -720,18 +597,9 @@ func (p *sqlParser) parseSelect() (Stmt, error) {
 	sel.Table = name
 	if p.keyword() == "WHERE" {
 		// The rest of the statement is the predicate.
-		base := p.lex.pos
-		where, err := selector.ParseDialect(p.lex.src[base:], selector.SQL)
-		if err != nil {
-			var se *selector.Error
-			if errors.As(err, &se) {
-				return nil, p.lex.errf(base+se.Pos, "%s", se.Msg)
-			}
-			return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
+		if sel.Where, err = p.Predicate(); err != nil {
+			return nil, err
 		}
-		sel.Where = where
-		p.lex.pos = len(p.lex.src)
-		p.tok = sqlToken{pos: p.lex.pos}
 	}
 	return sel, nil
 }
@@ -827,24 +695,6 @@ func ReorderInsert(t *Table, ins Insert) (Row, error) {
 		row[idx] = ins.Values[i]
 	}
 	return row, CheckRow(t, row)
-}
-
-// Project applies a SELECT's column list to a row.
-func Project(t *Table, sel Select, row Row) (Row, error) {
-	if sel.Columns == nil {
-		out := make(Row, len(row))
-		copy(out, row)
-		return out, nil
-	}
-	out := make(Row, len(sel.Columns))
-	for i, col := range sel.Columns {
-		idx := t.ColIndex(col)
-		if idx < 0 {
-			return nil, fmt.Errorf("sqlmini: table %s has no column %q", t.Name, col)
-		}
-		out[i] = row[idx]
-	}
-	return out, nil
 }
 
 // FormatInsert renders an INSERT statement for a table and row, the form

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gridmon/internal/selector"
 )
 
 // paperTable is the R-GMA monitoring table from the paper's workload:
@@ -122,6 +124,91 @@ func TestParseErrors(t *testing.T) {
 		} else if !errors.Is(err, ErrSyntax) {
 			t.Errorf("Parse(%q) error not ErrSyntax: %v", src, err)
 		}
+	}
+}
+
+// TestParseErrorOffsets pins where a parse error points, in the
+// statement head and in the WHERE clause: each error is a
+// *selector.Error over the whole statement, at the token that fails (a
+// WHERE that is not R-GMA's shape, at the end of the WHERE keyword).
+func TestParseErrorOffsets(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		pos int
+	}{
+		{"", 0},
+		{"DROP TABLE x", 0},
+		{"CREATE TABLE", 12},
+		{"CREATE TABLE t (x BLOB)", 18},
+		{"CREATE TABLE t (x DOUBLE)", 24},
+		{"CREATE TABLE t (s CHAR)", 22},
+		{"CREATE TABLE t (s CHAR(1.5))", 23},
+		{"CREATE TABLE t (a INTEGER PRIMARY)", 33},
+		{"CREATE TABLE t (a INTEGER", 25},
+		{"INSERT INTO t VALUES", 20},
+		{"INSERT t VALUES (1)", 7},
+		{"INSERT INTO t VALUES (1,)", 24},
+		{"INSERT INTO t VALUES (-'x')", 23},
+		{"INSERT INTO t VALUES (-NULL)", 23},
+		{"INSERT INTO t VALUES (TRUE)", 22},
+		{"INSERT INTO t VALUES ('unterminated)", 22},
+		{"INSERT INTO t VALUES (99999999999999999999)", 22},
+		{"INSERT INTO t VALUES (1e5x)", 25},
+		{"INSERT INTO t VALUES (1) extra", 25},
+		{"INSERT INTO t (a, b VALUES (1, 2)", 20},
+		{"SELECT FROM t", 12},
+		{"SELECT * FROM t;", 15},
+		{"SELECT * FROM t x", 16},
+		{"SELECT * t", 9},
+		{"SELECT a FROM t WHERE", 21},
+		{"SELECT * FROM t WHERE   ", 24},
+		{"SELECT a FROM t WHERE a", 21},
+		{"SELECT a FROM t WHERE a ==", 25},
+		{"SELECT a FROM t WHERE (a = 1", 28},
+		{"SELECT a FROM t WHERE a = 1 garbage", 28},
+		{"SELECT a FROM t WHERE 'lit' = a", 21},
+		{"SELECT * FROM t WHERE a = 1e", 27},
+		{"SELECT * FROM t WHERE a$ = 1", 23},
+		{"SELECT * FROM t WHERE -a = 1", 23},
+		{"SELECT * FROM t WHERE a = 'x", 26},
+		{"SELECT * FROM t  WHERE  a = b", 22},
+		{"select * from t where a in ('x')", 21},
+		// Errors in the column and value lists.
+		{"INSERT INTO t (a, b) VALUES (1)", 30},
+		{"CREATE TABLE t (x INTEGER, x REAL)", 27},
+		{"CREATE TABLE t (a INTEGER, not INTEGER)", 27},
+	} {
+		_, err := Parse(c.src)
+		var se *selector.Error
+		if !errors.Is(err, ErrSyntax) || !errors.As(err, &se) {
+			t.Errorf("Parse(%q) = %v, want a *selector.Error under ErrSyntax", c.src, err)
+		} else if se.Pos != c.pos || se.Expr != c.src {
+			t.Errorf("Parse(%q) error at offset %d in %q, want offset %d", c.src, se.Pos, se.Expr, c.pos)
+		}
+	}
+}
+
+// TestParseInsertAllocs pins the allocations of parsing the paper's
+// INSERT (16 columns named, 16 values): the column list grows five
+// times, the value list is sized once from it, each of the four strings
+// is one copy, and the statement is one. Other tokens slice the
+// statement.
+func TestParseInsertAllocs(t *testing.T) {
+	tab := paperTable(t)
+	r := make(Row, len(tab.Columns))
+	for i, c := range tab.Columns {
+		switch c.Type {
+		case TInteger:
+			r[i] = IntV(int64(i))
+		case TDouble:
+			r[i] = FloatV(float64(i) + 0.5)
+		default:
+			r[i] = StringV("aberdeen")
+		}
+	}
+	src := FormatInsert(tab, r)
+	if got := testing.AllocsPerRun(100, func() { _, _ = Parse(src) }); got != 11 {
+		t.Fatalf("Parse(%q): %v allocs, want 11", src, got)
 	}
 }
 
@@ -254,28 +341,6 @@ func TestReorderInsert(t *testing.T) {
 	st3, _ := Parse("INSERT INTO generator VALUES (1, 2)")
 	if _, err := ReorderInsert(tab, st3.(Insert)); err == nil {
 		t.Fatal("short positional insert accepted")
-	}
-}
-
-func TestProject(t *testing.T) {
-	tab := paperTable(t)
-	r := row(t, tab, 7, 1.5, "aberdeen")
-	s := sel(t, "SELECT site, genid FROM generator")
-	got, err := Project(tab, s, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !got[0].Equal(StringV("aberdeen")) || !got[1].Equal(IntV(7)) {
-		t.Fatalf("projected = %v", got)
-	}
-	star := sel(t, "SELECT * FROM generator")
-	all, err := Project(tab, star, r)
-	if err != nil || len(all) != len(tab.Columns) {
-		t.Fatalf("star projection: %v %v", all, err)
-	}
-	bad := sel(t, "SELECT nope FROM generator")
-	if _, err := Project(tab, bad, r); err == nil {
-		t.Fatal("bad projection accepted")
 	}
 }
 
