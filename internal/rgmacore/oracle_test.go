@@ -1,7 +1,9 @@
 package rgmacore
 
 import (
+	"maps"
 	"slices"
+	"strings"
 
 	"gridmon/internal/rgma"
 	"gridmon/internal/selector"
@@ -28,10 +30,56 @@ type oracleCore struct {
 	consumers []*oracleConsumer
 }
 
+// oracleProducer is a producer's storage kept naively, apart from
+// rgma.TupleStore: every retained tuple in one slice and the newest per
+// key in a map, under the store's retention rule.
 type oracleProducer struct {
-	id    int64
-	table *sqlmini.Table
-	store *rgma.TupleStore // the stores are plain data: one implementation
+	id                 int64
+	table              *sqlmini.Table
+	latestRet, histRet sim.Time
+	history            []rgma.Tuple
+	latest             map[string]rgma.Tuple
+}
+
+func (p *oracleProducer) store(t rgma.Tuple) {
+	p.history = append(p.history, t)
+	p.latest[p.key(t.Row)] = t
+}
+
+// key renders the row's primary key cells, or every cell when the table
+// has none, joined by "|": the identity (and order) of the latest view.
+func (p *oracleProducer) key(row sqlmini.Row) string {
+	var parts []string
+	for i, c := range p.table.Columns {
+		if c.Primary {
+			parts = append(parts, row[i].String())
+		}
+	}
+	if parts == nil {
+		for _, v := range row {
+			parts = append(parts, v.String())
+		}
+	}
+	return strings.Join(parts, "|")
+}
+
+// gather returns the producer's latest tuples in key order, or its
+// history in insert order, after dropping what has expired at now:
+// history from its oldest tuple up to the first live one, latest rows
+// one by one.
+func (p *oracleProducer) gather(now sim.Time, qtype rgma.QueryType) []rgma.Tuple {
+	for len(p.history) > 0 && now-p.history[0].InsertedAt > p.histRet {
+		p.history = p.history[1:]
+	}
+	maps.DeleteFunc(p.latest, func(_ string, t rgma.Tuple) bool { return now-t.InsertedAt > p.latestRet })
+	if qtype != rgma.LatestQuery {
+		return p.history
+	}
+	var out []rgma.Tuple
+	for _, k := range slices.Sorted(maps.Keys(p.latest)) {
+		out = append(out, p.latest[k])
+	}
+	return out
 }
 
 type oracleConsumer struct {
@@ -61,7 +109,7 @@ func (o *oracleCore) addProducer(id int64, table string, latest, history sim.Tim
 		history = DefaultHistoryRetention
 	}
 	tab := o.tables[table]
-	o.producers = append(o.producers, &oracleProducer{id: id, table: tab, store: rgma.NewTupleStore(tab, latest, history)})
+	o.producers = append(o.producers, &oracleProducer{id: id, table: tab, latestRet: latest, histRet: history, latest: make(map[string]rgma.Tuple)})
 }
 
 func (o *oracleCore) addConsumer(id int64, query string, qtype rgma.QueryType) {
@@ -96,7 +144,7 @@ func (o *oracleCore) insert(producerID int64, sqlText string, now sim.Time) {
 			panic(err)
 		}
 		tuple := rgma.Tuple{Row: row, SentAt: now, InsertedAt: now}
-		p.store.Insert(tuple)
+		p.store(tuple)
 		for _, cn := range o.consumers {
 			if cn.qtype == rgma.ContinuousQuery && cn.table == p.table && cn.accepts(row) {
 				cn.buf = append(cn.buf, toPop(tuple))
@@ -125,13 +173,7 @@ func (o *oracleCore) pop(consumerID int64, now sim.Time) []PopTuple {
 			if p.table != cn.table {
 				continue
 			}
-			var tuples []rgma.Tuple
-			if cn.qtype == rgma.LatestQuery {
-				tuples = p.store.LatestCompiled(now, nil)
-			} else {
-				tuples = p.store.HistoryCompiled(now, nil)
-			}
-			for _, t := range tuples {
+			for _, t := range p.gather(now, cn.qtype) {
 				if cn.accepts(t.Row) {
 					out = append(out, toPop(t))
 				}

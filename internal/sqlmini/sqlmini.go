@@ -676,15 +676,16 @@ func CheckRow(t *Table, row Row) error {
 
 // ReorderInsert maps an INSERT's values into schema column order,
 // filling unnamed columns with NULL. An INSERT without a column list must
-// cover every column in order.
+// cover every column in order. When the INSERT names no columns, or
+// names every column in schema order, the returned row is ins.Values
+// itself, not a copy: a caller must not change one while keeping the
+// other.
 func ReorderInsert(t *Table, ins Insert) (Row, error) {
-	if len(ins.Columns) == 0 {
+	if len(ins.Columns) == 0 || inSchemaOrder(t, ins.Columns) {
 		if len(ins.Values) != len(t.Columns) {
 			return nil, fmt.Errorf("sqlmini: INSERT has %d values, table %s has %d columns", len(ins.Values), t.Name, len(t.Columns))
 		}
-		row := make(Row, len(ins.Values))
-		copy(row, ins.Values)
-		return row, CheckRow(t, row)
+		return ins.Values, CheckRow(t, ins.Values)
 	}
 	row := make(Row, len(t.Columns))
 	for i, col := range ins.Columns {
@@ -695,6 +696,19 @@ func ReorderInsert(t *Table, ins Insert) (Row, error) {
 		row[idx] = ins.Values[i]
 	}
 	return row, CheckRow(t, row)
+}
+
+// inSchemaOrder reports whether cols names every column of t, in order.
+func inSchemaOrder(t *Table, cols []string) bool {
+	if len(cols) != len(t.Columns) {
+		return false
+	}
+	for i, c := range t.Columns {
+		if !strings.EqualFold(c.Name, cols[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FormatInsert renders an INSERT statement for a table and row, the form

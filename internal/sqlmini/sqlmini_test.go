@@ -344,6 +344,36 @@ func TestReorderInsert(t *testing.T) {
 	}
 }
 
+// An INSERT that names no columns, or every column in schema order, maps
+// onto the table as it stands: ReorderInsert returns its values without
+// a copy. Any other column list still lands in schema order.
+func TestReorderInsertInOrderShares(t *testing.T) {
+	tab := &Table{Name: "g", Columns: []Column{{Name: "genid", Type: TInteger, Primary: true}, {Name: "power", Type: TDouble}}}
+	for _, sql := range []string{
+		"INSERT INTO g VALUES (1, 2.5)",
+		"INSERT INTO g (genid, power) VALUES (1, 2.5)",
+		"INSERT INTO g (GENID, Power) VALUES (1, 2.5)",
+		"INSERT INTO g (power, genid) VALUES (2.5, 1)",
+	} {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins := st.(Insert)
+		row, err := ReorderInsert(tab, ins)
+		if err != nil || !row[0].Equal(IntV(1)) || !row[1].Equal(FloatV(2.5)) {
+			t.Fatalf("%s: ReorderInsert = %v, %v", sql, row, err)
+		}
+		inOrder := !strings.Contains(sql, "(power")
+		if shared := &row[0] == &ins.Values[0]; shared != inOrder {
+			t.Fatalf("%s: row shares the INSERT's values = %v, want %v", sql, shared, inOrder)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = ReorderInsert(tab, ins) }); inOrder && allocs != 0 {
+			t.Fatalf("%s: ReorderInsert allocated %v times, want 0", sql, allocs)
+		}
+	}
+}
+
 func TestFormatInsertRoundTrip(t *testing.T) {
 	tab := paperTable(t)
 	r := row(t, tab, 7, 1.5, "it's")
