@@ -7,20 +7,16 @@
 //	gridpub [-broker localhost:7672] [-topic power.monitoring]
 //	        [-generators 10] [-period 10s] [-count 0]
 //
-// Load-test mode drives the sharded server from parallel connections at
-// a controlled aggregate rate — spread across several topics so the
-// publishes land on different destination shards:
+// Load-test mode probes the broker's destination shards: -conns
+// parallel connections each publish at -rate msg/s (0 = full speed)
+// round-robin over -topics topics, and it prints the aggregate rate and
+// nearest-rank p50/p95/p99/max per-publish latency (with -sync the
+// publish→acknowledgement round trip, else the local enqueue):
 //
 //	gridpub -conns 8 -rate 100 -topics 8 -count 10000
 //
-// runs 8 parallel connections, each publishing 100 msg/s (0 = as fast
-// as possible) round-robin onto power.monitoring.0 … power.monitoring.7,
-// and reports the aggregate throughput achieved plus per-publish
-// latency percentiles (p50/p95/p99/max). With -sync each sample is the
-// full publish→broker-acknowledgement round trip; without it, the time
-// to hand the message to the connection's writer (local enqueue). Every
-// sample is kept (8 bytes each) and the percentiles are nearest-rank
-// over all of them, as metrics.RTT computes the paper's figures.
+// It stays until the broker's shard layer is measured and kept or
+// deleted; bash bench/run.sh is the load generator whose numbers count.
 package main
 
 import (

@@ -14,7 +14,7 @@
 // Against a naradad running with -data-dir, the subscription and its
 // backlog also survive broker restarts.
 //
-// Scripted runs (CI smoke tests, DBN topology checks) use -n to exit 0
+// Scripted runs (say, a DBN topology check) use -n to exit 0
 // after exactly N messages, -timeout to exit 1 when they don't arrive in
 // time, and -quiet to suppress the periodic reports:
 //

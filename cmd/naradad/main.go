@@ -78,6 +78,12 @@ func main() {
 	})
 	flag.Parse()
 
+	// SIGTERM alongside SIGINT: containers stop with SIGTERM, and with
+	// -data-dir a signal-driven exit installs the clean-shutdown marker,
+	// even for a signal sent the moment the daemon reports ready.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	if len(peers) > 0 && *routing == "" {
 		log.Fatal("naradad: -peer requires -routing (broadcast or tree)")
 	}
@@ -160,11 +166,6 @@ func main() {
 		}()
 	}
 
-	// SIGTERM alongside SIGINT: containerized runs (docker stop,
-	// Kubernetes) send SIGTERM, and with -data-dir a signal-driven exit
-	// is what installs the clean-shutdown marker.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Println()
 	log.Printf("naradad: shutting down (%v)", got)

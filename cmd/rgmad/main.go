@@ -43,7 +43,7 @@
 //	curl 'localhost:8088/consumer/pop?id=2'
 //	curl localhost:8088/stats
 //
-// and drive the binary port with rgmaload -transport bin -server localhost:8089.
+// and load both ports with bash bench/run.sh -workload rgma_stream.
 package main
 
 import (
@@ -71,6 +71,10 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync every WAL group commit (durable against power loss, not just crashes)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ and enable mutex profiling")
 	flag.Parse()
+
+	// Before any port serves, so a SIGTERM at "ready" still exits cleanly.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	if *pprofOn {
 		runtime.SetMutexProfileFraction(5)
@@ -126,8 +130,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	log.Printf("rgmad: shutting down (%v)", got)
 	if binSrv != nil {

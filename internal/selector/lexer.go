@@ -60,7 +60,7 @@ type Token struct {
 	Kind  TokenKind
 	Text  string  // upper case for a keyword, a string literal's value, verbatim otherwise
 	Pos   int     // byte offset in the scanned text
-	Int   int64   // a TokInt's value
+	Int   int64   // a TokInt's value, read through Scanner.Int
 	Float float64 // a TokFloat's value
 }
 
@@ -201,6 +201,11 @@ func (l *lexer) number(start int) (Token, *Error) {
 		return Token{Kind: TokFloat, Text: text, Float: f, Pos: start}, nil
 	}
 	n, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		if u, uerr := strconv.ParseUint(text, 10, 64); uerr == nil && u == 1<<63 {
+			n, err = int64(u), nil // math.MinInt64, which Scanner.Int admits only after a minus
+		}
+	}
 	if err != nil {
 		return Token{}, l.errf(start, "bad integer literal %q", text)
 	}

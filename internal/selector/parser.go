@@ -53,6 +53,18 @@ func (p *Scanner) Next() *Error {
 	return nil
 }
 
+// Int returns the current TokInt's value, negated when neg. The lexer
+// reads 9223372036854775808 as math.MinInt64, which only a minus admits.
+func (p *Scanner) Int(neg bool) (int64, *Error) {
+	if neg {
+		return -p.Tok.Int, nil // -math.MinInt64 wraps to itself
+	}
+	if p.Tok.Int < 0 { // math.MinInt64, the only negative the lexer reads
+		return 0, p.Errorf("bad integer literal %q", p.Tok.Text)
+	}
+	return p.Tok.Int, nil
+}
+
 // Errorf returns an error at the current token.
 func (p *Scanner) Errorf(format string, args ...any) *Error {
 	return &Error{Pos: p.Tok.Pos, Msg: fmt.Sprintf(format, args...), Expr: p.lex.src}
@@ -328,6 +340,9 @@ func (p *Scanner) parseUnary() (expr, *Error) {
 	if p.sql && p.Tok.Kind != TokInt && p.Tok.Kind != TokFloat && p.Tok.Kind != TokString && p.Tok.Kind != TokKeyword {
 		return nil, p.Errorf("a sign must precede a literal")
 	}
+	if neg && p.Tok.Kind == TokInt { // may be math.MinInt64's magnitude, which negates to itself
+		return &negExpr{&litExpr{v: LongValue(p.Tok.Int)}}, p.Next()
+	}
 	inner, err := p.parseUnary()
 	if err != nil || !neg {
 		return inner, err
@@ -338,8 +353,11 @@ func (p *Scanner) parseUnary() (expr, *Error) {
 func (p *Scanner) parsePrimary() (expr, *Error) {
 	switch {
 	case p.Tok.Kind == TokInt:
-		e := &litExpr{v: LongValue(p.Tok.Int)}
-		return e, p.Next()
+		v, err := p.Int(false)
+		if err != nil {
+			return nil, err
+		}
+		return &litExpr{v: LongValue(v)}, p.Next()
 	case p.Tok.Kind == TokFloat:
 		e := &litExpr{v: DoubleValue(p.Tok.Float)}
 		return e, p.Next()

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -361,6 +362,43 @@ func TestNumericLiterals(t *testing.T) {
 	} {
 		if got := evalOn(t, expr); got != TriTrue {
 			t.Errorf("%q = %v, want true", expr, got)
+		}
+	}
+}
+
+// TestSmallestInteger pins the one literal whose magnitude overflows an
+// int64: -9223372036854775808 is math.MinInt64 in both dialects, while
+// the bare magnitude, or any use of it not under a unary minus, stays a
+// "bad integer literal" at the magnitude's offset.
+func TestSmallestInteger(t *testing.T) {
+	m := message.New()
+	m.SetProperty("x", message.Long(math.MinInt64))
+	for _, d := range []Dialect{JMS, SQL} {
+		for _, src := range []string{"x = -9223372036854775808", "x <= - 09223372036854775808"} {
+			s, err := ParseDialect(src, d)
+			if err != nil {
+				t.Fatalf("ParseDialect(%q, %v): %v", src, d, err)
+			}
+			if got := s.EvalInterpreted(m); got != TriTrue {
+				t.Errorf("%q (%v) on x = MinInt64: %v, want true", src, d, got)
+			}
+			if d == JMS && s.Eval(m) != TriTrue {
+				t.Errorf("%q compiled on x = MinInt64: %v, want true", src, s.Eval(m))
+			}
+		}
+		for _, c := range []struct {
+			src string
+			pos int
+		}{
+			{"x = 9223372036854775808", 4},
+			{"x = +9223372036854775808", 5},
+			{"x = -9223372036854775809", 5},
+			{"x - 9223372036854775808 < 0", 4},
+		} {
+			_, err := ParseDialect(c.src, d)
+			if e, ok := err.(*Error); !ok || e.Pos != c.pos || !strings.Contains(e.Msg, "bad integer literal") {
+				t.Errorf("ParseDialect(%q, %v) = %v, want a bad integer literal at offset %d", c.src, d, err, c.pos)
+			}
 		}
 	}
 }

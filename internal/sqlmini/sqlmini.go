@@ -433,7 +433,7 @@ func (p *parser) parseColumn() (Column, *selector.Error) {
 		if err := p.expectPunct("("); err != nil {
 			return Column{}, err
 		}
-		if p.Tok.Kind != selector.TokInt {
+		if p.Tok.Kind != selector.TokInt || p.Tok.Int < 0 {
 			return Column{}, p.Errorf("expected length")
 		}
 		col.Len = int(p.Tok.Int)
@@ -541,9 +541,9 @@ func (p *parser) parseLiteral() (Value, *selector.Error) {
 		}
 		return FloatV(v), p.Next()
 	case selector.TokInt:
-		v := p.Tok.Int
-		if neg {
-			v = -v
+		v, err := p.Int(neg)
+		if err != nil {
+			return Value{}, err
 		}
 		return IntV(v), p.Next()
 	case selector.TokString:

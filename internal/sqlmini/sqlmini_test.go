@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -505,6 +506,7 @@ func TestInsertSQLRoundTrip(t *testing.T) {
 	rows := []Row{
 		{IntV(7), FloatV(1.5), FloatV(480), StringV("it's"), Null()},
 		{IntV(-3), FloatV(-0.25), FloatV(1e21), StringV(""), IntV(-9)},
+		{IntV(math.MinInt64), FloatV(0), FloatV(-1), StringV("min"), IntV(math.MaxInt64)},
 	}
 	for _, row := range rows {
 		sql := InsertSQL(tab.Name, row)
@@ -518,6 +520,36 @@ func TestInsertSQLRoundTrip(t *testing.T) {
 		}
 		if !slices.Equal(got, row) {
 			t.Errorf("round-trip changed row\nsql:  %s\ngot:  %v\nwant: %v", sql, got, row)
+		}
+	}
+}
+
+// TestSmallestInteger checks that INSERT and WHERE take the smallest
+// INTEGER in the form Value.String renders it, while its bare magnitude
+// stays a parse error at the magnitude's offset.
+func TestSmallestInteger(t *testing.T) {
+	st, err := Parse("INSERT INTO t (n) VALUES (-9223372036854775808)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.(Insert).Values; !slices.Equal(got, Row{IntV(math.MinInt64)}) {
+		t.Fatalf("values %v, want [%d]", got, int64(math.MinInt64))
+	}
+	if _, err := Parse("SELECT * FROM t WHERE n = -9223372036854775808"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src string
+		pos int
+	}{
+		{"INSERT INTO t VALUES (9223372036854775808)", 22},
+		{"INSERT INTO t VALUES (+9223372036854775808)", 23},
+		{"CREATE TABLE t (s CHAR(9223372036854775808))", 23},
+		{"SELECT * FROM t WHERE n = 9223372036854775808", 26},
+	} {
+		_, err := Parse(c.src)
+		if se := (*selector.Error)(nil); !errors.As(err, &se) || se.Pos != c.pos {
+			t.Errorf("Parse(%q) = %v, want an error at offset %d", c.src, err, c.pos)
 		}
 	}
 }
