@@ -63,7 +63,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7672", "TCP listen address")
 	id := flag.String("id", "naradad", "broker identifier")
-	maxConnMem := flag.Int64("max-conn-mem", 0, "per-connection memory budget in bytes (0 = unlimited); reproduces the paper's admission cliff")
+	maxConnMem := flag.Int64("max-conn-mem", 0, "total connection memory budget in bytes, 256 KiB charged per connection (0 = unlimited); reproduces the paper's admission cliff")
 	statsEvery := flag.Duration("stats", time.Minute, "stats logging interval (0 disables)")
 	statsListen := flag.String("stats-listen", "", "HTTP address serving GET /stats as JSON (empty disables)")
 	shards := flag.Int("shards", 0, "destination shard count (0 = one per CPU)")

@@ -315,6 +315,47 @@ func TestDBNTree(t *testing.T) {
 	}
 }
 
+// TestConnMemoryCliff checks -max-conn-mem as the total connection
+// budget, 256 KiB charged per connection: at 512 KiB two clients are
+// admitted, a third is refused, and once one closes a new client is
+// admitted again — the paper's admission cliff and its recovery.
+func TestConnMemoryCliff(t *testing.T) {
+	help := start(t, "-h")
+	help.waitLog(`-max-conn-mem int\s+total connection memory budget in bytes, 256 KiB charged per connection`)
+
+	d := start(t, "-listen", "127.0.0.1:0", "-max-conn-mem", "524288", "-stats", "0")
+	addr := d.addr()
+	conns := make([]*jms.Connection, 2)
+	for i := range conns {
+		c, err := jms.Dial(addr, fmt.Sprintf("c%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	if c, err := jms.DialTimeout(addr, "over", time.Second); err == nil {
+		_ = c.Close()
+		t.Fatal("a third connection was admitted within two connections' budget")
+	}
+
+	_ = conns[0].Close()
+	// The budget returns when the daemon has torn the connection down,
+	// which a dial may race, so a refusal is retried.
+	waitUntil(t, "a new client admitted after one closed", func() bool {
+		c, err := jms.DialTimeout(addr, "after", time.Second)
+		if err != nil {
+			return false
+		}
+		defer c.Close()
+		return c.Ping() == nil
+	})
+	d.terminate()
+}
+
 // TestDurableSurvivesKill checks crash recovery: a durable's fsynced,
 // acknowledged backlog survives kill -9 and is replayed, in order, to
 // the durable's next subscriber.

@@ -108,7 +108,7 @@ func main() {
 
 	var binSrv *rgmabin.Server
 	if *listenBin != "" {
-		binSrv = rgmabin.NewServer(core, rgmabin.Config{})
+		binSrv = rgmabin.NewServer(core)
 		if pers != nil {
 			binSrv.SetWALStats(pers.Stats)
 		}

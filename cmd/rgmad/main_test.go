@@ -418,13 +418,19 @@ func requireHistory(t *testing.T, addr string, acked int64) {
 // TestGracefulShutdown checks SIGTERM with -data-dir: under binary
 // insert load, and again the moment rgmad logs its first line, before
 // either port serves, it exits 0 and marks its log clean for the next
-// start.
+// start, and the binary producers keep every acknowledged row across
+// both restarts.
 func TestGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	d := start(t, "-data-dir", dir)
-	_, stopped := loadUntilStopped(t, d)
+	acked, stopped := loadUntilStopped(t, d)
 	d.terminate()
 	stopped()
+
+	d = start(t, "-data-dir", dir)
+	d.requireClean(true)
+	requireHistory(t, d.httpAddr, acked[0].Load())
+	d.terminate()
 
 	// The signal handler must be in before anything is logged; startup
 	// then completes before the clean shutdown.
@@ -434,6 +440,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	d = start(t, "-data-dir", dir)
 	d.requireClean(true)
+	requireHistory(t, d.httpAddr, acked[0].Load())
 	d.terminate()
 }
 

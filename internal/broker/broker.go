@@ -100,26 +100,24 @@
 // and queue backlogs all share it, so a 1000-subscriber fan-out costs
 // zero message copies instead of 1000 deep clones. Deliver frames come
 // from a pool (wire.GetDeliver) and are returned by the transport that
-// consumes them; a binding that cannot guarantee consume-exactly-once
-// (the simulator, whose unreliable transports retransmit frames) sets
-// Config.SerialEnv and receives GC-managed frames instead. Clone is
-// reserved for paths that genuinely need a private mutable copy.
+// consumes them (the simulator's host copies each into a value frame
+// and releases it at once). Clone is reserved for paths that genuinely
+// need a private mutable copy.
 //
 // # Fan-out execution
 //
 // A topic publish collects its matched subscriptions into a pooled plan
 // and then delivers the plan on the publishing goroutine (fanplan.go).
-// Below batchFanoutThreshold matched subscriptions — and always under
-// Config.SerialEnv — delivery is a per-frame loop in matched order,
-// which keeps single-subscriber latency and the simulator's figures
-// untouched. At or above it the matched set is grouped into
-// per-connection runs, and each run is emitted as one pooled
-// wire.DeliverBatch carrier instead of N Deliver frames. Per-connection
-// delivery order holds because one goroutine walks every run in matched
-// order, and the publish delivers every run before its PubAck, so
-// per-publisher ordering across consecutive publishes is unchanged. See
-// fanplan.go for the one emission-order relaxation and stats.go for the
-// egress meters.
+// Below batchFanoutThreshold matched subscriptions delivery is a
+// per-frame loop in matched order, which keeps single-subscriber
+// latency and the simulator's figures untouched. At or above it the
+// matched set is grouped into per-connection runs, and each run is
+// emitted as one pooled wire.DeliverBatch carrier instead of N Deliver
+// frames. Per-connection delivery order holds because one goroutine
+// walks every run in matched order, and the publish delivers every run
+// before its PubAck, so per-publisher ordering across consecutive
+// publishes is unchanged. See fanplan.go for the one emission-order
+// relaxation and stats.go for the egress meters.
 package broker
 
 import (
@@ -159,19 +157,10 @@ type Env interface {
 	Free(n int64)
 }
 
-// Config tunes broker resource behaviour.
+// Config names a broker and sizes its destination layer.
 type Config struct {
 	// ID names the broker (used in CONNECTED and broker-network frames).
 	ID string
-	// MemPerPendingOverhead is the per-pending-delivery bookkeeping cost
-	// added to the message's encoded size.
-	MemPerPendingOverhead int64
-	// MaxQueueBacklog bounds messages stored on a queue with no
-	// consumers; 0 means unbounded (memory still applies).
-	MaxQueueBacklog int
-	// MaxDurableBacklog bounds messages stored for a disconnected
-	// durable subscriber; 0 means unbounded (memory still applies).
-	MaxDurableBacklog int
 	// Shards partitions the destination layer into this many
 	// lock-guarded shards keyed by destination-name hash. 0 and 1 both
 	// mean a single shard, the default for the deterministic
@@ -179,26 +168,25 @@ type Config struct {
 	// proceed concurrently, never what any single operation does: with
 	// one calling goroutine the broker behaves identically for any S.
 	Shards int
-	// SerialEnv declares what the binding's Env promises: it is not safe
-	// for concurrent use and may retain the frames it is sent (the
-	// simulator: a single-threaded kernel whose unreliable transports
-	// keep frames queued for retransmission). The broker then delivers
-	// every fan-out per frame — no wire.DeliverBatch carriers — and
-	// emits GC-managed Deliver frames instead of pooled ones
-	// (wire.GetDeliver), whose consume-exactly-once ownership rule such
-	// a transport cannot keep.
-	SerialEnv bool
 }
 
 // DefaultConfig returns the configuration used in the paper reproduction.
 func DefaultConfig(id string) Config {
-	return Config{
-		ID:                    id,
-		MemPerPendingOverhead: 200,
-		MaxQueueBacklog:       100000,
-		MaxDurableBacklog:     100000,
-	}
+	return Config{ID: id}
 }
+
+// Resource limits of the paper reproduction.
+const (
+	// memPerPendingOverhead is the per-pending-delivery bookkeeping cost
+	// added to the message's encoded size.
+	memPerPendingOverhead = 200
+	// maxQueueBacklog bounds messages stored on a queue with no
+	// consumers (memory still applies).
+	maxQueueBacklog = 100000
+	// maxDurableBacklog bounds messages stored for a disconnected
+	// durable subscriber (memory still applies).
+	maxDurableBacklog = 100000
+)
 
 // ErrConnRefused is returned by OnConnOpen when the per-connection
 // resource budget (thread stacks, on the paper's testbed) is exhausted.
@@ -256,6 +244,10 @@ type Broker struct {
 	fanThreshold int
 	fanPlans     sync.Pool
 
+	// queueBacklogCap is maxQueueBacklog, a field only so in-package
+	// tests can reach the cap with a handful of publishes.
+	queueBacklogCap int
+
 	// Persistence seam (journal.go): mutation observer for durable and
 	// queue state, registered atomically like the forwarder. Nil (the
 	// default) costs one atomic load per mutation and changes nothing.
@@ -269,8 +261,9 @@ func New(env Env, cfg Config) *Broker {
 	}
 	b := &Broker{
 		env: env, cfg: cfg,
-		durables:     make(map[string]*durableState),
-		fanThreshold: batchFanoutThreshold,
+		durables:        make(map[string]*durableState),
+		fanThreshold:    batchFanoutThreshold,
+		queueBacklogCap: maxQueueBacklog,
 	}
 	b.sessions.init()
 	b.shards = make([]*shard, max(cfg.Shards, 1))
@@ -282,10 +275,6 @@ func New(env Env, cfg Config) *Broker {
 
 // ID returns the broker's identifier.
 func (b *Broker) ID() string { return b.cfg.ID }
-
-// Config returns the broker's effective configuration (bindings force
-// some fields, e.g. the simulator host sets SerialEnv).
-func (b *Broker) Config() Config { return b.cfg }
 
 // SetForwarder installs the broker-network hook. Shard-safe:
 // registration is atomic and takes effect for every publish that

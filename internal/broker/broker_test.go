@@ -331,9 +331,8 @@ func TestQueueSelectorSkipsToMatchingConsumer(t *testing.T) {
 
 func TestQueueBacklogCap(t *testing.T) {
 	env := newFakeEnv(0)
-	cfg := DefaultConfig("b1")
-	cfg.MaxQueueBacklog = 2
-	b := New(env, cfg)
+	b := New(env, DefaultConfig("b1"))
+	b.queueBacklogCap = 2
 	mustOpen(t, b, 1)
 	for i := 0; i < 5; i++ {
 		pub(b, 1, message.Queue("q"), nil)

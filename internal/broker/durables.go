@@ -176,7 +176,7 @@ func (b *Broker) storeDurable(d *durableState, m *message.Message, cost int64) {
 		return
 	}
 	defer d.mu.Unlock()
-	if b.cfg.MaxDurableBacklog > 0 && len(d.backlog) >= b.cfg.MaxDurableBacklog {
+	if len(d.backlog) >= maxDurableBacklog {
 		b.stats.droppedBacklog.Add(1)
 		return
 	}

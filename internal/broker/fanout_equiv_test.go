@@ -29,12 +29,11 @@ var fanoutStormSelectors = []string{"", "", "id < 500", "id >= 300", "region = '
 // returns the broker and its env for cross-mode comparison. Conns
 // 1..nConns are subscribers; conn 100 publishes. threshold overrides
 // the broker's batching threshold (0 keeps batchFanoutThreshold).
-func runFanoutStorm(t *testing.T, seed int64, serialEnv bool, threshold int) (*Broker, *raceEnv) {
+func runFanoutStorm(t *testing.T, seed int64, threshold int) (*Broker, *raceEnv) {
 	t.Helper()
 	env := newRaceEnv()
 	cfg := DefaultConfig("fanstorm")
 	cfg.Shards = 4
-	cfg.SerialEnv = serialEnv
 	b := New(env, cfg)
 	if threshold > 0 {
 		b.fanThreshold = threshold
@@ -144,35 +143,28 @@ func runFanoutStorm(t *testing.T, seed int64, serialEnv bool, threshold int) (*B
 	return b, env
 }
 
-// TestFanoutEquivalenceRandomized runs the storm three ways — every
-// fan-out forced into batched runs (threshold 1), the production
-// threshold (per-frame for these fan-out widths), and Config.SerialEnv
-// (never batched, the simulator's configuration). Each run is checked
-// against the oracle inside runFanoutStorm; here the runs must agree
-// with each other on deliveries, stats, pending and heap.
+// TestFanoutEquivalenceRandomized runs the storm two ways — every
+// fan-out forced into batched runs (threshold 1) and the production
+// threshold (per-frame for these fan-out widths). Each run is checked
+// against the oracle inside runFanoutStorm; here the two runs must
+// agree with each other on deliveries, stats, pending and heap.
 func TestFanoutEquivalenceRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		bA, envA := runFanoutStorm(t, seed, false, 1)
-		for _, serialEnv := range []bool{false, true} {
-			label := "production threshold"
-			if serialEnv {
-				label = "SerialEnv"
+		bA, envA := runFanoutStorm(t, seed, 1)
+		bB, envB := runFanoutStorm(t, seed, 0)
+		for c := ConnID(1); c <= 6; c++ {
+			if gA, gB := envA.observed(c), envB.observed(c); !slices.Equal(gA, gB) {
+				t.Fatalf("seed %d conn %d: forced batching vs production threshold: deliveries differ\nA: %v\nB: %v", seed, c, gA, gB)
 			}
-			bB, envB := runFanoutStorm(t, seed, serialEnv, 0)
-			for c := ConnID(1); c <= 6; c++ {
-				if gA, gB := envA.observed(c), envB.observed(c); !slices.Equal(gA, gB) {
-					t.Fatalf("seed %d conn %d: forced batching vs %s: deliveries differ\nA: %v\nB: %v", seed, c, label, gA, gB)
-				}
-			}
-			if sA, sB := clearModeMeters(bA.Stats()), clearModeMeters(bB.Stats()); sA != sB {
-				t.Fatalf("seed %d: forced batching vs %s: stats diverge\nA: %+v\nB: %+v", seed, label, sA, sB)
-			}
-			if pA, pB := bA.PendingCount(), bB.PendingCount(); pA != pB {
-				t.Fatalf("seed %d: forced batching vs %s: pending %d vs %d", seed, label, pA, pB)
-			}
-			if uA, uB := envA.heap.Used(), envB.heap.Used(); uA != uB {
-				t.Fatalf("seed %d: forced batching vs %s: heap %d vs %d", seed, label, uA, uB)
-			}
+		}
+		if sA, sB := clearModeMeters(bA.Stats()), clearModeMeters(bB.Stats()); sA != sB {
+			t.Fatalf("seed %d: forced batching vs production threshold: stats diverge\nA: %+v\nB: %+v", seed, sA, sB)
+		}
+		if pA, pB := bA.PendingCount(), bB.PendingCount(); pA != pB {
+			t.Fatalf("seed %d: forced batching vs production threshold: pending %d vs %d", seed, pA, pB)
+		}
+		if uA, uB := envA.heap.Used(), envB.heap.Used(); uA != uB {
+			t.Fatalf("seed %d: forced batching vs production threshold: heap %d vs %d", seed, uA, uB)
 		}
 	}
 }

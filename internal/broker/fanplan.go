@@ -1,9 +1,8 @@
 // Destination layer, part 6: fan-out execution. The publisher matches
 // on its own goroutine (selectors once per group, durables inline) and
 // collects the matched subscriptions into a pooled per-publish plan,
-// which it then delivers itself. Below batchFanoutThreshold — and
-// always under Config.SerialEnv — the plan is delivered as a per-frame
-// loop in the exact matched order. At or above the threshold the plan
+// which it then delivers itself. Below batchFanoutThreshold the plan
+// is delivered as a per-frame loop in the exact matched order. At or above the threshold the plan
 // is grouped into per-connection *runs* (preserving matched order
 // within each connection), and each multi-delivery run is emitted as
 // one wire.DeliverBatch splicing the frozen message's cached encoding
@@ -105,10 +104,10 @@ func (p *fanPlan) group() {
 }
 
 // execFanPlan delivers a collected plan on the publishing goroutine:
-// per-frame deliverCost in matched order under Config.SerialEnv or below
-// the threshold; at or above it, one deliverRun per connection.
+// per-frame deliverCost in matched order below the threshold; at or
+// above it, one deliverRun per connection.
 func (b *Broker) execFanPlan(p *fanPlan, m *message.Message, cost int64) {
-	if b.cfg.SerialEnv || len(p.flat) < b.fanThreshold {
+	if len(p.flat) < b.fanThreshold {
 		for _, sub := range p.flat {
 			b.deliverCost(sub, m, cost)
 		}

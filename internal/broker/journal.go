@@ -156,7 +156,7 @@ func (b *Broker) RestoreDurableStore(name string, m *message.Message) {
 	m = m.Freeze()
 	sh := b.shardFor(d.topic)
 	sh.mu.Lock()
-	b.storeDurable(d, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead)
+	b.storeDurable(d, m, int64(m.EncodedSize())+memPerPendingOverhead)
 	sh.mu.Unlock()
 }
 

@@ -19,11 +19,11 @@ type queueState struct {
 }
 
 func (b *Broker) enqueue(q *queueState, m *message.Message) {
-	if b.cfg.MaxQueueBacklog > 0 && len(q.backlog) >= b.cfg.MaxQueueBacklog {
+	if len(q.backlog) >= b.queueBacklogCap {
 		b.stats.droppedBacklog.Add(1)
 		return
 	}
-	cost := int64(m.EncodedSize()) + b.cfg.MemPerPendingOverhead
+	cost := int64(m.EncodedSize()) + memPerPendingOverhead
 	if err := b.env.Alloc(cost); err != nil {
 		b.stats.droppedOOM.Add(1)
 		return

@@ -80,7 +80,7 @@ func TestStaleRouteSkipsDestroyedDurable(t *testing.T) {
 	m.Dest = topic
 	m = m.Freeze()
 	plan := b.getFanPlan()
-	b.routeMatchIndexed(stale, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead, plan)
+	b.routeMatchIndexed(stale, m, int64(m.EncodedSize())+memPerPendingOverhead, plan)
 	b.execFanPlan(plan, m, 0)
 	b.putFanPlan(plan)
 
@@ -145,7 +145,7 @@ func TestStaleRouteDeliversToLiveDurable(t *testing.T) {
 	m.Dest = topic
 	m = m.Freeze()
 	plan := b.getFanPlan()
-	b.routeMatchIndexed(stale, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead, plan)
+	b.routeMatchIndexed(stale, m, int64(m.EncodedSize())+memPerPendingOverhead, plan)
 	b.execFanPlan(plan, m, 0)
 	b.putFanPlan(plan)
 

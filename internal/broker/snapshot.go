@@ -163,7 +163,7 @@ func (b *Broker) routeTopicSnapshot(sh *shard, m *message.Message) {
 	if rt == nil {
 		return
 	}
-	cost := int64(m.EncodedSize()) + b.cfg.MemPerPendingOverhead
+	cost := int64(m.EncodedSize()) + memPerPendingOverhead
 	plan := b.getFanPlan()
 	plan.flat = append(plan.flat, rt.fast...)
 	if rt.idx != nil {

@@ -133,27 +133,17 @@ func (b *Broker) PendingCount() int {
 	return int(b.stats.pending.Load())
 }
 
-// getDeliver acquires a Deliver frame: pooled when the binding's
-// transport consumes each frame exactly once, GC-managed under
-// Config.SerialEnv, whose transport may retransmit or hold frames.
-func (b *Broker) getDeliver() *wire.Deliver {
-	if b.cfg.SerialEnv {
-		return new(wire.Deliver)
-	}
-	return wire.GetDeliver()
-}
-
 // deliverTo sends a message to one subscription, tracking it as pending
 // until acknowledged.
 func (b *Broker) deliverTo(sub *subscription, m *message.Message) {
-	b.deliverCost(sub, m, int64(m.EncodedSize())+b.cfg.MemPerPendingOverhead)
+	b.deliverCost(sub, m, int64(m.EncodedSize())+memPerPendingOverhead)
 }
 
 // deliverCost is deliverTo with the delivery's memory cost precomputed,
 // so a topic fan-out prices the message once instead of per subscriber.
 // The frozen message is shared by reference across all deliveries; the
-// Deliver frame itself comes from a pool (unless the binding opted out),
-// returned by whichever transport consumes it.
+// Deliver frame itself comes from a pool, returned by whichever
+// transport consumes it.
 //
 // Delivery state is guarded by the subscription's leaf lock, not the
 // shard lock: the topic publish path calls this with no shard lock at
@@ -176,7 +166,7 @@ func (b *Broker) deliverCost(sub *subscription, m *message.Message, cost int64) 
 	sub.pending[tag] = pendingDelivery{tag: tag, cost: cost}
 	b.stats.delivered.Add(1)
 	b.stats.pending.Add(1)
-	d := b.getDeliver()
+	d := wire.GetDeliver()
 	d.SubID, d.Tag, d.Msg = sub.id, tag, m
 	b.env.Send(sub.conn.id, d)
 }

@@ -108,7 +108,7 @@ func newStalledClient(t *testing.T, s *Server, nSubs int, topic string) *stalled
 func TestBatchPoolExactlyOnceUnderDrop(t *testing.T) {
 	gets0, puts0 := wire.DeliverBatchPoolCounters()
 
-	s := startServer(t, ServerConfig{WriteBuffer: 2})
+	s := startServerWriteBuffer(t, 2)
 	pub := dial(t, s, "pub")
 	_ = newStalledClient(t, s, 70, "drop") // 70 targets ≥ threshold, one conn → one batch per publish
 
@@ -160,7 +160,7 @@ func TestFanoutChurnOverTCP(t *testing.T) {
 	gets0, puts0 := wire.DeliverBatchPoolCounters()
 
 	const keeperSubs, stalledSubs, publishes = 70, 40, 120
-	s := startServer(t, ServerConfig{WriteBuffer: 4})
+	s := startServerWriteBuffer(t, 4)
 	pub := dial(t, s, "pub")
 	keeper := dial(t, s, "keeper")
 

@@ -23,6 +23,22 @@ func startServer(t *testing.T, cfg ServerConfig) *Server {
 	return s
 }
 
+// startServerWriteBuffer is startServer with client writer queues of n
+// frames.
+func startServerWriteBuffer(t *testing.T, n int) *Server {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(ln, ServerConfig{}, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 func dial(t *testing.T, s *Server, id string) *Connection {
 	t.Helper()
 	c, err := Dial(s.Addr(), id)
@@ -229,10 +245,7 @@ func TestTCPPing(t *testing.T) {
 }
 
 func TestTCPConnectionLimit(t *testing.T) {
-	s := startServer(t, ServerConfig{
-		MaxConnMemory: 2 * (256 << 10),
-		MemPerConn:    256 << 10,
-	})
+	s := startServer(t, ServerConfig{MaxConnMemory: 2 * memPerConn})
 	c1 := dial(t, s, "c1")
 	c2 := dial(t, s, "c2")
 	_ = c1.Ping()

@@ -74,18 +74,20 @@ type ServerConfig struct {
 	// one destination shard per CPU. Set Broker.Shards to pin the shard
 	// count.
 	Broker broker.Config
-	// MaxConnMemory bounds simulated per-connection memory, reproducing
-	// the paper's admission cliff on real sockets too (0 = unlimited).
+	// MaxConnMemory is the total connection memory budget (0 =
+	// unlimited). Every connection is charged memPerConn against it, so
+	// it admits MaxConnMemory/memPerConn connections at once and refuses
+	// the next: the paper's admission cliff on real sockets.
 	MaxConnMemory int64
-	// MemPerConn is the per-connection charge against MaxConnMemory.
-	MemPerConn int64
-	// WriteBuffer is the per-connection outbound frame queue length (default 256).
-	WriteBuffer int
 }
+
+// memPerConn is each connection's charge against MaxConnMemory: 256 KiB,
+// a thread stack on the paper's JVM testbed.
+const memPerConn = 256 << 10
 
 // Writer queue lengths. Peer links carry a whole broker's forwarded
 // traffic, so they get a much deeper queue than client connections.
-const defaultWriteBuffer, peerWriteBuffer = 256, 4096
+const clientWriteBuffer, peerWriteBuffer = 256, 4096
 
 // Server runs a broker core behind a TCP listener. Per-connection reader
 // goroutines feed the sharded core directly; per-connection writer
@@ -94,6 +96,9 @@ type Server struct {
 	cfg ServerConfig
 	ln  net.Listener
 	b   *broker.Broker
+
+	// writeBuffer is clientWriteBuffer; see newServer.
+	writeBuffer int
 
 	mu      sync.Mutex
 	writers map[broker.ConnID]*wire.FrameWriter
@@ -135,26 +140,25 @@ func NewServer(ln net.Listener, cfg ServerConfig) *Server {
 // brokerwal through here when -data-dir is set. A restore error aborts
 // startup and closes the listener.
 func NewServerRestored(ln net.Listener, cfg ServerConfig, restore func(*broker.Broker) error) (*Server, error) {
-	if cfg.Broker == (broker.Config{}) {
-		cfg.Broker = broker.DefaultConfig("naradad")
-	} else if cfg.Broker.ID == "" {
+	return newServer(ln, cfg, clientWriteBuffer, restore)
+}
+
+// newServer is NewServerRestored with the client writer queue length
+// as a parameter, so in-package tests can overflow it in a few frames.
+func newServer(ln net.Listener, cfg ServerConfig, writeBuffer int, restore func(*broker.Broker) error) (*Server, error) {
+	if cfg.Broker.ID == "" {
 		cfg.Broker.ID = "naradad"
 	}
 	if cfg.Broker.Shards <= 0 {
 		cfg.Broker.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = defaultWriteBuffer
-	}
-	if cfg.MemPerConn <= 0 {
-		cfg.MemPerConn = 256 << 10
-	}
 	s := &Server{
-		cfg:     cfg,
-		ln:      ln,
-		writers: make(map[broker.ConnID]*wire.FrameWriter),
-		native:  simproc.NewHeap("server-native", cfg.MaxConnMemory, 0),
-		heap:    simproc.NewHeap("server-heap", 0, 0),
+		cfg:         cfg,
+		ln:          ln,
+		writeBuffer: writeBuffer,
+		writers:     make(map[broker.ConnID]*wire.FrameWriter),
+		native:      simproc.NewHeap("server-native", cfg.MaxConnMemory, 0),
+		heap:        simproc.NewHeap("server-heap", 0, 0),
 	}
 	s.b = broker.New((*serverEnv)(s), cfg.Broker)
 	if restore != nil {
@@ -214,7 +218,7 @@ func (s *Server) accept() {
 		}
 		s.nextID++
 		id := s.nextID
-		w := wire.NewFrameWriter(conn, s.cfg.WriteBuffer, &s.egress)
+		w := wire.NewFrameWriter(conn, s.writeBuffer, &s.egress)
 		s.writers[id] = w
 		s.mu.Unlock()
 
@@ -507,11 +511,9 @@ func (e *serverEnv) CloseConn(id broker.ConnID) {
 	}
 }
 
-func (e *serverEnv) AllocConn() error {
-	return (*Server)(e).native.Alloc((*Server)(e).cfg.MemPerConn)
-}
+func (e *serverEnv) AllocConn() error { return (*Server)(e).native.Alloc(memPerConn) }
 
-func (e *serverEnv) FreeConn() { (*Server)(e).native.Free((*Server)(e).cfg.MemPerConn) }
+func (e *serverEnv) FreeConn() { (*Server)(e).native.Free(memPerConn) }
 
 func (e *serverEnv) Alloc(n int64) error { return (*Server)(e).heap.Alloc(n) }
 

@@ -15,7 +15,7 @@ import (
 // client holding its encode buffer for the connection's lifetime — what
 // it keeps between frames is capped at 64 KiB, as on the JMS client.
 func TestClientSendBufferCapped(t *testing.T) {
-	s := NewServer(rgmacore.New(rgmacore.Config{}), Config{})
+	s := NewServer(rgmacore.New(rgmacore.Config{}))
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@
 //
 // # Slow consumers
 //
-// The writer queue is bounded (Config.WriteBuffer). A connection whose
+// The writer queue is bounded (1024 frames). A connection whose
 // queue overflows — a consumer not draining its TCP socket — is dropped
 // (the R-GMA analogue of the broker's slow-consumer policy): the socket
 // is closed, the reader observes the error on its own goroutine and
@@ -62,21 +62,21 @@ const (
 	CodeConflict
 )
 
-// Config tunes the binary server.
-type Config struct {
-	// ServerID is announced in the RGMAWelcome handshake ("rgmad" if
-	// empty).
-	ServerID string
-	// WriteBuffer is the per-connection outbound frame queue (default
-	// 1024); overflow drops the connection (slow-consumer policy).
-	WriteBuffer int
-}
+// serverID is announced in the RGMAWelcome handshake.
+const serverID = "rgmad"
+
+// connWriteBuffer is the per-connection outbound frame queue length;
+// overflow drops the connection (slow-consumer policy).
+const connWriteBuffer = 1024
 
 // Server accepts binary R-GMA connections against a shared core.
 type Server struct {
 	core *rgmacore.Core
-	cfg  Config
 	ln   net.Listener
+
+	// writeBuffer is connWriteBuffer, a field only so tests can size
+	// the queues (export_test.go).
+	writeBuffer int
 
 	mu     sync.Mutex
 	conns  map[*serverConn]struct{}
@@ -95,14 +95,8 @@ func (s *Server) EgressStats() wire.EgressStats { return s.egress.Stats() }
 
 // NewServer wraps a core (possibly shared with an rgmahttp.Server) in
 // an unstarted binary server.
-func NewServer(core *rgmacore.Core, cfg Config) *Server {
-	if cfg.ServerID == "" {
-		cfg.ServerID = "rgmad"
-	}
-	if cfg.WriteBuffer <= 0 {
-		cfg.WriteBuffer = 1024
-	}
-	return &Server{core: core, cfg: cfg, conns: make(map[*serverConn]struct{})}
+func NewServer(core *rgmacore.Core) *Server {
+	return &Server{core: core, writeBuffer: connWriteBuffer, conns: make(map[*serverConn]struct{})}
 }
 
 // Core returns the server's service core.
@@ -173,9 +167,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		c := &serverConn{
 			s:         s,
 			nc:        nc,
-			w:         wire.NewFrameWriter(nc, s.cfg.WriteBuffer, &s.egress),
+			w:         wire.NewFrameWriter(nc, s.writeBuffer, &s.egress),
 			producers: make(map[int64]struct{}),
-			consumers: make(map[int64]struct{}),
+			consumers: make(map[int64]bool),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -193,8 +187,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // Close stops accepting and drops every connection. It returns once
 // their teardown is done: every reader has finished its in-flight
-// request and released its producers and consumers, so the core is
-// quiescent and a persister may dump it at once.
+// request and released its push-fed consumers, so the core is
+// quiescent and a persister may dump it at once. Producers and polling
+// consumers stay registered, as a kill -9 would leave them: they are
+// the core's durable state, which a persister's clean-shutdown
+// snapshot keeps across the restart.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -213,15 +210,16 @@ func (s *Server) Close() error {
 // requests inline against the core, a writer goroutine coalescing the
 // outbound queue, and the producer/consumer resources the connection
 // owns (released at teardown, so a dying client cannot strand push-fed
-// consumers in the fan-out index). The resource maps are touched only
-// by the reader goroutine.
+// consumers in the fan-out index). consumers maps each consumer to
+// whether it is push-fed. The resource maps are touched only by the
+// reader goroutine.
 type serverConn struct {
 	s  *Server
 	nc net.Conn
 	w  *wire.FrameWriter
 
 	producers map[int64]struct{}
-	consumers map[int64]struct{}
+	consumers map[int64]bool
 }
 
 // send enqueues a frame without blocking (core fan-out calls it on the
@@ -244,7 +242,7 @@ func (c *serverConn) read() {
 	if _, ok := f.(wire.RGMAHello); !ok {
 		return
 	}
-	c.send(wire.RGMAWelcome{ServerID: c.s.cfg.ServerID})
+	c.send(wire.RGMAWelcome{ServerID: serverID})
 	for {
 		f, err := fr.Read()
 		if err != nil {
@@ -256,21 +254,27 @@ func (c *serverConn) read() {
 
 // teardown runs once, on the reader goroutine, after the read loop
 // exits (socket error, peer close, slow-consumer drop or server Close):
-// it releases the connection's core resources — unsubscribing any
-// push-fed consumers from the fan-out index — stops the writer and
-// forgets the connection.
+// it stops the writer, forgets the connection and releases its core
+// resources — unsubscribing any push-fed consumers from the fan-out
+// index. Under server Close it releases only the push-fed consumers,
+// which are bound to this socket and unjournaled; see Close.
 func (c *serverConn) teardown() {
 	_ = c.nc.Close()
 	c.w.Stop()
-	for id := range c.producers {
-		_ = c.s.core.CloseProducer(id)
-	}
-	for id := range c.consumers {
-		_ = c.s.core.CloseConsumer(id)
-	}
 	c.s.mu.Lock()
+	closing := c.s.closed
 	delete(c.s.conns, c)
 	c.s.mu.Unlock()
+	if !closing {
+		for id := range c.producers {
+			_ = c.s.core.CloseProducer(id)
+		}
+	}
+	for id, push := range c.consumers {
+		if push || !closing {
+			_ = c.s.core.CloseConsumer(id)
+		}
+	}
 }
 
 // errFrame maps a core error onto the wire's error vocabulary.
@@ -343,7 +347,7 @@ func (c *serverConn) handle(f wire.Frame) {
 			c.send(errFrame(v.Seq, err))
 			return
 		}
-		c.consumers[cn.ID()] = struct{}{}
+		c.consumers[cn.ID()] = sink != nil
 		c.send(wire.RGMAOK{Seq: v.Seq, ID: cn.ID()})
 	case wire.RGMAPop:
 		tuples, err := c.s.core.Pop(v.Consumer)

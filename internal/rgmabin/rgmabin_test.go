@@ -24,7 +24,7 @@ const createSQL = `CREATE TABLE generator (
 
 func startBin(t *testing.T, cfg rgmacore.Config) (*rgmabin.Server, string) {
 	t.Helper()
-	s := rgmabin.NewServer(rgmacore.New(cfg), rgmabin.Config{})
+	s := rgmabin.NewServer(rgmacore.New(cfg))
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestBinSharedCoreWithHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = hs.Close() })
-	bs := rgmabin.NewServer(core, rgmabin.Config{})
+	bs := rgmabin.NewServer(core)
 	baddr, err := bs.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -432,8 +432,8 @@ func TestBinConcurrentPushInsertStress(t *testing.T) {
 		consumers       = 3
 		matchingPerCons = totalInserts / 2 // seq is 0-based: seq < total/2
 	)
-	s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{}),
-		rgmabin.Config{WriteBuffer: 8 * totalInserts})
+	s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{}))
+	rgmabin.SetWriteBuffer(s, 8*totalInserts)
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +526,8 @@ func TestBinConcurrentPushInsertStress(t *testing.T) {
 // dropped connection's consumers are released in the core.
 func TestBinSlowConsumerDropCountedOnce(t *testing.T) {
 	core := rgmacore.New(rgmacore.Config{})
-	s := rgmabin.NewServer(core, rgmabin.Config{WriteBuffer: 4})
+	s := rgmabin.NewServer(core)
+	rgmabin.SetWriteBuffer(s, 4)
 	addr, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -654,11 +655,14 @@ func TestBinStats(t *testing.T) {
 // TestCloseWaitsForTeardown pins Close's quiescence promise: with four
 // clients inserting 16-row batches into push-fed continuous consumers,
 // the core must not move once Close returns — no insert still being
-// applied, every producer and consumer already released — so a
-// persister can dump it straight away.
+// applied, every push-fed consumer already released — so a persister
+// can dump it straight away. The four producers stay registered: they
+// are durable state, which a clean restart must keep. Each consumer has
+// a connection of its own, because one that cannot keep up is dropped
+// as a slow consumer, and a dropped connection releases all it owns.
 func TestCloseWaitsForTeardown(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{}), rgmabin.Config{})
+		s := rgmabin.NewServer(rgmacore.New(rgmacore.Config{}))
 		addr, err := s.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -669,11 +673,10 @@ func TestCloseWaitsForTeardown(t *testing.T) {
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
-			c := dial(t, addr)
-			if _, err := c.CreateConsumer("SELECT * FROM generator", "continuous", func([]rgmabin.PoppedTuple) {}); err != nil {
+			if _, err := dial(t, addr).CreateConsumer("SELECT * FROM generator", "continuous", func([]rgmabin.PoppedTuple) {}); err != nil {
 				t.Fatal(err)
 			}
-			p, err := c.CreatePrimaryProducer("generator", time.Second, time.Second)
+			p, err := dial(t, addr).CreatePrimaryProducer("generator", time.Second, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -699,8 +702,8 @@ func TestCloseWaitsForTeardown(t *testing.T) {
 		if later := s.Core().StatsSnapshot(); later != atClose {
 			t.Fatalf("round %d: core moved after Close returned\nat Close: %+v\n50ms on:  %+v", round, atClose, later)
 		}
-		if atClose.Producers != 0 || atClose.Consumers != 0 {
-			t.Fatalf("round %d: Close returned with %d producers and %d consumers still registered", round, atClose.Producers, atClose.Consumers)
+		if atClose.Producers != 4 || atClose.Consumers != 0 {
+			t.Fatalf("round %d: Close returned with %d producers and %d consumers registered, want 4 and 0", round, atClose.Producers, atClose.Consumers)
 		}
 		wg.Wait()
 	}

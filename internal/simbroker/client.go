@@ -182,20 +182,6 @@ func (c *Client) clientIn(f wire.Frame) {
 				c.OnDeliver(v)
 			}
 			c.acknowledge(v)
-		case *wire.Deliver:
-			// The broker's fan-out frames arrive by pointer over the
-			// simulated (by-reference) transport. Dispatch a value copy
-			// so listeners keep their existing signature. These frames
-			// are GC-managed, never pooled: the host opts the broker out
-			// of the wire frame pool (see NewHost) because unreliable
-			// transports may still hold a frame for retransmission long
-			// after this dispatch — returning it to the pool here would
-			// let a later publish overwrite an in-flight retransmission.
-			c.received++
-			if c.OnDeliver != nil {
-				c.OnDeliver(*v)
-			}
-			c.acknowledge(*v)
 		}
 	})
 }

@@ -78,16 +78,12 @@ func DefaultCosts() Costs {
 }
 
 // frameBytes reports how many payload bytes a frame carries (for per-byte
-// cost purposes; control frames count as zero). Deliver frames appear
-// both by value (decoded off a real wire) and by pointer (the broker's
-// pooled zero-copy fan-out).
+// cost purposes; control frames count as zero).
 func frameBytes(f wire.Frame) int {
 	switch v := f.(type) {
 	case wire.Publish:
 		return v.Msg.EncodedSize()
 	case wire.Deliver:
-		return v.Msg.EncodedSize()
-	case *wire.Deliver:
 		return v.Msg.EncodedSize()
 	case wire.BrokerForward:
 		return v.Msg.EncodedSize()
@@ -114,7 +110,7 @@ func (c Costs) brokerRecvCost(f wire.Frame, conns int, tr Transport) sim.Time {
 // brokerSendCost prices an outbound frame at the broker.
 func (c Costs) brokerSendCost(f wire.Frame, tr Transport) sim.Time {
 	switch f.(type) {
-	case wire.Deliver, *wire.Deliver:
+	case wire.Deliver:
 		return c.BrokerDeliverBase + sim.Time(frameBytes(f))*c.BrokerPerByte + tr.DataOverhead
 	default:
 		return c.BrokerSmallSend
@@ -132,7 +128,7 @@ func (c Costs) clientSendCost(f wire.Frame, tr Transport) sim.Time {
 // clientRecvCost prices frame reception on the client node.
 func (c Costs) clientRecvCost(f wire.Frame, tr Transport) sim.Time {
 	switch f.(type) {
-	case wire.Deliver, *wire.Deliver:
+	case wire.Deliver:
 		return c.ClientRecvBase + sim.Time(frameBytes(f))*c.ClientPerByte + tr.DataOverhead
 	}
 	return c.ClientSmall

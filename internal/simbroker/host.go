@@ -40,19 +40,7 @@ type hostLink struct {
 }
 
 // NewHost creates a broker on the given simulated node.
-//
-// The host forces broker.Config.SerialEnv, for both things that field
-// promises. Its Env runs inside the single-threaded simulation kernel
-// (Send schedules events, Alloc charges a non-atomic heap), so fan-out
-// workers may not call it — and the figures' event order must stay
-// deterministic regardless of GOMAXPROCS. And the simulated transports
-// carry frames by reference and may hold a Deliver frame indefinitely
-// (unreliable transports keep it queued for retransmission until acked
-// or abandoned), so the consume-exactly-once ownership rule of the wire
-// frame pool cannot hold here: sim deliveries are GC-managed, and
-// wire.PutDeliver is never called on them.
 func NewHost(net *simnet.Network, node *simnet.Node, cfg broker.Config, costs Costs) *Host {
-	cfg.SerialEnv = true
 	h := &Host{
 		net:    net,
 		k:      net.Kernel(),
@@ -103,7 +91,32 @@ func (h *Host) Now() int64 { return int64(h.k.Now()) }
 
 // Send implements broker.Env: outbound frames are serialized through the
 // broker CPU (the dispatch thread) before hitting the wire.
+//
+// The simulated transports carry frames by reference, and an unreliable
+// one keeps a frame queued for retransmission until it is acked or
+// abandoned, so no pooled frame may enter them: the wire pool's rule is
+// one consumer releasing once, when nothing else holds the frame. Send
+// is that consumer. It copies a pooled *wire.Deliver into a value frame
+// and releases it at once, and it expands a *wire.DeliverBatch into one
+// value frame per entry, in entry order, each priced as its own send.
+// The simulator beyond this point sees value frames only.
 func (h *Host) Send(conn broker.ConnID, f wire.Frame) {
+	switch v := f.(type) {
+	case *wire.Deliver:
+		d := *v
+		wire.PutDeliver(v)
+		h.send(conn, d)
+	case *wire.DeliverBatch:
+		for _, e := range v.Entries {
+			h.send(conn, wire.Deliver{SubID: e.SubID, Tag: e.Tag, Msg: v.Msg})
+		}
+		wire.PutDeliverBatch(v)
+	default:
+		h.send(conn, f)
+	}
+}
+
+func (h *Host) send(conn broker.ConnID, f wire.Frame) {
 	l, ok := h.links[conn]
 	if !ok {
 		return

@@ -194,13 +194,12 @@ type BrokerLink struct {
 //
 // Ownership rule: a pooled frame must have exactly one consumer, and
 // only that consumer may release it, exactly once, when no other holder
-// can still reference it. Transports that cannot guarantee this —
+// can still reference it. A transport that cannot guarantee this —
 // anything that retransmits, fans a frame out to several holders, or
-// parks frames in queues with independent lifetimes — must not use the
-// pool at all: the simulator's by-reference transports opt the broker
-// out via broker.Config.SerialEnv and leave their frames to the GC,
-// which is always safe; releasing a frame someone still references is
-// not.
+// parks frames in queues with independent lifetimes — must copy the
+// frame into a value and release the pooled one at once, as the
+// simulator's host does for its by-reference transports; releasing a
+// frame someone still references is never safe.
 var (
 	deliverPool              = sync.Pool{New: func() any { return new(Deliver) }}
 	deliverGets, deliverPuts atomic.Uint64
