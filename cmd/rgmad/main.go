@@ -29,7 +29,7 @@
 // start skips the replay scan. -fsync additionally syncs every group
 // commit, so an acknowledged INSERT survives power loss. Without
 // -data-dir the core is memory-only, exactly as before. WAL counters
-// appear under "wal" in /stats and in the binary stats RPC.
+// appear under "wal" in /stats.
 //
 // Try it:
 //
@@ -109,9 +109,6 @@ func main() {
 	var binSrv *rgmabin.Server
 	if *listenBin != "" {
 		binSrv = rgmabin.NewServer(core)
-		if pers != nil {
-			binSrv.SetWALStats(pers.Stats)
-		}
 		srv.SetBinEgress(binSrv.EgressStats)
 		binAddr, err := binSrv.ListenAndServe(*listenBin)
 		if err != nil {

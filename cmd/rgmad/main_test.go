@@ -461,3 +461,45 @@ func TestCrashRecovery(t *testing.T) {
 	requireHistory(t, d.httpAddr, acked[0].Load())
 	d.terminate()
 }
+
+// TestStatsEndpoint checks the daemon's own wiring of GET /stats with
+// -data-dir and the binary port: after acknowledged binary inserts it
+// counts them, carries the WAL's counters with the clean-start flag the
+// recovery line logged, and the binary writers' egress. The second run
+// restarts on the same directory, so both clean-start values are seen.
+func TestStatsEndpoint(t *testing.T) {
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		d := start(t, "-data-dir", dir)
+		clean := d.waitLog(`recovered .*clean=(\w+)`)[1]
+		table := fmt.Sprintf("stats%d", run)
+		createTables(t, dialBin(t, d.binAddr).CreateTable, table, 1)
+		var seen atomic.Int64
+		if _, err := dialBin(t, d.binAddr).CreateConsumer("SELECT * FROM "+table+"0", "continuous",
+			func(tuples []rgmabin.PoppedTuple) { seen.Add(int64(len(tuples))) }); err != nil {
+			t.Fatal(err)
+		}
+		acked := make([]atomic.Int64, 1)
+		if err := produce([]string{table + "0"}, 64, 16, acked, func(table string) (func([]string) error, error) {
+			return binProducer(d.binAddr, table)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "pushed tuples reach the consumer", time.Millisecond, func() bool { return seen.Load() == 64 })
+
+		st, err := rgmahttp.NewClient(d.httpAddr).Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Inserts != uint64(acked[0].Load()) {
+			t.Errorf("run %d: /stats inserts = %d, want the %d acknowledged", run, st.Inserts, acked[0].Load())
+		}
+		if st.WAL == nil || st.WAL.RecordsAppended == 0 || fmt.Sprint(st.WAL.CleanStart) != clean {
+			t.Errorf("run %d: /stats wal = %+v, want records appended and clean_start=%s as logged", run, st.WAL, clean)
+		}
+		if st.BinEgress == nil || st.BinEgress.WriterFlushes == 0 {
+			t.Errorf("run %d: /stats bin_egress = %+v, want writer flushes", run, st.BinEgress)
+		}
+		d.terminate()
+	}
+}

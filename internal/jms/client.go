@@ -27,14 +27,13 @@ type MessageListener func(m *message.Message)
 // Connection is a client connection to a broker server. It is safe for
 // concurrent use.
 type Connection struct {
-	conn net.Conn
+	conn     net.Conn
+	brokerID string // from the handshake, set before the connection is shared
 
 	writeMu sync.Mutex
 	wbuf    []byte // reusable encode buffer, guarded by writeMu
 
 	mu          sync.Mutex
-	brokerID    string
-	connected   chan struct{}
 	subs        map[int64]*subscription
 	waiters     map[waitKey]chan error
 	closed      bool
@@ -76,32 +75,34 @@ func Dial(addr string, clientID string) (*Connection, error) {
 	return DialTimeout(addr, clientID, 10*time.Second)
 }
 
-// DialTimeout is Dial with an explicit request/handshake timeout.
+// DialTimeout is Dial with an explicit request/handshake timeout. A
+// broker that refuses the connection closes it, and the handshake fails
+// at once with ErrNotConnected.
 func DialTimeout(addr string, clientID string, timeout time.Duration) (*Connection, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	f, fr, err := wire.Handshake(nc, wire.Connect{ClientID: clientID}, timeout)
+	if err != nil {
+		_ = nc.Close()
+		return nil, fmt.Errorf("%w: %w", ErrNotConnected, err)
+	}
+	welcome, ok := f.(wire.Connected)
+	if !ok {
+		_ = nc.Close()
+		return nil, fmt.Errorf("%w: broker answered %v", ErrNotConnected, f.Type())
+	}
 	c := &Connection{
-		conn:      nc,
-		connected: make(chan struct{}),
-		subs:      make(map[int64]*subscription),
-		waiters:   make(map[waitKey]chan error),
-		timeout:   timeout,
-		ackMode:   message.AutoAck,
+		conn:     nc,
+		brokerID: welcome.BrokerID,
+		subs:     make(map[int64]*subscription),
+		waiters:  make(map[waitKey]chan error),
+		timeout:  timeout,
+		ackMode:  message.AutoAck,
 	}
-	go c.readLoop()
-	if err := c.send(wire.Connect{ClientID: clientID}); err != nil {
-		_ = nc.Close()
-		return nil, err
-	}
-	select {
-	case <-c.connected:
-		return c, nil
-	case <-time.After(c.timeout):
-		_ = nc.Close()
-		return nil, ErrNotConnected
-	}
+	go c.readLoop(fr)
+	return c, nil
 }
 
 // SetAckMode selects AUTO (default) or CLIENT acknowledgement. In CLIENT
@@ -114,11 +115,7 @@ func (c *Connection) SetAckMode(m message.AckMode) {
 }
 
 // BrokerID reports the broker's identifier from the handshake.
-func (c *Connection) BrokerID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.brokerID
-}
+func (c *Connection) BrokerID() string { return c.brokerID }
 
 func (c *Connection) send(f wire.Frame) error {
 	c.writeMu.Lock()
@@ -126,8 +123,7 @@ func (c *Connection) send(f wire.Frame) error {
 	return wire.WriteFrameBuf(c.conn, &c.wbuf, f)
 }
 
-func (c *Connection) readLoop() {
-	fr := wire.NewFrameReader(c.conn)
+func (c *Connection) readLoop(fr *wire.FrameReader) {
 	var acks ackBatch
 	for {
 		if !fr.FrameBuffered() {
@@ -140,15 +136,6 @@ func (c *Connection) readLoop() {
 			return
 		}
 		switch v := f.(type) {
-		case wire.Connected:
-			c.mu.Lock()
-			c.brokerID = v.BrokerID
-			select {
-			case <-c.connected:
-			default:
-				close(c.connected)
-			}
-			c.mu.Unlock()
 		case wire.SubOK:
 			if v.SubID < 0 {
 				c.complete(waitKey{waitSubOK, -v.SubID}, ErrSubRejected)

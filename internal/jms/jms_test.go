@@ -250,10 +250,16 @@ func TestTCPConnectionLimit(t *testing.T) {
 	c2 := dial(t, s, "c2")
 	_ = c1.Ping()
 	_ = c2.Ping()
-	// Third connection is admitted at TCP level then dropped by the
-	// broker; the handshake never completes.
-	if _, err := DialTimeout(s.Addr(), "c3", time.Second); err == nil {
-		t.Fatal("third connection should have been refused")
+	// Third connection is admitted at TCP level then closed by the
+	// broker: the dial fails as soon as the socket does, not when its
+	// timeout runs out.
+	start := time.Now()
+	_, err := DialTimeout(s.Addr(), "c3", 5*time.Second)
+	if !errors.Is(err, ErrNotConnected) {
+		t.Fatalf("third connection: err = %v, want ErrNotConnected", err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("refused dial returned after %v, want within 1s", took)
 	}
 	waitFor(t, func() bool { return s.Stats().RefusedConns >= 1 })
 }

@@ -24,8 +24,8 @@
 // runs the whole fan-out itself, and wide fan-outs arrive batched — at
 // or above the core's batching threshold (64 matched subscriptions)
 // each per-connection run reaches Env.Send as one wire.DeliverBatch,
-// which the writer splices into one flush (or writes as one writev for
-// large payloads); clients see the same MESSAGE frames either way. This
+// which the writer splices into one flush; clients see the same MESSAGE
+// frames either way. This
 // package keeps only the policy: a send that finds the queue full drops
 // the connection as a slow consumer (dropConn). EgressStats reports the
 // writers' meters.
@@ -391,22 +391,14 @@ func (s *Server) DialPeer(addr string) (string, error) {
 		return "", fmt.Errorf("jms: dial peer %s: %w", addr, err)
 	}
 	// Handshake synchronously on the dialing goroutine: our BrokerLink
-	// first, the peer's reply before anything else.
-	if err := wire.WriteFrame(conn, wire.BrokerLink{BrokerID: s.b.ID(), Routing: uint8(routing)}); err != nil {
-		_ = conn.Close()
-		return "", fmt.Errorf("jms: peer handshake %s: %w", addr, err)
-	}
-	// One reader for the link's lifetime: the peer may send its first
-	// interest frames in the same segment as the reply, and a second
-	// reader would lose whatever the first had buffered.
-	fr := wire.NewFrameReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := fr.Read()
+	// first, the peer's reply before anything else. The handshake's
+	// reader serves the link for its lifetime: the peer may send its
+	// first interest frames in the same segment as the reply.
+	f, fr, err := wire.Handshake(conn, wire.BrokerLink{BrokerID: s.b.ID(), Routing: uint8(routing)}, 10*time.Second)
 	if err != nil {
 		_ = conn.Close()
 		return "", fmt.Errorf("jms: peer handshake %s: %w", addr, err)
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	reply, ok := f.(wire.BrokerLink)
 	if !ok {
 		_ = conn.Close()

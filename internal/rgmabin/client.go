@@ -78,21 +78,9 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		nc:        nc,
-		pending:   make(map[int64]chan wire.Frame),
-		consumers: make(map[int64]*consumerState),
-		done:      make(chan struct{}),
-	}
-	if err := c.writeFrame(wire.RGMAHello{ClientID: "rgmabin-client"}); err != nil {
-		_ = nc.Close()
-		return nil, err
-	}
 	// The handshake and the read loop share one reader: a push that
 	// arrives in the same segment as the welcome must not be lost.
-	fr := wire.NewFrameReader(nc)
-	_ = nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := fr.Read()
+	f, fr, err := wire.Handshake(nc, wire.RGMAHello{ClientID: "rgmabin-client"}, 10*time.Second)
 	if err != nil {
 		_ = nc.Close()
 		return nil, fmt.Errorf("rgmabin: handshake: %w", err)
@@ -101,7 +89,12 @@ func Dial(addr string) (*Client, error) {
 		_ = nc.Close()
 		return nil, fmt.Errorf("rgmabin: unexpected handshake reply %v", f.Type())
 	}
-	_ = nc.SetReadDeadline(time.Time{})
+	c := &Client{
+		nc:        nc,
+		pending:   make(map[int64]chan wire.Frame),
+		consumers: make(map[int64]*consumerState),
+		done:      make(chan struct{}),
+	}
 	go c.readLoop(fr)
 	return c, nil
 }
@@ -135,8 +128,6 @@ func (c *Client) readLoop(fr *wire.FrameReader) {
 		case wire.RGMAOK:
 			c.complete(v.Seq, v)
 		case wire.RGMAErr:
-			c.complete(v.Seq, v)
-		case wire.RGMAStats:
 			c.complete(v.Seq, v)
 		}
 	}
@@ -251,25 +242,6 @@ func (c *Client) CreateTable(sql string) error {
 	}
 	_, err = replyID(f)
 	return err
-}
-
-// Stats fetches the server's counter snapshot — core service counters
-// plus, when the server persists to a write-ahead log, the WAL
-// counters — over the binary transport.
-func (c *Client) Stats() (wire.RGMAStats, error) {
-	f, err := c.request(func(seq int64) wire.Frame {
-		return wire.RGMAStatsReq{Seq: seq}
-	})
-	if err != nil {
-		return wire.RGMAStats{}, err
-	}
-	switch v := f.(type) {
-	case wire.RGMAStats:
-		return v, nil
-	case wire.RGMAErr:
-		return wire.RGMAStats{}, &ServerError{Code: v.Code, Msg: v.Msg}
-	}
-	return wire.RGMAStats{}, fmt.Errorf("rgmabin: unexpected reply %v", f.Type())
 }
 
 // RemoteProducer is a handle to a producer resource on the server.

@@ -39,19 +39,18 @@
 // (the R-GMA analogue of the broker's slow-consumer policy): the socket
 // is closed, the reader observes the error on its own goroutine and
 // releases the connection's producers and consumers in the core. Sinks
-// never block an inserting producer. SlowConsumerDrops counts each
-// dropped connection once, however many sends found its queue full.
+// never block an inserting producer. EgressStats().SlowConsumerDrops
+// counts each dropped connection once, however many sends found its
+// queue full.
 package rgmabin
 
 import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"gridmon/internal/rgma"
 	"gridmon/internal/rgmacore"
-	"gridmon/internal/wal"
 	"gridmon/internal/wire"
 )
 
@@ -86,8 +85,7 @@ type Server struct {
 	// it. A reader's Add runs under mu before closed is set.
 	teardown sync.WaitGroup
 
-	walStats atomic.Pointer[func() wal.Stats]
-	egress   wire.EgressMeters
+	egress wire.EgressMeters
 }
 
 // EgressStats reports the connection writers' egress counters.
@@ -101,48 +99,6 @@ func NewServer(core *rgmacore.Core) *Server {
 
 // Core returns the server's service core.
 func (s *Server) Core() *rgmacore.Core { return s.core }
-
-// SlowConsumerDrops reports connections dropped for a full write queue.
-func (s *Server) SlowConsumerDrops() uint64 { return s.EgressStats().SlowConsumerDrops }
-
-// SetWALStats installs the write-ahead-log counter source reported by
-// the stats RPC (cmd/rgmad wires the persister's Stats method in when
-// it runs with -data-dir). Without one, replies carry WALEnabled false
-// and zero WAL counters.
-func (s *Server) SetWALStats(f func() wal.Stats) {
-	if f == nil {
-		s.walStats.Store(nil)
-		return
-	}
-	s.walStats.Store(&f)
-}
-
-// statsFrame snapshots the core and WAL counters into a reply frame.
-func (s *Server) statsFrame(seq int64) wire.RGMAStats {
-	cs := s.core.StatsSnapshot()
-	out := wire.RGMAStats{
-		Seq:            seq,
-		Producers:      uint32(cs.Producers),
-		Consumers:      uint32(cs.Consumers),
-		Inserts:        cs.Inserts,
-		Pops:           cs.Pops,
-		TuplesStreamed: cs.TuplesStreamed,
-		TuplesPopped:   cs.TuplesPopped,
-		TuplesDropped:  cs.TuplesDropped,
-	}
-	if f := s.walStats.Load(); f != nil {
-		ws := (*f)()
-		out.WALEnabled = true
-		out.WALRecordsAppended = ws.RecordsAppended
-		out.WALBytesLogged = ws.BytesLogged
-		out.WALFsyncs = ws.Fsyncs
-		out.WALSnapshots = ws.Snapshots
-		out.WALReplayRecords = ws.ReplayRecords
-		out.WALReplayTruncatedTail = ws.ReplayTruncatedTail
-		out.WALCleanStart = ws.CleanStart
-	}
-	return out
-}
 
 // ListenAndServe starts accepting on addr and returns the bound
 // address.
@@ -360,8 +316,6 @@ func (c *serverConn) handle(f wire.Frame) {
 			out.Tuples[i] = wire.RGMATuple{Row: t.Row, InsertedAt: t.InsertedAt}
 		}
 		c.send(out)
-	case wire.RGMAStatsReq:
-		c.send(c.s.statsFrame(v.Seq))
 	case wire.RGMAClose:
 		var err error
 		if v.Producer {

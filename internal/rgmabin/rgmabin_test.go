@@ -14,7 +14,6 @@ import (
 	"gridmon/internal/rgmabin"
 	"gridmon/internal/rgmacore"
 	"gridmon/internal/rgmahttp"
-	"gridmon/internal/wal"
 	"gridmon/internal/wire"
 )
 
@@ -514,7 +513,7 @@ func TestBinConcurrentPushInsertStress(t *testing.T) {
 			seen[tp.Row[1]] = true
 		}
 	}
-	if drops := s.SlowConsumerDrops(); drops != 0 {
+	if drops := s.EgressStats().SlowConsumerDrops; drops != 0 {
 		t.Fatalf("slow-consumer drops during stress: %d", drops)
 	}
 }
@@ -584,7 +583,7 @@ func TestBinSlowConsumerDropCountedOnce(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for s.SlowConsumerDrops() == 0 {
+	for s.EgressStats().SlowConsumerDrops == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled consumer never dropped")
 		}
@@ -601,54 +600,8 @@ func TestBinSlowConsumerDropCountedOnce(t *testing.T) {
 	if got := core.StatsSnapshot().Inserts; got != uint64(inserted) {
 		t.Fatalf("core applied %d inserts, producer sent %d", got, inserted)
 	}
-	if drops := s.SlowConsumerDrops(); drops != 1 {
-		t.Fatalf("SlowConsumerDrops = %d, want 1", drops)
-	}
 	if es := s.EgressStats(); es.SlowConsumerDrops != 1 {
 		t.Fatalf("EgressStats().SlowConsumerDrops = %d, want 1", es.SlowConsumerDrops)
-	}
-}
-
-// TestBinStats: the stats RPC reports core counters over the binary
-// transport, and WAL counters only once a source is installed.
-func TestBinStats(t *testing.T) {
-	s, addr := startBin(t, rgmacore.Config{})
-	c := dial(t, addr)
-	if err := c.CreateTable(createSQL); err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.CreatePrimaryProducer("generator", 30*time.Second, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		stmt := fmt.Sprintf("INSERT INTO generator (genid, seq, power, site) VALUES (%d, %d, 480.5, 'aberdeen')", i, i)
-		if err := p.Insert(stmt); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Producers != 1 || st.Inserts != 3 {
-		t.Errorf("stats = %d producers / %d inserts, want 1 / 3", st.Producers, st.Inserts)
-	}
-	if st.WALEnabled || st.WALRecordsAppended != 0 {
-		t.Errorf("WAL counters set without a source: %+v", st)
-	}
-
-	s.SetWALStats(func() wal.Stats {
-		return wal.Stats{RecordsAppended: 7, BytesLogged: 123, Fsyncs: 2, ReplayRecords: 4, CleanStart: true}
-	})
-	st, err = c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.WALEnabled || st.WALRecordsAppended != 7 || st.WALBytesLogged != 123 ||
-		st.WALFsyncs != 2 || st.WALReplayRecords != 4 || !st.WALCleanStart {
-		t.Errorf("WAL stats not forwarded: %+v", st)
 	}
 }
 

@@ -851,22 +851,23 @@ func (c *Core) closeConsumer(id int64, journal bool) error {
 
 // --- stats ---
 
-// Stats is the core's atomic counter snapshot.
+// Stats is the core's atomic counter snapshot, with the keys rgmad's
+// GET /stats serves it under.
 type Stats struct {
-	Producers      int
-	Consumers      int
-	Inserts        uint64
-	Pops           uint64
-	TuplesStreamed uint64
-	TuplesPopped   uint64
-	TuplesDropped  uint64
+	Producers      int    `json:"producers"`
+	Consumers      int    `json:"consumers"`
+	Inserts        uint64 `json:"inserts"`
+	Pops           uint64 `json:"pops"`
+	TuplesStreamed uint64 `json:"tuplesStreamed"`
+	TuplesPopped   uint64 `json:"tuplesPopped"`
+	TuplesDropped  uint64 `json:"tuplesDropped"`
 	// MatchProgramEvals counts compiled WHERE evaluations on the insert
 	// stream path: one per candidate consumer the matching index
 	// emitted. MatchConsumersSkipped counts consumers the index proved
 	// could not match and never visited — it only skips consumers whose
 	// predicate could not return TRUE.
-	MatchProgramEvals     uint64
-	MatchConsumersSkipped uint64
+	MatchProgramEvals     uint64 `json:"matchProgramEvals"`
+	MatchConsumersSkipped uint64 `json:"matchConsumersSkipped"`
 }
 
 // StatsSnapshot reads the counters; safe from any goroutine.

@@ -168,15 +168,3 @@ func (c *Client) Stats() (Stats, error) {
 	}
 	return out, nil
 }
-
-// RegistryCounts reports registered producers and consumers.
-func (c *Client) RegistryCounts() (producers, consumers int, err error) {
-	var out struct {
-		Producers int `json:"producers"`
-		Consumers int `json:"consumers"`
-	}
-	if err := c.get("/registry", &out); err != nil {
-		return 0, 0, err
-	}
-	return out.Producers, out.Consumers, nil
-}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridmon/internal/rgmacore"
+	"gridmon/internal/wal"
 	"gridmon/internal/wire"
 )
 
@@ -155,4 +156,141 @@ func TestHTTPOversizedBodyRejected(t *testing.T) {
 	if got := s.StatsSnapshot().Inserts; got != before.Inserts+1 {
 		t.Fatalf("inserts = %d, want %d", got, before.Inserts+1)
 	}
+}
+
+// TestHTTPRetentionOutOfRange: retention is whole seconds that fit the
+// binary protocol's uint32, so a negative value or one that would wrap
+// the server's clock (18446744074 s once became a 290 ms retention) is
+// answered 400 and creates no producer; 0 or an omitted field still
+// selects the defaults.
+func TestHTTPRetentionOutOfRange(t *testing.T) {
+	s, c := startServer(t)
+	if err := c.CreateTable(createSQL); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		body    string
+		status  int
+		created int
+	}{
+		{`{"table":"generator","latestRetentionSec":18446744074}`, http.StatusBadRequest, 0},
+		{`{"table":"generator","historyRetentionSec":18446744074}`, http.StatusBadRequest, 0},
+		{`{"table":"generator","latestRetentionSec":-1}`, http.StatusBadRequest, 0},
+		{`{"table":"generator","historyRetentionSec":-1}`, http.StatusBadRequest, 0},
+		{`{"table":"generator","latestRetentionSec":4294967296}`, http.StatusBadRequest, 0},
+		{`{"table":"generator","latestRetentionSec":0,"historyRetentionSec":0}`, http.StatusOK, 1},
+		{`{"table":"generator"}`, http.StatusOK, 1},
+	} {
+		before := s.StatsSnapshot().Producers
+		resp, err := c.http.Post(c.base+"/producer/create", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.status)
+		}
+		if created := s.StatsSnapshot().Producers - before; created != tc.created {
+			t.Errorf("%s: %d producers created, want %d", tc.body, created, tc.created)
+		}
+	}
+}
+
+// getStatsDoc fetches GET /stats as raw JSON values by key.
+func getStatsDoc(t *testing.T, c *Client) map[string]json.RawMessage {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := c.get("/stats", &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// requireJSON fails unless got holds exactly the keys of want, each
+// with want's value in its JSON form.
+func requireJSON(t *testing.T, what string, got map[string]json.RawMessage, want map[string]any) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s has %d keys, want %d: %v", what, len(got), len(want), got)
+	}
+	for k, v := range want {
+		wv, _ := json.Marshal(v)
+		if string(got[k]) != string(wv) {
+			t.Errorf("%s.%s = %s, want %s", what, k, got[k], wv)
+		}
+	}
+}
+
+// object decodes one JSON object of a /stats document.
+func object(t *testing.T, raw json.RawMessage) map[string]json.RawMessage {
+	t.Helper()
+	var o map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &o); err != nil {
+		t.Fatalf("%s: %v", raw, err)
+	}
+	return o
+}
+
+// TestHTTPStatsDocument pins GET /stats: the nine core counters under
+// their keys with the core's values, and "wal" and "bin_egress" only
+// once cmd/rgmad attaches their sources, carrying the values forwarded.
+func TestHTTPStatsDocument(t *testing.T) {
+	s, c := startServer(t)
+	if err := c.CreateTable(createSQL); err != nil {
+		t.Fatal(err)
+	}
+	cons, err := c.CreateConsumer("SELECT * FROM generator WHERE genid < 2", "continuous")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateConsumer("SELECT * FROM generator WHERE site = 'nowhere'", "continuous"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.CreatePrimaryProducer("generator", 30*time.Second, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if err := p.Insert(fmt.Sprintf("INSERT INTO generator (genid, seq, power, site) VALUES (%d, 1, 1.0, 'a')", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cons.Pop(); err != nil {
+		t.Fatal(err)
+	}
+
+	doc := getStatsDoc(t, c)
+	cs := s.core.StatsSnapshot()
+	core := map[string]any{
+		"producers": cs.Producers, "consumers": cs.Consumers,
+		"inserts": cs.Inserts, "pops": cs.Pops,
+		"tuplesStreamed": cs.TuplesStreamed, "tuplesPopped": cs.TuplesPopped,
+		"tuplesDropped":     cs.TuplesDropped,
+		"matchProgramEvals": cs.MatchProgramEvals, "matchConsumersSkipped": cs.MatchConsumersSkipped,
+	}
+	if cs.Inserts != 3 || cs.Pops != 1 || cs.TuplesPopped != 1 || cs.MatchProgramEvals == 0 {
+		t.Fatalf("core counters %+v, want 3 inserts, 1 pop of 1 tuple and WHERE evaluations", cs)
+	}
+	requireJSON(t, "/stats", doc, core)
+
+	s.SetWALStats(func() wal.Stats {
+		return wal.Stats{RecordsAppended: 7, BytesLogged: 123, Fsyncs: 2, Snapshots: 1,
+			ReplayRecords: 4, ReplayTruncatedTail: 9, CleanStart: true}
+	})
+	s.SetBinEgress(func() wire.EgressStats {
+		return wire.EgressStats{WriterFlushes: 5, WriterFrames: 20, MergedPushes: 3,
+			SlowConsumerDrops: 1, FramesPerFlush: 4}
+	})
+	doc = getStatsDoc(t, c)
+	requireJSON(t, "/stats.wal", object(t, doc["wal"]), map[string]any{
+		"records_appended": 7, "bytes_logged": 123, "fsyncs": 2, "snapshots": 1,
+		"replay_records": 4, "replay_truncated_tail": 9, "clean_start": true,
+	})
+	requireJSON(t, "/stats.bin_egress", object(t, doc["bin_egress"]), map[string]any{
+		"writer_flushes": 5, "writer_frames": 20, "merged_pushes": 3,
+		"slow_consumer_drops": 1, "frames_per_flush": 4,
+	})
+	delete(doc, "wal")
+	delete(doc, "bin_egress")
+	requireJSON(t, "/stats", doc, core)
 }

@@ -27,7 +27,6 @@
 //	POST /consumer/create      {"query": "SELECT ...", "type": "continuous|latest|history"}
 //	GET  /consumer/pop?id=1
 //	POST /consumer/close       {"consumer": 1}
-//	GET  /registry
 //	GET  /stats
 package rgmahttp
 
@@ -44,7 +43,6 @@ import (
 	"time"
 
 	"gridmon/internal/rgmacore"
-	"gridmon/internal/sim"
 	"gridmon/internal/wal"
 	"gridmon/internal/wire"
 )
@@ -86,7 +84,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /consumer/create", s.handleConsumerCreate)
 	mux.HandleFunc("GET /consumer/pop", s.handlePop)
 	mux.HandleFunc("POST /consumer/close", s.handleConsumerClose)
-	mux.HandleFunc("GET /registry", s.handleRegistry)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -192,15 +189,15 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleProducerCreate(w http.ResponseWriter, r *http.Request) {
 	req, ok := decode[struct {
 		Table               string `json:"table"`
-		LatestRetentionSec  int    `json:"latestRetentionSec"`
-		HistoryRetentionSec int    `json:"historyRetentionSec"`
+		LatestRetentionSec  uint32 `json:"latestRetentionSec"`
+		HistoryRetentionSec uint32 `json:"historyRetentionSec"`
 	}](w, r)
 	if !ok {
 		return
 	}
 	p, err := s.core.CreateProducer(req.Table,
-		sim.Time(req.LatestRetentionSec)*sim.Second,
-		sim.Time(req.HistoryRetentionSec)*sim.Second)
+		rgmacore.RetentionFromSeconds(req.LatestRetentionSec),
+		rgmacore.RetentionFromSeconds(req.HistoryRetentionSec))
 	if err != nil {
 		writeCoreErr(w, err)
 		return
@@ -289,20 +286,10 @@ func (s *Server) handleConsumerClose(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "closed"})
 }
 
-func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
-	p, c := s.core.RegistryCounts()
-	writeJSON(w, http.StatusOK, map[string]int{"producers": p, "consumers": c})
-}
-
-// Stats is the server's counter snapshot.
+// Stats is the GET /stats document: the core's counters, plus the
+// sources cmd/rgmad attaches.
 type Stats struct {
-	Producers      int    `json:"producers"`
-	Consumers      int    `json:"consumers"`
-	Inserts        uint64 `json:"inserts"`
-	Pops           uint64 `json:"pops"`
-	TuplesStreamed uint64 `json:"tuplesStreamed"`
-	TuplesPopped   uint64 `json:"tuplesPopped"`
-	TuplesDropped  uint64 `json:"tuplesDropped"`
+	rgmacore.Stats
 
 	// WAL is present only when the server persists to a write-ahead
 	// log (cmd/rgmad -data-dir).
@@ -333,18 +320,9 @@ func (s *Server) SetWALStats(f func() wal.Stats) {
 	s.walStats.Store(&f)
 }
 
-// StatsSnapshot reads the core counters; safe from any goroutine.
+// StatsSnapshot reads the counters; safe from any goroutine.
 func (s *Server) StatsSnapshot() Stats {
-	cs := s.core.StatsSnapshot()
-	st := Stats{
-		Producers:      cs.Producers,
-		Consumers:      cs.Consumers,
-		Inserts:        cs.Inserts,
-		Pops:           cs.Pops,
-		TuplesStreamed: cs.TuplesStreamed,
-		TuplesPopped:   cs.TuplesPopped,
-		TuplesDropped:  cs.TuplesDropped,
-	}
+	st := Stats{Stats: s.core.StatsSnapshot()}
 	if f := s.walStats.Load(); f != nil {
 		ws := (*f)()
 		st.WAL = &ws

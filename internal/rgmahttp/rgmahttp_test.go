@@ -102,6 +102,8 @@ func tableFor(t *testing.T) *sqlmini.Table {
 	return &ct.Table
 }
 
+// TestHTTPRegistryCounts: /stats counts the registered producers and
+// consumers.
 func TestHTTPRegistryCounts(t *testing.T) {
 	_, c := startServer(t)
 	if err := c.CreateTable(createSQL); err != nil {
@@ -114,16 +116,15 @@ func TestHTTPRegistryCounts(t *testing.T) {
 	if _, err := c.CreateConsumer("SELECT * FROM generator", "continuous"); err != nil {
 		t.Fatal(err)
 	}
-	pn, cn, err := c.RegistryCounts()
-	if err != nil || pn != 1 || cn != 1 {
-		t.Fatalf("registry = %d/%d, %v", pn, cn, err)
+	st, err := c.Stats()
+	if err != nil || st.Producers != 1 || st.Consumers != 1 {
+		t.Fatalf("registry = %d/%d, %v", st.Producers, st.Consumers, err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pn, _, _ = c.RegistryCounts()
-	if pn != 0 {
-		t.Fatalf("producers after close = %d", pn)
+	if st, _ = c.Stats(); st.Producers != 0 {
+		t.Fatalf("producers after close = %d", st.Producers)
 	}
 }
 

@@ -4,8 +4,8 @@
 // length-prefixed MESSAGE frames, so the client-visible byte stream is
 // exactly what per-frame emission produces — DeliverBatch never appears
 // as a decoded frame type and clients need no changes. What batching
-// buys is server-side: one channel handoff and one buffered flush (or
-// one writev) per connection per fan-out instead of one per subscriber.
+// buys is server-side: one channel handoff and one buffered flush per
+// connection per fan-out instead of one per subscriber.
 
 package wire
 
@@ -31,9 +31,8 @@ type DeliverEntry struct {
 // spliced per entry.
 //
 // DeliverBatch is transport-internal: Marshal/Unmarshal never see it.
-// Stream writers hand it to AppendFrame (or AppendDeliverBatch /
-// AppendDeliverBatchVec directly), which emit the per-entry MESSAGE
-// frames.
+// Stream writers hand it to AppendFrame (or AppendDeliverBatch
+// directly), which emits the per-entry MESSAGE frames.
 type DeliverBatch struct {
 	Msg     *message.Message
 	Entries []DeliverEntry
@@ -87,11 +86,6 @@ func DeliverBatchPoolCounters() (gets, puts uint64) {
 	return batchGets.Load(), batchPuts.Load()
 }
 
-// deliverHeaderSize is the fixed per-entry overhead of a batched
-// MESSAGE frame on the stream: 4-byte length prefix, 1 frame-type byte,
-// 8-byte SubID, 8-byte Tag. The message encoding follows.
-const deliverHeaderSize = 4 + 1 + 8 + 8
-
 // batchEncoding returns the shared message bytes every entry splices.
 func (b *DeliverBatch) batchEncoding() []byte {
 	if b.Msg.Frozen() {
@@ -121,33 +115,6 @@ func AppendDeliverBatch(dst []byte, b *DeliverBatch) ([]byte, error) {
 		dst = append(dst, enc...)
 	}
 	return dst, nil
-}
-
-// AppendDeliverBatchVec appends the batch's stream form to vec as a
-// header/payload vector sharing ONE payload slice: per entry a
-// deliverHeaderSize-byte header followed by the cached message encoding
-// by reference. vec is suitable for net.Buffers (writev), which is how
-// a large-payload run reaches the socket in one syscall without copying
-// the payload per subscriber. hdr is the caller's reusable header
-// buffer; the returned slice must be kept alive (and unmodified) until
-// the vector has been written. The headers are appended to hdr in one
-// pre-grown allocation so earlier header slices stay valid.
-func AppendDeliverBatchVec(vec [][]byte, hdr []byte, b *DeliverBatch) ([][]byte, []byte, error) {
-	enc := b.batchEncoding()
-	n := 1 + 8 + 8 + len(enc)
-	if n > MaxFrameSize {
-		return vec, hdr, ErrFrameTooBig
-	}
-	hdr = slices.Grow(hdr, len(b.Entries)*deliverHeaderSize)
-	for _, e := range b.Entries {
-		h := len(hdr)
-		hdr = binary.BigEndian.AppendUint32(hdr, uint32(n))
-		hdr = append(hdr, byte(FTMessage))
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(e.SubID))
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(e.Tag))
-		vec = append(vec, hdr[h:len(hdr):len(hdr)], enc)
-	}
-	return vec, hdr, nil
 }
 
 // FrameCount reports how many client-visible frames f expands to on the

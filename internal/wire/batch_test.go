@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
 	"gridmon/internal/message"
@@ -40,26 +39,6 @@ func TestDeliverBatchStreamEquivalence(t *testing.T) {
 		t.Fatalf("batch stream form differs from per-frame emission:\n%x\n%x", got, want)
 	}
 
-	// The vectored form flattens to the same bytes.
-	vec, _, err := AppendDeliverBatchVec(nil, nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat []byte
-	for _, s := range vec {
-		flat = append(flat, s...)
-	}
-	if !bytes.Equal(flat, want) {
-		t.Fatalf("vectored form differs from per-frame emission")
-	}
-	if len(vec) != 2*len(b.Entries) {
-		t.Fatalf("vec has %d slices, want %d (header+payload per entry)", len(vec), 2*len(b.Entries))
-	}
-	// Payload slices share one backing array: zero copies of the
-	// message encoding.
-	if &vec[1][0] != &vec[3][0] {
-		t.Fatal("payload slices are copies, want shared cached encoding")
-	}
 }
 
 // TestDeliverBatchDecodes: a FrameReader at the far end of a batched
@@ -87,44 +66,25 @@ func TestDeliverBatchDecodes(t *testing.T) {
 	}
 }
 
-// TestDeliverBatchSize: Size parity with the per-frame form, so the
-// simulator's wire-time charge is mode-independent.
+// TestDeliverBatchSize: a batch encodes to exactly the bytes of its
+// per-entry Deliver frames, and FrameCount counts the batch as the
+// frames the client receives.
 func TestDeliverBatchSize(t *testing.T) {
 	m := batchTestMsg()
 	b := &DeliverBatch{Msg: m, Entries: []DeliverEntry{{1, 1}, {2, 2}, {3, 3}}}
-	want := 3 * Size(&Deliver{SubID: 1, Tag: 1, Msg: m})
-	if got := Size(b); got != want {
-		t.Fatalf("Size(batch) = %d, want %d", got, want)
+	buf, err := AppendFrame(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 3 * (4 + Size(Deliver{SubID: 1, Tag: 1, Msg: m}))
+	if len(buf) != want {
+		t.Fatalf("len(batch encoding) = %d, want %d", len(buf), want)
 	}
 	if got := FrameCount(b); got != 3 {
 		t.Fatalf("FrameCount(batch) = %d, want 3", got)
 	}
 	if got := FrameCount(PubAck{}); got != 1 {
 		t.Fatalf("FrameCount(PubAck) = %d, want 1", got)
-	}
-}
-
-// TestDeliverBatchVecWritev: the vector form drives net.Buffers without
-// the payload being invalidated by header growth.
-func TestDeliverBatchVecWritev(t *testing.T) {
-	m := batchTestMsg()
-	entries := make([]DeliverEntry, 64)
-	for i := range entries {
-		entries[i] = DeliverEntry{SubID: int64(i + 1), Tag: int64(i + 100)}
-	}
-	b := &DeliverBatch{Msg: m, Entries: entries}
-	vec, _, err := AppendDeliverBatchVec(nil, make([]byte, 0, 8), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sink bytes.Buffer
-	nb := net.Buffers(vec)
-	if _, err := nb.WriteTo(&sink); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := AppendDeliverBatch(nil, b)
-	if !bytes.Equal(sink.Bytes(), want) {
-		t.Fatal("writev bytes differ from flat encoding")
 	}
 }
 

@@ -296,6 +296,10 @@ func FuzzUnmarshal(f *testing.F) {
 	for _, fr := range allFrames() {
 		f.Add(Marshal(fr))
 	}
+	// Codes past RGMA_TUPLES name no frame.
+	for _, code := range []byte{byte(FTRGMATuples) + 1, byte(FTRGMATuples) + 2} {
+		f.Add([]byte{code, 0, 0, 0, 0, 0, 0, 0, 7})
+	}
 	f.Add(Marshal(Publish{Seq: 1, Msg: paperMessage()}))
 	f.Add(Marshal(Deliver{SubID: 1, Tag: 2, Msg: paperMessage()}))
 	e := func(name string, v message.Value) message.Entry { return message.Entry{Name: name, Val: v} }

@@ -295,6 +295,10 @@ func FuzzFrameReader(f *testing.F) {
 	for _, fr := range allFrames() {
 		f.Add(streamOf(f, fr))
 	}
+	// Codes past RGMA_TUPLES name no frame; a valid frame follows.
+	for _, code := range []byte{byte(FTRGMATuples) + 1, byte(FTRGMATuples) + 2} {
+		f.Add(append([]byte{0, 0, 0, 9, code, 0, 0, 0, 0, 0, 0, 0, 7}, streamOf(f, Ping{Token: 1})...))
+	}
 	f.Add(streamOf(f, &DeliverBatch{Msg: batchTestMsg(), Entries: []DeliverEntry{{3, 1}, {4, 2}}}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 0})

@@ -107,35 +107,6 @@ type RGMATuples struct {
 	Enc      [][]byte
 }
 
-// RGMAStatsReq requests a server stats snapshot over the binary
-// transport, so monitoring no longer needs the HTTP port.
-type RGMAStatsReq struct {
-	Seq int64
-}
-
-// RGMAStats is the stats reply: the core's counters plus the
-// write-ahead-log counters (all zero, with WALEnabled false, when the
-// server runs without -data-dir).
-type RGMAStats struct {
-	Seq            int64
-	Producers      uint32
-	Consumers      uint32
-	Inserts        uint64
-	Pops           uint64
-	TuplesStreamed uint64
-	TuplesPopped   uint64
-	TuplesDropped  uint64
-
-	WALEnabled             bool
-	WALRecordsAppended     uint64
-	WALBytesLogged         uint64
-	WALFsyncs              uint64
-	WALSnapshots           uint64
-	WALReplayRecords       uint64
-	WALReplayTruncatedTail uint64
-	WALCleanStart          bool
-}
-
 // Type implementations.
 func (RGMAHello) Type() FrameType          { return FTRGMAHello }
 func (RGMAWelcome) Type() FrameType        { return FTRGMAWelcome }
@@ -148,8 +119,6 @@ func (RGMAClose) Type() FrameType          { return FTRGMAClose }
 func (RGMAOK) Type() FrameType             { return FTRGMAOK }
 func (RGMAErr) Type() FrameType            { return FTRGMAErr }
 func (RGMATuples) Type() FrameType         { return FTRGMATuples }
-func (RGMAStatsReq) Type() FrameType       { return FTRGMAStatsReq }
-func (RGMAStats) Type() FrameType          { return FTRGMAStats }
 
 // AppendRGMATuple appends one tuple's frame body (cell count, cells,
 // inserted-at) to dst. It is exported so the push fan-out path can
@@ -162,14 +131,6 @@ func AppendRGMATuple(dst []byte, t RGMATuple) []byte {
 	}
 	w.u64(uint64(t.InsertedAt))
 	return w.buf
-}
-
-func sizeRGMATuple(t RGMATuple) int {
-	n := 4 + 8
-	for _, c := range t.Row {
-		n += 4 + len(c)
-	}
-	return n
 }
 
 func writeRGMATuples(w *writer, v RGMATuples) {
@@ -253,64 +214,4 @@ func readRGMATuples(r *reader) RGMATuples {
 		v.Tuples = append(v.Tuples, readRGMATuple(r))
 	}
 	return v
-}
-
-func writeRGMAStats(w *writer, v RGMAStats) {
-	w.u64(uint64(v.Seq))
-	w.u32(v.Producers)
-	w.u32(v.Consumers)
-	w.u64(v.Inserts)
-	w.u64(v.Pops)
-	w.u64(v.TuplesStreamed)
-	w.u64(v.TuplesPopped)
-	w.u64(v.TuplesDropped)
-	w.bool(v.WALEnabled)
-	w.u64(v.WALRecordsAppended)
-	w.u64(v.WALBytesLogged)
-	w.u64(v.WALFsyncs)
-	w.u64(v.WALSnapshots)
-	w.u64(v.WALReplayRecords)
-	w.u64(v.WALReplayTruncatedTail)
-	w.bool(v.WALCleanStart)
-}
-
-func readRGMAStats(r *reader) RGMAStats {
-	return RGMAStats{
-		Seq:                    int64(r.u64()),
-		Producers:              r.u32(),
-		Consumers:              r.u32(),
-		Inserts:                r.u64(),
-		Pops:                   r.u64(),
-		TuplesStreamed:         r.u64(),
-		TuplesPopped:           r.u64(),
-		TuplesDropped:          r.u64(),
-		WALEnabled:             r.bool(),
-		WALRecordsAppended:     r.u64(),
-		WALBytesLogged:         r.u64(),
-		WALFsyncs:              r.u64(),
-		WALSnapshots:           r.u64(),
-		WALReplayRecords:       r.u64(),
-		WALReplayTruncatedTail: r.u64(),
-		WALCleanStart:          r.bool(),
-	}
-}
-
-// sizeRGMAStats is constant: 8 (seq) + 2×4 + 12×8... spelled out so a
-// field added to the frame fails loudly here.
-func sizeRGMAStats() int {
-	return 8 + 4 + 4 + 5*8 + 1 + 6*8 + 1
-}
-
-func sizeRGMATuples(v RGMATuples) int {
-	n := 8 + 8 + 4
-	if v.Enc != nil {
-		for _, e := range v.Enc {
-			n += len(e)
-		}
-		return n
-	}
-	for _, t := range v.Tuples {
-		n += sizeRGMATuple(t)
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -26,10 +27,6 @@ func TestRGMATuplesEncSpliceByteIdentical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("Enc splice differs from Tuples encode:\n plain:   %x\n spliced: %x", a, b)
 	}
-	if Size(plain) != len(a) || Size(spliced) != len(b) {
-		t.Fatalf("Size mismatch: plain %d/%d, spliced %d/%d", Size(plain), len(a), Size(spliced), len(b))
-	}
-
 	got, err := Unmarshal(b)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +45,6 @@ func TestRGMATuplesEmpty(t *testing.T) {
 		{Seq: 9, Consumer: 1, Enc: [][]byte{}},
 	} {
 		buf := Marshal(f)
-		if Size(f) != len(buf) {
-			t.Fatalf("Size = %d, Marshal len = %d", Size(f), len(buf))
-		}
 		got, err := Unmarshal(buf)
 		if err != nil {
 			t.Fatal(err)
@@ -69,6 +63,17 @@ func TestRGMAInsertTruncated(t *testing.T) {
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := Unmarshal(buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestCodesPastRGMATuplesUnknown: no frame type follows RGMA_TUPLES, so
+// codes 28 and 29 decode as unknown frames, which every read loop
+// answers by closing the connection.
+func TestCodesPastRGMATuplesUnknown(t *testing.T) {
+	for _, code := range []byte{byte(FTRGMATuples) + 1, byte(FTRGMATuples) + 2} {
+		if _, err := Unmarshal([]byte{code, 0, 0, 0, 0, 0, 0, 0, 7}); !errors.Is(err, ErrUnknownFrame) {
+			t.Errorf("code %d: err = %v, want ErrUnknownFrame", code, err)
 		}
 	}
 }

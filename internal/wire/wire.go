@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"gridmon/internal/message"
@@ -54,8 +56,6 @@ const (
 	FTRGMAOK
 	FTRGMAErr
 	FTRGMATuples
-	FTRGMAStatsReq
-	FTRGMAStats
 )
 
 var frameNames = map[FrameType]string{
@@ -70,7 +70,6 @@ var frameNames = map[FrameType]string{
 	FTRGMAInsert: "RGMA_INSERT", FTRGMAConsumerCreate: "RGMA_CONSUMER_CREATE",
 	FTRGMAPop: "RGMA_POP", FTRGMAClose: "RGMA_CLOSE", FTRGMAOK: "RGMA_OK",
 	FTRGMAErr: "RGMA_ERR", FTRGMATuples: "RGMA_TUPLES",
-	FTRGMAStatsReq: "RGMA_STATS_REQ", FTRGMAStats: "RGMA_STATS",
 }
 
 func (t FrameType) String() string {
@@ -730,10 +729,6 @@ func MarshalAppend(dst []byte, f Frame) []byte {
 		w.str(v.Msg)
 	case RGMATuples:
 		writeRGMATuples(w, v)
-	case RGMAStatsReq:
-		w.u64(uint64(v.Seq))
-	case RGMAStats:
-		writeRGMAStats(w, v)
 	default:
 		panic(fmt.Sprintf("wire: marshal of unknown frame %T", f))
 	}
@@ -830,10 +825,6 @@ func Unmarshal(buf []byte) (Frame, error) {
 		f = RGMAErr{Seq: int64(r.u64()), Code: r.u8(), Msg: r.str()}
 	case FTRGMATuples:
 		f = readRGMATuples(r)
-	case FTRGMAStatsReq:
-		f = RGMAStatsReq{Seq: int64(r.u64())}
-	case FTRGMAStats:
-		f = readRGMAStats(r)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownFrame, t)
 	}
@@ -848,7 +839,9 @@ func Unmarshal(buf []byte) (Frame, error) {
 
 // Size reports the exact number of bytes Marshal produces for f, without
 // allocating. The simulator uses this to charge wire time for frames that
-// are carried by reference.
+// are carried by reference, so it knows only the value frames the
+// simulator sends — the JMS and broker-link frames; any other frame
+// panics.
 func Size(f Frame) int {
 	n := 1 // frame type
 	switch v := f.(type) {
@@ -864,12 +857,6 @@ func Size(f Frame) int {
 		n += 8 + v.Msg.EncodedSize()
 	case Deliver:
 		n += 16 + v.Msg.EncodedSize()
-	case *Deliver:
-		n += 16 + v.Msg.EncodedSize()
-	case *DeliverBatch:
-		// The batch's stream form is len(Entries) MESSAGE frames; Size
-		// excludes length prefixes, like every other case.
-		n = len(v.Entries) * (1 + 16 + v.Msg.EncodedSize())
 	case Ack:
 		n += 8 + 4 + 8*len(v.Tags)
 	case Close:
@@ -883,35 +870,6 @@ func Size(f Frame) int {
 		n += 4 + len(v.BrokerID) + 4 + len(v.Topic) + 1
 	case BrokerLink:
 		n += 4 + len(v.BrokerID) + 1
-	case RGMAHello:
-		n += 4 + len(v.ClientID)
-	case RGMAWelcome:
-		n += 4 + len(v.ServerID)
-	case RGMACreateTable:
-		n += 8 + 4 + len(v.SQL)
-	case RGMAProducerCreate:
-		n += 8 + 4 + len(v.Table) + 4 + 4
-	case RGMAInsert:
-		n += 8 + 8 + 4
-		for _, q := range v.SQLs {
-			n += 4 + len(q)
-		}
-	case RGMAConsumerCreate:
-		n += 8 + 4 + len(v.Query) + 1
-	case RGMAPop:
-		n += 8 + 8
-	case RGMAClose:
-		n += 8 + 1 + 8
-	case RGMAOK:
-		n += 8 + 8
-	case RGMAErr:
-		n += 8 + 1 + 4 + len(v.Msg)
-	case RGMATuples:
-		n += sizeRGMATuples(v)
-	case RGMAStatsReq:
-		n += 8
-	case RGMAStats:
-		n += sizeRGMAStats()
 	default:
 		panic(fmt.Sprintf("wire: size of unknown frame %T", f))
 	}
@@ -994,6 +952,26 @@ type FrameReader struct {
 // NewFrameReader wraps r for buffered frame reading.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r, buf: make([]byte, readAhead)}
+}
+
+// Handshake opens the dialing side of a connection: it writes hello,
+// reads the peer's first frame under a read deadline of timeout, clears
+// the deadline and returns that reply together with the reader the
+// connection's read loop must go on with, since frames the peer sent
+// after the reply may already be in its buffer. A peer that closes the
+// connection instead of replying fails the handshake at once.
+func Handshake(conn net.Conn, hello Frame, timeout time.Duration) (Frame, *FrameReader, error) {
+	if err := WriteFrame(conn, hello); err != nil {
+		return nil, nil, err
+	}
+	fr := NewFrameReader(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	f, err := fr.Read()
+	_ = conn.SetReadDeadline(time.Time{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, fr, nil
 }
 
 // FrameBuffered reports whether the next Read returns without reading

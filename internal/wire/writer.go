@@ -16,11 +16,6 @@ import (
 // read burst's batched acks the same way.
 const MaxWriteBatch = 64 << 10
 
-// vecPayloadMin is the smallest cached encoding for which a multi-entry
-// DeliverBatch goes out as one writev referencing the shared payload N
-// times; below it, copying is cheaper than the per-iovec bookkeeping.
-const vecPayloadMin = 4 << 10
-
 // writeBufPool recycles encode buffers across connection lifetimes,
 // behind a pointer so Put doesn't box the slice header.
 var writeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
@@ -40,17 +35,16 @@ func Release(f Frame) {
 // EgressMeters counts egress on a server's connection writers; one
 // server's writers share one. The zero value is ready to use.
 type EgressMeters struct {
-	flushes, frames, writevs, mergedPushes, slowDrops atomic.Uint64
+	flushes, frames, mergedPushes, slowDrops atomic.Uint64
 }
 
 // EgressStats snapshots EgressMeters for naradad's "transport_egress"
 // and rgmad's "bin_egress": socket writes, the frames they carried (by
-// FrameCount, before merging), vectored writes, R-GMA pushes merged into
-// the previous push frame, and connections dropped for a full queue.
+// FrameCount, before merging), R-GMA pushes merged into the previous
+// push frame, and connections dropped for a full queue.
 type EgressStats struct {
 	WriterFlushes     uint64  `json:"writer_flushes"`
 	WriterFrames      uint64  `json:"writer_frames"`
-	WriterWritevs     uint64  `json:"writer_writevs"`
 	MergedPushes      uint64  `json:"merged_pushes"`
 	SlowConsumerDrops uint64  `json:"slow_consumer_drops"`
 	FramesPerFlush    float64 `json:"frames_per_flush"`
@@ -59,7 +53,7 @@ type EgressStats struct {
 // Stats snapshots the meters.
 func (m *EgressMeters) Stats() EgressStats {
 	fl, fr := m.flushes.Load(), m.frames.Load()
-	es := EgressStats{WriterFlushes: fl, WriterFrames: fr, WriterWritevs: m.writevs.Load(),
+	es := EgressStats{WriterFlushes: fl, WriterFrames: fr,
 		MergedPushes: m.mergedPushes.Load(), SlowConsumerDrops: m.slowDrops.Load()}
 	if fl > 0 {
 		es.FramesPerFlush = float64(fr) / float64(fl)
@@ -139,14 +133,12 @@ func (w *FrameWriter) Stop() { w.stop.Do(func() { close(w.done) }) }
 // Run is the writer goroutine body. Frames already queued when it wakes
 // are encoded into one pooled buffer (a DeliverBatch splices its shared
 // payload once per entry, R-GMA pushes follow the pushMerge rule) and
-// written with one call; a DeliverBatch of ≥ 2 entries with a payload
-// ≥ 4 KiB goes out as one writev instead. Run returns on Stop, or after
-// closing the connection on a write or encode error, and releases the
-// frames still queued on its way out.
+// written with one call. Run returns on Stop, or after closing the
+// connection on a write or encode error, and releases the frames still
+// queued on its way out.
 func (w *FrameWriter) Run() {
 	bp := writeBufPool.Get().(*[]byte)
 	buf := *bp
-	var vec [][]byte // writev scratch, reused across flushes
 	pushes := pushMerge{merges: &w.eg.mergedPushes}
 	defer func() {
 		w.quit.Lock()
@@ -168,12 +160,7 @@ func (w *FrameWriter) Run() {
 			return
 		}
 		var err error
-		if b, ok := f.(*DeliverBatch); ok && len(b.Entries) >= 2 && b.Msg.EncodedSize() >= vecPayloadMin {
-			vec, buf, err = w.writev(vec, buf, b)
-		} else {
-			buf, err = w.flush(buf, f, &pushes)
-		}
-		if err != nil {
+		if buf, err = w.flush(buf, f, &pushes); err != nil {
 			_ = w.conn.Close()
 			return
 		}
@@ -183,26 +170,6 @@ func (w *FrameWriter) Run() {
 			buf = make([]byte, 0, 4096)
 		}
 	}
-}
-
-// writev sends a large-payload batch as one vectored write whose iovecs
-// alternate per-entry headers (sliced from hdr) with the single shared
-// payload encoding.
-func (w *FrameWriter) writev(vec [][]byte, hdr []byte, b *DeliverBatch) ([][]byte, []byte, error) {
-	frames := len(b.Entries)
-	vec, hdr, err := AppendDeliverBatchVec(vec[:0], hdr[:0], b)
-	Release(b)
-	if err != nil {
-		return vec, hdr, err
-	}
-	bufs := net.Buffers(vec)
-	if _, err := bufs.WriteTo(w.conn); err != nil {
-		return vec, hdr, err
-	}
-	w.eg.flushes.Add(1)
-	w.eg.frames.Add(uint64(frames))
-	w.eg.writevs.Add(1)
-	return vec, hdr, nil
 }
 
 // flush encodes f and the frames queued behind it into buf, until the

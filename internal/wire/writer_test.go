@@ -107,7 +107,7 @@ func TestFrameWriterMergeOrder(t *testing.T) {
 // it on SendFull/SendDead (a double DeliverBatch release panics).
 func TestFrameWriterReleaseExactlyOnce(t *testing.T) {
 	small := batchTestMsg()
-	big := message.NewText(strings.Repeat("x", 2*vecPayloadMin)).Freeze() // writev path
+	big := message.NewText(strings.Repeat("x", 16<<10)).Freeze()
 	dg0, dp0 := DeliverPoolCounters()
 	bg0, bp0 := DeliverBatchPoolCounters()
 	for round := 0; round < 20; round++ {
@@ -173,20 +173,18 @@ func sizedMsg(t *testing.T, size int) *message.Message {
 	return m
 }
 
-// TestFrameWriterWritevThreshold: a DeliverBatch goes out as one writev
-// only with ≥ 2 entries and a payload ≥ 4 KiB; otherwise it is spliced
-// into the coalescing buffer. Both forms put the same bytes on the
-// stream.
-func TestFrameWriterWritevThreshold(t *testing.T) {
+// TestFrameWriterSplicesBatch: a DeliverBatch goes out spliced into the
+// coalescing buffer, one flush carrying every entry, whatever the size
+// of its payload.
+func TestFrameWriterSplicesBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		entries int
 		payload int
-		writevs uint64
 	}{
-		{"2 entries, 4 KiB", 2, vecPayloadMin, 1},
-		{"1 entry, 4 KiB", 1, vecPayloadMin, 0},
-		{"2 entries, 4 KiB - 1", 2, vecPayloadMin - 1, 0},
+		{"2 entries, 16 KiB", 2, 16 << 10},
+		{"1 entry, 16 KiB", 1, 16 << 10},
+		{"64 entries, 379 B", 64, 379},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := GetDeliverBatch()
@@ -212,10 +210,8 @@ func TestFrameWriterWritevThreshold(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatal("stream differs from the batch's spliced form")
 			}
-			es := eg.Stats()
-			if es.WriterWritevs != tc.writevs || es.WriterFlushes != 1 || es.WriterFrames != uint64(tc.entries) {
-				t.Fatalf("writevs/flushes/frames = %d/%d/%d, want %d/1/%d",
-					es.WriterWritevs, es.WriterFlushes, es.WriterFrames, tc.writevs, tc.entries)
+			if es := eg.Stats(); es.WriterFlushes != 1 || es.WriterFrames != uint64(tc.entries) {
+				t.Fatalf("flushes/frames = %d/%d, want 1/%d", es.WriterFlushes, es.WriterFrames, tc.entries)
 			}
 		})
 	}
